@@ -34,6 +34,20 @@ type allocBackend struct {
 	push     func(pid int, v uint64) error
 	pop      func(pid int) (uint64, error)
 	wantZero bool // acceptance: steady state must not allocate
+	// maxAllocs, when positive, caps the solo allocs/op: one worker, so
+	// no attempt aborts and the figure counts the records a completed
+	// operation needs. Contended rows cannot carry the cap, because a
+	// boxed aborted attempt pays its record too.
+	maxAllocs float64
+}
+
+// soloCeiling caps the solo allocs/op of the boxed Figure 1 stacks,
+// whose every solo operation runs one attempt: one TOP record, which
+// the help step later installs in STACK[] as is. A second record per
+// operation reads 2.0.
+var soloCeiling = map[string]float64{
+	"stack/abortable": 1.05, "stack/non-blocking": 1.05, "stack/sensitive": 1.05,
+	"stack/combining": 1.05, "stack/adaptive": 1.05,
 }
 
 // allocBackends builds the E17 comparison set: every stack and queue
@@ -86,7 +100,8 @@ func allocBackends(procs int) []allocBackend {
 		}
 		be := allocBackend{
 			name: b.Name, push: push, pop: pop,
-			wantZero: strings.Contains(b.Allocation, "pooled"),
+			wantZero:  strings.Contains(b.Allocation, "pooled"),
+			maxAllocs: soloCeiling[b.Name],
 		}
 		if ps, ok := inner.(interface{ PoolStats() memory.PoolStats }); ok {
 			be.pool = ps.PoolStats
@@ -227,11 +242,12 @@ func runE17(cfg Config, w io.Writer) error {
 		warmup, ops = 2000, 20000
 	}
 
-	tb := metrics.NewTable("backend", "allocs/op", "B/op", "GC cycles", "ops/s", "verdict")
+	tb := metrics.NewTable("backend", "allocs/op", "B/op", "GC cycles", "ops/s", "solo allocs/op", "verdict")
 	defer cfg.logTable("E17 steady state", tb)
-	var failed []string
+	var failed, over []string
 	for _, be := range allocBackends(procs) {
 		res := measureAllocs(procs, warmup, ops, cfg.Seed, be.push, be.pop)
+		solo := measureAllocs(1, warmup, ops, cfg.Seed, be.push, be.pop)
 		verdict := "allocating"
 		if res.allocsPerOp < 0.01 {
 			verdict = "0 allocs/op"
@@ -240,11 +256,16 @@ func runE17(cfg Config, w io.Writer) error {
 			verdict = "FAIL: allocates"
 			failed = append(failed, be.name)
 		}
+		if be.maxAllocs > 0 && solo.allocsPerOp > be.maxAllocs {
+			verdict = fmt.Sprintf("FAIL: solo > %.2f allocs/op", be.maxAllocs)
+			over = append(over, be.name)
+		}
 		tb.AddRow(be.name,
 			fmt.Sprintf("%.3f", res.allocsPerOp),
 			fmt.Sprintf("%.1f", res.bytesPerOp),
 			res.gcCycles,
 			int64(res.opsPerSec),
+			fmt.Sprintf("%.3f", solo.allocsPerOp),
 			verdict)
 	}
 	if err := fprintf(w, "steady state, %d procs, %d ops/proc after %d warmup (balanced mix)\n%s",
@@ -256,6 +277,9 @@ func runE17(cfg Config, w io.Writer) error {
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("E17: steady state still allocates on %v", failed)
+	}
+	if len(over) > 0 {
+		return fmt.Errorf("E17: solo allocs/op above the ceiling on %v", over)
 	}
 	return nil
 }

@@ -49,6 +49,11 @@ func init() {
 	})
 }
 
+// e3WindowFloor is the shortest E3 sampling window. A window shorter
+// than an OS scheduling quantum can see every worker descheduled by the
+// host and report zero ops although no operation blocked another.
+const e3WindowFloor = 10 * time.Millisecond
+
 func runE3(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	tb := metrics.NewTable("procs", "ops/s", "aborts/op", "min window ops", "windows")
@@ -57,11 +62,13 @@ func runE3(cfg Config, w io.Writer) error {
 		s := stack.NewNonBlocking[uint64](4) // tiny stack maximizes interference
 		var stop atomic.Bool
 		var totalOps, totalAborts atomic.Uint64
-		var wg sync.WaitGroup
+		var wg, started sync.WaitGroup
 		for p := 0; p < procs; p++ {
 			wg.Add(1)
+			started.Add(1)
 			go func(pid int) {
 				defer wg.Done()
+				started.Done()
 				rng := workload.NewRNG(cfg.Seed + uint64(pid))
 				i := 0
 				for !stop.Load() {
@@ -78,14 +85,14 @@ func runE3(cfg Config, w io.Writer) error {
 			}(p)
 		}
 		// Sample completed ops per window: global progress means every
-		// window sees a positive delta.
+		// window sees a positive delta. The first window opens once every
+		// worker runs: goroutine start-up is no part of the claim.
 		windows := 10
-		window := cfg.Duration / time.Duration(windows)
-		if window <= 0 {
-			window = time.Millisecond
-		}
+		window := max(cfg.Duration/time.Duration(windows), e3WindowFloor)
+		started.Wait()
 		minWindow := uint64(1<<63 - 1)
-		last := uint64(0)
+		first, t0 := totalOps.Load(), time.Now()
+		last := first
 		for i := 0; i < windows; i++ {
 			time.Sleep(window)
 			cur := totalOps.Load()
@@ -94,11 +101,12 @@ func runE3(cfg Config, w io.Writer) error {
 			}
 			last = cur
 		}
+		elapsed := time.Since(t0)
 		stop.Store(true)
 		wg.Wait()
 		ops := totalOps.Load()
 		abortsPerOp := float64(totalAborts.Load()) / float64(max64(ops, 1))
-		tb.AddRow(procs, int64(opsPerSec(ops, cfg.Duration)), abortsPerOp, minWindow, windows)
+		tb.AddRow(procs, int64(opsPerSec(last-first, elapsed)), abortsPerOp, minWindow, windows)
 		if minWindow == 0 {
 			fprintf(w, "%s", tb.String())
 			return errors.New("E3: a window with zero completed operations (global progress violated)")

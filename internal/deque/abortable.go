@@ -93,7 +93,7 @@ func (d *Abortable) Capacity() int { return d.max }
 
 // kindAt reads cell i and returns its word and kind.
 func (d *Abortable) kindAt(i int) (w uint64, kind uint64) {
-	w = d.cells.At(i).Read()
+	w = d.cells.Read(i)
 	kind, _, _ = unpack(w)
 	return w, kind
 }
@@ -178,22 +178,22 @@ func (d *Abortable) TryPushRight(v uint32) error {
 		}
 		return ErrAborted // boundary moved since the scan
 	}
-	prev := d.cells.At(k - 1).Read()
+	prev := d.cells.Read(k - 1)
 	if kind, _, _ := unpack(prev); kind == kindRN {
 		return ErrAborted
 	}
-	cur := d.cells.At(k).Read()
+	cur := d.cells.Read(k)
 	if kind, _, _ := unpack(cur); kind != kindRN {
 		return ErrAborted
 	}
 	// HLM's two-step commit: bump the left neighbour (no logical
 	// change) to pin it, then install the value. Aborting between the
 	// CASes is harmless.
-	if !d.cells.At(k-1).CAS(prev, bumped(prev)) {
+	if !d.cells.CAS(k-1, prev, bumped(prev)) {
 		return ErrAborted
 	}
 	_, _, ctr := unpack(cur)
-	if !d.cells.At(k).CAS(cur, pack(kindData, v, ctr+1)) {
+	if !d.cells.CAS(k, cur, pack(kindData, v, ctr+1)) {
 		return ErrAborted
 	}
 	d.rightHint.Write(uint64(k + 1))
@@ -206,11 +206,11 @@ func (d *Abortable) TryPopRight() (uint32, error) {
 	if !ok {
 		return 0, ErrAborted
 	}
-	next := d.cells.At(k).Read()
+	next := d.cells.Read(k)
 	if kind, _, _ := unpack(next); kind != kindRN {
 		return 0, ErrAborted
 	}
-	cur := d.cells.At(k - 1).Read()
+	cur := d.cells.Read(k - 1)
 	kind, value, ctr := unpack(cur)
 	switch kind {
 	case kindRN:
@@ -218,17 +218,17 @@ func (d *Abortable) TryPopRight() (uint32, error) {
 	case kindLN:
 		// Candidate empty: prove the (LN, RN) pair held at one
 		// instant by re-reading A[k].
-		if d.cells.At(k).Read() == next {
+		if d.cells.Read(k) == next {
 			return 0, ErrEmpty
 		}
 		return 0, ErrAborted
 	}
 	// Two-step commit: pin A[k] (stays RN, counter bumped), then take
 	// the value by writing RN over it.
-	if !d.cells.At(k).CAS(next, bumped(next)) {
+	if !d.cells.CAS(k, next, bumped(next)) {
 		return 0, ErrAborted
 	}
-	if !d.cells.At(k-1).CAS(cur, pack(kindRN, 0, ctr+1)) {
+	if !d.cells.CAS(k-1, cur, pack(kindRN, 0, ctr+1)) {
 		return 0, ErrAborted // interference; no logical change happened
 	}
 	d.rightHint.Write(uint64(k - 1))
@@ -248,19 +248,19 @@ func (d *Abortable) TryPushLeft(v uint32) error {
 		}
 		return ErrAborted
 	}
-	next := d.cells.At(j + 1).Read()
+	next := d.cells.Read(j + 1)
 	if kind, _, _ := unpack(next); kind == kindLN {
 		return ErrAborted
 	}
-	cur := d.cells.At(j).Read()
+	cur := d.cells.Read(j)
 	if kind, _, _ := unpack(cur); kind != kindLN {
 		return ErrAborted
 	}
-	if !d.cells.At(j+1).CAS(next, bumped(next)) {
+	if !d.cells.CAS(j+1, next, bumped(next)) {
 		return ErrAborted
 	}
 	_, _, ctr := unpack(cur)
-	if !d.cells.At(j).CAS(cur, pack(kindData, v, ctr+1)) {
+	if !d.cells.CAS(j, cur, pack(kindData, v, ctr+1)) {
 		return ErrAborted
 	}
 	d.leftHint.Write(uint64(j - 1))
@@ -274,25 +274,25 @@ func (d *Abortable) TryPopLeft() (uint32, error) {
 	if !ok {
 		return 0, ErrAborted
 	}
-	prev := d.cells.At(j).Read()
+	prev := d.cells.Read(j)
 	if kind, _, _ := unpack(prev); kind != kindLN {
 		return 0, ErrAborted
 	}
-	cur := d.cells.At(j + 1).Read()
+	cur := d.cells.Read(j + 1)
 	kind, value, ctr := unpack(cur)
 	switch kind {
 	case kindLN:
 		return 0, ErrAborted
 	case kindRN:
-		if d.cells.At(j).Read() == prev {
+		if d.cells.Read(j) == prev {
 			return 0, ErrEmpty
 		}
 		return 0, ErrAborted
 	}
-	if !d.cells.At(j).CAS(prev, bumped(prev)) {
+	if !d.cells.CAS(j, prev, bumped(prev)) {
 		return 0, ErrAborted
 	}
-	if !d.cells.At(j+1).CAS(cur, pack(kindLN, 0, ctr+1)) {
+	if !d.cells.CAS(j+1, cur, pack(kindLN, 0, ctr+1)) {
 		return 0, ErrAborted
 	}
 	d.leftHint.Write(uint64(j + 1))

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,12 +246,22 @@ func TestTicketFIFOUnderContention(t *testing.T) {
 			}
 		}(p)
 	}
-	// Let them run until one side has done iters sections.
-	for counts[0].Load() < iters && counts[1].Load() < iters {
+	// Start barrier: the window opens only once both workers have
+	// completed a section, so both are in their loops; before that one
+	// worker can run alone while the other waits for a core, which says
+	// nothing about the lock. The waits yield so that on a machine with
+	// few cores they never hold a core a worker needs.
+	for counts[0].Load() == 0 || counts[1].Load() == 0 {
+		runtime.Gosched()
+	}
+	a0, b0 := counts[0].Load(), counts[1].Load()
+	// Let them run until one side has done iters sections in the window.
+	for counts[0].Load()-a0 < iters && counts[1].Load()-b0 < iters {
+		runtime.Gosched()
 	}
 	close(stop)
 	wg.Wait()
-	a, b := counts[0].Load(), counts[1].Load()
+	a, b := counts[0].Load()-a0, counts[1].Load()-b0
 	if a == 0 || b == 0 {
 		t.Fatalf("one process starved: counts = %d, %d", a, b)
 	}

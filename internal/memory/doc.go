@@ -23,6 +23,10 @@
 //     recycling makes ABA real again and the tag, CASed together with
 //     the handle, is what defeats it.
 //
+// Words and Refs[T] are fixed arrays of the first two families (the
+// shape of the paper's STACK[0..k]): one word per register and one
+// observer for the whole array, accessed by index.
+//
 // Sequence tags are carried by all families because the paper's
 // algorithms use them (§2.2): they make logical ABA detectable and are
 // load-bearing in the packed family, where the same 64-bit pattern can

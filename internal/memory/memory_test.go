@@ -172,16 +172,19 @@ func TestWordsArray(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", a.Len())
 	}
 	for i := 0; i < a.Len(); i++ {
-		if got := a.At(i).Read(); got != 9 {
-			t.Fatalf("At(%d) = %d, want 9", i, got)
+		if got := a.Read(i); got != 9 {
+			t.Fatalf("Read(%d) = %d, want 9", i, got)
 		}
 	}
-	a.At(2).Write(1)
-	if a.At(2).Read() != 1 || a.At(1).Read() != 9 {
+	a.Write(2, 1)
+	if a.Read(2) != 1 || a.Read(1) != 9 {
 		t.Fatal("write leaked between array entries")
 	}
-	if st.Total() != 7 { // 4 reads + 1 write + 2 verification reads
-		t.Fatalf("array accesses = %d, want 7", st.Total())
+	if !a.CAS(3, 9, 5) || a.CAS(3, 9, 6) || a.Read(3) != 5 {
+		t.Fatal("CAS did not compare against register 3 alone")
+	}
+	if st.Total() != 10 { // 4 reads + 1 write + 2 verification reads + 2 CASes + 1 read
+		t.Fatalf("array accesses = %d, want 10", st.Total())
 	}
 }
 
@@ -189,9 +192,68 @@ func TestRefsArray(t *testing.T) {
 	type rec struct{ v int }
 	a := NewRefs(3, func(i int) *rec { return &rec{v: i * i} }, nil)
 	for i := 0; i < a.Len(); i++ {
-		if got := a.At(i).Read().v; got != i*i {
-			t.Fatalf("At(%d).v = %d, want %d", i, got, i*i)
+		if got := a.Read(i).v; got != i*i {
+			t.Fatalf("Read(%d).v = %d, want %d", i, got, i*i)
 		}
+	}
+	old, b := a.Read(1), &rec{v: 7}
+	if a.CAS(1, &rec{v: 1}, b) {
+		t.Fatal("CAS with equal-valued but distinct pointer succeeded")
+	}
+	if !a.CAS(1, old, b) || a.Read(1) != b {
+		t.Fatal("CAS with the read pointer failed")
+	}
+	a.Write(2, b)
+	if a.Read(2) != b || a.Read(0).v != 0 {
+		t.Fatal("write leaked between array entries")
+	}
+}
+
+// kindLog is an Observer recording every access kind in order.
+type kindLog struct{ kinds []Kind }
+
+func (l *kindLog) OnAccess(k Kind) { l.kinds = append(l.kinds, k) }
+
+func TestArraysReportEachIndexedAccess(t *testing.T) {
+	// Every indexed access reports exactly one access of its own kind,
+	// as the single-register types do.
+	type rec struct{ v int }
+	var wl, rl kindLog
+	w := NewWordsObserved(3, 0, &wl)
+	r := NewRefs(3, func(int) *rec { return &rec{} }, &rl)
+	want := []Kind{Read, Write, CAS, CAS}
+	w.Read(0)
+	w.Write(1, 4)
+	w.CAS(1, 4, 5)
+	w.CAS(2, 9, 9) // failed CAS still counts as an access
+	p := r.Read(0)
+	r.Write(1, p)
+	r.CAS(1, p, &rec{})
+	r.CAS(2, p, p)
+	for name, got := range map[string][]Kind{"Words": wl.kinds, "Refs": rl.kinds} {
+		if len(got) != len(want) {
+			t.Fatalf("%s observed %v, want %v", name, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s observed %v, want %v", name, got, want)
+			}
+		}
+	}
+}
+
+func TestArraysNilObserverReportsNothing(t *testing.T) {
+	// A nil observer disables instrumentation: accesses go straight to
+	// the registers and nothing is reported or dereferenced.
+	w := NewWords(2, 1)
+	r := NewRefs(2, func(int) *int { return new(int) }, nil)
+	w.Read(0)
+	w.Write(1, 2)
+	w.CAS(1, 2, 3)
+	r.Write(0, r.Read(1))
+	r.CAS(0, r.Read(0), nil)
+	if w.Read(1) != 3 || r.Read(0) != nil {
+		t.Fatal("uninstrumented arrays misbehaved")
 	}
 }
 

@@ -64,24 +64,52 @@ func (r *Ref[T]) CAS(old, new *T) bool {
 	return r.p.CompareAndSwap(old, new)
 }
 
-// Refs is a fixed array of Ref registers sharing one observer.
+// Refs is a fixed array of pointer registers sharing one observer, the
+// boxed shape of the paper's STACK[0..k] array. Each register is one
+// machine word: the observer is stored once for the whole array, not
+// once per register as a slice of Ref would. Every indexed access is
+// reported to the observer exactly as the corresponding Ref method
+// would report it.
 type Refs[T any] struct {
-	regs []Ref[T]
+	regs []atomic.Pointer[T]
+	obs  Observer
 }
 
 // NewRefs returns n registers, each initialized by calling init(i).
-// A nil obs disables instrumentation.
+// A nil obs disables instrumentation. Initialization is not observed.
 func NewRefs[T any](n int, init func(i int) *T, obs Observer) *Refs[T] {
-	a := &Refs[T]{regs: make([]Ref[T], n)}
+	a := &Refs[T]{regs: make([]atomic.Pointer[T], n), obs: obs}
 	for i := range a.regs {
-		a.regs[i].p.Store(init(i))
-		a.regs[i].obs = obs
+		a.regs[i].Store(init(i))
 	}
 	return a
 }
 
-// At returns the i-th register.
-func (a *Refs[T]) At(i int) *Ref[T] { return &a.regs[i] }
+// Read returns the current record of register i. The caller must not
+// mutate it.
+func (a *Refs[T]) Read(i int) *T {
+	if a.obs != nil {
+		a.obs.OnAccess(Read)
+	}
+	return a.regs[i].Load()
+}
+
+// Write stores rec into register i.
+func (a *Refs[T]) Write(i int, rec *T) {
+	if a.obs != nil {
+		a.obs.OnAccess(Write)
+	}
+	a.regs[i].Store(rec)
+}
+
+// CAS atomically replaces old with new in register i and reports
+// whether it did. old must be a pointer previously obtained from Read.
+func (a *Refs[T]) CAS(i int, old, new *T) bool {
+	if a.obs != nil {
+		a.obs.OnAccess(CAS)
+	}
+	return a.regs[i].CompareAndSwap(old, new)
+}
 
 // Len returns the number of registers.
 func (a *Refs[T]) Len() int { return len(a.regs) }

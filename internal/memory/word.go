@@ -106,10 +106,14 @@ func (f *Flag) CAS(old, new bool) bool {
 	return f.v.CompareAndSwap(old, new)
 }
 
-// Words is a fixed array of Word registers sharing one observer, the
-// shape of the paper's STACK[0..k] array.
+// Words is a fixed array of 64-bit registers sharing one observer, the
+// shape of the paper's STACK[0..k] array. Each register is one machine
+// word: the observer is stored once for the whole array. Every indexed
+// access is reported to the observer exactly as the corresponding Word
+// method would report it.
 type Words struct {
-	regs []Word
+	regs []atomic.Uint64
+	obs  Observer
 }
 
 // NewWords returns n registers all initialized to init.
@@ -127,16 +131,38 @@ func NewWordsObserved(n int, init uint64, obs Observer) *Words {
 // all reporting to obs. Initialization is not observed (it is not a
 // shared access of the algorithm being measured).
 func NewWordsInit(n int, init func(i int) uint64, obs Observer) *Words {
-	a := &Words{regs: make([]Word, n)}
+	a := &Words{regs: make([]atomic.Uint64, n), obs: obs}
 	for i := range a.regs {
-		a.regs[i].v.Store(init(i))
-		a.regs[i].obs = obs
+		a.regs[i].Store(init(i))
 	}
 	return a
 }
 
-// At returns the i-th register.
-func (a *Words) At(i int) *Word { return &a.regs[i] }
+// Read returns the current value of register i.
+func (a *Words) Read(i int) uint64 {
+	if a.obs != nil {
+		a.obs.OnAccess(Read)
+	}
+	return a.regs[i].Load()
+}
+
+// Write stores x into register i.
+func (a *Words) Write(i int, x uint64) {
+	if a.obs != nil {
+		a.obs.OnAccess(Write)
+	}
+	a.regs[i].Store(x)
+}
+
+// CAS is X[i].C&S(old, new): atomically, if register i holds old it is
+// set to new and CAS reports true; otherwise it reports false and the
+// register is unchanged.
+func (a *Words) CAS(i int, old, new uint64) bool {
+	if a.obs != nil {
+		a.obs.OnAccess(CAS)
+	}
+	return a.regs[i].CompareAndSwap(old, new)
+}
 
 // Len returns the number of registers.
 func (a *Words) Len() int { return len(a.regs) }

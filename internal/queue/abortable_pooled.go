@@ -61,14 +61,14 @@ func (q *AbortablePooled) Capacity() int { return int(q.k) }
 func (q *AbortablePooled) TryEnqueue(v uint64) error {
 	pos := q.tail.Read()
 	j := int(pos % q.k)
-	seq := q.seqs.At(j).Read()
+	seq := q.seqs.Read(j)
 	switch {
 	case seq == 2*pos: // slot free for this ticket: claim it
 		if !q.tail.CAS(pos, pos+1) {
 			return ErrAborted // another enqueuer claimed first
 		}
-		q.vals.At(j).Write(v)
-		q.seqs.At(j).Write(2*pos + 1) // publish
+		q.vals.Write(j, v)
+		q.seqs.Write(j, 2*pos+1) // publish
 		return nil
 	case seq < 2*pos: // previous-lap value not yet fully dequeued
 		if h := q.head.Read(); h+q.k == pos {
@@ -85,14 +85,14 @@ func (q *AbortablePooled) TryEnqueue(v uint64) error {
 func (q *AbortablePooled) TryDequeue() (uint64, error) {
 	pos := q.head.Read()
 	j := int(pos % q.k)
-	seq := q.seqs.At(j).Read()
+	seq := q.seqs.Read(j)
 	switch {
 	case seq == 2*pos+1: // occupied and ready: claim it
 		if !q.head.CAS(pos, pos+1) {
 			return 0, ErrAborted // another dequeuer claimed first
 		}
-		v := q.vals.At(j).Read()
-		q.seqs.At(j).Write(2 * (pos + q.k)) // free the slot for the next lap
+		v := q.vals.Read(j)
+		q.seqs.Write(j, 2*(pos+q.k)) // free the slot for the next lap
 		return v, nil
 	case seq == 2*pos: // no enqueue has published ticket pos
 		if t := q.tail.Read(); t == pos {
@@ -112,7 +112,7 @@ func (q *AbortablePooled) Snapshot() []uint64 {
 	h, t := q.head.Read(), q.tail.Read()
 	out := make([]uint64, 0, t-h)
 	for pos := h; pos < t; pos++ {
-		out = append(out, q.vals.At(int(pos%q.k)).Read())
+		out = append(out, q.vals.Read(int(pos%q.k)))
 	}
 	return out
 }

@@ -56,14 +56,14 @@ func (q *Packed) Capacity() int { return int(q.k) }
 // for the contract. Successful attempts cost 4 shared accesses.
 func (q *Packed) TryEnqueue(v uint32) error {
 	pos := q.tail.Read()
-	reg := q.slots.At(int(pos % q.k))
-	_, seq := unpackSlot(reg.Read())
+	j := int(pos % q.k)
+	_, seq := unpackSlot(q.slots.Read(j))
 	switch dif := int32(seq - uint32(2*pos)); {
 	case dif == 0: // free for this ticket: claim it
 		if !q.tail.CAS(pos, pos+1) {
 			return ErrAborted
 		}
-		reg.Write(packSlot(v, uint32(2*pos+1))) // value + publish, one word
+		q.slots.Write(j, packSlot(v, uint32(2*pos+1))) // value + publish, one word
 		return nil
 	case dif < 0: // previous-lap value not yet fully dequeued
 		if h := q.head.Read(); h+q.k == pos {
@@ -80,8 +80,8 @@ func (q *Packed) TryEnqueue(v uint32) error {
 // shared accesses.
 func (q *Packed) TryDequeue() (uint32, error) {
 	pos := q.head.Read()
-	reg := q.slots.At(int(pos % q.k))
-	v, seq := unpackSlot(reg.Read())
+	j := int(pos % q.k)
+	v, seq := unpackSlot(q.slots.Read(j))
 	switch dif := int32(seq - uint32(2*pos)); {
 	case dif == 1: // occupied and ready: claim it
 		if !q.head.CAS(pos, pos+1) {
@@ -90,7 +90,7 @@ func (q *Packed) TryDequeue() (uint32, error) {
 		// The pre-claim read is the value: the slot word can only be
 		// rewritten by this ticket's dequeuer (us) once seq = 2·pos+1
 		// was observed.
-		reg.Write(packSlot(0, uint32(2*(pos+q.k))))
+		q.slots.Write(j, packSlot(0, uint32(2*(pos+q.k))))
 		return v, nil
 	case dif == 0: // no enqueue has published this ticket
 		if t := q.tail.Read(); t == pos {
@@ -110,7 +110,7 @@ func (q *Packed) Snapshot() []uint32 {
 	h, t := q.head.Read(), q.tail.Read()
 	out := make([]uint32, 0, t-h)
 	for pos := h; pos < t; pos++ {
-		v, _ := unpackSlot(q.slots.At(int(pos % q.k)).Read())
+		v, _ := unpackSlot(q.slots.Read(int(pos % q.k)))
 		out = append(out, v)
 	}
 	return out

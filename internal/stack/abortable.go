@@ -7,16 +7,13 @@ import (
 
 // topRec is the content of the TOP register: the index of the top
 // entry, the value stored there, and the sequence number destined for
-// STACK[index] (§3, "Shared data structures").
+// STACK[index] (§3, "Shared data structures"). The same record type
+// serves the STACK[x] registers, whose content 〈value, seq〉 is a TOP
+// record's last two fields: the help step installs the TOP record it
+// read into STACK[t.index] as is, so a cell's index field is either the
+// cell's own index or (for the initial records) meaningless.
 type topRec[T any] struct {
 	index int
-	value T
-	seq   uint64
-}
-
-// cellRec is the content of one STACK[x] register: a value and the
-// sequence number that tags it against ABA (§2.2).
-type cellRec[T any] struct {
 	value T
 	seq   uint64
 }
@@ -32,7 +29,7 @@ type cellRec[T any] struct {
 // single-word backend.
 type Abortable[T any] struct {
 	top   *memory.Ref[topRec[T]]
-	cells *memory.Refs[cellRec[T]]
+	cells *memory.Refs[topRec[T]]
 	k     int
 }
 
@@ -56,13 +53,15 @@ func NewAbortableObserved[T any](k int, obs memory.Observer) *Abortable[T] {
 	s := &Abortable[T]{k: k}
 	// TOP is initialized to 〈0, ⊥, 0〉; STACK[0] is the dummy entry
 	// 〈⊥, -1〉 (so that helping the initial TOP is a harmless write of
-	// 〈⊥, 0〉); STACK[1..k] start at 〈⊥, 0〉.
+	// 〈⊥, 0〉); STACK[1..k] start at 〈⊥, 0〉, one record they all share.
 	s.top = memory.NewRefObserved(&topRec[T]{index: 0, value: zero, seq: 0}, obs)
-	s.cells = memory.NewRefs(k+1, func(i int) *cellRec[T] {
+	dummy := &topRec[T]{value: zero, seq: ^uint64(0)} // -1
+	empty := &topRec[T]{value: zero, seq: 0}
+	s.cells = memory.NewRefs(k+1, func(i int) *topRec[T] {
 		if i == 0 {
-			return &cellRec[T]{value: zero, seq: ^uint64(0)} // -1
+			return dummy
 		}
-		return &cellRec[T]{value: zero, seq: 0}
+		return empty
 	}, obs)
 	return s
 }
@@ -71,7 +70,9 @@ func NewAbortableObserved[T any](k int, obs memory.Observer) *Abortable[T] {
 func (s *Abortable[T]) Capacity() int { return s.k }
 
 // help terminates the previous non-aborted operation (lines 15-16): it
-// completes the pending write of 〈t.value, t.seq〉 into STACK[t.index].
+// completes the pending write of 〈t.value, t.seq〉 into STACK[t.index]
+// by installing the immutable TOP record t itself, so helping allocates
+// nothing.
 //
 // The paper's C&S compares 〈stacktop, seqnb-1〉 against the cell, i.e.
 // it succeeds only if the cell still carries the predecessor tag. With
@@ -82,11 +83,16 @@ func (s *Abortable[T]) Capacity() int { return s.k }
 // changed since its read. The explicit sequence check reproduces the
 // value-compare semantics exactly: help writes only the pending
 // successor of what it read.
+//
+// The pointer CAS stays ABA-free because no register ever holds the
+// same pointer twice: TOP only ever receives freshly allocated records;
+// a TOP record enters at most one cell (its own index) at most once,
+// since after the install c.seq+1 == t.seq is false; and the initial
+// cell records never re-enter a register once replaced.
 func (s *Abortable[T]) help(t *topRec[T]) {
-	reg := s.cells.At(t.index)
-	c := reg.Read() // line 15
+	c := s.cells.Read(t.index) // line 15
 	if c.seq+1 == t.seq {
-		reg.CAS(c, &cellRec[T]{value: t.value, seq: t.seq}) // line 16
+		s.cells.CAS(t.index, c, t) // line 16
 	}
 }
 
@@ -100,7 +106,7 @@ func (s *Abortable[T]) TryPush(v T) error {
 	if t.index == s.k {
 		return ErrFull // line 03
 	}
-	next := s.cells.At(t.index + 1).Read() // line 04
+	next := s.cells.Read(t.index + 1) // line 04
 	newTop := &topRec[T]{index: t.index + 1, value: v, seq: next.seq + 1}
 	if s.top.CAS(t, newTop) { // line 06
 		return nil
@@ -119,7 +125,7 @@ func (s *Abortable[T]) TryPop() (T, error) {
 	if t.index == 0 {
 		return zero, ErrEmpty // line 10
 	}
-	below := s.cells.At(t.index - 1).Read() // line 11
+	below := s.cells.Read(t.index - 1) // line 11
 	newTop := &topRec[T]{index: t.index - 1, value: below.value, seq: below.seq + 1}
 	if s.top.CAS(t, newTop) { // line 13
 		return t.value, nil
@@ -138,7 +144,7 @@ func (s *Abortable[T]) Snapshot() []T {
 	t := s.top.Read()
 	out := make([]T, 0, t.index)
 	for x := 1; x < t.index; x++ {
-		out = append(out, s.cells.At(x).Read().value)
+		out = append(out, s.cells.Read(x).value)
 	}
 	if t.index > 0 {
 		out = append(out, t.value)

@@ -23,7 +23,7 @@ type pCellRec struct {
 }
 
 // topSnap / cellSnap are validated local copies of a record — the
-// pooled equivalent of the boxed backend's immutable *topRec/*cellRec.
+// pooled equivalent of the boxed backend's immutable *topRec records.
 type topSnap struct {
 	index int
 	value uint64

@@ -242,7 +242,7 @@ func TestAbortableHelpCompletesLazyWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// cell[1] must now hold 1 (written by the second push's help).
-	if got := s.cells.At(1).Read(); got.value != 1 {
+	if got := s.cells.Read(1); got.value != 1 {
 		t.Fatalf("cell[1] = %+v, want value 1 after help", got)
 	}
 	got := s.Snapshot()
@@ -270,9 +270,9 @@ func TestAbortableStaleHelperCannotCorrupt(t *testing.T) {
 	if err := s.TryPush(8); err != nil {
 		t.Fatal(err)
 	} // helps cell[1] ← (7, seq')
-	before := s.cells.At(1).Read()
+	before := s.cells.Read(1)
 	s.help(stale) // stale helper replays
-	after := s.cells.At(1).Read()
+	after := s.cells.Read(1)
 	if before != after {
 		t.Fatalf("stale helper overwrote cell[1]: %+v -> %+v", before, after)
 	}
@@ -282,6 +282,82 @@ func TestAbortableStaleHelperCannotCorrupt(t *testing.T) {
 	}
 	if v, err := s.TryPop(); err != nil || v != 7 {
 		t.Fatalf("pop = (%d, %v), want (7, nil)", v, err)
+	}
+}
+
+func TestAbortableHelpInstallsTopRecord(t *testing.T) {
+	// Cells 1..k start out sharing one 〈⊥, 0〉 record; STACK[0] keeps
+	// its own 〈⊥, -1〉 dummy.
+	const k = 4
+	s := NewAbortable[uint32](k)
+	shared := s.cells.Read(1)
+	for x := 2; x <= k; x++ {
+		if got := s.cells.Read(x); got != shared {
+			t.Fatalf("cell[%d] = %p, want the shared initial record %p", x, got, shared)
+		}
+	}
+	if s.cells.Read(0) == shared || s.cells.Read(0).seq != ^uint64(0) {
+		t.Fatalf("cell[0] = %+v, want its own dummy with seq -1", s.cells.Read(0))
+	}
+	// The help step installs the TOP record it read, not a copy: after
+	// push→push, STACK[1] is pointer-equal to the first push's TOP.
+	if err := s.TryPush(1); err != nil {
+		t.Fatal(err)
+	}
+	first := s.top.Read()
+	if err := s.TryPush(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.cells.Read(1); got != first {
+		t.Fatalf("cell[1] = %p (%+v), want the first push's TOP record %p", got, got, first)
+	}
+	// Helping the same record again is a no-op: its seq guard is spent.
+	s.help(first)
+	if got := s.cells.Read(1); got != first {
+		t.Fatalf("re-help replaced cell[1]: %p -> %p", first, got)
+	}
+}
+
+func TestAbortableOneAllocPerAttempt(t *testing.T) {
+	// A solo attempt allocates exactly its new TOP record; the help
+	// step reuses the record it read.
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	const runs = 1000 // AllocsPerRun adds one warm-up call
+	s := NewAbortable[uint32](runs + 1)
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := s.TryPush(1); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Fatalf("TryPush allocs = %v, want 1", got)
+	}
+	if got := testing.AllocsPerRun(runs, func() {
+		if _, err := s.TryPop(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 1 {
+		t.Fatalf("TryPop allocs = %v, want 1", got)
+	}
+}
+
+func TestSensitiveSoloPairAllocs(t *testing.T) {
+	// Figure 3's fast path adds no allocation of its own: a solo
+	// push+pop pair costs the two TOP records of its two attempts.
+	if raceEnabled {
+		t.Skip("-race instrumentation allocates")
+	}
+	s := NewSensitive[uint64](8, 2)
+	if got := testing.AllocsPerRun(1000, func() {
+		if err := s.Push(0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Pop(0); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 2 {
+		t.Fatalf("Push+Pop allocs = %v, want 2", got)
 	}
 }
 

@@ -49,7 +49,7 @@ func (s *Naive[T]) TryPush(v T) error {
 	if int(t) == s.k {
 		return ErrFull
 	}
-	s.cells.At(int(t) + 1).Write(&v)
+	s.cells.Write(int(t)+1, &v)
 	if s.top.CAS(t, t+1) {
 		return nil
 	}
@@ -65,7 +65,7 @@ func (s *Naive[T]) TryPop() (T, error) {
 	if t == 0 {
 		return zero, ErrEmpty
 	}
-	v := s.cells.At(int(t)).Read()
+	v := s.cells.Read(int(t))
 	if s.top.CAS(t, t-1) {
 		return *v, nil
 	}

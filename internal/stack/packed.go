@@ -48,12 +48,9 @@ func (s *Packed) Capacity() int { return s.k }
 // mismatching sequence number simply fails the CAS, exactly as in the
 // paper.
 func (s *Packed) help(index int, value uint32, seq uint32) {
-	reg := s.cells.At(index)
-	stacktop, _ := memory.UnpackCell(reg.Read()) // line 15
-	reg.CAS(                                     // line 16
-		memory.PackCell(stacktop, memory.PrevSeq(seq)),
-		memory.PackCell(value, seq),
-	)
+	stacktop, _ := memory.UnpackCell(s.cells.Read(index)) // line 15
+	old := memory.PackCell(stacktop, memory.PrevSeq(seq))
+	s.cells.CAS(index, old, memory.PackCell(value, seq)) // line 16
 }
 
 // TryPush is weak_push(v) on the packed backend; see Abortable.TryPush
@@ -65,7 +62,7 @@ func (s *Packed) TryPush(v uint32) error {
 	if index == s.k {
 		return ErrFull // line 03
 	}
-	_, snNext := memory.UnpackCell(s.cells.At(index + 1).Read()) // line 04
+	_, snNext := memory.UnpackCell(s.cells.Read(index + 1))      // line 04
 	newTop := memory.PackTop(index+1, v, memory.NextSeq(snNext)) // line 05
 	if s.top.CAS(topw, newTop) {                                 // line 06
 		return nil
@@ -82,7 +79,7 @@ func (s *Packed) TryPop() (uint32, error) {
 	if index == 0 {
 		return 0, ErrEmpty // line 10
 	}
-	bv, bs := memory.UnpackCell(s.cells.At(index - 1).Read()) // line 11
+	bv, bs := memory.UnpackCell(s.cells.Read(index - 1))      // line 11
 	newTop := memory.PackTop(index-1, bv, memory.NextSeq(bs)) // line 12
 	if s.top.CAS(topw, newTop) {                              // line 13
 		return value, nil
@@ -101,7 +98,7 @@ func (s *Packed) Snapshot() []uint32 {
 	index, value, _ := memory.UnpackTop(s.top.Read())
 	out := make([]uint32, 0, index)
 	for x := 1; x < index; x++ {
-		v, _ := memory.UnpackCell(s.cells.At(x).Read())
+		v, _ := memory.UnpackCell(s.cells.Read(x))
 		out = append(out, v)
 	}
 	if index > 0 {
