@@ -27,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -51,7 +52,7 @@ func main() {
 	}
 }
 
-func run(path, exp string, showAll bool, w *os.File) error {
+func run(path, exp string, showAll bool, w io.Writer) error {
 	doc, err := bench.ReadDoc(path)
 	if err != nil {
 		return err
