@@ -61,38 +61,21 @@ func run(path, exp string, showAll bool, w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("%s: document has no %s record (ran `contbench -run %s -json`?)", path, exp, exp)
 	}
-	var verdicts []scenario.Verdict
-	var nrows int
-	if table, ok := rec.FindTable(exp + " scenario suite"); ok {
-		rows, err := scenario.ParseRows(table.Headers, table.Rows)
-		if err != nil {
-			return err
+	for _, sg := range suiteGates {
+		if table, ok := rec.FindTable(exp + " " + sg.suite); ok {
+			nrows, verdicts, err := sg.gate(table, doc.Provenance.NumCPU)
+			if err != nil {
+				return err
+			}
+			return report(w, path, doc, nrows, verdicts, showAll)
 		}
-		nrows, verdicts = len(rows), scenario.Evaluate(rows)
-	} else if table, ok := rec.FindTable(exp + " crash suite"); ok {
-		rows, err := scenario.ParseCrashRows(table.Headers, table.Rows)
-		if err != nil {
-			return err
-		}
-		nrows, verdicts = len(rows), scenario.EvaluateCrash(rows)
-	} else if table, ok := rec.FindTable(exp + " adaptive suite"); ok {
-		rows, err := scenario.ParseAdaptiveRows(table.Headers, table.Rows)
-		if err != nil {
-			return err
-		}
-		nrows, verdicts = len(rows), scenario.EvaluateAdaptive(rows, doc.Provenance.NumCPU)
-	} else if table, ok := rec.FindTable(exp + " soak suite"); ok {
-		rows, err := soak.ParseRows(table.Headers, table.Rows)
-		if err != nil {
-			return err
-		}
-		// The release gate always applies the strict full-run contract;
-		// interrupted runs are judged (non-strict) by cmd/soak itself.
-		nrows, verdicts = len(rows), soak.Evaluate(rows, true)
-	} else {
-		return fmt.Errorf("%s: %s record carries no scenario, crash, adaptive, or soak table", path, exp)
 	}
+	return fmt.Errorf("%s: %s record carries no scenario, crash, adaptive, or soak table", path, exp)
+}
 
+// report prints the provenance line and the verdict table, and returns
+// an error counting the failed gates, if any.
+func report(w io.Writer, path string, doc bench.Doc, nrows int, verdicts []scenario.Verdict, showAll bool) error {
 	fmt.Fprintf(w, "slogate: %d rows from %s (%s, go %s, %s/%s, %d cpu, sha %s)\n",
 		nrows, path, doc.Generated, doc.Provenance.GoVersion,
 		doc.Provenance.OS, doc.Provenance.Arch, doc.Provenance.NumCPU, doc.Provenance.GitSHA)
@@ -117,4 +100,31 @@ func run(path, exp string, showAll bool, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "all %d gates passed\n", len(verdicts))
 	return nil
+}
+
+// suiteGates maps each gated table's caption (after the experiment id)
+// to its row decoder and evaluator; the first caption the record
+// carries wins. ncpu is the measuring host's CPU count.
+var suiteGates = []struct {
+	suite string
+	gate  func(table bench.TableResult, ncpu int) (int, []scenario.Verdict, error)
+}{
+	{"scenario suite", gated(func(rows []scenario.Row, _ int) []scenario.Verdict { return scenario.Evaluate(rows) })},
+	{"crash suite", gated(func(rows []scenario.CrashRow, _ int) []scenario.Verdict { return scenario.EvaluateCrash(rows) })},
+	{"adaptive suite", gated(scenario.EvaluateAdaptive)},
+	// The release gate always applies the strict full-run contract;
+	// interrupted runs are judged (non-strict) by cmd/soak itself.
+	{"soak suite", gated(func(rows []soak.Row, _ int) []scenario.Verdict { return soak.Evaluate(rows, true) })},
+}
+
+// gated decodes a table into rows of T and applies evaluate to them,
+// returning the row count and the verdicts.
+func gated[T any](evaluate func([]T, int) []scenario.Verdict) func(bench.TableResult, int) (int, []scenario.Verdict, error) {
+	return func(table bench.TableResult, ncpu int) (int, []scenario.Verdict, error) {
+		rows, err := metrics.ParseRows[T](table.Headers, table.Rows)
+		if err != nil {
+			return 0, nil, err
+		}
+		return len(rows), evaluate(rows, ncpu), nil
+	}
 }

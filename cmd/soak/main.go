@@ -137,7 +137,7 @@ func run(backends string, duration, window time.Duration, workers int, seed uint
 	strict := !interrupted.Load()
 	verdicts := soak.Evaluate(all, strict)
 
-	fmt.Printf("%s\n", soak.Table(all))
+	fmt.Printf("%s\n", metrics.TableOf(all))
 	vt := metrics.NewTable("scenario", "backend", "gate", "observed", "bound", "verdict")
 	failed := 0
 	for _, v := range verdicts {
@@ -174,7 +174,7 @@ func run(backends string, duration, window time.Duration, workers int, seed uint
 // artifacts unchanged.
 func writeJSON(path string, cfg soak.Config, quick bool, failed int, rows []soak.Row, elapsed time.Duration) error {
 	e24, _ := bench.ByID("E24")
-	tb := soak.Table(rows)
+	tb := metrics.TableOf(rows)
 	doc := bench.Doc{
 		Generated:  time.Now().UTC().Format(time.RFC3339),
 		Provenance: bench.CollectProvenance(),

@@ -316,21 +316,15 @@ func runE17ForcedReuse(cfg Config, w io.Writer) error {
 	tb := metrics.NewTable("backend", "ops", "reuses/op", "arena records", "drops", "verdict")
 	defer cfg.logTable("E17 forced reuse", tb)
 	for _, tgt := range targets {
-		var wg sync.WaitGroup
 		popped := make([][]uint64, procs)
-		for p := 0; p < procs; p++ {
-			wg.Add(1)
-			go func(pid int) {
-				defer wg.Done()
-				for i := 0; i < perProc; i++ {
-					_ = tgt.push(pid, uint64(pid)<<32|uint64(i))
-					if v, err := tgt.pop(pid); err == nil {
-						popped[pid] = append(popped[pid], v)
-					}
+		runRounds(1, procs, 0, func(_, pid int, _ *workload.RNG) {
+			for i := 0; i < perProc; i++ {
+				_ = tgt.push(pid, uint64(pid)<<32|uint64(i))
+				if v, err := tgt.pop(pid); err == nil {
+					popped[pid] = append(popped[pid], v)
 				}
-			}(p)
-		}
-		wg.Wait()
+			}
+		})
 		seen := make(map[uint64]int)
 		for _, vs := range popped {
 			for _, v := range vs {

@@ -9,13 +9,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
 // Config tunes an experiment run.
 type Config struct {
 	// Procs is the maximum process (goroutine) count used by scaling
-	// experiments; 0 means min(2*GOMAXPROCS, 16).
+	// experiments; 0 means 2*GOMAXPROCS clamped to [4, 16].
 	Procs int
 	// Duration is the measuring window per data point; 0 means 200ms
 	// (or 10ms under Quick).
@@ -115,38 +116,93 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// hammer drives procs goroutines of mixed push/pop against one stack
-// instance for the duration and returns per-process completed-op
-// counts. Values conserve the workload encoding so failures surface in
-// other experiments; here only counts matter.
-func hammer(procs int, d time.Duration, seed uint64,
-	push func(pid int, v uint64) error, pop func(pid int) (uint64, error)) []uint64 {
+// runTimed is the timed closed-loop driver every throughput experiment
+// shares. It spawns procs workers, each with an RNG seeded seed+pid,
+// and releases them together through a start barrier, so no worker's
+// count includes another's start-up. Once released, each worker calls
+// worker once to get its operation, then repeats that operation until
+// the caller's wait returns; start is the barrier-release instant. It
+// returns each worker's completed-op count and the window measured from
+// release to stop.
+func runTimed(procs int, seed uint64, wait func(),
+	worker func(pid int, rng *workload.RNG, start time.Time) func()) (counts []uint64, elapsed time.Duration) {
 	var stop atomic.Bool
-	counts := make([]uint64, procs)
-	var wg sync.WaitGroup
+	var ready, done sync.WaitGroup
+	release := make(chan struct{})
+	var start time.Time
+	counts = make([]uint64, procs)
 	for p := 0; p < procs; p++ {
-		wg.Add(1)
+		ready.Add(1)
+		done.Add(1)
 		go func(pid int) {
-			defer wg.Done()
+			defer done.Done()
 			rng := workload.NewRNG(seed + uint64(pid))
+			ready.Done()
+			<-release
+			op := worker(pid, rng, start)
 			n := uint64(0)
-			i := 0
 			for !stop.Load() {
-				if workload.Balanced.NextIsPush(rng) {
-					_ = push(pid, workload.Value(pid, i))
-					i++
-				} else {
-					_, _ = pop(pid)
-				}
+				op()
 				n++
 			}
 			counts[pid] = n
 		}(p)
 	}
-	time.Sleep(d)
+	ready.Wait()
+	start = time.Now()
+	close(release)
+	wait()
 	stop.Store(true)
-	wg.Wait()
-	return counts
+	elapsed = time.Since(start)
+	done.Wait()
+	return counts, elapsed
+}
+
+// sleep returns a runTimed wait that measures a window of d.
+func sleep(d time.Duration) func() {
+	return func() { time.Sleep(d) }
+}
+
+// runRounds is the fixed-count driver: rounds bursts of procs workers
+// with a quiescent join between bursts. Worker (round, pid) runs
+// worker once with an RNG seeded seed+round*procs+pid.
+func runRounds(rounds, procs int, seed uint64, worker func(round, pid int, rng *workload.RNG)) {
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for p := 0; p < procs; p++ {
+			wg.Add(1)
+			go func(pid int) {
+				defer wg.Done()
+				worker(round, pid, workload.NewRNG(seed+uint64(round*procs+pid)))
+			}(p)
+		}
+		wg.Wait()
+	}
+}
+
+// hammer drives procs workers of a balanced push/pop mix against one
+// stack-like instance for d and returns the per-process completed-op
+// counts and the measured window. Values follow the workload encoding
+// so failures surface in other experiments; here only counts matter.
+func hammer(procs int, d time.Duration, seed uint64,
+	push func(pid int, v uint64) error, pop func(pid int) (uint64, error)) ([]uint64, time.Duration) {
+	return runTimed(procs, seed, sleep(d), func(pid int, rng *workload.RNG, _ time.Time) func() {
+		i := 0
+		return func() {
+			if workload.Balanced.NextIsPush(rng) {
+				_ = push(pid, workload.Value(pid, i))
+				i++
+			} else {
+				_, _ = pop(pid)
+			}
+		}
+	})
+}
+
+// rate is a closed-loop run's aggregate throughput in ops/s, truncated
+// as the scaling tables print it.
+func rate(counts []uint64, elapsed time.Duration) int64 {
+	return int64(opsPerSec(metrics.Sum(counts), elapsed))
 }
 
 // opsPerSec converts a count over a window into a rate.

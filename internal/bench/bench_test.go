@@ -2,8 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/workload"
 )
 
 func quickCfg() Config { return Config{Quick: true, Procs: 4} }
@@ -206,6 +211,49 @@ func TestProcSteps(t *testing.T) {
 	got = procSteps(6)
 	if got[len(got)-1] != 6 {
 		t.Fatalf("procSteps(6) = %v, must end at 6", got)
+	}
+}
+
+func TestRunTimedReleasesEveryWorker(t *testing.T) {
+	const procs, wait = 4, 10 * time.Millisecond
+	// The op yields so every released worker gets scheduled inside the
+	// window even on a one-CPU host; the claim is the driver's, not the
+	// scheduler's.
+	counts, elapsed := runTimed(procs, 1, sleep(wait), func(int, *workload.RNG, time.Time) func() {
+		return runtime.Gosched
+	})
+	if len(counts) != procs {
+		t.Fatalf("got %d counts, want %d", len(counts), procs)
+	}
+	for pid, n := range counts {
+		if n == 0 {
+			t.Errorf("pid %d completed no ops: %v", pid, counts)
+		}
+	}
+	if elapsed < wait {
+		t.Errorf("measured window %v is shorter than the %v wait", elapsed, wait)
+	}
+}
+
+func TestRunRoundsSeedsAndJoins(t *testing.T) {
+	const rounds, procs, seed = 3, 4, 1000
+	var got [rounds][procs]uint64
+	var finished atomic.Int64
+	runRounds(rounds, procs, seed, func(round, pid int, rng *workload.RNG) {
+		// Quiescent join: every earlier round's workers have finished,
+		// and no later round's worker has started.
+		if done := finished.Load(); done < int64(round*procs) || done >= int64((round+1)*procs) {
+			t.Errorf("round %d pid %d started after %d finished workers", round, pid, done)
+		}
+		got[round][pid] = rng.Uint64()
+		finished.Add(1)
+	})
+	for round := 0; round < rounds; round++ {
+		for pid := 0; pid < procs; pid++ {
+			if want := workload.NewRNG(seed + uint64(round*procs+pid)).Uint64(); got[round][pid] != want {
+				t.Errorf("round %d pid %d: rng not seeded seed+round*procs+pid", round, pid)
+			}
+		}
 	}
 }
 

@@ -56,8 +56,7 @@ func runE15(cfg Config, w io.Writer) error {
 		row := []interface{}{impl.name}
 		for _, procs := range steps {
 			push, pop := impl.build(k, procs)
-			counts := hammer(procs, cfg.Duration, cfg.Seed, push, pop)
-			row = append(row, int64(opsPerSec(metrics.Sum(counts), cfg.Duration)))
+			row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, push, pop)))
 		}
 		tb.AddRow(row...)
 	}
@@ -69,8 +68,7 @@ func runE15(cfg Config, w io.Writer) error {
 	defer cfg.logTable("E15 diagnostics", diags)
 	for _, procs := range steps {
 		s := stack.NewCombining[uint64](k, procs)
-		counts := hammer(procs, cfg.Duration, cfg.Seed, s.Push, s.Pop)
-		row = append(row, int64(opsPerSec(metrics.Sum(counts), cfg.Duration)))
+		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, s.Push, s.Pop)))
 		st := s.Stats()
 		share := 1.0
 		if total := st.Fast + st.Published; total > 0 {
@@ -148,8 +146,7 @@ func runE15Contended(cfg Config, steps []int, w io.Writer) error {
 		row := []interface{}{impl.name}
 		for _, procs := range steps {
 			push, pop := impl.build(procs)
-			counts := hammer(procs, cfg.Duration, cfg.Seed, push, pop)
-			row = append(row, int64(opsPerSec(metrics.Sum(counts), cfg.Duration)))
+			row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, push, pop)))
 		}
 		iso.AddRow(row...)
 	}
@@ -169,8 +166,7 @@ func runE16(cfg Config, w io.Writer) error {
 	row := []interface{}{"cont-sensitive"}
 	for _, procs := range steps {
 		q := queue.NewSensitive[uint64](k, procs)
-		counts := hammer(procs, cfg.Duration, cfg.Seed, q.Enqueue, q.Dequeue)
-		row = append(row, int64(opsPerSec(metrics.Sum(counts), cfg.Duration)))
+		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, q.Enqueue, q.Dequeue)))
 	}
 	tb.AddRow(row...)
 
@@ -182,9 +178,9 @@ func runE16(cfg Config, w io.Writer) error {
 		row := []interface{}{"sharded K=" + itoa(shards)}
 		for _, procs := range steps {
 			q := queue.NewSharded[uint64](k, procs, shards)
-			counts := hammer(procs, cfg.Duration, cfg.Seed, q.Enqueue, q.Dequeue)
+			counts, elapsed := hammer(procs, cfg.Duration, cfg.Seed, q.Enqueue, q.Dequeue)
 			ops := metrics.Sum(counts)
-			row = append(row, int64(opsPerSec(ops, cfg.Duration)))
+			row = append(row, rate(counts, elapsed))
 			if procs == steps[len(steps)-1] {
 				rates.AddRow(shards, procs,
 					float64(q.Steals())/float64(max64(ops, 1)),

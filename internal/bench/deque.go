@@ -63,31 +63,18 @@ func runE14(cfg Config, w io.Writer) error {
 		row := []interface{}{im.name}
 		for _, procs := range procSteps(cfg.Procs) {
 			push, pop := im.mk(procs)
-			var stop atomic.Bool
-			counts := make([]uint64, procs)
-			var wg sync.WaitGroup
-			for p := 0; p < procs; p++ {
-				wg.Add(1)
-				go func(pid int) {
-					defer wg.Done()
-					rng := workload.NewRNG(cfg.Seed + uint64(pid))
-					i := 0
-					for !stop.Load() {
-						right := rng.Intn(2) == 0
-						if workload.Balanced.NextIsPush(rng) {
-							_ = push(pid, right, uint32(pid)<<24|uint32(i))
-							i++
-						} else {
-							_, _ = pop(pid, right)
-						}
-						counts[pid]++
+			row = append(row, rate(runTimed(procs, cfg.Seed, sleep(cfg.Duration), func(pid int, rng *workload.RNG, _ time.Time) func() {
+				i := 0
+				return func() {
+					right := rng.Intn(2) == 0
+					if workload.Balanced.NextIsPush(rng) {
+						_ = push(pid, right, uint32(pid)<<24|uint32(i))
+						i++
+					} else {
+						_, _ = pop(pid, right)
 					}
-				}(p)
-			}
-			time.Sleep(cfg.Duration)
-			stop.Store(true)
-			wg.Wait()
-			row = append(row, int64(opsPerSec(metrics.Sum(counts), cfg.Duration)))
+				}
+			})))
 		}
 		tb.AddRow(row...)
 	}
@@ -175,50 +162,41 @@ func runE14(cfg Config, w io.Writer) error {
 	rec := lin.NewRecorder(procs)
 	var next atomic.Uint64
 	kinds := []string{"pushl", "pushr", "popl", "popr"}
-	for round := 0; round < rounds; round++ {
-		var rwg sync.WaitGroup
-		for p := 0; p < procs; p++ {
-			rwg.Add(1)
-			go func(pid, round int) {
-				defer rwg.Done()
-				rng := workload.NewRNG(cfg.Seed + uint64(round*procs+pid))
-				for i := 0; i < perRound; i++ {
-					kind := kinds[rng.Intn(4)]
-					switch kind {
-					case "pushl", "pushr":
-						v := next.Add(1)
-						pend := rec.Invoke(pid, kind, v)
-						var err error
-						if kind == "pushl" {
-							err = sd.PushLeft(pid, uint32(v))
-						} else {
-							err = sd.PushRight(pid, uint32(v))
-						}
-						out := lin.OutcomeOK
-						if errors.Is(err, deque.ErrFull) {
-							out = lin.OutcomeFull
-						}
-						rec.Return(pend, 0, out)
-					default:
-						pend := rec.Invoke(pid, kind, 0)
-						var v uint32
-						var err error
-						if kind == "popl" {
-							v, err = sd.PopLeft(pid)
-						} else {
-							v, err = sd.PopRight(pid)
-						}
-						out := lin.OutcomeOK
-						if errors.Is(err, deque.ErrEmpty) {
-							out = lin.OutcomeEmpty
-						}
-						rec.Return(pend, uint64(v), out)
-					}
+	runRounds(rounds, procs, cfg.Seed, func(_, pid int, rng *workload.RNG) {
+		for i := 0; i < perRound; i++ {
+			kind := kinds[rng.Intn(4)]
+			switch kind {
+			case "pushl", "pushr":
+				v := next.Add(1)
+				pend := rec.Invoke(pid, kind, v)
+				var err error
+				if kind == "pushl" {
+					err = sd.PushLeft(pid, uint32(v))
+				} else {
+					err = sd.PushRight(pid, uint32(v))
 				}
-			}(p, round)
+				out := lin.OutcomeOK
+				if errors.Is(err, deque.ErrFull) {
+					out = lin.OutcomeFull
+				}
+				rec.Return(pend, 0, out)
+			default:
+				pend := rec.Invoke(pid, kind, 0)
+				var v uint32
+				var err error
+				if kind == "popl" {
+					v, err = sd.PopLeft(pid)
+				} else {
+					v, err = sd.PopRight(pid)
+				}
+				out := lin.OutcomeOK
+				if errors.Is(err, deque.ErrEmpty) {
+					out = lin.OutcomeEmpty
+				}
+				rec.Return(pend, uint64(v), out)
+			}
 		}
-		rwg.Wait()
-	}
+	})
 	h := rec.History()
 	res := lin.CheckSegmented(lin.DequeModel(6), h, 0, 0)
 	verdict := "linearizable"

@@ -20,7 +20,7 @@ func init() {
 }
 
 // e21Caption names the table cmd/slogate looks up in the -json
-// document; scenario.ParseRows pins its column schema.
+// document; scenario.Row's col tags are its column schema.
 const e21Caption = "E21 scenario suite"
 
 func runE21(cfg Config, w io.Writer) error {
@@ -30,9 +30,7 @@ func runE21(cfg Config, w io.Writer) error {
 		reruns, scale = 2, 0.02
 	}
 
-	tb := metrics.NewTable(scenario.RowColumns()...)
-	defer cfg.logTable(e21Caption, tb)
-
+	var rows []scenario.Row
 	violations := 0
 	cells := 0
 	for _, sc := range scenario.Library() {
@@ -53,16 +51,19 @@ func runE21(cfg Config, w io.Writer) error {
 					conserved = fmt.Sprintf("FAIL: %v", res.Conserved)
 					violations++
 				}
-				tb.AddRow(sc.Name, b.Name, rerun, res.Procs, res.Ops, res.OKOps,
-					res.OpsPerSec(),
-					int64(res.Hist.Percentile(50)),
-					int64(res.Hist.Percentile(99)),
-					int64(res.Hist.Percentile(99.9)),
-					conserved)
+				rows = append(rows, scenario.Row{Scenario: sc.Name, Backend: b.Name,
+					Rerun: rerun, Procs: res.Procs, Ops: res.Ops, OKOps: res.OKOps,
+					OpsPerSec: res.OpsPerSec(),
+					P50:       res.Hist.Percentile(50),
+					P99:       res.Hist.Percentile(99),
+					P999:      res.Hist.Percentile(99.9),
+					Conserved: conserved})
 			}
 		}
 	}
 
+	tb := metrics.TableOf(rows)
+	cfg.logTable(e21Caption, tb)
 	if err := fprintf(w, "%d scenarios x applicable backends (%d cells) x %d reruns, op-budget scale %.2f\n%s",
 		len(scenario.Library()), cells, reruns, scale, tb.String()); err != nil {
 		return err

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"repro"
 	"repro/internal/metrics"
@@ -21,7 +22,7 @@ func init() {
 }
 
 // e22Caption names the table cmd/slogate looks up in the -json
-// document; scenario.ParseCrashRows pins its column schema.
+// document; scenario.CrashRow's col tags are its column schema.
 const e22Caption = "E22 crash suite"
 
 func runE22(cfg Config, w io.Writer) error {
@@ -64,9 +65,7 @@ func runE22(cfg Config, w io.Writer) error {
 	// and a half-fleet crash storm. The rows feed cmd/slogate's E22
 	// gates: survivor progress, recovery latency, the conservation
 	// bracket, and the catalog's Robustness classification.
-	tb := metrics.NewTable(scenario.CrashRowColumns()...)
-	defer cfg.logTable(e22Caption, tb)
-
+	var rows []scenario.CrashRow
 	violations, stalls := 0, 0
 	cells := 0
 	for _, sc := range scenario.CrashLibrary() {
@@ -90,13 +89,17 @@ func runE22(cfg Config, w io.Writer) error {
 				if res.SurvivorOps == 0 {
 					stalls++
 				}
-				tb.AddRow(sc.Name, b.Name, rerun, res.Procs, res.Ops, res.OKOps,
-					res.Abandoned, res.OpsPerSec(), res.SurvivorOps, res.RecoveryNS,
-					conserved, b.Robustness)
+				rows = append(rows, scenario.CrashRow{Scenario: sc.Name, Backend: b.Name,
+					Rerun: rerun, Procs: res.Procs, Ops: res.Ops, OKOps: res.OKOps,
+					Abandoned: res.Abandoned, OpsPerSec: res.OpsPerSec(),
+					SurvivorOps: res.SurvivorOps, Recovery: time.Duration(res.RecoveryNS),
+					Conserved: conserved, Robustness: b.Robustness})
 			}
 		}
 	}
 
+	tb := metrics.TableOf(rows)
+	cfg.logTable(e22Caption, tb)
 	if err := fprintf(w, "%d crash scenarios x applicable backends (%d cells) x %d reruns, op-budget scale %.2f\n%s",
 		len(scenario.CrashLibrary()), cells, reruns, scale, tb.String()); err != nil {
 		return err

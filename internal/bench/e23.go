@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"repro"
 	"repro/internal/metrics"
@@ -23,7 +22,7 @@ func init() {
 }
 
 // e23Caption names the table cmd/slogate looks up in the -json
-// document; scenario.ParseAdaptiveRows pins its column schema.
+// document; scenario.AdaptiveRow's col tags are its column schema.
 const e23Caption = "E23 adaptive suite"
 
 // e23SmokeThresholds replaces DefaultThresholds in -quick runs and on
@@ -105,8 +104,7 @@ func runE23(cfg Config, w io.Writer) error {
 	// per-regime. The rows feed cmd/slogate's E23 gates: within-slack
 	// vs the best fixed rung per phase, migration sanity, coverage, and
 	// conservation.
-	tb := metrics.NewTable(scenario.AdaptiveRowColumns()...)
-	defer cfg.logTable(e23Caption, tb)
+	var rows []scenario.AdaptiveRow
 
 	byName := map[string]repro.Backend{}
 	for _, b := range repro.Catalog() {
@@ -129,25 +127,22 @@ func runE23(cfg Config, w io.Writer) error {
 				}
 				cells++
 				for rerun := 0; rerun < reruns; rerun++ {
-					type sample struct {
-						rung   string
-						mig    uint64
-						inRung time.Duration
-					}
-					var samples []sample
+					// AfterPhase samples the rung columns at each phase's
+					// quiescent join; the run fills in the rest below.
+					var phases []scenario.AdaptiveRow
 					var prevMig uint64
 					res := scenario.Run(b, sc, scenario.Options{
 						Scale:     scale,
 						ExtraOpts: extra,
 						AfterPhase: func(_ int, _ string, drv repro.Ops) {
-							s := sample{rung: "fixed"}
+							r := scenario.AdaptiveRow{Rung: "fixed"}
 							if st, ok := repro.AdaptiveStatsOf(drv.Instance); ok {
-								s.rung = st.Rung
-								s.mig = st.Migrations - prevMig
+								r.Rung = st.Rung
+								r.Migrations = st.Migrations - prevMig
 								prevMig = st.Migrations
-								s.inRung = st.InRung[st.Rung]
+								r.InRung = st.InRung[st.Rung]
 							}
-							samples = append(samples, s)
+							phases = append(phases, r)
 						},
 					})
 					conserved := "ok"
@@ -156,15 +151,18 @@ func runE23(cfg Config, w io.Writer) error {
 						violations++
 					}
 					for i, ph := range res.Phases {
-						tb.AddRow(sc.Name, b.Name, rerun, ph.Name, sc.Phases[i].Procs,
-							ph.Ops, ph.OpsPerSec(), samples[i].rung, samples[i].mig,
-							samples[i].inRung.Nanoseconds(), conserved)
+						r := phases[i]
+						r.Scenario, r.Backend, r.Rerun, r.Phase = sc.Name, b.Name, rerun, ph.Name
+						r.Procs, r.Ops, r.OpsPerSec, r.Conserved = sc.Phases[i].Procs, ph.Ops, ph.OpsPerSec(), conserved
+						rows = append(rows, r)
 					}
 				}
 			}
 		}
 	}
 
+	tb := metrics.TableOf(rows)
+	cfg.logTable(e23Caption, tb)
 	if err := fprintf(w, "%d phase-shift scenarios x ladder backends (%d cells) x %d reruns x per-phase rows, op-budget scale %.2f\n%s",
 		len(scenario.AdaptiveLibrary()), cells, reruns, scale, tb.String()); err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/metrics"
 	"repro/internal/soak"
 )
 
@@ -20,7 +21,7 @@ func init() {
 }
 
 // e24Caption names the table cmd/slogate looks up in the -json
-// document; soak.ParseRows pins its column schema.
+// document; soak.Row's col tags are its column schema.
 const e24Caption = "E24 soak suite"
 
 // runE24 soaks each default backend under the default fault plan and
@@ -71,7 +72,7 @@ func runE24(cfg Config, w io.Writer) error {
 			return err
 		}
 	}
-	tb := soak.Table(all)
+	tb := metrics.TableOf(all)
 	cfg.logTable(e24Caption, tb)
 	if err := fprintf(w, "\n%s\n", tb); err != nil {
 		return err

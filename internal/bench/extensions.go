@@ -61,7 +61,7 @@ func runE12(cfg Config, w io.Writer) error {
 	for _, procs := range procSteps(cfg.Procs) {
 		var st memory.Stats
 		l := lock.NewFastMutexObserved(procs, &st)
-		counts := hammer(procs, cfg.Duration/2, cfg.Seed, func(pid int, _ uint64) error {
+		counts, _ := hammer(procs, cfg.Duration/2, cfg.Seed, func(pid int, _ uint64) error {
 			l.Acquire(pid)
 			l.Release(pid)
 			return nil

@@ -2,13 +2,13 @@ package bench
 
 import (
 	"io"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/stack"
+	"repro/internal/workload"
 )
 
 func init() {
@@ -54,14 +54,18 @@ func runE4(cfg Config, w io.Writer) error {
 			return s.Push, s.Pop
 		}},
 	}
+	// Every count covers the same barrier-released window, so min/proc
+	// measures starvation, not a late-spawned worker's head start.
+	var longest time.Duration
 	for _, v := range variants {
 		push, pop := v.mk()
-		counts := hammer(procs, cfg.Duration, cfg.Seed, push, pop)
-		min, max := metrics.MinMax(counts)
-		tb.AddRow(v.name, metrics.Sum(counts), min, max, metrics.JainIndex(counts))
+		counts, elapsed := hammer(procs, cfg.Duration, cfg.Seed, push, pop)
+		longest = max(longest, elapsed)
+		lo, hi := metrics.MinMax(counts)
+		tb.AddRow(v.name, metrics.Sum(counts), lo, hi, metrics.JainIndex(counts))
 	}
-	if err := fprintf(w, "per-process completions over %v at %d procs (tiny stack, maximal conflicts)\n",
-		cfg.Duration, procs); err != nil {
+	if err := fprintf(w, "per-process completions over measured windows of ≤ %v at %d procs (tiny stack, maximal conflicts)\n",
+		longest.Round(time.Microsecond), procs); err != nil {
 		return err
 	}
 	return fprintf(w, "%s", tb.String())
@@ -89,47 +93,30 @@ func runE10(cfg Config, w io.Writer) error {
 	}
 	for _, v := range variants {
 		lk := v.mk()
-		counts := make([]uint64, procs)
 		// Longest gap between two consecutive acquisitions by the
 		// same process, across all processes: the starvation proxy.
-		gaps := make([]int64, procs)
-		lastAt := make([]int64, procs)
-		start := time.Now()
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		for p := 0; p < procs; p++ {
-			wg.Add(1)
-			go func(pid int) {
-				defer wg.Done()
-				lastAt[pid] = 0
-				for !stop.Load() {
-					lk.Acquire(pid)
-					now := time.Since(start).Nanoseconds()
-					if g := now - lastAt[pid]; g > gaps[pid] {
-						gaps[pid] = g
-					}
-					lastAt[pid] = now
-					counts[pid]++
-					lk.Release(pid)
+		// Each process's clock starts at barrier release.
+		gaps := make([]time.Duration, procs)
+		counts, elapsed := runTimed(procs, cfg.Seed, sleep(cfg.Duration), func(pid int, _ *workload.RNG, start time.Time) func() {
+			last, worst := start, time.Duration(0)
+			return func() {
+				lk.Acquire(pid)
+				now := time.Now()
+				if g := now.Sub(last); g > worst {
+					worst, gaps[pid] = g, g
 				}
-			}(p)
-		}
-		time.Sleep(cfg.Duration)
-		stop.Store(true)
-		wg.Wait()
-		var worstGap int64
-		for _, g := range gaps {
-			if g > worstGap {
-				worstGap = g
+				last = now
+				lk.Release(pid)
 			}
-		}
+		})
+		worstGap := slices.Max(gaps)
 		liveness := "deadlock-free"
 		if li, ok := lk.(lock.LivenessInfo); ok {
 			liveness = li.Liveness().String()
 		}
-		min, max := metrics.MinMax(counts)
-		tb.AddRow(v.name, liveness, int64(opsPerSec(metrics.Sum(counts), cfg.Duration)),
-			min, max, metrics.JainIndex(counts), time.Duration(worstGap).String())
+		lo, hi := metrics.MinMax(counts)
+		tb.AddRow(v.name, liveness, rate(counts, elapsed),
+			lo, hi, metrics.JainIndex(counts), worstGap.String())
 	}
 	if err := fprintf(w, "critical sections over %v at %d procs\n", cfg.Duration, procs); err != nil {
 		return err

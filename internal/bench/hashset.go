@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro"
 	"repro/internal/metrics"
@@ -69,36 +68,6 @@ func e19Impls() []e19Impl {
 	return out
 }
 
-// hammerSetSnapshot is E19's driver: driveSetMix plus conservation
-// verified at quiescence against ONE snapshot walk — adds(k) -
-// removes(k) must be 1 exactly for the keys the snapshot holds
-// (probing every key, as E18 does, is O(n) per probe on the list
-// backends and ruinous at 65536).
-func hammerSetSnapshot(procs int, d time.Duration, seed uint64, keyRange int, mix workload.SetMix,
-	add, remove, contains func(pid int, k uint64) bool, snapshot func() []uint64) (total uint64, err error) {
-	total, adds, removes := driveSetMix(procs, d, seed, keyRange, mix, add, remove, contains)
-	resident := make(map[uint64]bool, keyRange)
-	for _, k := range snapshot() {
-		if k >= uint64(keyRange) {
-			return total, fmt.Errorf("quiescent snapshot holds key %d, outside the workload's [0, %d) range", k, keyRange)
-		}
-		if resident[k] {
-			return total, fmt.Errorf("key %d appears twice in the quiescent snapshot", k)
-		}
-		resident[k] = true
-	}
-	for k := 0; k < keyRange; k++ {
-		diff := adds[k].Load() - removes[k].Load()
-		if diff != 0 && diff != 1 {
-			return total, fmt.Errorf("key %d: %d adds vs %d removes", k, adds[k].Load(), removes[k].Load())
-		}
-		if got, want := resident[uint64(k)], diff == 1; got != want {
-			return total, fmt.Errorf("key %d: snapshot membership %v, accounting says %v", k, got, want)
-		}
-	}
-	return total, nil
-}
-
 func runE19(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	const procs = 4
@@ -129,8 +98,8 @@ func runE19(cfg Config, w io.Writer) error {
 			resizes := "—"
 			for i, keys := range keyRanges {
 				add, remove, contains, snapshot, resizeCount := impl.build(procs)
-				total, err := hammerSetSnapshot(procs, cfg.Duration, cfg.Seed, keys, m.mix, add, remove, contains, snapshot)
-				rates[i] = opsPerSec(total, cfg.Duration)
+				var err error
+				rates[i], err = driveSetMix(procs, cfg.Duration, cfg.Seed, keys, m.mix, add, remove, contains, snapshot)
 				if err != nil {
 					verdict = fmt.Sprintf("FAIL: %v", err)
 					implFailed = true

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"repro"
@@ -201,35 +200,26 @@ func RunSetLin(tgt SetLinTarget, procs, rounds, perRound int, seed uint64) (ops,
 	do, aborted := tgt.Build(procs)
 	rec := lin.NewRecorder(procs)
 	const keyRange = 8
-	for round := 0; round < rounds; round++ {
-		var wg sync.WaitGroup
-		for p := 0; p < procs; p++ {
-			wg.Add(1)
-			go func(pid, round int) {
-				defer wg.Done()
-				rng := workload.NewRNG(seed + uint64(round*procs+pid))
-				for i := 0; i < perRound; i++ {
-					op := rng.Intn(3)
-					k := uint64(rng.Intn(keyRange))
-					pend := rec.Invoke(pid, setKinds[op], k)
-					got, err := do(pid, op, k)
-					out := uint64(0)
-					if got {
-						out = 1
-					}
-					switch {
-					case err == nil:
-						rec.Return(pend, out, lin.OutcomeOK)
-					case aborted != nil && errors.Is(err, aborted):
-						rec.Return(pend, 0, lin.OutcomeAborted)
-					default:
-						panic(err)
-					}
-				}
-			}(p, round)
+	runRounds(rounds, procs, seed, func(_, pid int, rng *workload.RNG) {
+		for i := 0; i < perRound; i++ {
+			op := rng.Intn(3)
+			k := uint64(rng.Intn(keyRange))
+			pend := rec.Invoke(pid, setKinds[op], k)
+			got, err := do(pid, op, k)
+			out := uint64(0)
+			if got {
+				out = 1
+			}
+			switch {
+			case err == nil:
+				rec.Return(pend, out, lin.OutcomeOK)
+			case aborted != nil && errors.Is(err, aborted):
+				rec.Return(pend, 0, lin.OutcomeAborted)
+			default:
+				panic(err)
+			}
 		}
-		wg.Wait()
-	}
+	})
 	h := rec.History()
 	return len(h), rec.Aborts(), lin.CheckSegmented(lin.SetModel(), h, 0, 0)
 }
@@ -250,29 +240,20 @@ func RunLin(tgt LinTarget, procs, rounds, perRound int, seed uint64) (ops, abort
 		pushKind, popKind = "enq", "deq"
 		model = lin.QueueModel(tgt.K)
 	}
-	for round := 0; round < rounds; round++ {
-		var wg sync.WaitGroup
-		for p := 0; p < procs; p++ {
-			wg.Add(1)
-			go func(pid, round int) {
-				defer wg.Done()
-				rng := workload.NewRNG(seed + uint64(round*procs+pid))
-				for i := 0; i < perRound; i++ {
-					if workload.Balanced.NextIsPush(rng) {
-						v := next.inc()
-						pend := rec.Invoke(pid, pushKind, v)
-						_, err := do(pid, true, v)
-						rec.Return(pend, 0, outcomeFor(err, full, empty, aborted))
-					} else {
-						pend := rec.Invoke(pid, popKind, 0)
-						v, err := do(pid, false, 0)
-						rec.Return(pend, v, outcomeFor(err, full, empty, aborted))
-					}
-				}
-			}(p, round)
+	runRounds(rounds, procs, seed, func(_, pid int, rng *workload.RNG) {
+		for i := 0; i < perRound; i++ {
+			if workload.Balanced.NextIsPush(rng) {
+				v := next.inc()
+				pend := rec.Invoke(pid, pushKind, v)
+				_, err := do(pid, true, v)
+				rec.Return(pend, 0, outcomeFor(err, full, empty, aborted))
+			} else {
+				pend := rec.Invoke(pid, popKind, 0)
+				v, err := do(pid, false, 0)
+				rec.Return(pend, v, outcomeFor(err, full, empty, aborted))
+			}
 		}
-		wg.Wait()
-	}
+	})
 	h := rec.History()
 	// The checker disambiguates pops by the pushed values being
 	// distinct, which the counter guarantees; more recorded pushes than

@@ -60,50 +60,31 @@ func runE3(cfg Config, w io.Writer) error {
 	defer cfg.logTable("E3 contention windows", tb)
 	for _, procs := range procSteps(cfg.Procs) {
 		s := stack.NewNonBlocking[uint64](4) // tiny stack maximizes interference
-		var stop atomic.Bool
 		var totalOps, totalAborts atomic.Uint64
-		var wg, started sync.WaitGroup
-		for p := 0; p < procs; p++ {
-			wg.Add(1)
-			started.Add(1)
-			go func(pid int) {
-				defer wg.Done()
-				started.Done()
-				rng := workload.NewRNG(cfg.Seed + uint64(pid))
-				i := 0
-				for !stop.Load() {
-					var aborts int
-					if workload.Balanced.NextIsPush(rng) {
-						_, aborts = s.PushCounted(workload.Value(pid, i))
-						i++
-					} else {
-						_, _, aborts = s.PopCounted()
-					}
-					totalOps.Add(1)
-					totalAborts.Add(uint64(aborts))
-				}
-			}(p)
-		}
 		// Sample completed ops per window: global progress means every
-		// window sees a positive delta. The first window opens once every
-		// worker runs: goroutine start-up is no part of the claim.
+		// window sees a positive delta. The windows open at barrier
+		// release: goroutine start-up is no part of the claim.
 		windows := 10
 		window := max(cfg.Duration/time.Duration(windows), e3WindowFloor)
-		started.Wait()
 		minWindow := uint64(1<<63 - 1)
-		first, t0 := totalOps.Load(), time.Now()
-		last := first
-		for i := 0; i < windows; i++ {
-			time.Sleep(window)
-			cur := totalOps.Load()
-			if delta := cur - last; delta < minWindow {
-				minWindow = delta
+		var first, last uint64
+		sample := func() {
+			first = totalOps.Load()
+			last = first
+			for i := 0; i < windows; i++ {
+				time.Sleep(window)
+				cur := totalOps.Load()
+				minWindow = min(minWindow, cur-last)
+				last = cur
 			}
-			last = cur
 		}
-		elapsed := time.Since(t0)
-		stop.Store(true)
-		wg.Wait()
+		_, elapsed := runTimed(procs, cfg.Seed, sample, func(pid int, rng *workload.RNG, _ time.Time) func() {
+			op := abortCountedMix(s, pid, rng, &totalAborts)
+			return func() {
+				op()
+				totalOps.Add(1)
+			}
+		})
 		ops := totalOps.Load()
 		abortsPerOp := float64(totalAborts.Load()) / float64(max64(ops, 1))
 		tb.AddRow(procs, int64(opsPerSec(last-first, elapsed)), abortsPerOp, minWindow, windows)
@@ -113,6 +94,22 @@ func runE3(cfg Config, w io.Writer) error {
 		}
 	}
 	return fprintf(w, "%s", tb.String())
+}
+
+// abortCountedMix is E3's and E7's worker operation: one balanced
+// push/pop on a Figure 2 stack, adding the attempt's aborts to aborts.
+func abortCountedMix(s *stack.NonBlocking[uint64], pid int, rng *workload.RNG, aborts *atomic.Uint64) func() {
+	i := 0
+	return func() {
+		var n int
+		if workload.Balanced.NextIsPush(rng) {
+			_, n = s.PushCounted(workload.Value(pid, i))
+			i++
+		} else {
+			_, _, n = s.PopCounted()
+		}
+		aborts.Add(uint64(n))
+	}
 }
 
 func runE5(cfg Config, w io.Writer) error {
@@ -126,8 +123,7 @@ func runE5(cfg Config, w io.Writer) error {
 		row := []interface{}{impl.name}
 		for _, procs := range procSteps(cfg.Procs) {
 			push, pop := impl.build(k, procs)
-			counts := hammer(procs, cfg.Duration, cfg.Seed, push, pop)
-			row = append(row, int64(opsPerSec(metrics.Sum(counts), cfg.Duration)))
+			row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, push, pop)))
 		}
 		tb.AddRow(row...)
 	}
@@ -208,24 +204,19 @@ func runE6(cfg Config, w io.Writer) error {
 		for pi, ph := range phases {
 			before := row.stats.Snapshot()
 			var hist metrics.Histogram
-			var wg sync.WaitGroup
-			for p := 0; p < ph.Procs; p++ {
-				wg.Add(1)
-				go func(pid int) {
-					defer wg.Done()
-					rng := workload.NewRNG(cfg.Seed + uint64(pid*31+pi))
-					for i := 0; i < ph.Ops; i++ {
-						start := time.Now()
-						if workload.Balanced.NextIsPush(rng) {
-							_ = row.push(pid, workload.Value(pid, i))
-						} else {
-							_, _ = row.pop(pid)
-						}
-						hist.Record(time.Since(start))
+			// One round per phase, seeded pid*31+phase as E6 always was.
+			runRounds(1, ph.Procs, 0, func(_, pid int, _ *workload.RNG) {
+				rng := workload.NewRNG(cfg.Seed + uint64(pid*31+pi))
+				for i := 0; i < ph.Ops; i++ {
+					start := time.Now()
+					if workload.Balanced.NextIsPush(rng) {
+						_ = row.push(pid, workload.Value(pid, i))
+					} else {
+						_, _ = row.pop(pid)
 					}
-				}(p)
-			}
-			wg.Wait()
+					hist.Record(time.Since(start))
+				}
+			})
 			delta := row.stats.Snapshot().Sub(before)
 			totalOps := uint64(ph.Procs * ph.Ops)
 			tb.AddRow(row.name, phaseName(pi), ph.Procs,
@@ -261,34 +252,12 @@ func runE7(cfg Config, w io.Writer) error {
 	// the same one).
 	measure := func(name string, mk func(pid int) core.Manager) {
 		weak := stack.NewAbortable[uint64](4)
-		var stop atomic.Bool
-		var totalOps, totalAborts atomic.Uint64
-		var wg sync.WaitGroup
-		for p := 0; p < procs; p++ {
-			wg.Add(1)
-			go func(pid int) {
-				defer wg.Done()
-				s := stack.NewNonBlockingFrom[uint64](weak, mk(pid))
-				rng := workload.NewRNG(cfg.Seed + uint64(pid))
-				i := 0
-				for !stop.Load() {
-					var aborts int
-					if workload.Balanced.NextIsPush(rng) {
-						_, aborts = s.PushCounted(workload.Value(pid, i))
-						i++
-					} else {
-						_, _, aborts = s.PopCounted()
-					}
-					totalOps.Add(1)
-					totalAborts.Add(uint64(aborts))
-				}
-			}(p)
-		}
-		time.Sleep(cfg.Duration)
-		stop.Store(true)
-		wg.Wait()
-		ops := totalOps.Load()
-		tb.AddRow(name, procs, int64(opsPerSec(ops, cfg.Duration)),
+		var totalAborts atomic.Uint64
+		counts, elapsed := runTimed(procs, cfg.Seed, sleep(cfg.Duration), func(pid int, rng *workload.RNG, _ time.Time) func() {
+			return abortCountedMix(stack.NewNonBlockingFrom[uint64](weak, mk(pid)), pid, rng, &totalAborts)
+		})
+		ops := metrics.Sum(counts)
+		tb.AddRow(name, procs, rate(counts, elapsed),
 			float64(totalAborts.Load())/float64(max64(ops, 1)))
 	}
 
@@ -316,8 +285,7 @@ func runE9(cfg Config, w io.Writer) error {
 		row := []interface{}{impl.name}
 		for _, procs := range procSteps(cfg.Procs) {
 			enq, deq := impl.build(k, procs)
-			counts := hammer(procs, cfg.Duration, cfg.Seed, enq, deq)
-			row = append(row, int64(opsPerSec(metrics.Sum(counts), cfg.Duration)))
+			row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, enq, deq)))
 		}
 		tb.AddRow(row...)
 	}

@@ -7,6 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
+	"repro/internal/scenario"
+	"repro/internal/soak"
 )
 
 // goldenDoc is a fully populated Doc exercising every field of the
@@ -234,4 +238,46 @@ func TestGitHeadSHAShape(t *testing.T) {
 			t.Fatalf("gitHeadSHA = %q, not lowercase hex", sha)
 		}
 	}
+}
+
+// TestRowSchemasMatchCommittedPoints is the schema pin for each gated
+// suite: the committed trajectory point's table must decode into the
+// suite's row type and re-render through metrics.TableOf with exactly
+// the committed headers and cells, so a renamed, reordered, or
+// re-formatted column fails here before it fails cmd/slogate.
+func TestRowSchemasMatchCommittedPoints(t *testing.T) {
+	for _, c := range []struct {
+		exp, caption string
+		reencode     func(TableResult) (*metrics.Table, error)
+	}{
+		{"E21", e21Caption, reencode[scenario.Row]},
+		{"E22", e22Caption, reencode[scenario.CrashRow]},
+		{"E23", e23Caption, reencode[scenario.AdaptiveRow]},
+		{"E24", e24Caption, reencode[soak.Row]},
+	} {
+		doc, err := ReadDoc(filepath.Join("..", "..", "BENCH_"+c.exp+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := doc.FindExperiment(c.exp)
+		committed, ok := rec.FindTable(c.caption)
+		if !ok {
+			t.Fatalf("BENCH_%s.json has no %q table", c.exp, c.caption)
+		}
+		tb, err := c.reencode(committed)
+		if err != nil {
+			t.Fatalf("%s: %v", c.exp, err)
+		}
+		if !reflect.DeepEqual(tb.Headers(), committed.Headers) {
+			t.Errorf("%s: row type renders headers %v, committed point has %v", c.exp, tb.Headers(), committed.Headers)
+		}
+		if !reflect.DeepEqual(tb.Rows(), committed.Rows) {
+			t.Errorf("%s: re-rendered cells differ from the committed point", c.exp)
+		}
+	}
+}
+
+func reencode[T any](table TableResult) (*metrics.Table, error) {
+	rows, err := metrics.ParseRows[T](table.Headers, table.Rows)
+	return metrics.TableOf(rows), err
 }

@@ -84,77 +84,76 @@ func strongSetOps(b repro.Backend, procs int) (add, remove, contains func(int, u
 // position is always the current front and prefilling stays O(1) per
 // key even on the COW backend), then drives procs goroutines of the
 // given mix over keys in [0, keyRange) for the duration with per-key
-// accounting of successful adds and removes. It returns the
-// completed-op count and the accounting arrays for the caller's
-// conservation check; at return the object is quiescent and
-// adds[k]-removes[k] ∈ {0, 1} is the invariant every verifier tests.
-// Shared by E18 and E19.
+// accounting of successful adds and removes. At quiescence it checks
+// conservation against snapshot's resident keys: adds(k) - removes(k)
+// must be 0 or 1, and 1 exactly for the keys the snapshot holds — a
+// recycled-node tag mistake or a lost update breaks the balance. It
+// returns the measured throughput in ops/s and the first violation.
+// Shared by E18 (snapshot = probeAll) and E19 (one snapshot walk).
 func driveSetMix(procs int, d time.Duration, seed uint64, keyRange int, mix workload.SetMix,
-	add, remove, contains func(pid int, k uint64) bool) (total uint64, adds, removes []atomic.Int64) {
+	add, remove, contains func(pid int, k uint64) bool, snapshot func() []uint64) (float64, error) {
 	for k := (keyRange - 1) &^ 1; k >= 0; k -= 2 { // largest even key first, odd ranges included
 		add(0, uint64(k))
 	}
-	adds = make([]atomic.Int64, keyRange)
-	removes = make([]atomic.Int64, keyRange)
+	adds := make([]atomic.Int64, keyRange)
+	removes := make([]atomic.Int64, keyRange)
 	for k := 0; k < keyRange; k += 2 {
 		adds[k].Add(1)
 	}
-	var stop atomic.Bool
-	counts := make([]uint64, procs)
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			rng := workload.NewRNG(seed + uint64(pid))
-			n := uint64(0)
-			for !stop.Load() {
-				k := uint64(rng.Intn(keyRange))
-				switch mix.Next(rng) {
-				case workload.SetAdd:
-					if add(pid, k) {
-						adds[k].Add(1)
-					}
-				case workload.SetRemove:
-					if remove(pid, k) {
-						removes[k].Add(1)
-					}
-				default:
-					contains(pid, k)
+	counts, elapsed := runTimed(procs, seed, sleep(d), func(pid int, rng *workload.RNG, _ time.Time) func() {
+		return func() {
+			k := uint64(rng.Intn(keyRange))
+			switch mix.Next(rng) {
+			case workload.SetAdd:
+				if add(pid, k) {
+					adds[k].Add(1)
 				}
-				n++
+			case workload.SetRemove:
+				if remove(pid, k) {
+					removes[k].Add(1)
+				}
+			default:
+				contains(pid, k)
 			}
-			counts[pid] = n
-		}(p)
+		}
+	})
+	rate := opsPerSec(metrics.Sum(counts), elapsed)
+	resident := make([]bool, keyRange)
+	for _, k := range snapshot() {
+		if k >= uint64(keyRange) {
+			return rate, fmt.Errorf("quiescent snapshot holds key %d, outside the workload's [0, %d) range", k, keyRange)
+		}
+		if resident[k] {
+			return rate, fmt.Errorf("key %d appears twice in the quiescent snapshot", k)
+		}
+		resident[k] = true
 	}
-	time.Sleep(d)
-	stop.Store(true)
-	wg.Wait()
-	for _, n := range counts {
-		total += n
-	}
-	return total, adds, removes
-}
-
-// hammerSet is E18's driver: driveSetMix plus conservation verified by
-// probing every key — adds(k) - removes(k) must be 1 exactly when k
-// ended in the set (a recycled-node tag mistake or a lost update
-// breaks the balance). The per-key probe is itself O(n) on the list
-// backends, which is fine at E18's ranges; E19's wider sweep verifies
-// against one snapshot walk instead.
-func hammerSet(procs int, d time.Duration, seed uint64, keyRange int, mix workload.SetMix,
-	add, remove, contains func(pid int, k uint64) bool) (total uint64, err error) {
-	total, adds, removes := driveSetMix(procs, d, seed, keyRange, mix, add, remove, contains)
-	for k := 0; k < keyRange; k++ {
+	for k := range resident {
 		diff := adds[k].Load() - removes[k].Load()
 		if diff != 0 && diff != 1 {
-			return total, fmt.Errorf("key %d: %d adds vs %d removes", k, adds[k].Load(), removes[k].Load())
+			return rate, fmt.Errorf("key %d: %d adds vs %d removes", k, adds[k].Load(), removes[k].Load())
 		}
-		if got, want := contains(0, uint64(k)), diff == 1; got != want {
-			return total, fmt.Errorf("key %d: Contains = %v, accounting says %v", k, got, want)
+		if resident[k] != (diff == 1) {
+			return rate, fmt.Errorf("key %d: snapshot membership %v, accounting says %v", k, resident[k], diff == 1)
 		}
 	}
-	return total, nil
+	return rate, nil
+}
+
+// probeAll is E18's quiescent snapshot: Contains on every key in
+// [0, keyRange). Each probe is itself O(n) on the list backends, which
+// is fine at E18's ranges; E19's wider sweep walks one Snapshot
+// instead.
+func probeAll(keyRange int, contains func(pid int, k uint64) bool) func() []uint64 {
+	return func() []uint64 {
+		var in []uint64
+		for k := uint64(0); k < uint64(keyRange); k++ {
+			if contains(0, k) {
+				in = append(in, k)
+			}
+		}
+		return in
+	}
 }
 
 func runE18(cfg Config, w io.Writer) error {
@@ -184,8 +183,9 @@ func runE18(cfg Config, w io.Writer) error {
 			var rates [2]float64
 			for i, keys := range []int{smallKeys, largeKeys} {
 				add, remove, contains := impl.build(procs)
-				total, err := hammerSet(procs, cfg.Duration, cfg.Seed, keys, m.mix, add, remove, contains)
-				rates[i] = opsPerSec(total, cfg.Duration)
+				var err error
+				rates[i], err = driveSetMix(procs, cfg.Duration, cfg.Seed, keys, m.mix,
+					add, remove, contains, probeAll(keys, contains))
 				if err != nil {
 					verdict = fmt.Sprintf("FAIL: %v", err)
 					implFailed = true

@@ -236,24 +236,3 @@ func TestEvaluateCrashCoverageFail(t *testing.T) {
 		}
 	}
 }
-
-func TestParseCrashRowsRoundTrip(t *testing.T) {
-	headers := CrashRowColumns()
-	cells := [][]string{
-		{"mid-op-storm", "stack/combining", "1", "8", "2000", "1900", "3", "123456.789", "800", "3000000", "ok", "lease-takeover"},
-	}
-	rows, err := ParseCrashRows(headers, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.Scenario != "mid-op-storm" || r.Backend != "stack/combining" || r.Rerun != 1 ||
-		r.Ops != 2000 || r.OKOps != 1900 || r.Abandoned != 3 ||
-		r.OpsPerSec != 123456.789 || r.SurvivorOps != 800 ||
-		r.Recovery != 3*time.Millisecond || r.Conserved != "ok" || r.Robustness != "lease-takeover" {
-		t.Fatalf("round trip drifted: %+v", r)
-	}
-	if _, err := ParseCrashRows(headers[:6], nil); err == nil {
-		t.Fatal("ParseCrashRows accepted a table missing required columns")
-	}
-}

@@ -3,76 +3,30 @@ package scenario
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro"
 )
 
 // Row is one E21 measurement row as the gate evaluator consumes it —
-// the parsed form of one line of the "E21 scenario suite" table.
+// one line of the "E21 scenario suite" table. The col tags are the
+// table's schema: metrics.TableOf renders rows under them and
+// metrics.ParseRows decodes them back, resolving columns by name
+// (quantiles as integer nanoseconds, so no consumer ever re-parses
+// human-formatted durations). Renaming a column breaks cmd/slogate
+// loudly, not silently.
 type Row struct {
-	Scenario       string
-	Backend        string
-	Rerun          int
-	Ops            uint64
-	OpsPerSec      float64
-	P50, P99, P999 time.Duration
-	Conserved      string
-}
-
-// rowColumns are the table columns ParseRows requires, exactly as
-// experiment E21 emits them (quantiles as integer nanoseconds so no
-// consumer ever re-parses human-formatted durations). The golden
-// round-trip test on bench.Doc plus TestParseRowsRoundTrip pin this
-// schema: renaming a column breaks cmd/slogate loudly, not silently.
-var rowColumns = []string{"scenario", "backend", "rerun", "procs", "ops", "ok-ops", "ops/s", "p50 ns", "p99 ns", "p999 ns", "conserved"}
-
-// RowColumns returns the required E21 table header, in order.
-func RowColumns() []string { return append([]string(nil), rowColumns...) }
-
-// ParseRows decodes an E21 table (headers plus string cells, the
-// shape bench.TableResult carries) into typed rows. Columns are
-// resolved by name, so adding columns is compatible; removing or
-// renaming one is an error.
-func ParseRows(headers []string, rows [][]string) ([]Row, error) {
-	col := map[string]int{}
-	for i, h := range headers {
-		col[h] = i
-	}
-	for _, want := range rowColumns {
-		if _, ok := col[want]; !ok {
-			return nil, fmt.Errorf("scenario: E21 table is missing column %q (have %v)", want, headers)
-		}
-	}
-	out := make([]Row, 0, len(rows))
-	for i, cells := range rows {
-		get := func(name string) string { return cells[col[name]] }
-		var r Row
-		var err error
-		r.Scenario, r.Backend, r.Conserved = get("scenario"), get("backend"), get("conserved")
-		if r.Rerun, err = strconv.Atoi(get("rerun")); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad rerun %q", i, get("rerun"))
-		}
-		if r.Ops, err = strconv.ParseUint(get("ops"), 10, 64); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad ops %q", i, get("ops"))
-		}
-		if r.OpsPerSec, err = strconv.ParseFloat(get("ops/s"), 64); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad ops/s %q", i, get("ops/s"))
-		}
-		for _, q := range []struct {
-			name string
-			dst  *time.Duration
-		}{{"p50 ns", &r.P50}, {"p99 ns", &r.P99}, {"p999 ns", &r.P999}} {
-			ns, err := strconv.ParseInt(get(q.name), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: row %d: bad %s %q", i, q.name, get(q.name))
-			}
-			*q.dst = time.Duration(ns)
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	Scenario  string        `col:"scenario"`
+	Backend   string        `col:"backend"`
+	Rerun     int           `col:"rerun"`
+	Procs     int           `col:"procs"`
+	Ops       uint64        `col:"ops"`
+	OKOps     uint64        `col:"ok-ops"`
+	OpsPerSec float64       `col:"ops/s"`
+	P50       time.Duration `col:"p50 ns"`
+	P99       time.Duration `col:"p99 ns"`
+	P999      time.Duration `col:"p999 ns"`
+	Conserved string        `col:"conserved"`
 }
 
 // Verdict is one gate's outcome for one scenario x backend cell (or
@@ -216,69 +170,21 @@ func evaluateCell(sc Scenario, backend string, cell []Row) []Verdict {
 }
 
 // CrashRow is one E22 measurement row as the gate evaluator consumes
-// it — the parsed form of one line of the "E22 crash suite" table.
+// it — one line of the "E22 crash suite" table, schema in the col tags
+// as for Row.
 type CrashRow struct {
-	Scenario    string
-	Backend     string
-	Rerun       int
-	Ops         uint64
-	OKOps       uint64
-	Abandoned   uint64
-	OpsPerSec   float64
-	SurvivorOps uint64
-	Recovery    time.Duration
-	Conserved   string
-	Robustness  string
-}
-
-// crashRowColumns are the E22 table columns, same contract as
-// rowColumns: resolved by name, adding columns is compatible,
-// removing or renaming one breaks cmd/slogate loudly.
-var crashRowColumns = []string{"scenario", "backend", "rerun", "procs", "ops", "ok-ops", "abandoned", "ops/s", "survivor-ops", "recovery-ns", "conserved", "robustness"}
-
-// CrashRowColumns returns the required E22 table header, in order.
-func CrashRowColumns() []string { return append([]string(nil), crashRowColumns...) }
-
-// ParseCrashRows decodes an E22 crash-suite table into typed rows.
-func ParseCrashRows(headers []string, rows [][]string) ([]CrashRow, error) {
-	col := map[string]int{}
-	for i, h := range headers {
-		col[h] = i
-	}
-	for _, want := range crashRowColumns {
-		if _, ok := col[want]; !ok {
-			return nil, fmt.Errorf("scenario: E22 table is missing column %q (have %v)", want, headers)
-		}
-	}
-	out := make([]CrashRow, 0, len(rows))
-	for i, cells := range rows {
-		get := func(name string) string { return cells[col[name]] }
-		var r CrashRow
-		var err error
-		r.Scenario, r.Backend = get("scenario"), get("backend")
-		r.Conserved, r.Robustness = get("conserved"), get("robustness")
-		if r.Rerun, err = strconv.Atoi(get("rerun")); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad rerun %q", i, get("rerun"))
-		}
-		for _, u := range []struct {
-			name string
-			dst  *uint64
-		}{{"ops", &r.Ops}, {"ok-ops", &r.OKOps}, {"abandoned", &r.Abandoned}, {"survivor-ops", &r.SurvivorOps}} {
-			if *u.dst, err = strconv.ParseUint(get(u.name), 10, 64); err != nil {
-				return nil, fmt.Errorf("scenario: row %d: bad %s %q", i, u.name, get(u.name))
-			}
-		}
-		if r.OpsPerSec, err = strconv.ParseFloat(get("ops/s"), 64); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad ops/s %q", i, get("ops/s"))
-		}
-		ns, err := strconv.ParseInt(get("recovery-ns"), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad recovery-ns %q", i, get("recovery-ns"))
-		}
-		r.Recovery = time.Duration(ns)
-		out = append(out, r)
-	}
-	return out, nil
+	Scenario    string        `col:"scenario"`
+	Backend     string        `col:"backend"`
+	Rerun       int           `col:"rerun"`
+	Procs       int           `col:"procs"`
+	Ops         uint64        `col:"ops"`
+	OKOps       uint64        `col:"ok-ops"`
+	Abandoned   uint64        `col:"abandoned"`
+	OpsPerSec   float64       `col:"ops/s"`
+	SurvivorOps uint64        `col:"survivor-ops"`
+	Recovery    time.Duration `col:"recovery-ns"`
+	Conserved   string        `col:"conserved"`
+	Robustness  string        `col:"robustness"`
 }
 
 // EvaluateCrash applies the E22 release gates to the parsed crash
@@ -427,75 +333,24 @@ func evaluateCrashCell(sc Scenario, backend string, cell []CrashRow, robustness 
 }
 
 // AdaptiveRow is one E23 measurement row as the gate evaluator
-// consumes it — the parsed form of one line of the "E23 adaptive
-// suite" table. Unlike E21's per-run rows, E23 emits one row per
-// PHASE, because the claim under test is per-regime: the adaptive
+// consumes it — one line of the "E23 adaptive suite" table, schema in
+// the col tags as for Row. Unlike E21's per-run rows, E23 emits one row
+// per PHASE, because the claim under test is per-regime: the adaptive
 // backend must track the best fixed rung in every phase, not just on
 // the whole-run average (where a bad rung in one phase could hide
 // behind a great one in another).
 type AdaptiveRow struct {
-	Scenario   string
-	Backend    string
-	Rerun      int
-	Phase      string
-	Procs      int
-	Ops        uint64
-	OpsPerSec  float64
-	Rung       string // rung at end of phase; "fixed" for non-adaptive rows
-	Migrations uint64 // completed migrations during this phase
-	InRung     time.Duration
-	Conserved  string
-}
-
-// adaptiveRowColumns are the E23 table columns, same contract as
-// rowColumns: resolved by name, adding columns is compatible,
-// removing or renaming one breaks cmd/slogate loudly.
-var adaptiveRowColumns = []string{"scenario", "backend", "rerun", "phase", "procs", "ops", "ops/s", "rung", "migrations", "in-rung-ns", "conserved"}
-
-// AdaptiveRowColumns returns the required E23 table header, in order.
-func AdaptiveRowColumns() []string { return append([]string(nil), adaptiveRowColumns...) }
-
-// ParseAdaptiveRows decodes an E23 adaptive-suite table into typed rows.
-func ParseAdaptiveRows(headers []string, rows [][]string) ([]AdaptiveRow, error) {
-	col := map[string]int{}
-	for i, h := range headers {
-		col[h] = i
-	}
-	for _, want := range adaptiveRowColumns {
-		if _, ok := col[want]; !ok {
-			return nil, fmt.Errorf("scenario: E23 table is missing column %q (have %v)", want, headers)
-		}
-	}
-	out := make([]AdaptiveRow, 0, len(rows))
-	for i, cells := range rows {
-		get := func(name string) string { return cells[col[name]] }
-		var r AdaptiveRow
-		var err error
-		r.Scenario, r.Backend, r.Phase = get("scenario"), get("backend"), get("phase")
-		r.Rung, r.Conserved = get("rung"), get("conserved")
-		if r.Rerun, err = strconv.Atoi(get("rerun")); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad rerun %q", i, get("rerun"))
-		}
-		if r.Procs, err = strconv.Atoi(get("procs")); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad procs %q", i, get("procs"))
-		}
-		if r.Ops, err = strconv.ParseUint(get("ops"), 10, 64); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad ops %q", i, get("ops"))
-		}
-		if r.OpsPerSec, err = strconv.ParseFloat(get("ops/s"), 64); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad ops/s %q", i, get("ops/s"))
-		}
-		if r.Migrations, err = strconv.ParseUint(get("migrations"), 10, 64); err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad migrations %q", i, get("migrations"))
-		}
-		ns, err := strconv.ParseInt(get("in-rung-ns"), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: row %d: bad in-rung-ns %q", i, get("in-rung-ns"))
-		}
-		r.InRung = time.Duration(ns)
-		out = append(out, r)
-	}
-	return out, nil
+	Scenario   string        `col:"scenario"`
+	Backend    string        `col:"backend"`
+	Rerun      int           `col:"rerun"`
+	Phase      string        `col:"phase"`
+	Procs      int           `col:"procs"`
+	Ops        uint64        `col:"ops"`
+	OpsPerSec  float64       `col:"ops/s"`
+	Rung       string        `col:"rung"`       // rung at end of phase; "fixed" for non-adaptive rows
+	Migrations uint64        `col:"migrations"` // completed migrations during this phase
+	InRung     time.Duration `col:"in-rung-ns"`
+	Conserved  string        `col:"conserved"`
 }
 
 // adaptiveSlack returns the within-best-rung throughput floor for one

@@ -159,28 +159,3 @@ func TestEvaluateUnknownScenario(t *testing.T) {
 		t.Fatalf("want exactly the known-scenario failure, got %v", got)
 	}
 }
-
-func TestParseRowsRoundTrip(t *testing.T) {
-	headers := RowColumns()
-	cells := [][]string{
-		{"steady-mixed", "stack/treiber", "1", "8", "2400", "2350", "123456.789", "2000", "40000", "400000", "ok"},
-	}
-	rows, err := ParseRows(headers, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.Scenario != "steady-mixed" || r.Backend != "stack/treiber" || r.Rerun != 1 ||
-		r.Ops != 2400 || r.OpsPerSec != 123456.789 ||
-		r.P50 != 2*time.Microsecond || r.P99 != 40*time.Microsecond ||
-		r.P999 != 400*time.Microsecond || r.Conserved != "ok" {
-		t.Fatalf("round trip drifted: %+v", r)
-	}
-}
-
-func TestParseRowsRejectsMissingColumn(t *testing.T) {
-	headers := RowColumns()[:5] // drop the tail columns
-	if _, err := ParseRows(headers, nil); err == nil {
-		t.Fatal("ParseRows accepted a table missing required columns")
-	}
-}

@@ -2,11 +2,9 @@ package soak
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro"
-	"repro/internal/metrics"
 	"repro/internal/scenario"
 )
 
@@ -14,107 +12,29 @@ import (
 // soak run, or — with Window == -1 — the run's drain-time summary.
 // Sessions, Faults, Recovered, RecoveryNS, Stalls, HeapBytes,
 // PoolAllocs, and GCCycles are cumulative at the row's instant; Ops,
-// OKOps, the duration, and the quantiles are the window's own.
+// OKOps, the duration, and the quantiles are the window's own. The col
+// tags are the "E24 soak suite" table's schema, rendered by
+// metrics.TableOf and decoded by metrics.ParseRows as for the scenario
+// gate rows.
 type Row struct {
-	Backend        string
-	Window         int // -1 = summary/drain row
-	DurMS          float64
-	Ops, OKOps     uint64
-	OpsPerSec      float64
-	Sessions       uint64
-	P50, P99, P999 time.Duration
-	Faults         uint64
-	Recovered      uint64
-	RecoveryNS     int64 // worst fault-to-first-worker-op latency so far
-	Stalls         uint64
-	HeapBytes      uint64
-	PoolAllocs     int64 // -1 when the backend has no pool
-	GCCycles       uint64
-	Audit          string // live audit (windows) or drain audit (summary)
-}
-
-// rowColumns are the "E24 soak suite" table columns, same contract as
-// the scenario gate schemas: resolved by name, adding columns is
-// compatible, removing or renaming one breaks cmd/slogate loudly.
-var rowColumns = []string{"backend", "window", "dur-ms", "ops", "ok-ops", "ops/s", "sessions",
-	"p50 ns", "p99 ns", "p999 ns", "faults", "recovered", "recovery-ns", "stalls",
-	"heap-bytes", "pool-allocs", "gc-cycles", "audit"}
-
-// RowColumns returns the required E24 table header, in order.
-func RowColumns() []string { return append([]string(nil), rowColumns...) }
-
-// Table renders rows as the E24 table, in RowColumns order.
-func Table(rows []Row) *metrics.Table {
-	tb := metrics.NewTable(RowColumns()...)
-	for _, r := range rows {
-		tb.AddRow(r.Backend, r.Window, r.DurMS, r.Ops, r.OKOps, r.OpsPerSec, r.Sessions,
-			r.P50.Nanoseconds(), r.P99.Nanoseconds(), r.P999.Nanoseconds(),
-			r.Faults, r.Recovered, r.RecoveryNS, r.Stalls,
-			r.HeapBytes, r.PoolAllocs, r.GCCycles, r.Audit)
-	}
-	return tb
-}
-
-// ParseRows decodes an E24 table (headers plus string cells, the
-// shape bench.TableResult carries) into typed rows.
-func ParseRows(headers []string, rows [][]string) ([]Row, error) {
-	col := map[string]int{}
-	for i, h := range headers {
-		col[h] = i
-	}
-	for _, want := range rowColumns {
-		if _, ok := col[want]; !ok {
-			return nil, fmt.Errorf("soak: E24 table is missing column %q (have %v)", want, headers)
-		}
-	}
-	out := make([]Row, 0, len(rows))
-	for i, cells := range rows {
-		get := func(name string) string { return cells[col[name]] }
-		var r Row
-		var err error
-		r.Backend, r.Audit = get("backend"), get("audit")
-		if r.Window, err = strconv.Atoi(get("window")); err != nil {
-			return nil, fmt.Errorf("soak: row %d: bad window %q", i, get("window"))
-		}
-		for _, f := range []struct {
-			name string
-			dst  *float64
-		}{{"dur-ms", &r.DurMS}, {"ops/s", &r.OpsPerSec}} {
-			if *f.dst, err = strconv.ParseFloat(get(f.name), 64); err != nil {
-				return nil, fmt.Errorf("soak: row %d: bad %s %q", i, f.name, get(f.name))
-			}
-		}
-		for _, u := range []struct {
-			name string
-			dst  *uint64
-		}{{"ops", &r.Ops}, {"ok-ops", &r.OKOps}, {"sessions", &r.Sessions},
-			{"faults", &r.Faults}, {"recovered", &r.Recovered}, {"stalls", &r.Stalls},
-			{"heap-bytes", &r.HeapBytes}, {"gc-cycles", &r.GCCycles}} {
-			if *u.dst, err = strconv.ParseUint(get(u.name), 10, 64); err != nil {
-				return nil, fmt.Errorf("soak: row %d: bad %s %q", i, u.name, get(u.name))
-			}
-		}
-		for _, q := range []struct {
-			name string
-			dst  *time.Duration
-		}{{"p50 ns", &r.P50}, {"p99 ns", &r.P99}, {"p999 ns", &r.P999}} {
-			ns, err := strconv.ParseInt(get(q.name), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("soak: row %d: bad %s %q", i, q.name, get(q.name))
-			}
-			*q.dst = time.Duration(ns)
-		}
-		for _, s := range []struct {
-			name string
-			dst  *int64
-		}{{"recovery-ns", &r.RecoveryNS}, {"pool-allocs", &r.PoolAllocs}} {
-			if *s.dst, err = strconv.ParseInt(get(s.name), 10, 64); err != nil {
-				return nil, fmt.Errorf("soak: row %d: bad %s %q", i, s.name, get(s.name))
-			}
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	Backend    string        `col:"backend"`
+	Window     int           `col:"window"` // -1 = summary/drain row
+	DurMS      float64       `col:"dur-ms"`
+	Ops        uint64        `col:"ops"`
+	OKOps      uint64        `col:"ok-ops"`
+	OpsPerSec  float64       `col:"ops/s"`
+	Sessions   uint64        `col:"sessions"`
+	P50        time.Duration `col:"p50 ns"`
+	P99        time.Duration `col:"p99 ns"`
+	P999       time.Duration `col:"p999 ns"`
+	Faults     uint64        `col:"faults"`
+	Recovered  uint64        `col:"recovered"`
+	RecoveryNS int64         `col:"recovery-ns"` // worst fault-to-first-worker-op latency so far
+	Stalls     uint64        `col:"stalls"`
+	HeapBytes  uint64        `col:"heap-bytes"`
+	PoolAllocs int64         `col:"pool-allocs"` // -1 when the backend has no pool
+	GCCycles   uint64        `col:"gc-cycles"`
+	Audit      string        `col:"audit"` // live audit (windows) or drain audit (summary)
 }
 
 // The E24 gate bounds.

@@ -1,7 +1,6 @@
 package soak
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -46,37 +45,6 @@ func failures(vs []scenario.Verdict) []scenario.Verdict {
 		}
 	}
 	return out
-}
-
-func TestRowsTableRoundTrip(t *testing.T) {
-	in := healthyRows()
-	in[0].PoolAllocs = 1234
-	in[0].Audit = "FAIL: key 3: 5 removes vs 4 adds"
-	tb := Table(in)
-	out, err := ParseRows(tb.Headers(), tb.Rows())
-	if err != nil {
-		t.Fatalf("ParseRows: %v", err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("got %d rows, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Errorf("row %d round-trip mismatch:\n got %+v\nwant %+v", i, out[i], in[i])
-		}
-	}
-}
-
-func TestParseRowsRejectsMissingColumn(t *testing.T) {
-	tb := Table(healthyRows())
-	headers := tb.Headers()[1:] // drop "backend"
-	rows := tb.Rows()
-	for i := range rows {
-		rows[i] = rows[i][1:]
-	}
-	if _, err := ParseRows(headers, rows); err == nil || !strings.Contains(err.Error(), "backend") {
-		t.Fatalf("want missing-column error naming backend, got %v", err)
-	}
 }
 
 func TestEvaluateStrictPasses(t *testing.T) {
