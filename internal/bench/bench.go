@@ -119,16 +119,17 @@ func ByID(id string) (Experiment, bool) {
 // runTimed is the timed closed-loop driver every throughput experiment
 // shares. It spawns procs workers, each with an RNG seeded seed+pid,
 // and releases them together through a start barrier, so no worker's
-// count includes another's start-up. Once released, each worker calls
-// worker once to get its operation, then repeats that operation until
-// the caller's wait returns; start is the barrier-release instant. It
-// returns each worker's completed-op count and the window measured from
-// release to stop.
+// count includes another's start-up. Workers wait at the barrier
+// runnable (yielding, not parked), so the window opens on workers that
+// are already scheduled rather than on a wave of wake-ups. Once
+// released, each worker calls worker once to get its operation, then
+// repeats that operation until the caller's wait returns; start is the
+// barrier-release instant. It returns each worker's completed-op count
+// and the window measured from release to stop.
 func runTimed(procs int, seed uint64, wait func(),
 	worker func(pid int, rng *workload.RNG, start time.Time) func()) (counts []uint64, elapsed time.Duration) {
-	var stop atomic.Bool
+	var released, stop atomic.Bool
 	var ready, done sync.WaitGroup
-	release := make(chan struct{})
 	var start time.Time
 	counts = make([]uint64, procs)
 	for p := 0; p < procs; p++ {
@@ -138,7 +139,9 @@ func runTimed(procs int, seed uint64, wait func(),
 			defer done.Done()
 			rng := workload.NewRNG(seed + uint64(pid))
 			ready.Done()
-			<-release
+			for !released.Load() {
+				runtime.Gosched()
+			}
 			op := worker(pid, rng, start)
 			n := uint64(0)
 			for !stop.Load() {
@@ -150,7 +153,7 @@ func runTimed(procs int, seed uint64, wait func(),
 	}
 	ready.Wait()
 	start = time.Now()
-	close(release)
+	released.Store(true)
 	wait()
 	stop.Store(true)
 	elapsed = time.Since(start)
