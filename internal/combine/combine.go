@@ -3,6 +3,7 @@ package combine
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/memory"
@@ -31,13 +32,25 @@ const combinePasses = 2
 // observations a waiter tolerates before it presumes the combiner
 // crashed and steals the lease. The combiner bumps the heartbeat once
 // per slot application, so a live combiner is stale only while one
-// apply is in flight; the budget is deliberately generous (with a
-// Gosched every spinBudget observations a runnable combiner gets
-// scheduled long before it expires), making false steals — the only
-// path to a double-applied request — vanishingly unlikely while
-// keeping crash recovery in the low milliseconds. Tests shrink it via
-// SetLeaseBudget to pin takeovers deterministically.
+// apply is in flight; with a Gosched every spinBudget observations a
+// runnable combiner gets scheduled long before the budget expires.
+// A false steal is the only path to a double-applied request, so by
+// default the budget alone does not license one: defaultLeaseTimeout
+// must also pass. Tests shrink the budget via SetLeaseBudget to pin
+// takeovers deterministically.
 const defaultLeaseBudget = 1 << 16
+
+// defaultLeaseTimeout is the wall-clock floor on a default-budget
+// steal: besides exhausting the observation budget, the lease must
+// have stayed frozen this long (timed from the freeze's spinBudget-th
+// observation, so short freezes never read the clock). The budget
+// alone is a few milliseconds of spinning, and a live combiner whose
+// thread the OS has descheduled (more runnable threads than cores)
+// stays frozen that long routinely; stealing from it while it has one
+// application in flight applies that request twice. The floor keeps
+// crash recovery far inside the crash suites' recovery bounds
+// (seconds).
+const defaultLeaseTimeout = 100 * time.Millisecond
 
 // The combiner lease word packs (owner pid + 1) in the high 32 bits —
 // zero means the lease is free — and an acquisition epoch in the low
@@ -138,14 +151,15 @@ type armedCrash struct {
 // instead of wedging every future contended operation — see the
 // package comment's crash-tolerance argument.
 type Core[A, R any] struct {
-	try         func(pid int, arg A) (R, bool)
-	contention  *memory.Flag
-	lease       atomic.Uint64
-	beat        atomic.Uint64
-	obs         memory.Observer
-	leaseBudget int
-	slots       []slot[A, R]
-	armed       atomic.Pointer[armedCrash]
+	try          func(pid int, arg A) (R, bool)
+	contention   *memory.Flag
+	lease        atomic.Uint64
+	beat         atomic.Uint64
+	obs          memory.Observer
+	leaseBudget  int
+	leaseTimeout time.Duration
+	slots        []slot[A, R]
+	armed        atomic.Pointer[armedCrash]
 
 	// Combiner-side counters: touched once per combining pass, not
 	// per operation, so sharing the words is harmless.
@@ -163,10 +177,11 @@ func NewCore[A, R any](n int, try func(pid int, arg A) (R, bool)) *Core[A, R] {
 		panic("combine: process count must be >= 1")
 	}
 	return &Core[A, R]{
-		try:         try,
-		contention:  memory.NewFlag(false),
-		leaseBudget: defaultLeaseBudget,
-		slots:       make([]slot[A, R], n),
+		try:          try,
+		contention:   memory.NewFlag(false),
+		leaseBudget:  defaultLeaseBudget,
+		leaseTimeout: defaultLeaseTimeout,
+		slots:        make([]slot[A, R], n),
 	}
 }
 
@@ -184,11 +199,15 @@ func NewCoreObserved[A, R any](n int, try func(pid int, arg A) (R, bool), obs me
 }
 
 // SetLeaseBudget overrides the stale-observation budget after which a
-// waiter steals a frozen lease (n >= 1). Deterministic tests shrink it
-// so a pinned schedule reaches the takeover in a handful of steps.
+// waiter steals a frozen lease (n >= 1), and drops the wall-clock floor
+// (defaultLeaseTimeout): an explicit budget is the whole rule, so the
+// steal point is a pure function of the schedule. Deterministic tests
+// shrink it so a pinned schedule reaches the takeover in a handful of
+// steps.
 func (c *Core[A, R]) SetLeaseBudget(n int) {
 	if n >= 1 {
 		c.leaseBudget = n
+		c.leaseTimeout = 0
 	}
 }
 
@@ -289,6 +308,7 @@ func (c *Core[A, R]) DoContended(pid int, arg A) R {
 	s.published.Add(1)
 	spins, stale := 0, 0
 	var lastLease, lastBeat uint64
+	var frozenAt time.Time // when stale reached spinBudget
 	haveObs := false
 	for {
 		if s.state.Load() == slotDone {
@@ -312,7 +332,10 @@ func (c *Core[A, R]) DoContended(pid int, arg A) R {
 		}
 		b := c.loadBeat()
 		if haveObs && l == lastLease && b == lastBeat {
-			if stale++; stale >= c.leaseBudget {
+			if stale++; stale == spinBudget && c.leaseTimeout > 0 {
+				frozenAt = time.Now()
+			}
+			if stale >= c.leaseBudget && (c.leaseTimeout <= 0 || time.Since(frozenAt) >= c.leaseTimeout) {
 				stale = 0
 				// The holder made no progress for the whole budget:
 				// presume it crashed and steal the lease. If it is in

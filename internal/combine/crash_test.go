@@ -2,6 +2,7 @@ package combine
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -116,6 +117,71 @@ func TestCombinerCrashBeforeAnyServe(t *testing.T) {
 	}
 	if st := c.Stats(); st.Steals == 0 || st.Crashes != 1 {
 		t.Fatalf("Steals = %d, Crashes = %d, want >0, 1", st.Steals, st.Crashes)
+	}
+}
+
+// TestSlowCombinerKeepsLease freezes a live combiner inside one
+// application for longer than the default observation budget takes to
+// spin out, but shorter than defaultLeaseTimeout — the shape of a
+// combiner thread the OS has descheduled. The waiter must not steal:
+// a steal would re-serve the in-flight request and apply it twice.
+func TestSlowCombinerKeepsLease(t *testing.T) {
+	var cnt casCounter
+	var slow atomic.Bool
+	slow.Store(true)
+	inApply := make(chan struct{})
+	c := NewCore[struct{}, uint64](2, func(pid int, arg struct{}) (uint64, bool) {
+		if pid == 0 && slow.CompareAndSwap(true, false) {
+			close(inApply)
+			time.Sleep(defaultLeaseTimeout / 4)
+		}
+		return cnt.tryInc(pid, arg)
+	})
+	var combiner sync.WaitGroup
+	combiner.Add(1)
+	go func() {
+		defer combiner.Done()
+		c.DoContended(0, struct{}{})
+	}()
+	<-inApply
+	c.DoContended(1, struct{}{})
+	combiner.Wait()
+	if got := cnt.v.Load(); got != 2 {
+		t.Fatalf("counter = %d, want 2 (a request was applied twice)", got)
+	}
+	if st := c.Stats(); st.Steals != 0 {
+		t.Fatalf("Steals = %d, want 0 from a live combiner", st.Steals)
+	}
+}
+
+// TestDefaultStealWaitsForTimeout crashes the combiner under the
+// default lease rule: the survivor still takes over, but only once the
+// lease has been frozen for defaultLeaseTimeout.
+func TestDefaultStealWaitsForTimeout(t *testing.T) {
+	var cnt casCounter
+	c := NewCore[struct{}, uint64](2, cnt.tryInc)
+	if !c.ArmCombinerCrash(0, 0) {
+		t.Fatal("ArmCombinerCrash refused")
+	}
+	var crasherDone sync.WaitGroup
+	crasherDone.Add(1)
+	go func() {
+		defer crasherDone.Done()
+		c.DoContended(0, struct{}{})
+		t.Error("crashed combiner returned")
+	}()
+	crasherDone.Wait()
+
+	start := time.Now()
+	c.DoContended(1, struct{}{})
+	if took := time.Since(start); took < defaultLeaseTimeout {
+		t.Fatalf("survivor stole after %v, before the %v floor", took, defaultLeaseTimeout)
+	}
+	if got := cnt.v.Load(); got != 2 {
+		t.Fatalf("counter = %d, want 2", got)
+	}
+	if st := c.Stats(); st.Steals != 1 {
+		t.Fatalf("Steals = %d, want 1", st.Steals)
 	}
 }
 

@@ -46,8 +46,10 @@
 // have started can still land after the thief re-serves the same
 // slot — re-serving a black-box non-idempotent operation exactly once
 // past an arbitrary crash point is impossible without operation-level
-// idempotence — which is why the default lease budget is generous
-// enough that a runnable combiner is effectively never presumed dead
-// (see defaultLeaseBudget), and why deterministic tests inject
-// crashes at the pre-apply point, where takeover is exactly-once.
+// idempotence — which is why, by default, a steal needs both the
+// observation budget and a wall-clock floor (defaultLeaseBudget,
+// defaultLeaseTimeout): a live combiner whose thread is merely
+// descheduled is not presumed dead. Deterministic tests set the budget
+// explicitly, which drops the floor, and inject crashes at the
+// pre-apply point, where takeover is exactly-once.
 package combine

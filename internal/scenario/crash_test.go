@@ -3,11 +3,13 @@ package scenario
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/metrics"
 )
 
 // churnSlowStreamSHA256 pins the churn-slow op stream byte-for-byte
@@ -234,5 +236,32 @@ func TestEvaluateCrashCoverageFail(t *testing.T) {
 		if v.Gate == "coverage" && v.Scenario == "combiner-crash" && !strings.Contains(v.Observed, "set/combining") {
 			t.Fatalf("coverage verdict does not name the missing backend: %q", v.Observed)
 		}
+	}
+}
+
+// TestParseCrashRowsRoundTrip decodes one E22 table line through the
+// row codec under CrashRow's own headers, re-renders it cell for cell,
+// and rejects a table missing the tail columns.
+func TestParseCrashRowsRoundTrip(t *testing.T) {
+	headers := metrics.TableOf[CrashRow](nil).Headers()
+	cells := [][]string{
+		{"mid-op-storm", "stack/combining", "1", "8", "2000", "1900", "3", "123456.789", "800", "3000000", "ok", "lease-takeover"},
+	}
+	rows, err := metrics.ParseRows[CrashRow](headers, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rows[0]
+	if r.Scenario != "mid-op-storm" || r.Backend != "stack/combining" || r.Rerun != 1 ||
+		r.Procs != 8 || r.Ops != 2000 || r.OKOps != 1900 || r.Abandoned != 3 ||
+		r.OpsPerSec != 123456.789 || r.SurvivorOps != 800 ||
+		r.Recovery != 3*time.Millisecond || r.Conserved != "ok" || r.Robustness != "lease-takeover" {
+		t.Fatalf("round trip drifted: %+v", r)
+	}
+	if got := metrics.TableOf(rows).Rows(); !reflect.DeepEqual(got, cells) {
+		t.Fatalf("re-rendered cells %v, want %v", got, cells)
+	}
+	if _, err := metrics.ParseRows[CrashRow](headers[:6], nil); err == nil {
+		t.Fatal("ParseRows accepted a crash table missing required columns")
 	}
 }

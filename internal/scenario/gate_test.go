@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/metrics"
 )
 
 // fixtureRows synthesizes a fully covered, gate-passing E21 result:
@@ -157,5 +159,36 @@ func TestEvaluateUnknownScenario(t *testing.T) {
 	got := failures(Evaluate(rows))
 	if len(got) != 1 || got[0] != "who-dis/stack/treiber known-scenario" {
 		t.Fatalf("want exactly the known-scenario failure, got %v", got)
+	}
+}
+
+// TestParseRowsRoundTrip decodes one E21 table line through the row
+// codec under Row's own headers and re-renders it cell for cell.
+func TestParseRowsRoundTrip(t *testing.T) {
+	headers := metrics.TableOf[Row](nil).Headers()
+	cells := [][]string{
+		{"steady-mixed", "stack/treiber", "1", "8", "2400", "2350", "123456.789", "2000", "40000", "400000", "ok"},
+	}
+	rows, err := metrics.ParseRows[Row](headers, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rows[0]
+	if r.Scenario != "steady-mixed" || r.Backend != "stack/treiber" || r.Rerun != 1 ||
+		r.Procs != 8 || r.Ops != 2400 || r.OKOps != 2350 || r.OpsPerSec != 123456.789 ||
+		r.P50 != 2*time.Microsecond || r.P99 != 40*time.Microsecond ||
+		r.P999 != 400*time.Microsecond || r.Conserved != "ok" {
+		t.Fatalf("round trip drifted: %+v", r)
+	}
+	if got := metrics.TableOf(rows).Rows(); !reflect.DeepEqual(got, cells) {
+		t.Fatalf("re-rendered cells %v, want %v", got, cells)
+	}
+}
+
+func TestParseRowsRejectsMissingColumn(t *testing.T) {
+	headers := metrics.TableOf[Row](nil).Headers()[:5] // drop the tail columns
+	_, err := metrics.ParseRows[Row](headers, nil)
+	if err == nil || !strings.Contains(err.Error(), `"ok-ops"`) {
+		t.Fatalf("want a missing-column error naming ok-ops, got %v", err)
 	}
 }

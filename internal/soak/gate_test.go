@@ -1,9 +1,11 @@
 package soak
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/scenario"
 )
 
@@ -45,6 +47,40 @@ func failures(vs []scenario.Verdict) []scenario.Verdict {
 		}
 	}
 	return out
+}
+
+// TestRowsTableRoundTrip renders rows through the row codec and
+// decodes them back unchanged, negative pool-allocs and a free-text
+// audit cell included.
+func TestRowsTableRoundTrip(t *testing.T) {
+	in := healthyRows()
+	in[0].PoolAllocs = 1234
+	in[0].Audit = "FAIL: key 3: 5 removes vs 4 adds"
+	tb := metrics.TableOf(in)
+	out, err := metrics.ParseRows[Row](tb.Headers(), tb.Rows())
+	if err != nil {
+		t.Fatalf("ParseRows: %v", err)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("got %d rows, want %d", len(out), len(in))
+	}
+	for i := range in {
+		if out[i] != in[i] {
+			t.Errorf("row %d round-trip mismatch:\n got %+v\nwant %+v", i, out[i], in[i])
+		}
+	}
+}
+
+func TestParseRowsRejectsMissingColumn(t *testing.T) {
+	tb := metrics.TableOf(healthyRows())
+	headers := tb.Headers()[1:] // drop "backend"
+	rows := tb.Rows()
+	for i := range rows {
+		rows[i] = rows[i][1:]
+	}
+	if _, err := metrics.ParseRows[Row](headers, rows); err == nil || !strings.Contains(err.Error(), "backend") {
+		t.Fatalf("want missing-column error naming backend, got %v", err)
+	}
 }
 
 func TestEvaluateStrictPasses(t *testing.T) {
