@@ -115,10 +115,12 @@ func WithShards(s int) Option { return func(o *options) { o.shards = s } }
 func WithWidth(w int) Option { return func(o *options) { o.width = w } }
 
 // WithPooled redirects a constructor to the named backend's pooled
-// sibling (treiber → treiber-pooled, combining → combining-pooled):
-// the same object contract over recycled, sequence-tagged nodes with
-// 0 steady-state allocs/op. Constructors whose backend has no pooled
-// sibling report an error; already-pooled backends are unchanged.
+// sibling (stack treiber → treiber-pooled, combining →
+// combining-pooled): the same object contract over recycled,
+// sequence-tagged nodes with 0 steady-state allocs/op. Backends that
+// already run at 0 allocs/op — the pooled entries and the in-place
+// ring queues — are unchanged; any other backend without a pooled
+// sibling reports an error.
 func WithPooled() Option { return func(o *options) { o.pooled = true } }
 
 // WithAdaptive redirects a constructor to the kind's contention-

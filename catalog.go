@@ -43,7 +43,6 @@ const (
 	nameQueueCombining     = "queue/combining"
 	nameQueueSharded       = "queue/sharded"
 	nameQueueMSPooled      = "queue/michael-scott-pooled"
-	nameQueueCombiningPool = "queue/combining-pooled"
 	nameDequeSensitive     = "deque/sensitive"
 	nameDequeAbortable     = "deque/abortable"
 	nameDequeNonBlocking   = "deque/non-blocking"
@@ -117,7 +116,9 @@ type Backend struct {
 	// "uint32".
 	Domain string
 	// Allocation is the allocation profile ("boxed", "pooled, 0
-	// allocs/op", "packed words", "COW boxed", ...).
+	// allocs/op", "in-place ring, 0 allocs/op", "packed words", "COW
+	// boxed", ...). E17 gates every stack and queue entry whose
+	// profile reads "0 allocs/op" at zero steady-state allocations.
 	Allocation string
 	// Experiments lists the experiment ids that cover this backend.
 	Experiments []string
@@ -522,7 +523,7 @@ func queueCatalog() []Backend {
 			Name: nameQueueAbortable, Kind: KindQueue,
 			Constructor: "NewAbortableQueue[T](k)",
 			Object:      "weak bounded FIFO queue, Figure 1",
-			Tier:        "paper", Progress: "abortable", Domain: "generic", Allocation: "boxed",
+			Tier:        "paper", Progress: "abortable", Domain: "generic", Allocation: "in-place ring, 0 allocs/op",
 			Experiments: []string{"E9", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Weak:        true, Bounded: true,
@@ -545,7 +546,7 @@ func queueCatalog() []Backend {
 			Name: nameQueueNonBlocking, Kind: KindQueue,
 			Constructor: "NewNonBlockingQueue[T](k)",
 			Object:      "bounded FIFO queue, Figure 2",
-			Tier:        "paper", Progress: "lock-free", Domain: "generic", Allocation: "boxed",
+			Tier:        "paper", Progress: "lock-free", Domain: "generic", Allocation: "in-place ring, 0 allocs/op",
 			Experiments: []string{"E9", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Bounded:     true,
@@ -568,7 +569,7 @@ func queueCatalog() []Backend {
 			Name: nameQueueSensitive, Kind: KindQueue,
 			Constructor: "NewQueue[T](k, n)",
 			Object:      "bounded FIFO queue, Figure 3",
-			Tier:        "paper", Progress: "starvation-free", Domain: "generic", Allocation: "boxed",
+			Tier:        "paper", Progress: "starvation-free", Domain: "generic", Allocation: "in-place ring, 0 allocs/op",
 			Experiments: []string{"E9", "E11", "E16", "E17", "E20", "E21", "E22"},
 			Robustness:  "lock-vulnerable",
 			Bounded:     true,
@@ -591,7 +592,7 @@ func queueCatalog() []Backend {
 			Name: nameQueueCombining, Kind: KindQueue,
 			Constructor: "NewCombiningQueue[T](k, n)",
 			Object:      "bounded FIFO queue, flat combining",
-			Tier:        "scaling", Progress: "starvation-free", Domain: "generic", Allocation: "boxed",
+			Tier:        "scaling", Progress: "starvation-free", Domain: "generic", Allocation: "in-place ring, 0 allocs/op",
 			Experiments: []string{"E9", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "lease-takeover",
 			Bounded:     true,
@@ -614,7 +615,7 @@ func queueCatalog() []Backend {
 			Name: nameQueueSharded, Kind: KindQueue,
 			Constructor: "NewShardedQueue[T](k, n, shards)",
 			Object:      "pid-striped queue, per-shard FIFO",
-			Tier:        "scaling", Progress: "starvation-free, relaxed cross-shard order", Domain: "generic", Allocation: "boxed",
+			Tier:        "scaling", Progress: "starvation-free, relaxed cross-shard order", Domain: "generic", Allocation: "in-place ring, 0 allocs/op",
 			Experiments: []string{"E9", "E11", "E16", "E17", "E20", "E21", "E22"},
 			Robustness:  "lease-takeover",
 			Bounded:     true,
@@ -659,33 +660,10 @@ func queueCatalog() []Backend {
 			},
 		},
 		{
-			Name: nameQueueCombiningPool, Kind: KindQueue,
-			Constructor: "NewCombiningPooledQueue(k, n)",
-			Object:      "bounded FIFO queue, flat combining",
-			Tier:        "scaling", Progress: "starvation-free", Domain: "uint64", Allocation: "pooled in-place ring, 0 allocs/op",
-			Experiments: []string{"E9", "E11", "E17", "E20", "E21", "E22"},
-			Robustness:  "lease-takeover",
-			Bounded:     true,
-			Queue: func(opts ...Option) QueueAPI[uint64] {
-				o := applyOptions(opts)
-				return queue.NewCombiningPooled(o.capacity, o.procs)
-			},
-			Direct: func(opts ...Option) Ops {
-				o := applyOptions(opts)
-				q := queue.NewCombiningPooled(o.capacity, o.procs)
-				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
-					if op == 0 {
-						return 0, q.Enqueue(pid, v)
-					}
-					return q.Dequeue(pid)
-				}}
-			},
-		},
-		{
 			Name: nameQueueAdaptive, Kind: KindQueue,
 			Constructor: "NewAdaptiveQueue[T](k, n, shards)",
 			Object:      "contention-adaptive queue, sensitive-combining-sharded ladder",
-			Tier:        "adaptive", Progress: "starvation-free, relaxed cross-shard order on the top rung", Domain: "generic", Allocation: "boxed",
+			Tier:        "adaptive", Progress: "starvation-free, relaxed cross-shard order on the top rung", Domain: "generic", Allocation: "in-place ring rungs",
 			Experiments: []string{"E9", "E11", "E17", "E20", "E21", "E22", "E23"},
 			Robustness:  "lock-vulnerable",
 			Bounded:     true,
@@ -956,7 +934,8 @@ func setDirect(add, remove, contains func(int, uint64) bool) Ops {
 
 // find resolves a backend name of the given kind, accepting both the
 // full catalog name ("stack/treiber") and the bare variant
-// ("treiber"), and applies the WithPooled redirection.
+// ("treiber"), and applies the WithPooled redirection (a pooled
+// backend, or one that already runs at 0 allocs/op, passes through).
 func find(kind, name string, opts []Option) (Backend, options, error) {
 	o := applyOptions(opts)
 	if !strings.Contains(name, "/") {
@@ -980,7 +959,7 @@ func find(kind, name string, opts []Option) (Backend, options, error) {
 		return Backend{}, o, fmt.Errorf("repro: unknown %s backend %q (catalog: %s)",
 			kind, name, strings.Join(names, ", "))
 	}
-	if o.pooled && !strings.Contains(b.Allocation, "pooled") {
+	if o.pooled && !strings.Contains(b.Allocation, "pooled") && !strings.Contains(b.Allocation, "0 allocs/op") {
 		p, ok := lookup(b.Name + "-pooled")
 		if !ok {
 			return Backend{}, o, fmt.Errorf("repro: backend %s has no pooled sibling", b.Name)

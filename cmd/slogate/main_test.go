@@ -19,9 +19,12 @@ import (
 func TestGoldenVerdicts(t *testing.T) {
 	for _, c := range []struct{ exp, wantErr string }{
 		// The E21 and E22 points predate the adaptive tier, so their
-		// coverage gates fail for {stack,queue,set}/adaptive.
+		// coverage gates fail for {stack,queue,set}/adaptive. They also
+		// carry rows of queue/combining-pooled, since folded into
+		// queue/combining: E22's classification gate finds no catalog
+		// entry for them and fails its three scenarios.
 		{"E21", "8 of 758 gates failed"},
-		{"E22", "3 of 363 gates failed"},
+		{"E22", "6 of 363 gates failed"},
 		{"E23", ""},
 		{"E24", ""},
 	} {

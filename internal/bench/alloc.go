@@ -100,7 +100,7 @@ func allocBackends(procs int) []allocBackend {
 		}
 		be := allocBackend{
 			name: b.Name, push: push, pop: pop,
-			wantZero:  strings.Contains(b.Allocation, "pooled"),
+			wantZero:  strings.Contains(b.Allocation, "0 allocs/op"),
 			maxAllocs: soloCeiling[b.Name],
 		}
 		if ps, ok := inner.(interface{ PoolStats() memory.PoolStats }); ok {
@@ -131,12 +131,6 @@ func allocBackends(procs int) []allocBackend {
 		push: func(_ int, v uint64) error { ms.Enqueue(v); return nil },
 		pop:  func(_ int) (uint64, error) { return ms.Dequeue() },
 	})
-	qp := queue.NewAbortablePooled(k)
-	out = append(out, allocBackend{
-		name: "queue/abortable-pooled", wantZero: true,
-		push: func(_ int, v uint64) error { return retryQPush(qp.TryEnqueue, v) },
-		pop:  func(_ int) (uint64, error) { return retryQPop(qp.TryDequeue) },
-	})
 
 	return out
 }
@@ -152,22 +146,6 @@ func retryPush(try func(uint64) error, v uint64) error {
 func retryPop(try func() (uint64, error)) (uint64, error) {
 	for {
 		if v, err := try(); !errors.Is(err, stack.ErrAborted) {
-			return v, err
-		}
-	}
-}
-
-func retryQPush(try func(uint64) error, v uint64) error {
-	for {
-		if err := try(v); !errors.Is(err, queue.ErrAborted) {
-			return err
-		}
-	}
-}
-
-func retryQPop(try func() (uint64, error)) (uint64, error) {
-	for {
-		if v, err := try(); !errors.Is(err, queue.ErrAborted) {
 			return v, err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/workload"
 )
 
@@ -95,6 +96,23 @@ func TestE3GlobalProgress(t *testing.T) {
 	}
 }
 
+// TestE3FailsWithoutProgress keeps E3's zero-window resample from
+// hiding a real violation: workers whose operations never complete
+// must still fail the experiment.
+func TestE3FailsWithoutProgress(t *testing.T) {
+	cfg := quickCfg()
+	cfg.Procs = 1
+	stuck := func() e3Worker {
+		return func(int, *workload.RNG, *atomic.Uint64) func() bool {
+			return func() bool { runtime.Gosched(); return false }
+		}
+	}
+	var buf bytes.Buffer
+	if err := runE3With(cfg, &buf, stuck); err == nil {
+		t.Fatalf("E3 passed although no operation completed:\n%s", buf.String())
+	}
+}
+
 func TestE4Fairness(t *testing.T) {
 	out := runQuick(t, "E4")
 	if !strings.Contains(out, "sensitive RR(TAS) [paper]") || !strings.Contains(out, "jain") {
@@ -163,8 +181,8 @@ func TestE11Linearizability(t *testing.T) {
 	for _, impl := range []string{
 		"stack/abortable", "stack/elimination", "queue/michael-scott",
 		"stack/treiber-pooled", "stack/abortable-pooled",
-		"queue/michael-scott-pooled", "queue/abortable-pooled",
-		"queue/sharded[K=1]", "queue/combining-pooled",
+		"queue/michael-scott-pooled", "queue/abortable",
+		"queue/sharded[K=1]", "queue/combining",
 		"set/harris", "set/hashset",
 	} {
 		if !strings.Contains(out, impl) {
@@ -314,7 +332,7 @@ func TestE17AllocationFreeHotPaths(t *testing.T) {
 	for _, row := range []string{
 		"stack/treiber", "stack/treiber-pooled",
 		"queue/michael-scott-pooled", "stack/abortable-pooled",
-		"stack/combining-pooled", "queue/abortable-pooled", "stack/packed",
+		"stack/combining-pooled", "queue/abortable", "queue/combining", "stack/packed",
 		"forced reuse",
 	} {
 		if !strings.Contains(out, row) {
@@ -324,15 +342,20 @@ func TestE17AllocationFreeHotPaths(t *testing.T) {
 	if strings.Contains(out, "FAIL") {
 		t.Fatalf("E17 verdicts include FAIL:\n%s", out)
 	}
-	// The acceptance bar: the pooled Treiber and Michael-Scott rows
-	// must report exactly 0.000 steady-state allocs/op (scan only the
-	// steady-state table; the forced-reuse table repeats the names).
+	// The acceptance bar: every catalog row labelled "0 allocs/op" —
+	// the pooled Treiber and Michael-Scott rows and the in-place ring
+	// queues — must report exactly 0.000 steady-state allocs/op (scan
+	// only the steady-state table; the forced-reuse table repeats the
+	// names).
 	steady, _, _ := strings.Cut(out, "forced reuse")
-	for _, line := range strings.Split(steady, "\n") {
-		if strings.HasPrefix(line, "stack/treiber-pooled") ||
-			strings.HasPrefix(line, "queue/michael-scott-pooled") {
-			if !strings.Contains(line, "0.000") || !strings.Contains(line, "0 allocs/op") {
-				t.Fatalf("pooled hot path still allocates: %s", line)
+	for _, b := range repro.Catalog() {
+		if !strings.Contains(b.Allocation, "0 allocs/op") {
+			continue
+		}
+		for _, line := range strings.Split(steady, "\n") {
+			if strings.HasPrefix(line, b.Name+" ") &&
+				(!strings.Contains(line, " 0.000 ") || !strings.Contains(line, "0 allocs/op")) {
+				t.Fatalf("allocation-free hot path allocates: %s", line)
 			}
 		}
 	}

@@ -135,15 +135,6 @@ func internalLinTargets() []LinTarget {
 				return q.Dequeue()
 			}, queue.ErrFull, queue.ErrEmpty, nil
 		}},
-		{"queue/abortable-pooled", "queue", 5, func(procs int) (func(int, bool, uint64) (uint64, error), error, error, error) {
-			q := queue.NewAbortablePooled(5)
-			return func(_ int, enq bool, v uint64) (uint64, error) {
-				if enq {
-					return 0, q.TryEnqueue(v)
-				}
-				return q.TryDequeue()
-			}, queue.ErrFull, queue.ErrEmpty, queue.ErrAborted
-		}},
 	}
 }
 

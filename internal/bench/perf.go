@@ -54,12 +54,30 @@ func init() {
 // host and report zero ops although no operation blocked another.
 const e3WindowFloor = 10 * time.Millisecond
 
+// e3Worker builds one worker's operation for an E3 run: op makes one
+// attempt, adds its aborts to aborts, and reports whether it completed.
+type e3Worker func(pid int, rng *workload.RNG, aborts *atomic.Uint64) (op func() bool)
+
 func runE3(cfg Config, w io.Writer) error {
+	return runE3With(cfg, w, func() e3Worker {
+		s := stack.NewNonBlocking[uint64](4) // tiny stack maximizes interference
+		return func(pid int, rng *workload.RNG, aborts *atomic.Uint64) func() bool {
+			op := abortCountedMix(s, pid, rng, aborts)
+			return func() bool { op(); return true }
+		}
+	})
+}
+
+// runE3With runs E3 over a fresh worker set per process count. A
+// window with no completed operation is sampled once more before it
+// counts as a violation: a host that deschedules every worker for one
+// window does not stall the next, while a blocked object stays at zero.
+func runE3With(cfg Config, w io.Writer, newWorker func() e3Worker) error {
 	cfg = cfg.withDefaults()
 	tb := metrics.NewTable("procs", "ops/s", "aborts/op", "min window ops", "windows")
 	defer cfg.logTable("E3 contention windows", tb)
 	for _, procs := range procSteps(cfg.Procs) {
-		s := stack.NewNonBlocking[uint64](4) // tiny stack maximizes interference
+		worker := newWorker()
 		var totalOps, totalAborts atomic.Uint64
 		// Sample completed ops per window: global progress means every
 		// window sees a positive delta. The windows open at barrier
@@ -74,15 +92,20 @@ func runE3(cfg Config, w io.Writer) error {
 			for i := 0; i < windows; i++ {
 				time.Sleep(window)
 				cur := totalOps.Load()
+				if cur == last {
+					time.Sleep(window) // resample a zero window once
+					cur = totalOps.Load()
+				}
 				minWindow = min(minWindow, cur-last)
 				last = cur
 			}
 		}
 		_, elapsed := runTimed(procs, cfg.Seed, sample, func(pid int, rng *workload.RNG, _ time.Time) func() {
-			op := abortCountedMix(s, pid, rng, &totalAborts)
+			op := worker(pid, rng, &totalAborts)
 			return func() {
-				op()
-				totalOps.Add(1)
+				if op() {
+					totalOps.Add(1)
+				}
 			}
 		})
 		ops := totalOps.Load()

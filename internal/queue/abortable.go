@@ -5,9 +5,13 @@ import (
 	"repro/internal/memory"
 )
 
-// slot is one ring entry: a sequence register encoding the slot state
-// and a boxed value register. For slot j and ticket pos (pos ≡ j mod k)
-// the sequence register takes the values
+// Abortable is the abortable bounded FIFO queue: the queue-shaped
+// sibling of the paper's Figure 1 stack. TryEnqueue/TryDequeue make a
+// single attempt and abort on interference; solo attempts never abort.
+//
+// The ring is k slots, each a sequence register and a value cell. For
+// slot j and ticket pos (pos ≡ j mod k) the sequence register takes
+// the values
 //
 //	2*pos      — free, reserved for the enqueuer holding ticket pos;
 //	2*pos+1    — occupied, ready for the dequeuer holding ticket pos;
@@ -17,14 +21,13 @@ import (
 // "free for ticket pos+k" (even) even when k = 1, where pos+1 and
 // pos+k would otherwise coincide and let a second enqueuer overwrite
 // an element that was never dequeued.
-type slot[T any] struct {
-	seq *memory.Word
-	val *memory.Ref[T]
-}
-
-// Abortable is the abortable bounded FIFO queue: the queue-shaped
-// sibling of the paper's Figure 1 stack. TryEnqueue/TryDequeue make a
-// single attempt and abort on interference; solo attempts never abort.
+//
+// The sequence is the §2.2 tag that lets values live unboxed in the
+// ring for every T: each lap of a cell has one writer (the TAIL-CAS
+// winner for ticket pos, before it publishes 2*pos+1) and one reader
+// (the HEAD-CAS winner, after it observes 2*pos+1; it clears the cell
+// before publishing 2*(pos+k)). The atomic sequence accesses order
+// the plain cell accesses; see DESIGN §3.
 //
 // Linearization points (mirroring §3's presentation for the stack):
 //
@@ -43,10 +46,12 @@ type slot[T any] struct {
 //     dequeue publishes, which happens after its HEAD CAS, yet head
 //     still equals pos-k), so tail-head = k held at that read.
 type Abortable[T any] struct {
-	head  *memory.Word
-	tail  *memory.Word
-	slots []slot[T]
-	k     uint64
+	head *memory.Word
+	tail *memory.Word
+	seqs *memory.Words
+	vals []T
+	obs  memory.Observer
+	k    uint64
 }
 
 // NewAbortable returns an abortable queue of capacity k >= 1.
@@ -60,20 +65,23 @@ func NewAbortableObserved[T any](k int, obs memory.Observer) *Abortable[T] {
 	if k < 1 {
 		panic("queue: capacity must be >= 1")
 	}
-	q := &Abortable[T]{
-		head:  memory.NewWordObserved(0, obs),
-		tail:  memory.NewWordObserved(0, obs),
-		slots: make([]slot[T], k),
-		k:     uint64(k),
-	}
-	for j := range q.slots {
+	return &Abortable[T]{
+		head: memory.NewWordObserved(0, obs),
+		tail: memory.NewWordObserved(0, obs),
 		// Slot j is initially free for ticket j (lap 0).
-		q.slots[j] = slot[T]{
-			seq: memory.NewWordObserved(2*uint64(j), obs),
-			val: memory.NewRefObserved[T](nil, obs),
-		}
+		seqs: memory.NewWordsInit(k, func(j int) uint64 { return 2 * uint64(j) }, obs),
+		vals: make([]T, k),
+		obs:  obs,
+		k:    uint64(k),
 	}
-	return q
+}
+
+// observe reports a value-cell access, which the paper's access
+// count includes although the cell is plain memory.
+func (q *Abortable[T]) observe(k memory.Kind) {
+	if q.obs != nil {
+		q.obs.OnAccess(k)
+	}
 }
 
 // Capacity returns k, the number of storable elements.
@@ -89,15 +97,16 @@ func (q *Abortable[T]) Capacity() int { return int(q.k) }
 // Theorem 1 meaningful.
 func (q *Abortable[T]) TryEnqueue(v T) error {
 	pos := q.tail.Read()
-	s := &q.slots[pos%q.k]
-	seq := s.seq.Read()
+	j := int(pos % q.k)
+	seq := q.seqs.Read(j)
 	switch {
 	case seq == 2*pos: // slot free for this ticket: claim it
 		if !q.tail.CAS(pos, pos+1) {
 			return ErrAborted // another enqueuer claimed first
 		}
-		s.val.Write(&v)
-		s.seq.Write(2*pos + 1) // publish
+		q.observe(memory.Write)
+		q.vals[j] = v
+		q.seqs.Write(j, 2*pos+1) // publish
 		return nil
 	case seq < 2*pos: // previous-lap value not yet fully dequeued
 		if h := q.head.Read(); h+q.k == pos {
@@ -115,16 +124,18 @@ func (q *Abortable[T]) TryEnqueue(v T) error {
 func (q *Abortable[T]) TryDequeue() (T, error) {
 	var zero T
 	pos := q.head.Read()
-	s := &q.slots[pos%q.k]
-	seq := s.seq.Read()
+	j := int(pos % q.k)
+	seq := q.seqs.Read(j)
 	switch {
 	case seq == 2*pos+1: // occupied and ready: claim it
 		if !q.head.CAS(pos, pos+1) {
 			return zero, ErrAborted // another dequeuer claimed first
 		}
-		v := s.val.Read()
-		s.seq.Write(2 * (pos + q.k)) // free the slot for the next lap
-		return *v, nil
+		q.observe(memory.Read)
+		v := q.vals[j]
+		q.vals[j] = zero             // release the value to the GC
+		q.seqs.Write(j, 2*(pos+q.k)) // free the slot for the next lap
+		return v, nil
 	case seq == 2*pos: // no enqueue has published ticket pos
 		if t := q.tail.Read(); t == pos {
 			return zero, ErrEmpty // proven: head = tail (see type comment)
@@ -143,7 +154,8 @@ func (q *Abortable[T]) Snapshot() []T {
 	h, t := q.head.Read(), q.tail.Read()
 	out := make([]T, 0, t-h)
 	for pos := h; pos < t; pos++ {
-		out = append(out, *q.slots[pos%q.k].val.Read())
+		q.observe(memory.Read)
+		out = append(out, q.vals[pos%q.k])
 	}
 	return out
 }

@@ -44,15 +44,6 @@ func NewCombiningFrom[T any](weak Weak[T], n int) *Combining[T] {
 	return q
 }
 
-// NewCombiningPooled returns a flat-combining queue of capacity k for
-// n processes over the pooled abortable ring: the whole strong path
-// runs allocation-free (experiment E17). The queue's "pool" is the
-// ring itself — see AbortablePooled — so unlike the stack no per-pid
-// recycling is involved and the weak backend is pid-oblivious.
-func NewCombiningPooled(k, n int) *Combining[uint64] {
-	return NewCombiningFrom[uint64](NewAbortablePooled(k), n)
-}
-
 // attempt adapts the weak queue to combine.Core's try shape. The
 // executing pid is unused: every weak queue backend is pid-oblivious.
 func (q *Combining[T]) attempt(_ int, op combOp[T]) (combRes[T], bool) {

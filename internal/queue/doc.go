@@ -10,9 +10,12 @@
 //
 //   - HEAD and TAIL are monotonically increasing tickets;
 //   - slot j serves tickets pos with pos ≡ j (mod k); its sequence
-//     register encodes the slot state: seq = pos means free for the
-//     enqueuer holding ticket pos, seq = pos+1 means occupied and
-//     ready for the dequeuer holding ticket pos.
+//     register encodes the slot state: seq = 2·pos means free for the
+//     enqueuer holding ticket pos, seq = 2·pos+1 means occupied and
+//     ready for the dequeuer holding ticket pos;
+//   - the value lives in place in the slot, for any element type: the
+//     sequence gives each slot one writer and one reader per lap, so
+//     no operation allocates.
 //
 // A weak operation makes one attempt: it claims its ticket with a
 // single CAS and aborts (⊥) whenever it observes interference it

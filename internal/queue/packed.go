@@ -10,12 +10,12 @@ import (
 // so an enqueue publishes value and state in one atomic write. This
 // drops the cost of a successful weak operation to 4 shared accesses
 // (read position, read slot, CAS position, write slot) — one fewer
-// than the boxed backend, because the separate value write disappears
+// than Abortable, because the separate value write disappears
 // into the packed word. The slot-state encoding matches Abortable
 // (2·pos free / 2·pos+1 occupied / 2·(pos+k) freed), truncated to 32
 // bits: states can only be confused after 2³¹ tickets land on the same
 // slot within one read-to-CAS window, which is unreachable in
-// practice (the boxed backend has no wrap at all).
+// practice (Abortable's 64-bit sequence has no wrap at all).
 type Packed struct {
 	head  *memory.Word
 	tail  *memory.Word

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/spec"
 )
 
@@ -31,27 +30,6 @@ func TestMichaelScottPooledFIFOSolo(t *testing.T) {
 	}
 	if st := q.PoolStats(); st.Reuses == 0 {
 		t.Fatalf("solo churn never recycled a node: %+v", st)
-	}
-}
-
-func TestAbortablePooledMatchesBoxedSolo(t *testing.T) {
-	const k = 3
-	boxed := NewAbortable[uint64](k)
-	pooled := NewAbortablePooled(k)
-	for i := 0; i < 4000; i++ {
-		if i%5 < 3 {
-			v := uint64(i)
-			be, pe := boxed.TryEnqueue(v), pooled.TryEnqueue(v)
-			if !errors.Is(pe, be) {
-				t.Fatalf("op %d: enqueue disagreement: boxed=%v pooled=%v", i, be, pe)
-			}
-		} else {
-			bv, be := boxed.TryDequeue()
-			pv, pe := pooled.TryDequeue()
-			if (be == nil) != (pe == nil) || (be == nil && bv != pv) {
-				t.Fatalf("op %d: dequeue disagreement: (%d,%v) vs (%d,%v)", i, bv, be, pv, pe)
-			}
-		}
 	}
 }
 
@@ -116,35 +94,6 @@ func TestMichaelScottPooledForcedReuseABA(t *testing.T) {
 	}
 }
 
-func TestAbortablePooledConserves(t *testing.T) {
-	q := NewAbortablePooled(32)
-	qconserved(t, 4, 4, stressN(2000),
-		func(_ int, v uint64) error {
-			return core.Retry(nil, func() (error, bool) {
-				err := q.TryEnqueue(v)
-				return err, !errors.Is(err, ErrAborted)
-			})
-		},
-		func(_ int) (uint64, error) {
-			type res struct {
-				v   uint64
-				err error
-			}
-			r := core.Retry(nil, func() (res, bool) {
-				v, err := q.TryDequeue()
-				return res{v, err}, !errors.Is(err, ErrAborted)
-			})
-			return r.v, r.err
-		},
-	)
-}
-
-func TestCombiningPooledQueueConserves(t *testing.T) {
-	producers, consumers, perProducer := 4, 4, stressN(2500)
-	q := NewCombiningPooled(32, producers+consumers)
-	qconserved(t, producers, consumers, perProducer, q.Enqueue, q.Dequeue)
-}
-
 func TestMichaelScottPooledLen(t *testing.T) {
 	q := NewMichaelScottPooled(1)
 	for i := uint64(0); i < 5; i++ {
@@ -182,18 +131,9 @@ func BenchmarkMichaelScottPooledSolo(b *testing.B) {
 	}
 }
 
-func BenchmarkAbortableBoxedQueueSolo(b *testing.B) {
+func BenchmarkAbortableQueueSolo(b *testing.B) {
 	b.ReportAllocs()
 	q := NewAbortable[uint64](16)
-	for i := 0; i < b.N; i++ {
-		_ = q.TryEnqueue(uint64(i))
-		_, _ = q.TryDequeue()
-	}
-}
-
-func BenchmarkAbortablePooledQueueSolo(b *testing.B) {
-	b.ReportAllocs()
-	q := NewAbortablePooled(16)
 	for i := 0; i < b.N; i++ {
 		_ = q.TryEnqueue(uint64(i))
 		_, _ = q.TryDequeue()

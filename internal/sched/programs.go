@@ -263,7 +263,8 @@ func (a pooledMSAdapter) TryDequeue(pid int) (uint64, error) { return a.q.Dequeu
 type QueueBackend int
 
 const (
-	// BoxedQueue is the abortable ring queue on boxed value registers.
+	// BoxedQueue is the generic abortable ring queue, its values in
+	// place in the ring's cells (the name predates that layout).
 	BoxedQueue QueueBackend = iota
 	// PackedQueue is the abortable ring queue on bit-packed registers.
 	PackedQueue
@@ -286,8 +287,8 @@ func (b QueueBackend) String() string {
 	}
 }
 
-// WeakQueueBuilder is WeakStackBuilder's FIFO sibling over the boxed
-// abortable bounded queue.
+// WeakQueueBuilder is WeakStackBuilder's FIFO sibling over the
+// generic abortable bounded queue.
 func WeakQueueBuilder(k int, initial []uint64, plans [][]QueueOp) Builder {
 	return weakQueueBuilder(BoxedQueue, k, initial, plans, nil)
 }

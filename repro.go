@@ -254,12 +254,6 @@ func NewCombiningPooledStack(k, n int) *CombiningStack[uint64] {
 	return stack.NewCombiningPooled(k, n)
 }
 
-// NewCombiningPooledQueue is NewCombiningPooledStack's FIFO sibling
-// over the in-place ring backend.
-func NewCombiningPooledQueue(k, n int) *CombiningQueue[uint64] {
-	return queue.NewCombiningPooled(k, n)
-}
-
 // Deque is the contention-sensitive, starvation-free double-ended
 // queue built over the Herlihy-Luchangco-Moir obstruction-free array
 // deque (the paper's reference [8]). Values are uint32; the array is

@@ -240,7 +240,7 @@ func TestPublicPooledStackAndQueue(t *testing.T) {
 func TestPublicCombiningPooled(t *testing.T) {
 	const procs = 2
 	s := repro.NewCombiningPooledStack(8, procs)
-	q := repro.NewCombiningPooledQueue(8, procs)
+	q := repro.NewCombiningQueue[uint64](8, procs) // the ring queue is allocation-free at any T
 	for i := uint64(1); i <= 5; i++ {
 		if err := s.Push(0, i); err != nil {
 			t.Fatal(err)
