@@ -94,6 +94,15 @@ func TestMichaelScottPooledForcedReuseABA(t *testing.T) {
 	}
 }
 
+// The uint64 combining queue is the allocation-free ("pooled") rung of the
+// ladder: its ring keeps values in place. A 32-cell ring under four
+// producers and four consumers wraps many times, so every cell is reused.
+func TestCombiningPooledQueueConserves(t *testing.T) {
+	producers, consumers, perProducer := 4, 4, stressN(2500)
+	q := NewCombining[uint64](32, producers+consumers)
+	qconserved(t, producers, consumers, perProducer, q.Enqueue, q.Dequeue)
+}
+
 func TestMichaelScottPooledLen(t *testing.T) {
 	q := NewMichaelScottPooled(1)
 	for i := uint64(0); i < 5; i++ {
