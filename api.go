@@ -4,7 +4,6 @@ import (
 	"repro/internal/adaptive"
 	"repro/internal/cmanager"
 	"repro/internal/core"
-	"repro/internal/queue"
 	"repro/internal/set"
 )
 
@@ -12,7 +11,7 @@ import (
 // capability-typed operation interface per object kind, the
 // functional options every catalog constructor understands, and the
 // thin adapters that close the gaps between backends (pid-less
-// baselines, Try*-shaped weak objects, error-less pooled methods).
+// Figure 2 objects, Try*-shaped weak objects).
 // See catalog.go for the descriptors and the options constructors.
 
 // StackAPI is the one stack contract every backend in the catalog
@@ -115,12 +114,12 @@ func WithShards(s int) Option { return func(o *options) { o.shards = s } }
 func WithWidth(w int) Option { return func(o *options) { o.width = w } }
 
 // WithPooled redirects a constructor to the named backend's pooled
-// sibling (stack treiber → treiber-pooled, combining →
-// combining-pooled): the same object contract over recycled,
-// sequence-tagged nodes with 0 steady-state allocs/op. Backends that
-// already run at 0 allocs/op — the pooled entries and the in-place
-// ring queues — are unchanged; any other backend without a pooled
-// sibling reports an error.
+// sibling (stack combining → combining-pooled): the same object
+// contract over recycled, sequence-tagged nodes with 0 steady-state
+// allocs/op. Backends that already run at 0 allocs/op — the pooled
+// entries (treiber, michael-scott-pooled) and the in-place ring
+// queues — are unchanged; any other backend without a pooled sibling
+// reports an error.
 func WithPooled() Option { return func(o *options) { o.pooled = true } }
 
 // WithAdaptive redirects a constructor to the kind's contention-
@@ -202,8 +201,8 @@ func Unwrap(x any) any {
 	}
 }
 
-// pidlessStack adapts a pid-oblivious strong stack (the Treiber,
-// elimination, and Figure 2 baselines) to StackAPI.
+// pidlessStack adapts a pid-oblivious strong stack (the Figure 2
+// retry construction) to StackAPI.
 type pidlessStack[T any, S interface {
 	Push(T) error
 	Pop() (T, error)
@@ -273,14 +272,6 @@ func liftWeakQueue[T any, Q interface {
 }](q Q) QueueAPI[T] {
 	return weakQueue[T, Q]{q}
 }
-
-// msPooledQueue adapts the pooled Michael-Scott queue, whose
-// unbounded Enqueue cannot fail and returns no error.
-type msPooledQueue struct{ q *queue.MichaelScottPooled }
-
-func (a msPooledQueue) Enqueue(pid int, v uint64) error { a.q.Enqueue(pid, v); return nil }
-func (a msPooledQueue) Dequeue(pid int) (uint64, error) { return a.q.Dequeue(pid) }
-func (a msPooledQueue) Unwrap() any                     { return a.q }
 
 // pidlessDeque adapts the pid-oblivious retrying deque.
 type pidlessDeque[D interface {

@@ -176,9 +176,9 @@ func BenchmarkE5Throughput(b *testing.B) {
 			return s.Push, s.Pop
 		}},
 		{"treiber", func() (func(int, uint64) error, func(int) (uint64, error)) {
-			s := stack.NewTreiber[uint64]()
-			return func(_ int, v uint64) error { return s.Push(v) },
-				func(_ int) (uint64, error) { return s.Pop() }
+			s := stack.NewTreiber[uint64](maxProcs)
+			return func(pid int, v uint64) error { return s.Push(pid%maxProcs, v) },
+				func(pid int) (uint64, error) { return s.Pop(pid % maxProcs) }
 		}},
 		{"non-blocking", func() (func(int, uint64) error, func(int) (uint64, error)) {
 			s := stack.NewNonBlocking[uint64](k)
@@ -276,9 +276,9 @@ func BenchmarkE9Queue(b *testing.B) {
 			return q.Enqueue, q.Dequeue
 		}},
 		{"michael-scott", func() (func(int, uint64) error, func(int) (uint64, error)) {
-			q := queue.NewMichaelScott[uint64]()
-			return func(_ int, v uint64) error { q.Enqueue(v); return nil },
-				func(_ int) (uint64, error) { return q.Dequeue() }
+			q := queue.NewMichaelScott[uint64](maxProcs)
+			return func(pid int, v uint64) error { return q.Enqueue(pid%maxProcs, v) },
+				func(pid int) (uint64, error) { return q.Dequeue(pid % maxProcs) }
 		}},
 		{"non-blocking", func() (func(int, uint64) error, func(int) (uint64, error)) {
 			q := queue.NewNonBlocking[uint64](k)
@@ -451,36 +451,28 @@ func BenchmarkPublicAPI(b *testing.B) {
 // boxed hot paths allocate per operation, the pooled ones must report
 // 0 allocs/op (the -benchmem column is the acceptance bar).
 func BenchmarkE17AllocFree(b *testing.B) {
-	b.Run("treiber-boxed", func(b *testing.B) {
+	b.Run("treiber", func(b *testing.B) {
 		b.ReportAllocs()
-		s := stack.NewTreiber[uint64]()
-		for i := 0; i < b.N; i++ {
-			_ = s.Push(uint64(i))
-			_, _ = s.Pop()
-		}
-	})
-	b.Run("treiber-pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		s := stack.NewTreiberPooled(1)
+		s := stack.NewTreiber[uint64](1)
 		for i := 0; i < b.N; i++ {
 			_ = s.Push(0, uint64(i))
 			_, _ = s.Pop(0)
 		}
 	})
-	b.Run("michael-scott-boxed", func(b *testing.B) {
+	b.Run("michael-scott", func(b *testing.B) {
 		b.ReportAllocs()
-		q := queue.NewMichaelScott[uint64]()
+		q := queue.NewMichaelScott[uint64](1)
 		for i := 0; i < b.N; i++ {
-			q.Enqueue(uint64(i))
-			_, _ = q.Dequeue()
+			_ = q.Enqueue(0, uint64(i))
+			_, _ = q.Dequeue(0)
 		}
 	})
-	b.Run("michael-scott-pooled", func(b *testing.B) {
+	b.Run("abortable-boxed", func(b *testing.B) {
 		b.ReportAllocs()
-		q := queue.NewMichaelScottPooled(1)
+		s := stack.NewAbortable[uint64](16)
 		for i := 0; i < b.N; i++ {
-			q.Enqueue(0, uint64(i))
-			_, _ = q.Dequeue(0)
+			_ = s.TryPush(uint64(i))
+			_, _ = s.TryPop()
 		}
 	})
 	b.Run("abortable-pooled", func(b *testing.B) {

@@ -35,7 +35,6 @@ const (
 	nameStackTreiber       = "stack/treiber"
 	nameStackElimination   = "stack/elimination"
 	nameStackCombining     = "stack/combining"
-	nameStackTreiberPooled = "stack/treiber-pooled"
 	nameStackCombiningPool = "stack/combining-pooled"
 	nameQueueSensitive     = "queue/sensitive"
 	nameQueueAbortable     = "queue/abortable"
@@ -381,43 +380,45 @@ func stackCatalog() []Backend {
 		},
 		{
 			Name: nameStackTreiber, Kind: KindStack,
-			Constructor: "NewTreiberStack[T]()",
+			Constructor: "NewTreiberStack[T](n)",
 			Object:      "unbounded stack",
-			Tier:        "baseline", Progress: "lock-free", Domain: "generic", Allocation: "boxed",
-			Experiments: []string{"E5", "E11", "E17", "E20", "E21", "E22"},
+			Tier:        "baseline", Progress: "lock-free", Domain: "generic", Allocation: "pooled, 0 allocs/op",
+			Experiments: []string{"E5", "E8", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Stack: func(opts ...Option) StackAPI[uint64] {
-				return liftStack[uint64](stack.NewTreiber[uint64]())
+				o := applyOptions(opts)
+				return stack.NewTreiber[uint64](o.procs)
 			},
 			Direct: func(opts ...Option) Ops {
-				s := stack.NewTreiber[uint64]()
-				return Ops{N: 2, Do: func(_, op int, v uint64) (uint64, error) {
+				o := applyOptions(opts)
+				s := stack.NewTreiber[uint64](o.procs)
+				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
 					if op == 0 {
-						return 0, s.Push(v)
+						return 0, s.Push(pid, v)
 					}
-					return s.Pop()
+					return s.Pop(pid)
 				}}
 			},
 		},
 		{
 			Name: nameStackElimination, Kind: KindStack,
-			Constructor: "NewEliminationStack[T](width)",
+			Constructor: "NewEliminationStack[T](width, n)",
 			Object:      "unbounded stack + exchanger",
-			Tier:        "baseline", Progress: "lock-free", Domain: "generic", Allocation: "boxed",
+			Tier:        "baseline", Progress: "lock-free", Domain: "generic", Allocation: "recycled nodes, boxed offers",
 			Experiments: []string{"E5", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Stack: func(opts ...Option) StackAPI[uint64] {
 				o := applyOptions(opts)
-				return liftStack[uint64](stack.NewElimination[uint64](o.width))
+				return stack.NewElimination[uint64](o.width, o.procs)
 			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
-				s := stack.NewElimination[uint64](o.width)
-				return Ops{N: 2, Do: func(_, op int, v uint64) (uint64, error) {
+				s := stack.NewElimination[uint64](o.width, o.procs)
+				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
 					if op == 0 {
-						return 0, s.Push(v)
+						return 0, s.Push(pid, v)
 					}
-					return s.Pop()
+					return s.Pop(pid)
 				}}
 			},
 		},
@@ -436,28 +437,6 @@ func stackCatalog() []Backend {
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := stack.NewCombining[uint64](o.capacity, o.procs)
-				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
-					if op == 0 {
-						return 0, s.Push(pid, v)
-					}
-					return s.Pop(pid)
-				}}
-			},
-		},
-		{
-			Name: nameStackTreiberPooled, Kind: KindStack,
-			Constructor: "NewPooledStack(n)",
-			Object:      "unbounded Treiber stack",
-			Tier:        "allocation", Progress: "lock-free", Domain: "uint64", Allocation: "pooled, 0 allocs/op",
-			Experiments: []string{"E5", "E8", "E11", "E17", "E20", "E21", "E22"},
-			Robustness:  "survivor-safe",
-			Stack: func(opts ...Option) StackAPI[uint64] {
-				o := applyOptions(opts)
-				return stack.NewTreiberPooled(o.procs)
-			},
-			Direct: func(opts ...Option) Ops {
-				o := applyOptions(opts)
-				s := stack.NewTreiberPooled(o.procs)
 				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
 					if op == 0 {
 						return 0, s.Push(pid, v)
@@ -638,22 +617,21 @@ func queueCatalog() []Backend {
 		},
 		{
 			Name: nameQueueMSPooled, Kind: KindQueue,
-			Constructor: "NewPooledQueue(n)",
+			Constructor: "NewPooledQueue[T](n)",
 			Object:      "unbounded Michael-Scott queue",
-			Tier:        "allocation", Progress: "lock-free", Domain: "uint64", Allocation: "pooled, 0 allocs/op",
+			Tier:        "allocation", Progress: "lock-free", Domain: "generic", Allocation: "pooled, 0 allocs/op",
 			Experiments: []string{"E8", "E9", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Queue: func(opts ...Option) QueueAPI[uint64] {
 				o := applyOptions(opts)
-				return msPooledQueue{queue.NewMichaelScottPooled(o.procs)}
+				return queue.NewMichaelScott[uint64](o.procs)
 			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
-				q := queue.NewMichaelScottPooled(o.procs)
+				q := queue.NewMichaelScott[uint64](o.procs)
 				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
 					if op == 0 {
-						q.Enqueue(pid, v)
-						return 0, nil
+						return 0, q.Enqueue(pid, v)
 					}
 					return q.Dequeue(pid)
 				}}
@@ -988,9 +966,9 @@ func genericStack[T any](name string, o options) (StackAPI[T], bool) {
 	case nameStackNonBlocking:
 		return liftStack[T](stack.NewNonBlocking[T](o.capacity)), true
 	case nameStackTreiber:
-		return liftStack[T](stack.NewTreiber[T]()), true
+		return stack.NewTreiber[T](o.procs), true
 	case nameStackElimination:
-		return liftStack[T](stack.NewElimination[T](o.width)), true
+		return stack.NewElimination[T](o.width, o.procs), true
 	case nameStackCombining:
 		return stack.NewCombining[T](o.capacity, o.procs), true
 	case nameStackAdaptive:
@@ -1012,6 +990,8 @@ func genericQueue[T any](name string, o options) (QueueAPI[T], bool) {
 		return queue.NewCombining[T](o.capacity, o.procs), true
 	case nameQueueSharded:
 		return queue.NewSharded[T](o.capacity, o.procs, o.shards), true
+	case nameQueueMSPooled:
+		return queue.NewMichaelScott[T](o.procs), true
 	case nameQueueAdaptive:
 		return adaptive.NewQueue[T](o.capacity, o.procs, o.shards, o.thr()), true
 	}
@@ -1020,8 +1000,8 @@ func genericQueue[T any](name string, o options) (QueueAPI[T], bool) {
 
 // NewStackBackend builds the named stack backend from the catalog
 // behind the uniform StackAPI contract. Generic-domain backends
-// instantiate at any T; the pooled tiers carry uint64 elements and
-// are available exactly when T is uint64. Options: WithCapacity,
+// instantiate at any T; the pooled Figure 1 tier (combining-pooled)
+// carries uint64 elements and is available exactly when T is uint64. Options: WithCapacity,
 // WithProcs, WithWidth, WithPooled.
 //
 //	s, err := repro.NewStackBackend[string]("sensitive",

@@ -125,13 +125,6 @@ func allocBackends(procs int) []allocBackend {
 			return retryPop(func() (uint64, error) { v, err := pk.TryPop(); return uint64(v), err })
 		},
 	})
-	ms := queue.NewMichaelScott[uint64]()
-	out = append(out, allocBackend{
-		name: "queue/michael-scott(boxed)",
-		push: func(_ int, v uint64) error { ms.Enqueue(v); return nil },
-		pop:  func(_ int) (uint64, error) { return ms.Dequeue() },
-	})
-
 	return out
 }
 

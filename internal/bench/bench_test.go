@@ -122,7 +122,7 @@ func TestE4Fairness(t *testing.T) {
 
 func TestE5Throughput(t *testing.T) {
 	out := runQuick(t, "E5")
-	for _, impl := range []string{"lock(mutex)", "stack/treiber", "stack/non-blocking", "stack/sensitive", "stack/treiber-pooled"} {
+	for _, impl := range []string{"lock(mutex)", "stack/treiber", "stack/non-blocking", "stack/sensitive", "stack/elimination"} {
 		if !strings.Contains(out, impl) {
 			t.Fatalf("E5 missing %s:\n%s", impl, out)
 		}
@@ -179,8 +179,8 @@ func TestE11Linearizability(t *testing.T) {
 		t.Fatalf("E11 found a violation:\n%s", out)
 	}
 	for _, impl := range []string{
-		"stack/abortable", "stack/elimination", "queue/michael-scott",
-		"stack/treiber-pooled", "stack/abortable-pooled",
+		"stack/abortable", "stack/elimination", "stack/treiber",
+		"stack/abortable-pooled",
 		"queue/michael-scott-pooled", "queue/abortable",
 		"queue/sharded[K=1]", "queue/combining",
 		"set/harris", "set/hashset",
@@ -330,7 +330,7 @@ func TestE19SplitOrderedHash(t *testing.T) {
 func TestE17AllocationFreeHotPaths(t *testing.T) {
 	out := runQuick(t, "E17")
 	for _, row := range []string{
-		"stack/treiber", "stack/treiber-pooled",
+		"stack/treiber", "stack/abortable",
 		"queue/michael-scott-pooled", "stack/abortable-pooled",
 		"stack/combining-pooled", "queue/abortable", "queue/combining", "stack/packed",
 		"forced reuse",
@@ -405,7 +405,7 @@ func TestE24SoakSuite(t *testing.T) {
 	// Every default soak backend, the schema columns slogate's soak
 	// gates parse, and the invariant verdict must appear.
 	for _, row := range []string{
-		"queue/combining", "stack/treiber-pooled", "set/adaptive",
+		"queue/combining", "stack/treiber", "set/adaptive",
 		"faults", "recovered", "stalls", "heap-bytes", "pool-allocs", "audit",
 		"soak invariants hold",
 	} {
@@ -422,7 +422,7 @@ func TestE20UnifiedDispatch(t *testing.T) {
 	out := runQuick(t, "E20")
 	// One row per catalog backend, across all four kinds.
 	for _, row := range []string{
-		"stack/sensitive", "stack/treiber-pooled", "queue/sharded",
+		"stack/sensitive", "stack/treiber", "queue/sharded",
 		"deque/sensitive", "set/hashset", "overhead",
 	} {
 		if !strings.Contains(out, row) {

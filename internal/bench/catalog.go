@@ -104,9 +104,8 @@ func lockStackImpls() []hammerImpl {
 	}
 }
 
-// lockQueueImpls returns E9's lock-based and boxed Michael-Scott
-// references (the boxed MS queue is internal-only; the catalog
-// exports its pooled retrofit).
+// lockQueueImpls returns E9's lock-based reference (the Michael-Scott
+// queue is a catalog row).
 func lockQueueImpls() []hammerImpl {
 	return []hammerImpl{
 		{
@@ -114,14 +113,6 @@ func lockQueueImpls() []hammerImpl {
 			build: func(k, procs int) (func(int, uint64) error, func(int) (uint64, error)) {
 				q := queue.NewLockBased[uint64](k)
 				return q.Enqueue, q.Dequeue
-			},
-		},
-		{
-			name: "michael-scott(boxed)",
-			build: func(k, procs int) (func(int, uint64) error, func(int) (uint64, error)) {
-				q := queue.NewMichaelScott[uint64]()
-				return func(_ int, v uint64) error { q.Enqueue(v); return nil },
-					func(_ int) (uint64, error) { return q.Dequeue() }
 			},
 		},
 	}

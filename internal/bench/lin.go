@@ -125,16 +125,6 @@ func internalLinTargets() []LinTarget {
 				return uint64(got), err
 			}, queue.ErrFull, queue.ErrEmpty, queue.ErrAborted
 		}},
-		{"queue/michael-scott", "queue", 0, func(procs int) (func(int, bool, uint64) (uint64, error), error, error, error) {
-			q := queue.NewMichaelScott[uint64]()
-			return func(_ int, enq bool, v uint64) (uint64, error) {
-				if enq {
-					q.Enqueue(v)
-					return 0, nil
-				}
-				return q.Dequeue()
-			}, queue.ErrFull, queue.ErrEmpty, nil
-		}},
 	}
 }
 

@@ -138,10 +138,9 @@ func TestPackedStackWeakOpsLinearizable(t *testing.T) {
 func TestTreiberStackLinearizable(t *testing.T) {
 	const procs = 4
 	for seed := int64(400); seed < 408; seed++ {
-		s := stack.NewTreiber[uint64]()
+		s := stack.NewTreiber[uint64](procs)
 		h := recordStackRounds(t, procs, 30, 4, seed,
-			func(_ int, v uint64) error { return s.Push(v) },
-			func(_ int) (uint64, error) { return s.Pop() },
+			s.Push, s.Pop,
 			stack.ErrFull, stack.ErrEmpty, nil)
 		checkStackHistory(t, "treiber", 0, h)
 	}
@@ -253,10 +252,9 @@ func TestSensitiveQueueLinearizable(t *testing.T) {
 func TestMichaelScottLinearizable(t *testing.T) {
 	const procs = 4
 	for seed := int64(800); seed < 808; seed++ {
-		q := queue.NewMichaelScott[uint64]()
+		q := queue.NewMichaelScott[uint64](procs)
 		h := recordQueueRounds(t, procs, 30, 4, seed,
-			func(_ int, v uint64) error { q.Enqueue(v); return nil },
-			func(_ int) (uint64, error) { return q.Dequeue() },
+			q.Enqueue, q.Dequeue,
 			queue.ErrFull, queue.ErrEmpty, nil)
 		checkQueueHistory(t, "michael-scott", 0, h)
 	}

@@ -28,7 +28,14 @@ import (
 //     word of a successful CAS, or a freshly Got handle that was never
 //     published). Records are NOT zeroed on reuse — per-node state
 //     such as an accumulated next-tag must survive recycling (see
-//     queue.MichaelScottPooled).
+//     queue.MichaelScott).
+//   - A record field that a stale reader may load (one whose CAS is
+//     about to fail, racing the recycler) must be atomic. A payload
+//     touched only by the record's owner — written before the CAS that
+//     publishes the record, read after the CAS that unlinks it — may
+//     be any T (stack.Treiber and queue.MichaelScott keep values so);
+//     the owner clears it before Put, so the pool keeps nothing
+//     reachable.
 type Pool[T any] struct {
 	blocks atomic.Pointer[[]*poolBlock[T]]
 	init   func(*T)

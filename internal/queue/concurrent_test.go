@@ -129,11 +129,8 @@ func TestLockBasedQueueConserves(t *testing.T) {
 }
 
 func TestMichaelScottConserves(t *testing.T) {
-	q := NewMichaelScott[uint64]()
-	qconserved(t, 4, 4, stressN(3000),
-		func(_ int, v uint64) error { q.Enqueue(v); return nil },
-		func(_ int) (uint64, error) { return q.Dequeue() },
-	)
+	q := NewMichaelScott[uint64](8)
+	qconserved(t, 4, 4, stressN(3000), q.Enqueue, q.Dequeue)
 }
 
 func TestAbortableSingleSlotQueueConcurrent(t *testing.T) {

@@ -27,5 +27,6 @@
 // On top of the weak queue the package assembles the same tower as the
 // stack package: NonBlocking (Figure 2), Sensitive (Figure 3),
 // LockBased (the traditional baseline) and MichaelScott (the classic
-// unbounded lock-free comparator).
+// unbounded lock-free comparator, over pooled nodes recycled under the
+// §2.2 tags at any element type).
 package queue

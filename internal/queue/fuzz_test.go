@@ -57,34 +57,6 @@ func FuzzPackedQueueVsSpec(f *testing.F) {
 	})
 }
 
-func FuzzMichaelScottVsSpec(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		q := NewMichaelScott[uint32]()
-		ref := spec.NewQueue[uint32](1 << 20) // effectively unbounded
-		for i := 0; i+1 < len(data); i += 2 {
-			if data[i]%2 == 0 {
-				v := uint32(data[i+1])
-				q.Enqueue(v)
-				ref.Enqueue(v)
-			} else {
-				v, err := q.Dequeue()
-				want, ok := ref.Dequeue()
-				if ok {
-					if err != nil || v != want {
-						t.Fatalf("op %d: deq = (%d, %v), spec has %d", i, v, err, want)
-					}
-				} else if !errors.Is(err, ErrEmpty) {
-					t.Fatalf("op %d: deq = (%d, %v), spec reports empty", i, v, err)
-				}
-			}
-		}
-		if q.Len() != ref.Len() {
-			t.Fatalf("final length %d, spec %d", q.Len(), ref.Len())
-		}
-	})
-}
-
 func FuzzCombiningQueueVsSpec(f *testing.F) {
 	// Drive the contended entry points: a solo run of Enqueue/Dequeue
 	// never leaves the fast path (covered by
@@ -126,26 +98,25 @@ func FuzzAbortableStringQueueVsSpec(f *testing.F) {
 	})
 }
 
-func FuzzMichaelScottPooledVsSpec(f *testing.F) {
-	// Solo cross-check of the recycled-node queue against the spec: the
-	// single-pid pool maximizes same-address reuse (every retired dummy
-	// comes straight back on the next enqueue), so any tag mistake in
-	// the counted-pointer protocol corrupts the FIFO order here.
+func FuzzMichaelScottVsSpec(f *testing.F) {
+	// Solo cross-check of the Michael-Scott queue at a pointer-free T,
+	// next to the string-valued FuzzMichaelScottPooledVsSpec below.
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
-	f.Add([]byte{0, 1, 1, 0, 0, 2, 1, 0, 0, 3, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q := NewMichaelScottPooled(1)
+		q := NewMichaelScott[uint32](1)
 		ref := spec.NewQueue[uint32](1 << 20) // effectively unbounded
 		for i := 0; i+1 < len(data); i += 2 {
 			if data[i]%2 == 0 {
 				v := uint32(data[i+1])
-				q.Enqueue(0, uint64(v))
+				if err := q.Enqueue(0, v); err != nil {
+					t.Fatalf("op %d: enq(%d) = %v", i, v, err)
+				}
 				ref.Enqueue(v)
 			} else {
 				v, err := q.Dequeue(0)
 				want, ok := ref.Dequeue()
 				if ok {
-					if err != nil || uint32(v) != want {
+					if err != nil || v != want {
 						t.Fatalf("op %d: deq = (%d, %v), spec has %d", i, v, err, want)
 					}
 				} else if !errors.Is(err, ErrEmpty) {
@@ -155,6 +126,42 @@ func FuzzMichaelScottPooledVsSpec(f *testing.F) {
 		}
 		if q.Len() != ref.Len() {
 			t.Fatalf("final length %d, spec %d", q.Len(), ref.Len())
+		}
+	})
+}
+
+func FuzzMichaelScottPooledVsSpec(f *testing.F) {
+	// Solo cross-check of the recycled-node queue against the spec at a
+	// pointer-carrying T: the single-pid pool maximizes same-address
+	// reuse (every retired dummy comes straight back on the next
+	// enqueue), so any tag mistake in the counted-pointer protocol
+	// corrupts the FIFO order here, and a value read or cleared out of
+	// turn shows up as a wrong string.
+	f.Add([]byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
+	f.Add([]byte{0, 1, 1, 0, 0, 2, 1, 0, 0, 3, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const k = 1 << 20 // effectively unbounded
+		q := NewMichaelScott[string](1)
+		enqueued := 0
+		interpretQueueOps(t, data, k,
+			func(v uint32) error {
+				enqueued++
+				return q.Enqueue(0, strconv.FormatUint(uint64(v), 10))
+			},
+			func() (uint32, error) {
+				s, err := q.Dequeue(0)
+				if err != nil {
+					return 0, err
+				}
+				enqueued--
+				v, perr := strconv.ParseUint(s, 10, 32)
+				if perr != nil {
+					t.Fatalf("dequeued %q: %v", s, perr)
+				}
+				return uint32(v), nil
+			})
+		if q.Len() != enqueued {
+			t.Fatalf("final length %d, want %d", q.Len(), enqueued)
 		}
 	})
 }

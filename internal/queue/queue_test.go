@@ -184,17 +184,17 @@ func TestAbortablePropertyRoundTrip(t *testing.T) {
 }
 
 func TestMichaelScottFIFOSolo(t *testing.T) {
-	q := NewMichaelScott[int]()
+	q := NewMichaelScott[int](1)
 	for i := 1; i <= 100; i++ {
-		q.Enqueue(i)
+		_ = q.Enqueue(0, i)
 	}
 	for want := 1; want <= 100; want++ {
-		v, err := q.Dequeue()
+		v, err := q.Dequeue(0)
 		if err != nil || v != want {
 			t.Fatalf("Dequeue = (%d, %v), want (%d, nil)", v, err, want)
 		}
 	}
-	if _, err := q.Dequeue(); !errors.Is(err, ErrEmpty) {
+	if _, err := q.Dequeue(0); !errors.Is(err, ErrEmpty) {
 		t.Fatal("expected ErrEmpty")
 	}
 	if q.Len() != 0 {
@@ -269,7 +269,7 @@ func TestQueueProgressLabels(t *testing.T) {
 	if NewSensitive[int](1, 2).Progress() != core.StarvationFree {
 		t.Error("Sensitive label")
 	}
-	if NewMichaelScott[int]().Progress() != core.NonBlocking {
+	if NewMichaelScott[int](1).Progress() != core.NonBlocking {
 		t.Error("MichaelScott label")
 	}
 	if NewLockBased[int](1).Progress() != core.StarvationFree {

@@ -156,7 +156,7 @@ func newWeakStack(backend StackBackend, k, procs int, obs memory.Observer) weakS
 	case NaiveABA:
 		return pidlessStack{stack.NewNaiveObserved[uint64](k, obs)}
 	case PooledTreiber:
-		return stack.NewTreiberPooledObserved(max(procs, 1), obs)
+		return stack.NewTreiberObserved[uint64](max(procs, 1), obs)
 	case PooledAbortable:
 		return stack.NewAbortablePooledObserved(k, max(procs, 1), obs)
 	default:
@@ -254,9 +254,9 @@ func (a packedQueueAdapter) TryDequeue() (uint64, error) {
 // pooledMSAdapter fits the pooled Michael-Scott queue to the weakQueue
 // shape. Its operations are strong (they retry internally and never
 // abort), so the "weak" enqueue always returns nil.
-type pooledMSAdapter struct{ q *queue.MichaelScottPooled }
+type pooledMSAdapter struct{ q *queue.MichaelScott[uint64] }
 
-func (a pooledMSAdapter) TryEnqueue(pid int, v uint64) error { a.q.Enqueue(pid, v); return nil }
+func (a pooledMSAdapter) TryEnqueue(pid int, v uint64) error { return a.q.Enqueue(pid, v) }
 func (a pooledMSAdapter) TryDequeue(pid int) (uint64, error) { return a.q.Dequeue(pid) }
 
 // QueueBackend selects the implementation a queue Builder checks.
@@ -313,7 +313,7 @@ func weakQueueBuilder(backend QueueBackend, k int, initial []uint64, plans [][]Q
 		case PackedQueue:
 			q = pidlessQueue{packedQueueAdapter{queue.NewPackedObserved(k, obs)}}
 		case PooledMSQueue:
-			q = pooledMSAdapter{queue.NewMichaelScottPooledObserved(max(len(plans), 1), obs)}
+			q = pooledMSAdapter{queue.NewMichaelScottObserved[uint64](max(len(plans), 1), obs)}
 		default:
 			panic("sched: unknown queue backend")
 		}
@@ -530,7 +530,7 @@ func PooledTreiberABASchedule() (Builder, []int) {
 		},
 		false,
 		func(s weakStack) error {
-			st := s.(*stack.TreiberPooled).PoolStats()
+			st := s.(*stack.Treiber[uint64]).PoolStats()
 			if st.Reuses < 2 {
 				return fmt.Errorf("schedule recycled %d nodes, want >= 2 (no reuse pressure)", st.Reuses)
 			}

@@ -90,7 +90,7 @@ func DefaultFaultPlan() []FaultSpec {
 // meta-backend (forced morphs land on a real ladder) — the coverage
 // the E24 strict gate requires.
 func DefaultBackends() []string {
-	return []string{"queue/combining", "stack/treiber-pooled", "set/adaptive"}
+	return []string{"queue/combining", "stack/treiber", "set/adaptive"}
 }
 
 // Config tunes one soak run over one backend. The zero value is

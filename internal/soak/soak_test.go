@@ -99,9 +99,9 @@ func TestSoakDefaultBackends(t *testing.T) {
 // TestSoakPooledBackendTracksPool checks the leak audit actually
 // scrapes PoolStats on a pooled backend instead of reporting -1.
 func TestSoakPooledBackendTracksPool(t *testing.T) {
-	b, ok := catalogByName(t)["stack/treiber-pooled"]
+	b, ok := catalogByName(t)["stack/treiber"]
 	if !ok {
-		t.Skip("stack/treiber-pooled not in catalog")
+		t.Skip("stack/treiber not in catalog")
 	}
 	cfg := shortCfg()
 	cfg.Duration, cfg.Window = 600*time.Millisecond, 200*time.Millisecond
@@ -158,9 +158,9 @@ func TestSoakGracefulStop(t *testing.T) {
 // adaptive ladder and checks the plan degrades instead of vanishing:
 // the full fault count still lands and recovers.
 func TestSoakFaultDegradation(t *testing.T) {
-	b, ok := catalogByName(t)["stack/treiber-pooled"]
+	b, ok := catalogByName(t)["stack/treiber"]
 	if !ok {
-		t.Skip("stack/treiber-pooled not in catalog")
+		t.Skip("stack/treiber not in catalog")
 	}
 	drv := repro.Drive(b, repro.WithProcs(2))
 	if drv.Abandon != nil || drv.ArmCrash != nil {

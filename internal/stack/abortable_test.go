@@ -437,7 +437,7 @@ func TestProgressLabels(t *testing.T) {
 	if NewSensitive[int](1, 2).Progress() != core.StarvationFree {
 		t.Error("Sensitive progress label")
 	}
-	if NewTreiber[int]().Progress() != core.NonBlocking {
+	if NewTreiber[int](1).Progress() != core.NonBlocking {
 		t.Error("Treiber progress label")
 	}
 	if NewLockBased[int](1).Progress() != core.StarvationFree {

@@ -27,38 +27,33 @@ type combRes[T any] struct {
 // batch under a single combiner-lock acquisition, instead of every
 // process taking the slow-path lock in turn. See internal/combine.
 type Combining[T any] struct {
-	// tryPush/tryPop are the weak backend's single attempts, taking the
-	// pid of the executing process (the caller on the fast path, the
-	// combiner when serving the publication list) so pooled backends
-	// can recycle through per-pid free lists.
-	tryPush  func(pid int, v T) error
-	tryPop   func(pid int) (T, error)
-	length   func() int // nil when the backend exposes no Len
-	snapshot func() []T // nil when the backend exposes no Snapshot
-	core     *combine.Core[combOp[T], combRes[T]]
+	// weak makes the single attempts, taking the pid of the executing
+	// process (the caller on the fast path, the combiner when serving
+	// the publication list) so pooled backends can recycle through
+	// per-pid free lists.
+	weak PidWeak[T]
+	core *combine.Core[combOp[T], combRes[T]]
 }
+
+// pidless adapts the Figure 1 stack to pid-taking attempts (the pid
+// is ignored).
+type pidless[T any] struct{ s *Abortable[T] }
+
+func (a pidless[T]) TryPush(_ int, v T) error { return a.s.TryPush(v) }
+func (a pidless[T]) TryPop(int) (T, error)    { return a.s.TryPop() }
+func (a pidless[T]) Len() int                 { return a.s.Len() }
+func (a pidless[T]) Snapshot() []T            { return a.s.Snapshot() }
 
 // NewCombining returns a flat-combining stack of capacity k for n
 // processes (pids in [0, n)) over the paper's Figure 1 weak stack.
 func NewCombining[T any](k, n int) *Combining[T] {
-	return NewCombiningFrom[T](NewAbortable[T](k), n)
+	return newCombining[T](pidless[T]{NewAbortable[T](k)}, n, nil)
 }
 
 // NewCombiningFrom builds the flat-combining construction over any
-// weak stack for n processes.
-func NewCombiningFrom[T any](weak Weak[T], n int) *Combining[T] {
-	s := &Combining[T]{
-		tryPush: func(_ int, v T) error { return weak.TryPush(v) },
-		tryPop:  func(_ int) (T, error) { return weak.TryPop() },
-	}
-	if w, ok := weak.(interface{ Len() int }); ok {
-		s.length = w.Len
-	}
-	if w, ok := weak.(interface{ Snapshot() []T }); ok {
-		s.snapshot = w.Snapshot
-	}
-	s.core = combine.NewCore[combOp[T], combRes[T]](n, s.attempt)
-	return s
+// pid-taking weak stack for n processes.
+func NewCombiningFrom[T any](weak PidWeak[T], n int) *Combining[T] {
+	return newCombining(weak, n, nil)
 }
 
 // NewCombiningPooled returns a flat-combining stack of capacity k for
@@ -66,15 +61,7 @@ func NewCombiningFrom[T any](weak Weak[T], n int) *Combining[T] {
 // path — fast-path attempt, published request, combiner service — runs
 // allocation-free (experiment E17).
 func NewCombiningPooled(k, n int) *Combining[uint64] {
-	weak := NewAbortablePooled(k, n)
-	s := &Combining[uint64]{
-		tryPush:  weak.TryPush,
-		tryPop:   weak.TryPop,
-		length:   weak.Len,
-		snapshot: weak.Snapshot,
-	}
-	s.core = combine.NewCore[combOp[uint64], combRes[uint64]](n, s.attempt)
-	return s
+	return NewCombiningFrom[uint64](NewAbortablePooled(k, n), n)
 }
 
 // NewCombiningObserved returns a flat-combining stack of capacity k
@@ -83,14 +70,15 @@ func NewCombiningPooled(k, n int) *Combining[uint64] {
 // internal/sched's controller the whole contended path — publication,
 // combining, crash, takeover — becomes deterministically schedulable.
 func NewCombiningObserved(k, n int, obs memory.Observer) *Combining[uint64] {
-	weak := NewAbortableObserved[uint64](k, obs)
-	s := &Combining[uint64]{
-		tryPush:  func(_ int, v uint64) error { return weak.TryPush(v) },
-		tryPop:   func(_ int) (uint64, error) { return weak.TryPop() },
-		length:   weak.Len,
-		snapshot: weak.Snapshot,
-	}
-	s.core = combine.NewCoreObserved[combOp[uint64], combRes[uint64]](n, s.attempt, obs)
+	return newCombining[uint64](pidless[uint64]{NewAbortableObserved[uint64](k, obs)}, n, obs)
+}
+
+// newCombining is the one constructor: the construction over weak for
+// n processes, with the combining core observed by obs (nil disables
+// instrumentation).
+func newCombining[T any](weak PidWeak[T], n int, obs memory.Observer) *Combining[T] {
+	s := &Combining[T]{weak: weak}
+	s.core = combine.NewCoreObserved[combOp[T], combRes[T]](n, s.attempt, obs)
 	return s
 }
 
@@ -98,10 +86,10 @@ func NewCombiningObserved(k, n int, obs memory.Observer) *Combining[uint64] {
 // attempt by pid, ok=false iff it aborted.
 func (s *Combining[T]) attempt(pid int, op combOp[T]) (combRes[T], bool) {
 	if op.push {
-		err := s.tryPush(pid, op.v)
+		err := s.weak.TryPush(pid, op.v)
 		return combRes[T]{err: err}, err != ErrAborted
 	}
-	v, err := s.tryPop(pid)
+	v, err := s.weak.TryPop(pid)
 	return combRes[T]{v: v, err: err}, err != ErrAborted
 }
 
@@ -134,8 +122,8 @@ func (s *Combining[T]) PopContended(pid int) (T, error) {
 // Len returns the weak backend's length when it exposes one
 // (quiescent states only), -1 otherwise.
 func (s *Combining[T]) Len() int {
-	if s.length != nil {
-		return s.length()
+	if w, ok := s.weak.(interface{ Len() int }); ok {
+		return w.Len()
 	}
 	return -1
 }
@@ -145,8 +133,8 @@ func (s *Combining[T]) Len() int {
 // adaptive tier calls it on a quiesced source to rebuild the migration
 // target.
 func (s *Combining[T]) Snapshot() []T {
-	if s.snapshot != nil {
-		return s.snapshot()
+	if w, ok := s.weak.(interface{ Snapshot() []T }); ok {
+		return w.Snapshot()
 	}
 	return nil
 }

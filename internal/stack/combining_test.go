@@ -50,10 +50,11 @@ func TestCombiningConserves(t *testing.T) {
 }
 
 func TestCombiningOverTreiber(t *testing.T) {
-	// Like Figure 3, the combining construction composes with any weak
-	// stack — here the unbounded Treiber stack.
+	// The combining construction composes with any pid-taking weak
+	// stack — here the unbounded pooled Treiber stack, whose attempts
+	// recycle through the executing process's free list.
 	procs, perProc := 6, stressN(2000)
-	s := NewCombiningFrom[uint64](NewTreiber[uint64](), procs)
+	s := NewCombiningFrom[uint64](NewTreiber[uint64](procs), procs)
 	conserved(t, procs, perProc,
 		s.Push,
 		s.Pop,

@@ -194,14 +194,14 @@ func TestNonBlockingPackedConserves(t *testing.T) {
 
 func TestTreiberConserves(t *testing.T) {
 	procs, perProc := 8, stressN(3000)
-	s := NewTreiber[uint64]()
+	s := NewTreiber[uint64](procs)
 	conserved(t, procs, perProc,
-		func(_ int, v uint64) error { return s.Push(v) },
-		func(_ int) (uint64, error) { return s.Pop() },
+		s.Push,
+		s.Pop,
 		func() []uint64 {
 			var out []uint64
 			for {
-				v, err := s.Pop()
+				v, err := s.Pop(0)
 				if err != nil {
 					return out
 				}
@@ -246,27 +246,6 @@ func TestSensitiveFastPathDominatesWhenSolo(t *testing.T) {
 	if st.Slow != 0 {
 		t.Fatalf("solo run took the slow path %d times", st.Slow)
 	}
-}
-
-func TestTreiberUnderSensitiveConstruction(t *testing.T) {
-	// Treiber exposes the weak interface, so Figure 3 composes with it
-	// — an unbounded contention-sensitive stack.
-	procs, perProc := 6, stressN(2000)
-	s := NewSensitiveFrom[uint64](NewTreiber[uint64](), lock.NewRoundRobin(lock.NewTTAS(), procs))
-	conserved(t, procs, perProc,
-		s.Push,
-		s.Pop,
-		func() []uint64 {
-			var out []uint64
-			for {
-				v, err := s.Pop(0)
-				if err != nil {
-					return out
-				}
-				out = append(out, v)
-			}
-		},
-	)
 }
 
 func TestNonBlockingCountedReportsAborts(t *testing.T) {

@@ -18,7 +18,9 @@
 //   - LockBased[T] — the traditional fully lock-based implementation
 //     (§1.1) over any lock.
 //   - Treiber[T] — the classic unbounded lock-free linked stack, the
-//     standard non-blocking comparator.
+//     standard non-blocking comparator, over pooled nodes recycled
+//     under the §2.2 tags at any T; Elimination[T] adds an
+//     elimination-backoff array on top of it.
 //   - Naive[T] — a deliberately ABA-broken CAS stack (§2.2's cautionary
 //     tale) used only by experiment E8 and the model checker.
 //

@@ -26,7 +26,9 @@ type elimOffer[T any] struct {
 // It extends the paper's theme: where Figure 3 diverts conflicting
 // operations to a lock, elimination diverts *complementary* ones to
 // each other; the two compose (an eliminated pair never reaches the
-// weak object). The implementation stays lock-free.
+// weak object). The implementation stays lock-free. The inner stack
+// recycles its nodes through per-pid pools, so operations take the
+// calling pid; only a parked offer is boxed.
 type Elimination[T any] struct {
 	inner  *Treiber[T]
 	slots  []*memory.Ref[elimOffer[T]]
@@ -37,14 +39,15 @@ type Elimination[T any] struct {
 	popEliminated  atomic.Uint64
 }
 
-// NewElimination returns an elimination stack with `width` exchange
-// slots (0 means 4) and the default park time.
-func NewElimination[T any](width int) *Elimination[T] {
+// NewElimination returns an elimination stack for procs processes
+// (pids in [0, procs)) with `width` exchange slots (0 means 4) and the
+// default park time.
+func NewElimination[T any](width, procs int) *Elimination[T] {
 	if width <= 0 {
 		width = 4
 	}
 	s := &Elimination[T]{
-		inner: NewTreiber[T](),
+		inner: NewTreiber[T](procs),
 		slots: make([]*memory.Ref[elimOffer[T]], width),
 		spins: 128,
 	}
@@ -97,10 +100,11 @@ func (s *Elimination[T]) tryEliminatePop() (T, bool) {
 	return zero, false
 }
 
-// Push pushes v; it always succeeds (unbounded) and is lock-free.
-func (s *Elimination[T]) Push(v T) error {
+// Push pushes v on behalf of pid; it always succeeds (unbounded) and
+// is lock-free.
+func (s *Elimination[T]) Push(pid int, v T) error {
 	return core.Retry(nil, func() (error, bool) {
-		if err := s.inner.TryPush(v); err != ErrAborted {
+		if err := s.inner.TryPush(pid, v); err != ErrAborted {
 			return err, true
 		}
 		if s.tryEliminatePush(v) {
@@ -110,14 +114,15 @@ func (s *Elimination[T]) Push(v T) error {
 	})
 }
 
-// Pop pops the top value or returns ErrEmpty; lock-free.
-func (s *Elimination[T]) Pop() (T, error) {
+// Pop pops the top value on behalf of pid or returns ErrEmpty;
+// lock-free.
+func (s *Elimination[T]) Pop(pid int) (T, error) {
 	type res struct {
 		v   T
 		err error
 	}
 	r := core.Retry(nil, func() (res, bool) {
-		if v, err := s.inner.TryPop(); err != ErrAborted {
+		if v, err := s.inner.TryPop(pid); err != ErrAborted {
 			return res{v, err}, true
 		}
 		if v, ok := s.tryEliminatePop(); ok {
@@ -149,3 +154,5 @@ func (s *Elimination[T]) Len() int { return s.inner.Len() }
 // Progress reports NonBlocking (elimination adds only bounded work to
 // the lock-free retry loop).
 func (s *Elimination[T]) Progress() core.Progress { return core.NonBlocking }
+
+var _ Strong[int] = (*Elimination[int])(nil)

@@ -9,19 +9,19 @@ import (
 )
 
 func TestEliminationSequentialLIFO(t *testing.T) {
-	s := NewElimination[int](0)
+	s := NewElimination[int](0, 1)
 	for i := 1; i <= 100; i++ {
-		if err := s.Push(i); err != nil {
+		if err := s.Push(0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for want := 100; want >= 1; want-- {
-		v, err := s.Pop()
+		v, err := s.Pop(0)
 		if err != nil || v != want {
 			t.Fatalf("Pop = (%d, %v), want (%d, nil)", v, err, want)
 		}
 	}
-	if _, err := s.Pop(); !errors.Is(err, ErrEmpty) {
+	if _, err := s.Pop(0); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("Pop on empty = %v", err)
 	}
 	if s.Len() != 0 {
@@ -31,14 +31,14 @@ func TestEliminationSequentialLIFO(t *testing.T) {
 
 func TestEliminationConserves(t *testing.T) {
 	procs, perProc := 8, stressN(3000)
-	s := NewElimination[uint64](4)
+	s := NewElimination[uint64](4, procs)
 	conserved(t, procs, perProc,
-		func(_ int, v uint64) error { return s.Push(v) },
-		func(_ int) (uint64, error) { return s.Pop() },
+		s.Push,
+		s.Pop,
 		func() []uint64 {
 			var out []uint64
 			for {
-				v, err := s.Pop()
+				v, err := s.Pop(0)
 				if err != nil {
 					return out
 				}
@@ -52,8 +52,8 @@ func TestEliminationFiresUnderContention(t *testing.T) {
 	// Under a symmetric push/pop storm the elimination array should
 	// actually serve pairs (statistical: assert it fired at all over
 	// a large run on a contended stack).
-	s := NewElimination[uint64](4)
 	const procs, per = 8, 20000
+	s := NewElimination[uint64](4, procs)
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
@@ -61,9 +61,9 @@ func TestEliminationFiresUnderContention(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				if pid%2 == 0 {
-					_ = s.Push(uint64(pid)<<32 | uint64(i))
+					_ = s.Push(pid, uint64(pid)<<32|uint64(i))
 				} else {
-					_, _ = s.Pop()
+					_, _ = s.Pop(pid)
 				}
 			}
 		}(p)
@@ -80,16 +80,16 @@ func TestEliminationFiresUnderContention(t *testing.T) {
 func TestEliminationPairCountsAlwaysMatch(t *testing.T) {
 	// Every eliminated push must pair with exactly one eliminated
 	// pop, under any mix.
-	s := NewElimination[uint64](2)
 	procs, per := 6, stressN(10000)
+	s := NewElimination[uint64](2, procs)
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				_ = s.Push(uint64(pid)<<32 | uint64(i))
-				if _, err := s.Pop(); err != nil && !errors.Is(err, ErrEmpty) {
+				_ = s.Push(pid, uint64(pid)<<32|uint64(i))
+				if _, err := s.Pop(pid); err != nil && !errors.Is(err, ErrEmpty) {
 					t.Errorf("pop: %v", err)
 				}
 			}
@@ -103,20 +103,20 @@ func TestEliminationPairCountsAlwaysMatch(t *testing.T) {
 }
 
 func TestEliminationProgressLabel(t *testing.T) {
-	if NewElimination[int](0).Progress() != core.NonBlocking {
+	if NewElimination[int](0, 1).Progress() != core.NonBlocking {
 		t.Fatal("Elimination progress label")
 	}
 }
 
 func TestEliminationDefaultWidth(t *testing.T) {
-	s := NewElimination[int](0)
+	s := NewElimination[int](0, 1)
 	if len(s.slots) != 4 {
 		t.Fatalf("default width = %d, want 4", len(s.slots))
 	}
-	if err := s.Push(1); err != nil {
+	if err := s.Push(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := s.Pop(); err != nil || v != 1 {
+	if v, err := s.Pop(0); err != nil || v != 1 {
 		t.Fatalf("round-trip = (%d, %v)", v, err)
 	}
 }

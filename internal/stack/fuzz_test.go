@@ -2,6 +2,7 @@ package stack
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 
 	"repro/internal/spec"
@@ -89,16 +90,28 @@ func FuzzCombiningVsSpec(f *testing.F) {
 }
 
 func FuzzTreiberPooledVsSpec(f *testing.F) {
-	// Solo cross-check of the recycled-node stack against the spec: the
-	// single-pid pool is LIFO, so every pop's node returns on the very
-	// next push — maximum same-address reuse pressure on the head tag.
+	// Solo cross-check of the recycled-node stack against the spec at a
+	// pointer-carrying T: the single-pid pool is LIFO, so every pop's
+	// node returns on the very next push — maximum same-address reuse
+	// pressure on the head tag, and a value written, read or cleared
+	// out of turn shows up as a wrong string.
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
 	f.Add([]byte{0, 9, 1, 0, 0, 8, 1, 0, 0, 7, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewTreiberPooled(1)
+		s := NewTreiber[string](1)
 		interpretOps(t, data, 1<<30, // effectively unbounded
-			func(v uint32) error { return s.TryPush(0, uint64(v)) },
-			func() (uint32, error) { v, err := s.TryPop(0); return uint32(v), err })
+			func(v uint32) error { return s.TryPush(0, strconv.FormatUint(uint64(v), 10)) },
+			func() (uint32, error) {
+				str, err := s.TryPop(0)
+				if err != nil {
+					return 0, err
+				}
+				v, perr := strconv.ParseUint(str, 10, 32)
+				if perr != nil {
+					t.Fatalf("popped %q: %v", str, perr)
+				}
+				return uint32(v), nil
+			})
 	})
 }
 

@@ -2,8 +2,11 @@ package stack
 
 import (
 	"errors"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
+	"weak"
 
 	"repro/internal/spec"
 )
@@ -42,7 +45,7 @@ func pooledVsSpec(t *testing.T, k, ops int,
 }
 
 func TestTreiberPooledMatchesSpecSolo(t *testing.T) {
-	s := NewTreiberPooled(1)
+	s := NewTreiber[uint64](1)
 	pooledVsSpec(t, 1<<30, 5000, s.TryPush, s.TryPop)
 	st := s.PoolStats()
 	if st.Reuses == 0 {
@@ -82,7 +85,7 @@ func TestAbortablePooledAgreesWithBoxed(t *testing.T) {
 
 func TestTreiberPooledConserves(t *testing.T) {
 	procs, perProc := 8, stressN(3000)
-	s := NewTreiberPooled(procs)
+	s := NewTreiber[uint64](procs)
 	conserved(t, procs, perProc,
 		s.Push,
 		s.Pop,
@@ -153,7 +156,7 @@ func TestAbortablePooledSnapshotAndLen(t *testing.T) {
 // wrongly successful stale CAS would duplicate or lose a value).
 func TestTreiberPooledForcedReuseABA(t *testing.T) {
 	procs, perProc := 4, stressN(5000)
-	s := NewTreiberPooled(procs)
+	s := NewTreiber[uint64](procs)
 	var wg sync.WaitGroup
 	popped := make([][]uint64, procs)
 	for p := 0; p < procs; p++ {
@@ -199,18 +202,104 @@ func TestTreiberPooledForcedReuseABA(t *testing.T) {
 	}
 }
 
-func BenchmarkTreiberBoxedSolo(b *testing.B) {
-	b.ReportAllocs()
-	s := NewTreiber[uint64]()
-	for i := 0; i < b.N; i++ {
-		_ = s.Push(uint64(i))
-		_, _ = s.Pop()
+// record is a multi-word value with a pointer-carrying field: a value
+// torn by a concurrent writer shows up as fields that disagree.
+type record struct {
+	a, b, c uint64
+	s       string
+}
+
+func makeRecord(v uint64) record { return record{v, ^v, v * 7, strconv.FormatUint(v, 16)} }
+
+// key returns the value the record was made from, reporting a torn
+// record.
+func (r record) key(t *testing.T) uint64 {
+	if r.b != ^r.a || r.c != r.a*7 || r.s != strconv.FormatUint(r.a, 16) {
+		t.Errorf("torn record %+v", r)
+	}
+	return r.a
+}
+
+// TestTreiberConservesRecords runs the conservation workload at a
+// multi-word T. Values are plain fields owned by whoever holds the
+// node: under -race a value read or written outside that window —
+// before the head CAS that hands the node over — is a data race.
+func TestTreiberConservesRecords(t *testing.T) {
+	procs, perProc := 4, max(stressN(20000), 5000)
+	s := NewTreiber[record](procs)
+	pop := func(pid int) (uint64, error) {
+		r, err := s.Pop(pid)
+		if err != nil {
+			return 0, err
+		}
+		return r.key(t), nil
+	}
+	conserved(t, procs, perProc,
+		func(pid int, v uint64) error { return s.Push(pid, makeRecord(v)) },
+		pop,
+		func() []uint64 {
+			var out []uint64
+			for {
+				v, err := pop(0)
+				if err != nil {
+					return out
+				}
+				out = append(out, v)
+			}
+		},
+	)
+}
+
+// pushFresh pushes a freshly allocated record and returns only a weak
+// pointer to it, so no strong reference outlives the call except the
+// stack's own.
+//
+//go:noinline
+func pushFresh(t *testing.T, s *Treiber[*[64]byte]) weak.Pointer[[64]byte] {
+	p := new([64]byte)
+	if err := s.Push(0, p); err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(p)
+}
+
+// TestTreiberPopReleasesValue checks that a recycled node does not
+// retain what it handed out: once popped (and dropped by the caller),
+// a value must be collectable even though its node waits in the pool.
+func TestTreiberPopReleasesValue(t *testing.T) {
+	s := NewTreiber[*[64]byte](1)
+	kept := pushFresh(t, s)
+	popped := pushFresh(t, s)
+	if p, err := s.Pop(0); err != nil || p != popped.Value() {
+		t.Fatalf("pop = (%p, %v), want the top record", p, err)
+	}
+	runtime.GC()
+	if popped.Value() != nil {
+		t.Fatal("a popped value is still reachable from the pool")
+	}
+	if kept.Value() == nil {
+		t.Fatal("a stacked value was collected")
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestTreiberSoloAllocFree pins a solo push+pop at 0 allocations.
+func TestTreiberSoloAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := NewTreiber[uint64](1)
+	if n := testing.AllocsPerRun(1000, func() {
+		_ = s.Push(0, 7)
+		_, _ = s.Pop(0)
+	}); n != 0 {
+		t.Errorf("solo push+pop = %v allocs, want 0", n)
 	}
 }
 
-func BenchmarkTreiberPooledSolo(b *testing.B) {
+func BenchmarkTreiberSolo(b *testing.B) {
 	b.ReportAllocs()
-	s := NewTreiberPooled(1)
+	s := NewTreiber[uint64](1)
 	for i := 0; i < b.N; i++ {
 		_ = s.Push(0, uint64(i))
 		_, _ = s.Pop(0)

@@ -34,3 +34,11 @@ type Weak[T any] interface {
 	TryPush(v T) error
 	TryPop() (T, error)
 }
+
+// PidWeak is Weak for backends whose attempts take the calling
+// process identity: the pooled stacks recycle nodes through per-pid
+// free lists.
+type PidWeak[T any] interface {
+	TryPush(pid int, v T) error
+	TryPop(pid int) (T, error)
+}

@@ -25,10 +25,10 @@
 //   - ShardedQueue — pid-striping over K flat-combining sub-queues
 //     with owner-first, steal-on-empty dequeue; per-shard FIFO,
 //     relaxed global order, maximal parallelism.
-//   - PooledStack / PooledQueue — the allocation tier: Treiber and
-//     Michael-Scott over recycled pooled nodes with §2.2 sequence
-//     tags, 0 steady-state allocs/op (experiment E17; see DESIGN.md's
-//     memory-reclamation section).
+//   - TreiberStack / PooledQueue — the unbounded lock-free baselines:
+//     Treiber and Michael-Scott over recycled pooled nodes with §2.2
+//     sequence tags, 0 steady-state allocs/op at any T (experiment
+//     E17; see DESIGN.md's memory-reclamation section).
 //   - Set / AbortableSet / NonBlockingSet / LockFreeSet /
 //     CombiningSet — the set tier: a sorted list-based set carried
 //     through the same ladder, opening the read-mostly membership
@@ -99,7 +99,11 @@ type AbortableStack[T any] = stack.Abortable[T]
 // NewNonBlockingStack.
 type NonBlockingStack[T any] = stack.NonBlocking[T]
 
-// TreiberStack is the classic unbounded lock-free stack baseline.
+// TreiberStack is the classic unbounded lock-free stack baseline,
+// over recycled pooled nodes: zero steady-state allocations per
+// operation, with the §2.2 sequence tags (CASed together with the node
+// handle) making the recycling ABA-safe. Operations take the calling
+// pid. Use NewTreiberStack.
 type TreiberStack[T any] = stack.Treiber[T]
 
 // Queue is the contention-sensitive, starvation-free bounded FIFO
@@ -162,18 +166,19 @@ func NewAbortableStack[T any](k int) *AbortableStack[T] { return stack.NewAborta
 // NewNonBlockingStack returns the Figure 2 stack of capacity k.
 func NewNonBlockingStack[T any](k int) *NonBlockingStack[T] { return stack.NewNonBlocking[T](k) }
 
-// NewTreiberStack returns an empty unbounded lock-free stack.
-func NewTreiberStack[T any]() *TreiberStack[T] { return stack.NewTreiber[T]() }
+// NewTreiberStack returns an empty unbounded lock-free stack for n
+// processes (pids in [0, n)).
+func NewTreiberStack[T any](n int) *TreiberStack[T] { return stack.NewTreiber[T](n) }
 
 // EliminationStack is an unbounded lock-free stack with an
 // elimination-backoff array: concurrent push/pop pairs can serve each
 // other without touching the stack (see internal/stack).
 type EliminationStack[T any] = stack.Elimination[T]
 
-// NewEliminationStack returns an elimination stack with `width`
-// exchange slots (0 for the default).
-func NewEliminationStack[T any](width int) *EliminationStack[T] {
-	return stack.NewElimination[T](width)
+// NewEliminationStack returns an elimination stack for n processes
+// (pids in [0, n)) with `width` exchange slots (0 for the default).
+func NewEliminationStack[T any](width, n int) *EliminationStack[T] {
+	return stack.NewElimination[T](width, n)
 }
 
 // NewQueue returns a contention-sensitive, starvation-free FIFO queue
@@ -222,29 +227,18 @@ func NewShardedQueue[T any](k, n, shards int) *ShardedQueue[T] {
 	return queue.NewSharded[T](k, n, shards)
 }
 
-// PooledStack is the unbounded lock-free Treiber stack over recycled
-// pooled nodes: zero steady-state allocations per operation, with the
-// §2.2 sequence tags (CASed together with the node handle) making the
-// recycling ABA-safe. Values are uint64; operations take the calling
-// pid. Use NewPooledStack.
-type PooledStack = stack.TreiberPooled
-
 // PooledQueue is the unbounded lock-free Michael-Scott queue over
 // recycled pooled nodes (the original paper's free-list discipline,
-// counted pointers included). Values are uint64; operations take the
-// calling pid. Use NewPooledQueue.
-type PooledQueue = queue.MichaelScottPooled
+// counted pointers included). Operations take the calling pid. Use
+// NewPooledQueue.
+type PooledQueue[T any] = queue.MichaelScott[T]
 
 // PoolStats is a snapshot of a pooled structure's recycling counters.
 type PoolStats = memory.PoolStats
 
-// NewPooledStack returns an empty pooled Treiber stack for n processes
-// (pids in [0, n)).
-func NewPooledStack(n int) *PooledStack { return stack.NewTreiberPooled(n) }
-
 // NewPooledQueue returns an empty pooled Michael-Scott queue for n
 // processes (pids in [0, n)).
-func NewPooledQueue(n int) *PooledQueue { return queue.NewMichaelScottPooled(n) }
+func NewPooledQueue[T any](n int) *PooledQueue[T] { return queue.NewMichaelScott[T](n) }
 
 // NewCombiningPooledStack returns a flat-combining stack of capacity k
 // for n processes whose entire strong path — fast path, publication,

@@ -116,10 +116,10 @@ func TestPublicGuardComposition(t *testing.T) {
 	// Build a contention-sensitive counter from scratch with Guard/Do:
 	// the README's "any abortable object" claim.
 	g := repro.NewGuard(repro.NewStarvationFreeLock(repro.NewTASLock(), 4))
-	reg := repro.NewTreiberStack[int]()
+	reg := repro.NewTreiberStack[int](4)
 	for pid := 0; pid < 4; pid++ {
 		repro.Do(g, pid, func() (int, bool) {
-			err := reg.TryPush(pid)
+			err := reg.TryPush(pid, pid)
 			return 0, err == nil
 		})
 	}
@@ -200,13 +200,15 @@ func TestTicketLockPublic(t *testing.T) {
 
 func TestPublicPooledStackAndQueue(t *testing.T) {
 	const procs = 4
-	s := repro.NewPooledStack(procs)
-	q := repro.NewPooledQueue(procs)
+	s := repro.NewTreiberStack[uint64](procs)
+	q := repro.NewPooledQueue[uint64](procs)
 	for i := uint64(0); i < 100; i++ {
 		if err := s.Push(int(i)%procs, i); err != nil {
 			t.Fatal(err)
 		}
-		q.Enqueue(int(i)%procs, i)
+		if err := q.Enqueue(int(i)%procs, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := uint64(0); i < 100; i++ {
 		if v, err := s.Pop(0); err != nil || v != 99-i {
@@ -227,13 +229,58 @@ func TestPublicPooledStackAndQueue(t *testing.T) {
 	if err := s.Push(0, 7); err != nil {
 		t.Fatal(err)
 	}
-	q.Enqueue(0, 7)
+	if err := q.Enqueue(0, 7); err != nil {
+		t.Fatal(err)
+	}
 	var st repro.PoolStats = s.PoolStats()
 	if st.Reuses == 0 || q.PoolStats().Reuses == 0 {
 		t.Fatalf("no recycling observed: stack %+v, queue %+v", st, q.PoolStats())
 	}
 	if st.Drops != 0 {
 		t.Fatalf("stack pool dropped handles: %+v", st)
+	}
+}
+
+// TestPooledBackendsAtString round-trips the pooled Treiber stack and
+// Michael-Scott queue at a pointer-carrying T through the options
+// constructors: the pooled tier is generic.
+func TestPooledBackendsAtString(t *testing.T) {
+	s, err := repro.NewStackBackend[string]("treiber", repro.WithPooled(), repro.WithProcs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := repro.NewQueueBackend[string]("michael-scott-pooled", repro.WithProcs(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []string{"a", "bb", "ccc"}
+	for i, v := range in {
+		if err := s.Push(i%2, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Enqueue(i%2, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range in {
+		if v, err := s.Pop(1); err != nil || v != in[len(in)-1-i] {
+			t.Fatalf("stack pop %d = (%q, %v)", i, v, err)
+		}
+		if v, err := q.Dequeue(0); err != nil || v != in[i] {
+			t.Fatalf("queue dequeue %d = (%q, %v)", i, v, err)
+		}
+	}
+	if _, err := s.Pop(0); !errors.Is(err, repro.ErrStackEmpty) {
+		t.Fatalf("pop on empty = %v", err)
+	}
+	if _, err := q.Dequeue(1); !errors.Is(err, repro.ErrQueueEmpty) {
+		t.Fatalf("dequeue on empty = %v", err)
+	}
+	if _, ok := repro.Unwrap(s).(*repro.TreiberStack[string]); !ok {
+		t.Fatalf("stack backend = %T", repro.Unwrap(s))
+	}
+	if _, ok := repro.Unwrap(q).(*repro.PooledQueue[string]); !ok {
+		t.Fatalf("queue backend = %T", repro.Unwrap(q))
 	}
 }
 
@@ -430,23 +477,22 @@ func TestLegacyAndCatalogPathsAgree(t *testing.T) {
 		}
 	}
 
-	// Queue, uint64 pooled domain: NewPooledQueue vs WithPooled redirect.
-	lq := repro.NewPooledQueue(2)
-	cq, err := repro.NewQueueBackend[uint64]("michael-scott-pooled", repro.WithProcs(2))
+	// Queue, pooled generic domain: NewPooledQueue vs the catalog name.
+	lq := repro.NewPooledQueue[string](2)
+	cq, err := repro.NewQueueBackend[string]("michael-scott-pooled", repro.WithProcs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := uint64(1); i <= 3; i++ {
-		lq.Enqueue(0, i)
-		if err := cq.Enqueue(0, i); err != nil {
-			t.Fatal(err)
+	for _, v := range []string{"a", "b", "c"} {
+		if e1, e2 := lq.Enqueue(0, v), cq.Enqueue(0, v); e1 != nil || e2 != nil {
+			t.Fatalf("enqueue %q: legacy %v, catalog %v", v, e1, e2)
 		}
 	}
 	for i := 0; i < 4; i++ {
 		v1, e1 := lq.Dequeue(1)
 		v2, e2 := cq.Dequeue(1)
 		if v1 != v2 || (e1 == nil) != (e2 == nil) {
-			t.Fatalf("dequeue %d: legacy (%d, %v), catalog (%d, %v)", i, v1, e1, v2, e2)
+			t.Fatalf("dequeue %d: legacy (%q, %v), catalog (%q, %v)", i, v1, e1, v2, e2)
 		}
 	}
 
@@ -487,7 +533,7 @@ func TestBackendConstructorErrors(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "stack/treiber") {
 		t.Fatalf("unknown-backend error does not list the catalog: %v", err)
 	}
-	if _, err := repro.NewStackBackend[string]("treiber-pooled"); err == nil {
+	if _, err := repro.NewStackBackend[string]("combining-pooled"); err == nil {
 		t.Fatal("uint64-only backend instantiated at string")
 	}
 	if _, err := repro.NewStackBackend[uint64]("elimination", repro.WithPooled()); err == nil {
@@ -823,7 +869,7 @@ func TestUnwrapForwardingMultiHop(t *testing.T) {
 	}{
 		{"stack treiber pooled", func() (any, error) {
 			return repro.NewStackBackend[uint64]("treiber", repro.WithPooled(), repro.WithProcs(2))
-		}, "*stack.TreiberPooled"},
+		}, "*stack.Treiber[uint64]"},
 		{"stack combining pooled", func() (any, error) {
 			return repro.NewStackBackend[uint64]("combining", repro.WithPooled(), repro.WithProcs(2))
 		}, "*stack.Combining[uint64]"},
