@@ -57,10 +57,11 @@ type Set struct {
 	n     int
 	t     Thresholds
 
-	// m paces the cow rung's retries; budget > 0 sheds a fully aborted
-	// update after budget attempts, like set.NonBlocking.
-	m      core.Manager
-	budget int
+	// Retrier paces the cow rung's retries and, with a budget, sheds a
+	// fully aborted update, like set.NonBlocking. Its Progress,
+	// NonBlocking, is the ladder's: the cow rung's retry loop is the
+	// weakest link (the list-engine rungs are lock-free).
+	core.Retrier
 
 	// ops feeds decision windows and the active-pid signal; adds/rems
 	// maintain the approximate size; cowAborts is the cow rung's
@@ -108,16 +109,6 @@ func NewSetObserved(n int, t Thresholds, obs memory.Observer) *Set {
 	s.enterNS.Store(time.Now().UnixNano())
 	return s
 }
-
-// SetRetryPolicy replaces the cow rung's contention manager and sets
-// an attempt budget (0 = unbounded); with a budget, a fully aborted
-// update sheds with no effect and reports false, like set.NonBlocking.
-// Call at quiescence.
-func (s *Set) SetRetryPolicy(m core.Manager, budget int) { s.m, s.budget = m, budget }
-
-// RetryPolicy reports the current contention manager and attempt
-// budget (tests and diagnostics).
-func (s *Set) RetryPolicy() (core.Manager, int) { return s.m, s.budget }
 
 // Add inserts k; it reports whether k was newly inserted.
 func (s *Set) Add(pid int, k uint64) bool { return s.update(pid, k, true) }
@@ -191,12 +182,9 @@ func (s *Set) tryCowOnce(pid int, k uint64, add bool, cw *set.Abortable, attempt
 	if err == set.ErrAborted {
 		s.cowAborts[pid].v.Add(1)
 		*attempts++
-		if s.budget > 0 && *attempts >= s.budget {
+		if s.Abort(*attempts) {
 			// Budget spent: shed with no effect, like set.NonBlocking.
 			return true, false
-		}
-		if s.m != nil {
-			s.m.OnAbort(*attempts)
 		}
 	}
 	return false, false
@@ -277,8 +265,8 @@ func (s *Set) buildRung(pid, rung int, snap []uint64) any {
 // finish closes one completed update: reset the retry manager, feed
 // the size and window counters, maybe adapt.
 func (s *Set) finish(pid int, add, changed bool, attempts int) {
-	if attempts > 0 && s.m != nil {
-		s.m.OnSuccess()
+	if attempts > 0 {
+		s.Succeed()
 	}
 	if changed {
 		if add {
@@ -327,7 +315,8 @@ func (s *Set) maybeAdapt(pid int) {
 		}
 	}
 	lvl := 0
-	if a, ok := s.m.(*cmanager.Adaptive); ok {
+	m, _ := s.RetryPolicy()
+	if a, ok := m.(*cmanager.Adaptive); ok {
 		lvl = a.Level()
 	}
 	var up, down bool
@@ -478,9 +467,5 @@ func (s *Set) Snapshot() []uint64 {
 		return c.(*set.Hash).Snapshot()
 	}
 }
-
-// Progress reports NonBlocking: the cow rung's retry loop is the
-// weakest link of the ladder (the list-engine rungs are lock-free).
-func (s *Set) Progress() core.Progress { return core.NonBlocking }
 
 var _ set.Strong = (*Set)(nil)

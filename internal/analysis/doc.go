@@ -24,7 +24,7 @@
 //   - retryloop: naked unbounded `for { ...CAS... }` retry spins
 //     outside the allowlisted engines (internal/core, internal/memory,
 //     the internal/set list engine) must route through core.Retry /
-//     core.RetryBudget so WithRetryPolicy pacing and ErrExhausted
+//     core.RetryOp so WithRetryPolicy pacing and ErrExhausted
 //     graceful degradation stay universal.
 //   - benchregistry: experiment registrations in internal/bench are
 //     checked statically — literal contiguous ids, no duplicates, Gate

@@ -8,8 +8,8 @@ import (
 // RetryLoop keeps Figure 2's unbounded retry construction in one
 // place: outside the allowlisted engines, a naked `for {}` whose body
 // retries a weak attempt (a CAS, or a Try* operation) must be written
-// as core.Retry / core.RetryBudget / core.RetryDeadline over a try
-// closure. That is what makes WithRetryPolicy pacing and ErrExhausted
+// as core.Retry or core.RetryOp (under a core.Retrier's manager and
+// budget) over a try closure. That is what makes WithRetryPolicy pacing and ErrExhausted
 // graceful degradation (PR 7) universal properties of the catalog
 // instead of per-backend accidents: a hand-rolled spin can neither be
 // paced by a contention manager nor shed under a budget.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/lock"
 	"repro/internal/memory"
@@ -129,33 +128,60 @@ func TestGuardResetStats(t *testing.T) {
 	}
 }
 
+// errBot is the ⊥ of the error-shaped weak operations below.
+var errBot = errors.New("core: test attempt aborted")
+
+// tryAdd is the counter's weak operation in the objects' (value, error)
+// shape, as the Figure 2/3 shells hand it to RetryOp/DoOp.
+func (c *weakCounter) tryAdd(delta uint64) func() (uint64, error) {
+	return func() (uint64, error) {
+		if v, ok := c.TryOp(delta); ok {
+			return v, nil
+		}
+		return 0, errBot
+	}
+}
+
 func TestSensitiveDo(t *testing.T) {
-	s := NewSensitive[uint64, uint64](newWeakCounter(), lock.IgnorePid(lock.NewTicket()))
-	if got := s.Do(0, 5); got != 5 {
-		t.Fatalf("Do(0,5) = %d, want 5", got)
+	s := NewGuarded(lock.IgnorePid(lock.NewTicket()), nil)
+	c := newWeakCounter()
+	if got, err := DoOp(s.Guard(), 0, errBot, c.tryAdd(5)); got != 5 || err != nil {
+		t.Fatalf("DoOp(0,5) = (%d, %v), want (5, nil)", got, err)
 	}
-	if got := s.Do(1, 7); got != 12 {
-		t.Fatalf("Do(1,7) = %d, want 12", got)
-	}
-	if s.Progress() != StarvationFree {
-		t.Fatal("Sensitive does not advertise starvation-freedom")
+	if got, _ := DoOp(s.Guard(), 1, errBot, c.tryAdd(7)); got != 12 {
+		t.Fatalf("DoOp(1,7) = %d, want 12", got)
 	}
 	if s.Guard().Stats().Fast != 2 {
-		t.Fatal("guard stats not visible through Sensitive")
+		t.Fatal("guard stats not visible through Guarded")
+	}
+	// Figure 3 is only as live as its slow-path lock: starvation-free
+	// over a starvation-free lock, merely non-blocking over raw TAS.
+	for _, c := range []struct {
+		name string
+		lk   lock.PidLock
+		want Progress
+	}{
+		{"ticket", lock.IgnorePid(lock.NewTicket()), StarvationFree},
+		{"RR(TAS)", lock.NewRoundRobin(lock.NewTAS(), 2), StarvationFree},
+		{"raw TAS", lock.IgnorePid(lock.NewTAS()), NonBlocking},
+	} {
+		if got := NewGuarded(c.lk, nil).Progress(); got != c.want {
+			t.Errorf("%s: Progress = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
 func TestSensitiveConcurrent(t *testing.T) {
 	const procs, iters = 6, 4000
 	c := newWeakCounter()
-	s := NewSensitive[uint64, uint64](c, lock.NewRoundRobin(lock.NewTTAS(), procs))
+	s := NewGuarded(lock.NewRoundRobin(lock.NewTTAS(), procs), nil)
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
 		go func(pid int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				s.Do(pid, 1)
+				DoOp(s.Guard(), pid, errBot, c.tryAdd(1))
 			}
 		}(p)
 	}
@@ -213,15 +239,30 @@ func TestRetryCounted(t *testing.T) {
 	}
 }
 
+// alwaysAborts is a weak operation under livelock-grade interference.
+func alwaysAborts(attempts *int) func() (int, error) {
+	return func() (int, error) { *attempts++; return 0, errBot }
+}
+
+// flakyErr is flaky in the (value, error) shape.
+func (f *flaky) tryErr() (int, error) {
+	if v, ok := f.try(); ok {
+		return v, nil
+	}
+	return 0, errBot
+}
+
 func TestRetryBudgetExhausts(t *testing.T) {
 	m := &recordingManager{}
+	r := NewRetrier(nil)
+	r.SetRetryPolicy(m, 3)
 	attempts := 0
-	_, err := RetryBudget[int](m, 3, func() (int, bool) { attempts++; return 0, false })
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted", err)
+	v, aborts, err := RetryOp(&r, errBot, alwaysAborts(&attempts))
+	if !errors.Is(err, ErrExhausted) || v != 0 {
+		t.Fatalf("RetryOp = (%d, %v), want (0, ErrExhausted)", v, err)
 	}
-	if attempts != 3 {
-		t.Fatalf("made %d attempts, want exactly the budget of 3", attempts)
+	if attempts != 3 || aborts != 3 {
+		t.Fatalf("made %d attempts (%d counted aborts), want exactly the budget of 3", attempts, aborts)
 	}
 	// Pacing happens between attempts, not after the budget is spent: a
 	// shed operation must not pay one final backoff on the way out.
@@ -234,54 +275,50 @@ func TestRetryBudgetExhausts(t *testing.T) {
 }
 
 func TestRetryBudgetSucceedsWithinBudget(t *testing.T) {
+	var r Retrier
+	r.SetRetryPolicy(nil, 5)
 	f := &flaky{remaining: 2}
-	got, err := RetryBudget[int](nil, 5, f.try)
-	if err != nil || got != 42 {
-		t.Fatalf("RetryBudget = (%d, %v), want (42, nil)", got, err)
+	got, aborts, err := RetryOp(&r, errBot, f.tryErr)
+	if err != nil || got != 42 || aborts != 2 {
+		t.Fatalf("RetryOp = (%d, %d, %v), want (42, 2, nil)", got, aborts, err)
 	}
 	// Success on exactly the last budgeted attempt still counts.
 	f2 := &flaky{remaining: 4}
-	got, err = RetryBudget[int](nil, 5, f2.try)
+	got, _, err = RetryOp(&r, errBot, f2.tryErr)
 	if err != nil || got != 42 {
-		t.Fatalf("last-attempt RetryBudget = (%d, %v), want (42, nil)", got, err)
+		t.Fatalf("last-attempt RetryOp = (%d, %v), want (42, nil)", got, err)
+	}
+	// An error other than ⊥ is the operation's own result, not an abort.
+	errFull := errors.New("full")
+	if _, aborts, err := RetryOp(&r, errBot, func() (int, error) { return 0, errFull }); err != errFull || aborts != 0 {
+		t.Fatalf("non-⊥ error = (%d aborts, %v), want (0, %v)", aborts, err, errFull)
 	}
 }
 
-func TestRetryBudgetClampsToOneAttempt(t *testing.T) {
-	// A budget below 1 clamps to 1: exactly one weak attempt, the
-	// obstruction-free rung exposed directly.
-	for _, budget := range []int{0, -3, 1} {
-		attempts := 0
-		_, err := RetryBudget[int](nil, budget, func() (int, bool) { attempts++; return 0, false })
-		if attempts != 1 || !errors.Is(err, ErrExhausted) {
-			t.Fatalf("budget %d: %d attempts, err %v; want 1 attempt, ErrExhausted", budget, attempts, err)
-		}
-	}
-}
-
-func TestRetryDeadlineAlwaysAttemptsOnce(t *testing.T) {
-	// Even an already-expired deadline makes one attempt, so a solo
-	// operation (whose first weak attempt must succeed) never sheds.
-	f := &flaky{remaining: 0}
-	got, err := RetryDeadline[int](nil, -time.Second, f.try)
-	if err != nil || got != 42 {
-		t.Fatalf("RetryDeadline = (%d, %v), want (42, nil)", got, err)
-	}
+func TestRetryBudgetOfOneIsOneAttempt(t *testing.T) {
+	// A budget of 1 is exactly one weak attempt: the obstruction-free
+	// rung exposed directly.
+	var r Retrier
+	r.SetRetryPolicy(nil, 1)
 	attempts := 0
-	_, err = RetryDeadline[int](nil, -time.Second, func() (int, bool) { attempts++; return 0, false })
-	if attempts != 1 || !errors.Is(err, ErrExhausted) {
-		t.Fatalf("expired deadline: %d attempts, err %v; want 1 attempt, ErrExhausted", attempts, err)
+	if _, _, err := RetryOp(&r, errBot, alwaysAborts(&attempts)); attempts != 1 || !errors.Is(err, ErrExhausted) {
+		t.Fatalf("%d attempts, err %v; want 1 attempt, ErrExhausted", attempts, err)
 	}
 }
 
-func TestRetryDeadlineExhaustsUnderPersistentFailure(t *testing.T) {
-	start := time.Now()
-	_, err := RetryDeadline[int](nil, 10*time.Millisecond, func() (int, bool) { return 0, false })
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("err = %v, want ErrExhausted", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline overshot wildly: %v", elapsed)
+func TestRetryOpNilBottomIsAnyError(t *testing.T) {
+	// A nil ⊥ treats every non-nil error as an abort, as the set's
+	// shells need for ErrAborted and ErrSealed alike.
+	var r Retrier
+	r.SetRetryPolicy(nil, 4)
+	errs := []error{errBot, errors.New("sealed"), nil}
+	got, aborts, err := RetryOp(&r, nil, func() (int, error) {
+		e := errs[0]
+		errs = errs[1:]
+		return 7, e
+	})
+	if got != 7 || aborts != 2 || err != nil {
+		t.Fatalf("RetryOp = (%d, %d, %v), want (7, 2, nil)", got, aborts, err)
 	}
 }
 

@@ -1,27 +1,25 @@
-// Package core implements the paper's primary contribution in a form
-// reusable for any concurrent object: the contention-sensitive
-// construction of Figure 3, generalized from the stack to an arbitrary
-// abortable ("weak") operation.
-//
-// The building blocks mirror the paper's incremental presentation:
+// Package core writes the paper's two object-agnostic constructions
+// once, for any abortable ("weak") operation; every kind's
+// NonBlocking and Sensitive is a shell over them.
 //
 //   - a weak operation (§3) is a single attempt that either takes
-//     effect and returns a result, or aborts (⊥) with no effect. In Go
-//     that is a func() (R, bool) — the comma-ok idiom plays the role
-//     of ⊥. Solo attempts must never abort (abortable objects are
-//     obstruction-free by construction).
-//   - Retry (Figure 2) upgrades a weak operation to a non-blocking one
-//     by retrying until success, optionally pacing retries with a
-//     contention Manager (§5).
-//   - Guard and Do (Figure 3) upgrade a weak operation to a
-//     starvation-free, contention-sensitive one: a lock-free shortcut
-//     (one CONTENTION read + one weak attempt) serves the
-//     contention-free case in a constant number of shared accesses and
-//     without the lock; the slow path serializes conflicting
-//     operations behind a PidLock — typically lock.RoundRobin over a
-//     deadlock-free lock, which is what makes the whole object
-//     starvation-free (Theorem 1).
+//     effect and returns a result, or aborts (⊥) with no effect. The
+//     objects write it as func() (V, error) with a per-kind ⊥ error
+//     (nil: every error is ⊥); Retry, RetryCounted and Do take the
+//     comma-ok func() (R, bool) instead. Solo attempts must never
+//     abort (abortable objects are obstruction-free by construction).
+//   - Figure 2: RetryOp retries a weak operation until success under
+//     a Retrier — a contention Manager (§5) pacing the retries and an
+//     optional budget that sheds with ErrExhausted. Every NonBlocking
+//     embeds a Retrier.
+//   - Figure 3: DoOp over an object's Guard serves the contention-free
+//     case on a lock-free shortcut — one CONTENTION read plus one weak
+//     attempt, no lock — and serializes conflicting operations behind
+//     a PidLock, typically lock.RoundRobin over a deadlock-free lock,
+//     which makes the object starvation-free (Theorem 1). Every
+//     Sensitive embeds a Guarded.
 //
 // Progress documents the liveness hierarchy the paper walks through
-// (§1.2): obstruction-freedom ⊂ non-blocking ⊂ starvation-freedom.
+// (§1.2): obstruction-freedom ⊂ non-blocking ⊂ starvation-freedom;
+// LockProgress places a lock-using object in it by its lock.
 package core

@@ -65,19 +65,27 @@ func (g *Guard) ResetStats() {
 	g.retries.Store(0)
 }
 
-// Do runs one strong operation according to Figure 3. try is the weak
-// operation (line 02/08's weak_push_or_pop): a single attempt that
-// returns ok=false to report ⊥. pid is the calling process identity,
-// forwarded to the slow-path lock.
+// Do runs one strong operation according to Figure 3 over a comma-ok
+// weak attempt: it is DoOp with ok=false as ⊥. pid is the calling
+// process identity, forwarded to the slow-path lock.
+func Do[R any](g *Guard, pid int, try func() (R, bool)) R {
+	res, _ := DoOp(g, pid, errBottom, commaOK[R](try).attempt)
+	return res
+}
+
+// DoOp runs one strong operation according to Figure 3. try is the
+// weak operation (line 02/08's weak_push_or_pop) in the objects' own
+// (value, error) shape: a single attempt whose error equals bot to
+// report ⊥ (see RetryOp). It returns the first non-⊥ result.
 //
 // Contention-free cost: 1 shared read of CONTENTION plus the accesses
 // of one successful weak attempt — six in total for the paper's stack
 // (Theorem 1) — and no lock.
-func Do[R any](g *Guard, pid int, try func() (R, bool)) R {
+func DoOp[V any](g *Guard, pid int, bot error, try func() (V, error)) (V, error) {
 	if !g.contention.Read() { // line 01
-		if res, ok := try(); ok { // line 02
+		if v, err := try(); !bottom(err, bot) { // line 02
 			g.fast.Add(1)
-			return res
+			return v, err
 		}
 	}
 	// Slow path: lines 04-13. Lines 04-06 and 10-12 (the FLAG/TURN
@@ -87,11 +95,11 @@ func Do[R any](g *Guard, pid int, try func() (R, bool)) R {
 	g.contention.Write(true) // line 07
 	for {                    // line 08
 		g.retries.Add(1)
-		res, ok := try()
-		if ok {
+		v, err := try()
+		if !bottom(err, bot) {
 			g.contention.Write(false) // line 09
 			g.lk.Release(pid)         // lines 10-12
-			return res
+			return v, err
 		}
 		// A failed attempt means some process is concurrently inside
 		// a line-02 shortcut; yield so it can finish (the paper's
@@ -101,39 +109,51 @@ func Do[R any](g *Guard, pid int, try func() (R, bool)) R {
 	}
 }
 
-// Weak is an abortable object operation keyed by an argument: a single
-// attempt of op(arg) that either takes effect (ok=true) or aborts with
-// no effect (ok=false, the paper's ⊥). Implementations must guarantee
-// that a solo attempt never aborts.
-type Weak[A, R any] interface {
-	TryOp(arg A) (res R, ok bool)
+// LockProgress is the progress condition an object inherits from the
+// lock that serializes its contended operations: StarvationFree over
+// a starvation-free lock (lock.RoundRobin, a ticket lock, ...),
+// NonBlocking over a merely deadlock-free one.
+func LockProgress(lk lock.PidLock) Progress {
+	if li, ok := lk.(lock.LivenessInfo); ok && li.Liveness() == lock.StarvationFree {
+		return StarvationFree
+	}
+	return NonBlocking
 }
 
-// Sensitive is the contention-sensitive, starvation-free strong object
-// built from a Weak object and a Guard — Figure 3 as a reusable
-// generic construction.
-type Sensitive[A, R any] struct {
-	weak  Weak[A, R]
-	guard *Guard
+// Guarded is embedded by every Figure 3 shell: it owns the object's
+// Guard, shared by all of the object's strong operations.
+type Guarded struct{ g *Guard }
+
+// NewGuarded returns a Guarded over lk whose CONTENTION register
+// reports to obs (nil for none).
+func NewGuarded(lk lock.PidLock, obs memory.Observer) Guarded {
+	return Guarded{NewGuardObserved(lk, obs)}
 }
 
-// NewSensitive builds the strong object over weak, serializing
-// conflicting operations behind lk.
-func NewSensitive[A, R any](weak Weak[A, R], lk lock.PidLock) *Sensitive[A, R] {
-	return &Sensitive[A, R]{weak: weak, guard: NewGuard(lk)}
+// Guard exposes the guard's fast/slow-path counters for tests and
+// experiments.
+func (s Guarded) Guard() *Guard { return s.g }
+
+// Progress reports StarvationFree (Theorem 1) when the guard's lock
+// is starvation-free — lock.RoundRobin over a deadlock-free lock, or
+// a starvation-free lock itself — and NonBlocking otherwise.
+func (s Guarded) Progress() Progress { return LockProgress(s.g.lk) }
+
+// Snapshot forwards to weak's quiescent Snapshot when it has one and
+// returns nil otherwise; the shells expose it for the adaptive tier's
+// migrations.
+func Snapshot[T any](weak any) []T {
+	if w, ok := weak.(interface{ Snapshot() []T }); ok {
+		return w.Snapshot()
+	}
+	return nil
 }
 
-// Guard exposes the underlying guard (for stats and instrumentation).
-func (s *Sensitive[A, R]) Guard() *Guard { return s.guard }
-
-// Do executes the strong operation for arg on behalf of pid. It always
-// returns a real result, never ⊥ (Lemma 1), and terminates for every
-// caller (Lemmas 2-3).
-func (s *Sensitive[A, R]) Do(pid int, arg A) R {
-	return Do(s.guard, pid, func() (R, bool) { return s.weak.TryOp(arg) })
+// Len forwards to weak's quiescent Len when it has one and returns -1
+// otherwise.
+func Len(weak any) int {
+	if w, ok := weak.(interface{ Len() int }); ok {
+		return w.Len()
+	}
+	return -1
 }
-
-// Progress reports StarvationFree, Theorem 1's guarantee (assuming the
-// guard's lock is deadlock-free and wrapped in lock.RoundRobin, or
-// itself starvation-free).
-func (s *Sensitive[A, R]) Progress() Progress { return StarvationFree }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // Manager is a contention manager (§5): a policy deciding how a
 // process behaves between failed attempts of a weak operation.
@@ -19,81 +16,120 @@ type Manager interface {
 	OnSuccess()
 }
 
-// ErrExhausted is returned by the bounded retry variants when the
-// budget or deadline ran out before any attempt took effect. It is the
-// graceful-degradation escape hatch from Figure 2's unbounded loop:
-// under livelock-grade interference a caller with a budget sheds the
-// operation (with no effect on the object) instead of spinning forever.
+// ErrExhausted is returned by a budgeted Retrier when the budget ran
+// out before any attempt took effect. It is the graceful-degradation
+// escape hatch from Figure 2's unbounded loop: under livelock-grade
+// interference a caller with a budget sheds the operation (with no
+// effect on the object) instead of spinning forever.
 var ErrExhausted = errors.New("core: retry budget exhausted")
 
-// retryLoop is the one retry implementation behind Retry, RetryCounted,
-// RetryBudget and RetryDeadline: repeat the weak attempt until it takes
-// effect, pacing with m, giving up after budget attempts (0 = never) or
-// once deadline passes (zero = never). aborts reports how many attempts
-// aborted; err is nil or ErrExhausted.
-func retryLoop[R any](m Manager, try func() (R, bool), budget int, deadline time.Time) (res R, aborts int, err error) {
-	attempt := 0
+// Retrier is the per-object state of Figure 2's construction: the
+// contention manager pacing retries and the attempt budget. Every
+// Figure 2 shell embeds one, which gives it SetRetryPolicy,
+// RetryPolicy and Progress. The zero value is the paper's bare loop.
+type Retrier struct {
+	m      Manager
+	budget int
+}
+
+// NewRetrier returns an unbudgeted Retrier pacing retries with m (nil
+// for the bare loop).
+func NewRetrier(m Manager) Retrier { return Retrier{m: m} }
+
+// SetRetryPolicy replaces the contention manager and sets an attempt
+// budget (0 = unbounded, the paper's loop). With a budget, an
+// operation whose every attempt aborts returns ErrExhausted with no
+// effect — graceful degradation instead of livelock. Call at
+// quiescence (construction time).
+func (r *Retrier) SetRetryPolicy(m Manager, budget int) { r.m, r.budget = m, budget }
+
+// RetryPolicy reports the current contention manager and attempt
+// budget (tests and diagnostics).
+func (r *Retrier) RetryPolicy() (Manager, int) { return r.m, r.budget }
+
+// Progress reports NonBlocking: at least one concurrent operation
+// terminates (proved in Shafiei's paper, cited as [22]).
+func (r *Retrier) Progress() Progress { return NonBlocking }
+
+// Abort records the attempt-th consecutive abort of an operation. It
+// reports true when the budget is spent, so the caller sheds the
+// operation; otherwise it paces the retry with the manager. Pacing
+// happens between attempts only: a shed operation pays no final
+// backoff.
+func (r *Retrier) Abort(attempt int) (exhausted bool) {
+	if r.budget > 0 && attempt >= r.budget {
+		return true
+	}
+	if r.m != nil {
+		r.m.OnAbort(attempt)
+	}
+	return false
+}
+
+// Succeed tells the manager that the current operation took effect.
+func (r *Retrier) Succeed() {
+	if r.m != nil {
+		r.m.OnSuccess()
+	}
+}
+
+// RetryOp is Figure 2's construction, the one retry loop of the
+// package:
+//
+//	repeat res ← weak_op() until res ≠ ⊥
+//
+// try is one weak attempt in the objects' own (value, error) shape,
+// and an error equal to bot is ⊥. RetryOp retries under r's manager
+// and budget and returns the first non-⊥ result with the number of
+// aborted attempts, or the zero value and ErrExhausted once the budget
+// is spent.
+func RetryOp[V any](r *Retrier, bot error, try func() (V, error)) (v V, aborts int, err error) {
 	for {
-		r, ok := try()
-		if ok {
-			if m != nil {
-				m.OnSuccess()
-			}
-			return r, attempt, nil
+		v, err = try()
+		if !bottom(err, bot) {
+			r.Succeed()
+			return v, aborts, err
 		}
-		attempt++
-		if budget > 0 && attempt >= budget {
-			return res, attempt, ErrExhausted
-		}
-		if m != nil {
-			m.OnAbort(attempt)
-		}
-		// The deadline is checked after pacing so a sleeping manager
-		// cannot overshoot it by more than one OnAbort.
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return res, attempt, ErrExhausted
+		aborts++
+		if r.Abort(aborts) {
+			var zero V
+			return zero, aborts, ErrExhausted
 		}
 	}
 }
 
-// Retry upgrades a weak operation to a non-blocking one by retrying
-// until success — Figure 2's construction:
-//
-//	repeat res ← weak_op() until res ≠ ⊥
-//
-// m paces the retries; a nil m reproduces the paper's bare loop.
-// Retry never aborts; it returns only when an attempt took effect.
+// bottom reports whether err is the weak attempt's ⊥. A nil bot makes
+// every non-nil error ⊥: the set's weak updates abort with ErrAborted
+// or, against a sealed root, ErrSealed.
+func bottom(err, bot error) bool { return err != nil && (bot == nil || err == bot) }
+
+// errBottom is the ⊥ of a comma-ok attempt seen through commaOK.
+var errBottom = errors.New("core: attempt aborted")
+
+// commaOK adapts a comma-ok weak attempt, func() (R, bool), to the
+// (value, error) shape of RetryOp and DoOp, reporting ok=false as
+// errBottom.
+type commaOK[R any] func() (R, bool)
+
+func (try commaOK[R]) attempt() (R, error) {
+	r, ok := try()
+	if !ok {
+		return r, errBottom
+	}
+	return r, nil
+}
+
+// Retry is RetryOp over a comma-ok weak attempt, unbudgeted: m paces
+// the retries, and a nil m reproduces the paper's bare loop. Retry
+// never aborts; it returns only when an attempt took effect.
 func Retry[R any](m Manager, try func() (R, bool)) R {
-	res, _, _ := retryLoop(m, try, 0, time.Time{})
+	res, _ := RetryCounted(m, try)
 	return res
 }
 
 // RetryCounted is Retry instrumented for the E3/E7 experiments: it
 // additionally reports how many attempts aborted before success.
 func RetryCounted[R any](m Manager, try func() (R, bool)) (res R, aborts int) {
-	res, aborts, _ = retryLoop(m, try, 0, time.Time{})
+	res, aborts, _ = RetryOp(&Retrier{m: m}, errBottom, commaOK[R](try).attempt)
 	return res, aborts
-}
-
-// RetryBudget is Retry bounded by an attempt budget: after budget
-// consecutive aborts (budget >= 1) it gives up and returns
-// ErrExhausted with no effect on the object. A budget of 1 is exactly
-// one weak attempt — the paper's obstruction-free rung exposed
-// directly.
-func RetryBudget[R any](m Manager, budget int, try func() (R, bool)) (R, error) {
-	if budget < 1 {
-		budget = 1
-	}
-	res, _, err := retryLoop(m, try, budget, time.Time{})
-	return res, err
-}
-
-// RetryDeadline is Retry bounded by wall-clock time: once d has
-// elapsed (measured from the call) the next abort returns ErrExhausted
-// with no effect. At least one attempt is always made, so a solo
-// operation — whose first weak attempt must succeed — never observes
-// the deadline.
-func RetryDeadline[R any](m Manager, d time.Duration, try func() (R, bool)) (R, error) {
-	res, _, err := retryLoop(m, try, 0, time.Now().Add(d))
-	return res, err
 }

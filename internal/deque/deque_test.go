@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lock"
 	"repro/internal/memory"
 	"repro/internal/spec"
 )
@@ -249,6 +250,12 @@ func TestProgressLabels(t *testing.T) {
 	}
 	if NewSensitive(2, 2).Progress() != core.StarvationFree {
 		t.Error("Sensitive label")
+	}
+	if NewSensitiveFrom(NewAbortable(2), lock.IgnorePid(lock.NewTAS())).Progress() != core.NonBlocking {
+		t.Error("Sensitive(raw TAS) label")
+	}
+	if NewSensitiveFrom(NewAbortable(2), lock.IgnorePid(lock.NewTicket())).Progress() != core.StarvationFree {
+		t.Error("Sensitive(ticket) label")
 	}
 }
 

@@ -6,12 +6,12 @@ import (
 )
 
 // NonBlocking is Figure 2 applied to the deque: retry each weak
-// operation until non-⊥. This is precisely the "boosting" step the
-// paper's §1.2 describes for obstruction-free algorithms.
+// operation until non-⊥, under core.Retrier's manager and budget. This
+// is precisely the "boosting" step the paper's §1.2 describes for
+// obstruction-free algorithms.
 type NonBlocking struct {
-	weak   *Abortable
-	m      core.Manager
-	budget int
+	core.Retrier
+	weak *Abortable
 }
 
 // NewNonBlocking returns a non-blocking deque of capacity k with the
@@ -23,80 +23,43 @@ func NewNonBlocking(k int) *NonBlocking {
 // NewNonBlockingFrom builds the retry construction over an existing
 // weak deque, pacing retries with m (nil for the bare loop).
 func NewNonBlockingFrom(weak *Abortable, m core.Manager) *NonBlocking {
-	return &NonBlocking{weak: weak, m: m}
-}
-
-// SetRetryPolicy replaces the contention manager and sets an attempt
-// budget (0 = unbounded); with a budget, a fully aborted operation
-// returns core.ErrExhausted with no effect. Call at quiescence.
-func (d *NonBlocking) SetRetryPolicy(m core.Manager, budget int) {
-	d.m, d.budget = m, budget
-}
-
-// RetryPolicy reports the current contention manager and attempt
-// budget (tests and diagnostics).
-func (d *NonBlocking) RetryPolicy() (core.Manager, int) { return d.m, d.budget }
-
-func (d *NonBlocking) retryPush(try func() error) error {
-	attempt := func() (error, bool) {
-		err := try()
-		return err, err != ErrAborted
-	}
-	if d.budget > 0 {
-		err, rerr := core.RetryBudget(d.m, d.budget, attempt)
-		if rerr != nil {
-			return rerr
-		}
-		return err
-	}
-	return core.Retry(d.m, attempt)
-}
-
-func (d *NonBlocking) retryPop(try func() (uint32, error)) (uint32, error) {
-	type res struct {
-		v   uint32
-		err error
-	}
-	attempt := func() (res, bool) {
-		v, err := try()
-		return res{v, err}, err != ErrAborted
-	}
-	if d.budget > 0 {
-		r, rerr := core.RetryBudget(d.m, d.budget, attempt)
-		if rerr != nil {
-			return r.v, rerr
-		}
-		return r.v, r.err
-	}
-	r := core.Retry(d.m, attempt)
-	return r.v, r.err
+	return &NonBlocking{Retrier: core.NewRetrier(m), weak: weak}
 }
 
 // PushRight appends v on the right; nil or ErrFull.
 func (d *NonBlocking) PushRight(v uint32) error {
-	return d.retryPush(func() error { return d.weak.TryPushRight(v) })
+	_, _, err := core.RetryOp(&d.Retrier, ErrAborted, func() (struct{}, error) {
+		return struct{}{}, d.weak.TryPushRight(v)
+	})
+	return err
 }
 
 // PushLeft prepends v on the left; nil or ErrFull.
 func (d *NonBlocking) PushLeft(v uint32) error {
-	return d.retryPush(func() error { return d.weak.TryPushLeft(v) })
+	_, _, err := core.RetryOp(&d.Retrier, ErrAborted, func() (struct{}, error) {
+		return struct{}{}, d.weak.TryPushLeft(v)
+	})
+	return err
 }
 
 // PopRight removes the rightmost value; the value or ErrEmpty.
-func (d *NonBlocking) PopRight() (uint32, error) { return d.retryPop(d.weak.TryPopRight) }
+func (d *NonBlocking) PopRight() (uint32, error) {
+	v, _, err := core.RetryOp(&d.Retrier, ErrAborted, d.weak.TryPopRight)
+	return v, err
+}
 
 // PopLeft removes the leftmost value; the value or ErrEmpty.
-func (d *NonBlocking) PopLeft() (uint32, error) { return d.retryPop(d.weak.TryPopLeft) }
-
-// Progress reports NonBlocking.
-func (d *NonBlocking) Progress() core.Progress { return core.NonBlocking }
+func (d *NonBlocking) PopLeft() (uint32, error) {
+	v, _, err := core.RetryOp(&d.Retrier, ErrAborted, d.weak.TryPopLeft)
+	return v, err
+}
 
 // Sensitive is Figure 3 applied to the deque: all four operations
 // share one guard (CONTENTION is per object), making the deque
 // linearizable, starvation-free, and contention-sensitive.
 type Sensitive struct {
-	weak  *Abortable
-	guard *core.Guard
+	core.Guarded
+	weak *Abortable
 }
 
 // NewSensitive returns the paper's configuration for n processes: a
@@ -109,50 +72,31 @@ func NewSensitive(k, n int) *Sensitive {
 // NewSensitiveFrom builds Figure 3 over an existing weak deque and
 // PidLock.
 func NewSensitiveFrom(weak *Abortable, lk lock.PidLock) *Sensitive {
-	return &Sensitive{weak: weak, guard: core.NewGuard(lk)}
-}
-
-func (d *Sensitive) strongPush(pid int, try func() error) error {
-	return core.Do(d.guard, pid, func() (error, bool) {
-		err := try()
-		return err, err != ErrAborted
-	})
-}
-
-func (d *Sensitive) strongPop(pid int, try func() (uint32, error)) (uint32, error) {
-	type res struct {
-		v   uint32
-		err error
-	}
-	r := core.Do(d.guard, pid, func() (res, bool) {
-		v, err := try()
-		return res{v, err}, err != ErrAborted
-	})
-	return r.v, r.err
+	return &Sensitive{Guarded: core.NewGuarded(lk, nil), weak: weak}
 }
 
 // PushRight appends v on the right; never aborts.
 func (d *Sensitive) PushRight(pid int, v uint32) error {
-	return d.strongPush(pid, func() error { return d.weak.TryPushRight(v) })
+	_, err := core.DoOp(d.Guard(), pid, ErrAborted, func() (struct{}, error) {
+		return struct{}{}, d.weak.TryPushRight(v)
+	})
+	return err
 }
 
 // PushLeft prepends v on the left; never aborts.
 func (d *Sensitive) PushLeft(pid int, v uint32) error {
-	return d.strongPush(pid, func() error { return d.weak.TryPushLeft(v) })
+	_, err := core.DoOp(d.Guard(), pid, ErrAborted, func() (struct{}, error) {
+		return struct{}{}, d.weak.TryPushLeft(v)
+	})
+	return err
 }
 
 // PopRight removes the rightmost value; never aborts.
 func (d *Sensitive) PopRight(pid int) (uint32, error) {
-	return d.strongPop(pid, d.weak.TryPopRight)
+	return core.DoOp(d.Guard(), pid, ErrAborted, d.weak.TryPopRight)
 }
 
 // PopLeft removes the leftmost value; never aborts.
 func (d *Sensitive) PopLeft(pid int) (uint32, error) {
-	return d.strongPop(pid, d.weak.TryPopLeft)
+	return core.DoOp(d.Guard(), pid, ErrAborted, d.weak.TryPopLeft)
 }
-
-// Guard exposes the fast/slow-path counters.
-func (d *Sensitive) Guard() *core.Guard { return d.guard }
-
-// Progress reports StarvationFree (Theorem 1 over the weak deque).
-func (d *Sensitive) Progress() core.Progress { return core.StarvationFree }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/lock"
 	"repro/internal/memory"
 )
 
@@ -274,6 +275,16 @@ func TestQueueProgressLabels(t *testing.T) {
 	}
 	if NewLockBased[int](1).Progress() != core.StarvationFree {
 		t.Error("LockBased label")
+	}
+	rawTAS := lock.IgnorePid(lock.NewTAS())
+	if NewSensitiveFrom[int](NewAbortable[int](1), rawTAS).Progress() != core.NonBlocking {
+		t.Error("Sensitive(raw TAS) label")
+	}
+	if NewSensitiveFrom[int](NewAbortable[int](1), lock.IgnorePid(lock.NewTicket())).Progress() != core.StarvationFree {
+		t.Error("Sensitive(ticket) label")
+	}
+	if NewLockBasedWith[int](1, rawTAS).Progress() != core.NonBlocking {
+		t.Error("LockBased(raw TAS) label")
 	}
 }
 

@@ -85,6 +85,7 @@ func TestRingQueuesSoloAllocFree(t *testing.T) {
 	}
 	ab := NewAbortable[uint64](16)
 	se := NewSensitive[uint64](16, 1)
+	nb := NewNonBlocking[uint64](16)
 	co := NewCombining[uint64](16, 1)
 	for name, op := range map[string]func(){
 		"abortable": func() {
@@ -94,6 +95,10 @@ func TestRingQueuesSoloAllocFree(t *testing.T) {
 		"sensitive": func() {
 			_ = se.Enqueue(0, 7)
 			_, _ = se.Dequeue(0)
+		},
+		"non-blocking": func() {
+			_ = nb.Enqueue(7)
+			_, _ = nb.Dequeue()
 		},
 		"combining": func() {
 			_ = co.Enqueue(0, 7)

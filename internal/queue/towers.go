@@ -7,11 +7,10 @@ import (
 )
 
 // NonBlocking is Figure 2 applied to the queue: retry the weak
-// operation until non-⊥.
+// operation until non-⊥, under core.Retrier's manager and budget.
 type NonBlocking[T any] struct {
-	weak   Weak[T]
-	m      core.Manager
-	budget int
+	core.Retrier
+	weak Weak[T]
 }
 
 // NewNonBlocking returns a non-blocking queue of capacity k with the
@@ -23,138 +22,74 @@ func NewNonBlocking[T any](k int) *NonBlocking[T] {
 // NewNonBlockingFrom builds the retry construction over any weak
 // queue, pacing retries with m (nil for the bare loop).
 func NewNonBlockingFrom[T any](weak Weak[T], m core.Manager) *NonBlocking[T] {
-	return &NonBlocking[T]{weak: weak, m: m}
+	return &NonBlocking[T]{Retrier: core.NewRetrier(m), weak: weak}
 }
-
-// SetRetryPolicy replaces the contention manager and sets an attempt
-// budget (0 = unbounded); with a budget, a fully aborted operation
-// returns core.ErrExhausted with no effect. Call at quiescence.
-func (q *NonBlocking[T]) SetRetryPolicy(m core.Manager, budget int) {
-	q.m, q.budget = m, budget
-}
-
-// RetryPolicy reports the current contention manager and attempt
-// budget (tests and diagnostics).
-func (q *NonBlocking[T]) RetryPolicy() (core.Manager, int) { return q.m, q.budget }
 
 // Enqueue appends v, retrying aborted attempts; returns nil or ErrFull
 // (or core.ErrExhausted when a retry budget is set and spent).
 func (q *NonBlocking[T]) Enqueue(v T) error {
-	try := func() (error, bool) {
-		err := q.weak.TryEnqueue(v)
-		return err, err != ErrAborted
-	}
-	if q.budget > 0 {
-		err, rerr := core.RetryBudget(q.m, q.budget, try)
-		if rerr != nil {
-			return rerr
-		}
-		return err
-	}
-	return core.Retry(q.m, try)
+	_, _, err := core.RetryOp(&q.Retrier, ErrAborted, func() (struct{}, error) {
+		return struct{}{}, q.weak.TryEnqueue(v)
+	})
+	return err
 }
 
 // Dequeue removes the oldest value, retrying aborted attempts; returns
 // the value or ErrEmpty (or core.ErrExhausted when a retry budget is
 // set and spent).
 func (q *NonBlocking[T]) Dequeue() (T, error) {
-	type res struct {
-		v   T
-		err error
-	}
-	try := func() (res, bool) {
-		v, err := q.weak.TryDequeue()
-		return res{v, err}, err != ErrAborted
-	}
-	if q.budget > 0 {
-		r, rerr := core.RetryBudget(q.m, q.budget, try)
-		if rerr != nil {
-			return r.v, rerr
-		}
-		return r.v, r.err
-	}
-	r := core.Retry(q.m, try)
-	return r.v, r.err
+	v, _, err := core.RetryOp(&q.Retrier, ErrAborted, q.weak.TryDequeue)
+	return v, err
 }
-
-// Progress reports NonBlocking.
-func (q *NonBlocking[T]) Progress() core.Progress { return core.NonBlocking }
 
 // Sensitive is Figure 3 applied to the queue: contention-sensitive and
 // starvation-free. One guard is shared by both operations, because
 // CONTENTION is a per-object signal.
 type Sensitive[T any] struct {
-	weak  Weak[T]
-	guard *core.Guard
+	core.Guarded
+	weak Weak[T]
 }
 
 // NewSensitive returns the paper's configuration for n processes: a
 // fresh abortable queue of capacity k over a round-robin-wrapped
 // test-and-set lock.
-func NewSensitive[T any](k, n int) *Sensitive[T] {
-	return NewSensitiveFrom[T](NewAbortable[T](k), lock.NewRoundRobin(lock.NewTAS(), n))
-}
+func NewSensitive[T any](k, n int) *Sensitive[T] { return NewSensitiveObserved[T](k, n, nil) }
 
 // NewSensitiveFrom builds Figure 3 over any weak queue and PidLock.
 func NewSensitiveFrom[T any](weak Weak[T], lk lock.PidLock) *Sensitive[T] {
-	return &Sensitive[T]{weak: weak, guard: core.NewGuard(lk)}
+	return &Sensitive[T]{Guarded: core.NewGuarded(lk, nil), weak: weak}
 }
 
 // NewSensitiveObserved is NewSensitive with all shared accesses (weak
 // queue and CONTENTION register) reported to obs.
 func NewSensitiveObserved[T any](k, n int, obs memory.Observer) *Sensitive[T] {
-	weak := NewAbortableObserved[T](k, obs)
 	lk := lock.NewRoundRobin(lock.NewTAS(), n)
-	return &Sensitive[T]{weak: weak, guard: core.NewGuardObserved(lk, obs)}
+	return &Sensitive[T]{Guarded: core.NewGuarded(lk, obs), weak: NewAbortableObserved[T](k, obs)}
 }
 
 // Enqueue is the strong enqueue: never aborts, returns nil or ErrFull.
 func (q *Sensitive[T]) Enqueue(pid int, v T) error {
-	return core.Do(q.guard, pid, func() (error, bool) {
-		err := q.weak.TryEnqueue(v)
-		return err, err != ErrAborted
+	_, err := core.DoOp(q.Guard(), pid, ErrAborted, func() (struct{}, error) {
+		return struct{}{}, q.weak.TryEnqueue(v)
 	})
+	return err
 }
 
 // Dequeue is the strong dequeue: never aborts, returns the oldest
 // value or ErrEmpty.
 func (q *Sensitive[T]) Dequeue(pid int) (T, error) {
-	type res struct {
-		v   T
-		err error
-	}
-	r := core.Do(q.guard, pid, func() (res, bool) {
-		v, err := q.weak.TryDequeue()
-		return res{v, err}, err != ErrAborted
-	})
-	return r.v, r.err
+	return core.DoOp(q.Guard(), pid, ErrAborted, q.weak.TryDequeue)
 }
-
-// Guard exposes the fast/slow-path counters.
-func (q *Sensitive[T]) Guard() *core.Guard { return q.guard }
 
 // Snapshot returns the elements oldest-first when the weak backend
 // exposes a snapshot, nil otherwise. Quiescent states only: the weak
 // snapshot is not atomic under concurrent updates. The adaptive tier
 // calls it on a quiesced source to rebuild the migration target.
-func (q *Sensitive[T]) Snapshot() []T {
-	if w, ok := q.weak.(interface{ Snapshot() []T }); ok {
-		return w.Snapshot()
-	}
-	return nil
-}
+func (q *Sensitive[T]) Snapshot() []T { return core.Snapshot[T](q.weak) }
 
 // Len returns the number of elements when the weak backend exposes a
 // length (quiescent states only), -1 otherwise.
-func (q *Sensitive[T]) Len() int {
-	if w, ok := q.weak.(interface{ Len() int }); ok {
-		return w.Len()
-	}
-	return -1
-}
-
-// Progress reports StarvationFree.
-func (q *Sensitive[T]) Progress() core.Progress { return core.StarvationFree }
+func (q *Sensitive[T]) Len() int { return core.Len(q.weak) }
 
 // LockBased is the traditional fully lock-based bounded queue (§1.1's
 // baseline): every operation takes the lock.
@@ -212,12 +147,7 @@ func (q *LockBased[T]) Dequeue(pid int) (T, error) {
 func (q *LockBased[T]) Len() int { return q.size }
 
 // Progress reports the condition inherited from the lock.
-func (q *LockBased[T]) Progress() core.Progress {
-	if li, ok := q.lk.(lock.LivenessInfo); ok && li.Liveness() == lock.StarvationFree {
-		return core.StarvationFree
-	}
-	return core.NonBlocking
-}
+func (q *LockBased[T]) Progress() core.Progress { return core.LockProgress(q.lk) }
 
 var (
 	_ Strong[int] = (*Sensitive[int])(nil)

@@ -8,11 +8,16 @@ import (
 // weak attempt until it returns non-⊥. Operations never abort; under
 // contention at least one concurrent operation always terminates, but
 // an individual update may retry unboundedly. A contention manager
-// (§5) may pace the retries; the paper's bare loop is the nil manager.
+// (§5) may pace the retries and a budget may bound them
+// (core.Retrier); the paper's bare loop is the zero policy.
+//
+// The Strong set interface reports updates as booleans, so a
+// budget-exhausted Add/Remove sheds the operation with no effect and
+// reports false — accurate in effect terms (nothing was inserted or
+// removed), indistinguishable from a no-op outcome.
 type NonBlocking struct {
-	weak   Weak
-	m      core.Manager
-	budget int
+	core.Retrier
+	weak Weak
 }
 
 // NewNonBlocking returns a non-blocking set over a fresh abortable
@@ -24,47 +29,22 @@ func NewNonBlocking() *NonBlocking {
 // NewNonBlockingFrom builds the Figure 2 construction over any weak
 // set, pacing retries with m (nil for the bare loop).
 func NewNonBlockingFrom(weak Weak, m core.Manager) *NonBlocking {
-	return &NonBlocking{weak: weak, m: m}
+	return &NonBlocking{Retrier: core.NewRetrier(m), weak: weak}
 }
 
-// SetRetryPolicy replaces the contention manager and sets an attempt
-// budget (0 = unbounded). The Strong set interface reports updates as
-// booleans, so a budget-exhausted Add/Remove sheds the operation with
-// no effect and reports false — accurate in effect terms (nothing was
-// inserted or removed), indistinguishable from a no-op outcome. Call
-// at quiescence.
-func (s *NonBlocking) SetRetryPolicy(m core.Manager, budget int) {
-	s.m, s.budget = m, budget
-}
-
-// RetryPolicy reports the current contention manager and attempt
-// budget (tests and diagnostics).
-func (s *NonBlocking) RetryPolicy() (core.Manager, int) { return s.m, s.budget }
-
-func (s *NonBlocking) retry(try func() (bool, bool)) bool {
-	if s.budget > 0 {
-		ok, err := core.RetryBudget(s.m, s.budget, try)
-		return ok && err == nil
-	}
-	return core.Retry(s.m, try)
-}
-
-// Add inserts k, retrying aborted attempts; it reports whether k was
-// newly inserted. The pid is unused (kept for the Strong shape).
+// Add inserts k, retrying aborted (or sealed) attempts; it reports
+// whether k was newly inserted. The pid is unused (kept for the
+// Strong shape).
 func (s *NonBlocking) Add(_ int, k uint64) bool {
-	return s.retry(func() (bool, bool) {
-		added, err := s.weak.TryAdd(k)
-		return added, err == nil
-	})
+	added, _, _ := core.RetryOp(&s.Retrier, nil, func() (bool, error) { return s.weak.TryAdd(k) })
+	return added
 }
 
-// Remove deletes k, retrying aborted attempts; it reports whether k
-// was present.
+// Remove deletes k, retrying aborted (or sealed) attempts; it reports
+// whether k was present.
 func (s *NonBlocking) Remove(_ int, k uint64) bool {
-	return s.retry(func() (bool, bool) {
-		removed, err := s.weak.TryRemove(k)
-		return removed, err == nil
-	})
+	removed, _, _ := core.RetryOp(&s.Retrier, nil, func() (bool, error) { return s.weak.TryRemove(k) })
+	return removed
 }
 
 // Contains reports membership: the weak check never aborts, so the
@@ -77,15 +57,6 @@ func (s *NonBlocking) Contains(_ int, k uint64) bool {
 // Snapshot returns the resident keys in ascending order when the
 // underlying weak set can produce one (the copy-on-write list can);
 // it returns nil otherwise. Meaningful at quiescence only.
-func (s *NonBlocking) Snapshot() []uint64 {
-	if sn, ok := s.weak.(interface{ Snapshot() []uint64 }); ok {
-		return sn.Snapshot()
-	}
-	return nil
-}
-
-// Progress reports NonBlocking: at least one concurrent operation
-// terminates.
-func (s *NonBlocking) Progress() core.Progress { return core.NonBlocking }
+func (s *NonBlocking) Snapshot() []uint64 { return core.Snapshot[uint64](s.weak) }
 
 var _ Strong = (*NonBlocking)(nil)

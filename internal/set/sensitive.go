@@ -6,17 +6,18 @@ import (
 )
 
 // Sensitive is the contention-sensitive, starvation-free set: the
-// Figure 3 construction (core.Guard/Do) over a weak abortable set.
-// Mutating operations invoked in a contention-free context complete on
-// the lock-free shortcut (one CONTENTION read plus one weak attempt);
-// under contention they serialize behind the starvation-free
-// round-robin lock. Contains bypasses the guard entirely: the weak
-// set's membership check never aborts, so wrapping it in the protocol
-// would only add the CONTENTION read and, worse, park wait-free
-// readers on the slow-path lock — reads stay wait-free instead.
+// Figure 3 construction (core.DoOp) over a weak abortable set, where
+// an aborted or sealed attempt is ⊥. Mutating operations invoked in a
+// contention-free context complete on the lock-free shortcut (one
+// CONTENTION read plus one weak attempt); under contention they
+// serialize behind the starvation-free round-robin lock. Contains
+// bypasses the guard entirely: the weak set's membership check never
+// aborts, so wrapping it in the protocol would only add the CONTENTION
+// read and, worse, park wait-free readers on the slow-path lock —
+// reads stay wait-free instead.
 type Sensitive struct {
-	weak  Weak
-	guard *core.Guard
+	core.Guarded
+	weak Weak
 }
 
 // NewSensitive returns the paper's exact configuration for n processes
@@ -28,24 +29,20 @@ func NewSensitive(n int) *Sensitive {
 
 // NewSensitiveFrom builds Figure 3 over any weak set and any PidLock.
 func NewSensitiveFrom(weak Weak, lk lock.PidLock) *Sensitive {
-	return &Sensitive{weak: weak, guard: core.NewGuard(lk)}
+	return &Sensitive{Guarded: core.NewGuarded(lk, nil), weak: weak}
 }
 
 // Add inserts k on behalf of pid; it reports whether k was newly
 // inserted, never aborts, and terminates for every caller.
 func (s *Sensitive) Add(pid int, k uint64) bool {
-	return core.Do(s.guard, pid, func() (bool, bool) {
-		added, err := s.weak.TryAdd(k)
-		return added, err == nil
-	})
+	added, _ := core.DoOp(s.Guard(), pid, nil, func() (bool, error) { return s.weak.TryAdd(k) })
+	return added
 }
 
 // Remove deletes k on behalf of pid; it reports whether k was present.
 func (s *Sensitive) Remove(pid int, k uint64) bool {
-	return core.Do(s.guard, pid, func() (bool, bool) {
-		removed, err := s.weak.TryRemove(k)
-		return removed, err == nil
-	})
+	removed, _ := core.DoOp(s.Guard(), pid, nil, func() (bool, error) { return s.weak.TryRemove(k) })
+	return removed
 }
 
 // Contains reports membership of k. It goes straight to the weak
@@ -54,13 +51,5 @@ func (s *Sensitive) Contains(_ int, k uint64) bool {
 	ok, _ := s.weak.TryContains(k)
 	return ok
 }
-
-// Guard exposes the guard's fast/slow-path counters for tests and
-// experiments.
-func (s *Sensitive) Guard() *core.Guard { return s.guard }
-
-// Progress reports StarvationFree for updates (Theorem 1's argument);
-// Contains is wait-free.
-func (s *Sensitive) Progress() core.Progress { return core.StarvationFree }
 
 var _ Strong = (*Sensitive)(nil)

@@ -3,6 +3,8 @@ package set
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/lock"
 	"repro/internal/spec"
 	"repro/internal/workload"
 )
@@ -139,5 +141,20 @@ func TestSensitiveFastPath(t *testing.T) {
 	}
 	if st.Fast != 100 {
 		t.Fatalf("fast path count = %d, want 100 (Contains must bypass the guard)", st.Fast)
+	}
+}
+
+// TestProgressLabels checks the Figure 2/3 sets' labels; Figure 3's
+// follows its slow-path lock, so raw TAS (no round-robin) is only
+// non-blocking.
+func TestProgressLabels(t *testing.T) {
+	if NewNonBlocking().Progress() != core.NonBlocking {
+		t.Error("NonBlocking label")
+	}
+	if NewSensitive(2).Progress() != core.StarvationFree {
+		t.Error("Sensitive label")
+	}
+	if NewSensitiveFrom(NewAbortable(), lock.IgnorePid(lock.NewTAS())).Progress() != core.NonBlocking {
+		t.Error("Sensitive(raw TAS) label")
 	}
 }

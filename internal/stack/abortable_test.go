@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/lock"
 	"repro/internal/memory"
 )
 
@@ -442,6 +443,19 @@ func TestProgressLabels(t *testing.T) {
 	}
 	if NewLockBased[int](1).Progress() != core.StarvationFree {
 		t.Error("LockBased(mutex) progress label")
+	}
+	// Over a merely deadlock-free lock neither lock-using stack is
+	// starvation-free: raw TAS (E6's "no RR" variant) only guarantees
+	// that some operation completes.
+	rawTAS := lock.IgnorePid(lock.NewTAS())
+	if NewSensitiveFrom[int](NewAbortable[int](1), rawTAS, nil).Progress() != core.NonBlocking {
+		t.Error("Sensitive(raw TAS) progress label")
+	}
+	if NewSensitiveFrom[int](NewAbortable[int](1), lock.IgnorePid(lock.NewTicket()), nil).Progress() != core.StarvationFree {
+		t.Error("Sensitive(ticket) progress label")
+	}
+	if NewLockBasedWith[int](1, rawTAS).Progress() != core.NonBlocking {
+		t.Error("LockBased(raw TAS) progress label")
 	}
 }
 

@@ -107,7 +107,7 @@ func TestSensitiveConserves(t *testing.T) {
 func TestSensitiveWithStarvationFreeLockConserves(t *testing.T) {
 	// The §4 Remark variant: a starvation-free lock, no FLAG/TURN.
 	procs, perProc, k := 6, stressN(1500), 32
-	s := NewSensitiveFrom[uint64](NewAbortable[uint64](k), lock.IgnorePid(lock.NewTicket()))
+	s := NewSensitiveFrom[uint64](NewAbortable[uint64](k), lock.IgnorePid(lock.NewTicket()), nil)
 	conserved(t, procs, perProc,
 		s.Push,
 		s.Pop,

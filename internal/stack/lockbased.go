@@ -64,11 +64,6 @@ func (s *LockBased[T]) Pop(pid int) (T, error) {
 func (s *LockBased[T]) Len() int { return len(s.buf) }
 
 // Progress reports the progress condition inherited from the lock.
-func (s *LockBased[T]) Progress() core.Progress {
-	if li, ok := s.lk.(lock.LivenessInfo); ok && li.Liveness() == lock.StarvationFree {
-		return core.StarvationFree
-	}
-	return core.NonBlocking // deadlock-free lock ⇒ deadlock-free object
-}
+func (s *LockBased[T]) Progress() core.Progress { return core.LockProgress(s.lk) }
 
 var _ Strong[int] = (*LockBased[int])(nil)

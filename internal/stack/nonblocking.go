@@ -10,12 +10,11 @@ import (
 // the concurrent operations always terminates, but an individual
 // operation may retry unboundedly (no starvation-freedom).
 //
-// A contention manager (§5) may pace the retries; the paper's bare
-// loop is the nil manager.
+// A contention manager (§5) may pace the retries and a budget may
+// bound them (core.Retrier); the paper's bare loop is the zero policy.
 type NonBlocking[T any] struct {
-	weak   Weak[T]
-	m      core.Manager
-	budget int
+	core.Retrier
+	weak Weak[T]
 }
 
 // NewNonBlocking returns a non-blocking stack of capacity k over a
@@ -29,84 +28,35 @@ func NewNonBlocking[T any](k int) *NonBlocking[T] {
 // weak stack between a NonBlocking wrapper and other users is safe:
 // the construction adds no state of its own.
 func NewNonBlockingFrom[T any](weak Weak[T], m core.Manager) *NonBlocking[T] {
-	return &NonBlocking[T]{weak: weak, m: m}
+	return &NonBlocking[T]{Retrier: core.NewRetrier(m), weak: weak}
 }
-
-// SetRetryPolicy replaces the contention manager and sets an attempt
-// budget for Push/Pop (0 = unbounded, the paper's loop). With a
-// budget, an operation whose every attempt aborts returns
-// core.ErrExhausted with no effect — graceful degradation instead of
-// livelock. Call at quiescence (construction time).
-func (s *NonBlocking[T]) SetRetryPolicy(m core.Manager, budget int) {
-	s.m, s.budget = m, budget
-}
-
-// RetryPolicy reports the current contention manager and attempt
-// budget (tests and diagnostics).
-func (s *NonBlocking[T]) RetryPolicy() (core.Manager, int) { return s.m, s.budget }
 
 // Push pushes v, retrying aborted attempts; it returns nil or ErrFull
 // (or core.ErrExhausted when a retry budget is set and spent).
 func (s *NonBlocking[T]) Push(v T) error {
-	try := func() (error, bool) {
-		err := s.weak.TryPush(v)
-		return err, err != ErrAborted
-	}
-	if s.budget > 0 {
-		err, rerr := core.RetryBudget(s.m, s.budget, try)
-		if rerr != nil {
-			return rerr
-		}
-		return err
-	}
-	return core.Retry(s.m, try)
+	err, _ := s.PushCounted(v)
+	return err
 }
 
 // Pop pops the top value, retrying aborted attempts; it returns the
 // value or ErrEmpty (or core.ErrExhausted when a retry budget is set
 // and spent).
 func (s *NonBlocking[T]) Pop() (T, error) {
-	type res struct {
-		v   T
-		err error
-	}
-	try := func() (res, bool) {
-		v, err := s.weak.TryPop()
-		return res{v, err}, err != ErrAborted
-	}
-	if s.budget > 0 {
-		r, rerr := core.RetryBudget(s.m, s.budget, try)
-		if rerr != nil {
-			return r.v, rerr
-		}
-		return r.v, r.err
-	}
-	r := core.Retry(s.m, try)
-	return r.v, r.err
+	v, err, _ := s.PopCounted()
+	return v, err
 }
 
 // PushCounted is Push instrumented for E3/E7: it also reports how many
-// attempts aborted before success.
+// attempts aborted.
 func (s *NonBlocking[T]) PushCounted(v T) (error, int) {
-	return core.RetryCounted(s.m, func() (error, bool) {
-		err := s.weak.TryPush(v)
-		return err, err != ErrAborted
+	_, aborts, err := core.RetryOp(&s.Retrier, ErrAborted, func() (struct{}, error) {
+		return struct{}{}, s.weak.TryPush(v)
 	})
+	return err, aborts
 }
 
 // PopCounted is Pop instrumented for E3/E7.
 func (s *NonBlocking[T]) PopCounted() (T, error, int) {
-	type res struct {
-		v   T
-		err error
-	}
-	r, aborts := core.RetryCounted(s.m, func() (res, bool) {
-		v, err := s.weak.TryPop()
-		return res{v, err}, err != ErrAborted
-	})
-	return r.v, r.err, aborts
+	v, aborts, err := core.RetryOp(&s.Retrier, ErrAborted, s.weak.TryPop)
+	return v, err, aborts
 }
-
-// Progress reports NonBlocking: at least one concurrent operation
-// terminates (proved in Shafiei's paper, cited as [22]).
-func (s *NonBlocking[T]) Progress() core.Progress { return core.NonBlocking }

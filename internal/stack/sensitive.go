@@ -13,40 +13,30 @@ import (
 // serialize behind a single lock, made starvation-free by the
 // FLAG/TURN round-robin (lock.RoundRobin).
 type Sensitive[T any] struct {
-	weak  Weak[T]
-	guard *core.Guard
+	core.Guarded
+	weak Weak[T]
 }
 
 // NewSensitive returns the paper's exact configuration for n
 // processes: a fresh abortable stack of capacity k guarded by a
 // round-robin transformation of a deadlock-free test-and-set lock.
 // Callers pass pids in [0, n).
-func NewSensitive[T any](k, n int) *Sensitive[T] {
-	return NewSensitiveFrom[T](NewAbortable[T](k), lock.NewRoundRobin(lock.NewTAS(), n))
-}
-
-// NewSensitiveFrom builds Figure 3 over any weak stack and any
-// PidLock. Use lock.IgnorePid(starvationFreeLock) for the simplified
-// variant of the paper's §4 Remark.
-func NewSensitiveFrom[T any](weak Weak[T], lk lock.PidLock) *Sensitive[T] {
-	return &Sensitive[T]{weak: weak, guard: core.NewGuard(lk)}
-}
+func NewSensitive[T any](k, n int) *Sensitive[T] { return NewSensitiveObserved[T](k, n, nil) }
 
 // NewSensitiveObserved is NewSensitive with every shared access of
 // both the weak stack and the CONTENTION register reported to obs —
 // the configuration under which E1 counts Theorem 1's six accesses.
 func NewSensitiveObserved[T any](k, n int, obs memory.Observer) *Sensitive[T] {
-	weak := NewAbortableObserved[T](k, obs)
-	lk := lock.NewRoundRobin(lock.NewTAS(), n)
-	return &Sensitive[T]{weak: weak, guard: core.NewGuardObserved(lk, obs)}
+	return NewSensitiveFrom[T](NewAbortableObserved[T](k, obs), lock.NewRoundRobin(lock.NewTAS(), n), obs)
 }
 
-// NewSensitiveFromObserved builds Figure 3 over an already-constructed
-// (and typically already-instrumented) weak stack, additionally
-// reporting the CONTENTION register's accesses to obs. It lets E1
-// instrument the packed backend end to end.
-func NewSensitiveFromObserved[T any](weak Weak[T], lk lock.PidLock, obs memory.Observer) *Sensitive[T] {
-	return &Sensitive[T]{weak: weak, guard: core.NewGuardObserved(lk, obs)}
+// NewSensitiveFrom builds Figure 3 over any weak stack and any
+// PidLock, reporting the CONTENTION register's accesses to obs (nil
+// for none); an instrumented weak stack lets E1 count a backend end to
+// end. Use lock.IgnorePid(starvationFreeLock) for the simplified
+// variant of the paper's §4 Remark.
+func NewSensitiveFrom[T any](weak Weak[T], lk lock.PidLock, obs memory.Observer) *Sensitive[T] {
+	return &Sensitive[T]{Guarded: core.NewGuarded(lk, obs), weak: weak}
 }
 
 // Push is strong_push(v): it always takes effect (or reports a full
@@ -54,51 +44,26 @@ func NewSensitiveFromObserved[T any](weak Weak[T], lk lock.PidLock, obs memory.O
 // Theorem 1). pid identifies the calling process for the slow path's
 // round-robin.
 func (s *Sensitive[T]) Push(pid int, v T) error {
-	return core.Do(s.guard, pid, func() (error, bool) {
-		err := s.weak.TryPush(v)
-		return err, err != ErrAborted
+	_, err := core.DoOp(s.Guard(), pid, ErrAborted, func() (struct{}, error) {
+		return struct{}{}, s.weak.TryPush(v)
 	})
+	return err
 }
 
 // Pop is strong_pop(): it always returns the top value or ErrEmpty,
 // never aborts, and terminates for every caller.
 func (s *Sensitive[T]) Pop(pid int) (T, error) {
-	type res struct {
-		v   T
-		err error
-	}
-	r := core.Do(s.guard, pid, func() (res, bool) {
-		v, err := s.weak.TryPop()
-		return res{v, err}, err != ErrAborted
-	})
-	return r.v, r.err
+	return core.DoOp(s.Guard(), pid, ErrAborted, s.weak.TryPop)
 }
-
-// Guard exposes the guard's fast/slow-path counters for tests and
-// experiments.
-func (s *Sensitive[T]) Guard() *core.Guard { return s.guard }
 
 // Snapshot returns the elements bottom-first when the weak backend
 // exposes a snapshot, nil otherwise. Quiescent states only: the weak
 // snapshot is not atomic under concurrent updates. The adaptive tier
 // calls it on a quiesced source to rebuild the migration target.
-func (s *Sensitive[T]) Snapshot() []T {
-	if w, ok := s.weak.(interface{ Snapshot() []T }); ok {
-		return w.Snapshot()
-	}
-	return nil
-}
+func (s *Sensitive[T]) Snapshot() []T { return core.Snapshot[T](s.weak) }
 
 // Len returns the number of elements when the weak backend exposes a
 // length (quiescent states only), -1 otherwise.
-func (s *Sensitive[T]) Len() int {
-	if w, ok := s.weak.(interface{ Len() int }); ok {
-		return w.Len()
-	}
-	return -1
-}
-
-// Progress reports StarvationFree (Theorem 1).
-func (s *Sensitive[T]) Progress() core.Progress { return core.StarvationFree }
+func (s *Sensitive[T]) Len() int { return core.Len(s.weak) }
 
 var _ Strong[int] = (*Sensitive[int])(nil)

@@ -673,6 +673,15 @@ func TestRetryBudgetDegradesGracefully(t *testing.T) {
 	if _, err := nb.Pop(); !errors.Is(err, repro.ErrExhausted) {
 		t.Fatalf("exhausted Pop error = %v, want repro.ErrExhausted", err)
 	}
+	// The E3/E7 counted variants run the same budgeted loop.
+	weak.attempts = 0
+	if err, aborts := nb.PushCounted(9); !errors.Is(err, repro.ErrExhausted) || aborts != 3 || weak.attempts != 3 {
+		t.Fatalf("PushCounted = (%v, %d aborts) after %d attempts, want (ErrExhausted, 3) after 3", err, aborts, weak.attempts)
+	}
+	weak.attempts = 0
+	if _, err, aborts := nb.PopCounted(); !errors.Is(err, repro.ErrExhausted) || aborts != 3 || weak.attempts != 3 {
+		t.Fatalf("PopCounted = (%v, %d aborts) after %d attempts, want (ErrExhausted, 3) after 3", err, aborts, weak.attempts)
+	}
 
 	ns := set.NewNonBlockingFrom(alwaysAbortedSet{}, nil)
 	ns.SetRetryPolicy(nil, 2)
