@@ -5,6 +5,7 @@ import (
 	"repro/internal/cmanager"
 	"repro/internal/core"
 	"repro/internal/set"
+	"repro/internal/stack"
 )
 
 // This file is the uniform face of the backend catalog: one
@@ -113,13 +114,11 @@ func WithShards(s int) Option { return func(o *options) { o.shards = s } }
 // picks the default); other backends ignore it.
 func WithWidth(w int) Option { return func(o *options) { o.width = w } }
 
-// WithPooled redirects a constructor to the named backend's pooled
-// sibling (stack combining → combining-pooled): the same object
-// contract over recycled, sequence-tagged nodes with 0 steady-state
-// allocs/op. Backends that already run at 0 allocs/op — the pooled
-// entries (treiber, michael-scott-pooled) and the in-place ring
-// queues — are unchanged; any other backend without a pooled sibling
-// reports an error.
+// WithPooled asks for a backend whose nodes or value slots are
+// recycled, with 0 steady-state allocs/op. Backends that already run
+// so — the pooled entries (treiber, michael-scott-pooled, the bounded
+// stack ladder) and the in-place ring queues — are unchanged; any
+// other backend reports an error.
 func WithPooled() Option { return func(o *options) { o.pooled = true } }
 
 // WithAdaptive redirects a constructor to the kind's contention-
@@ -201,43 +200,13 @@ func Unwrap(x any) any {
 	}
 }
 
-// pidlessStack adapts a pid-oblivious strong stack (the Figure 2
-// retry construction) to StackAPI.
-type pidlessStack[T any, S interface {
-	Push(T) error
-	Pop() (T, error)
-}] struct{ s S }
-
-func (a pidlessStack[T, S]) Push(_ int, v T) error { return a.s.Push(v) }
-func (a pidlessStack[T, S]) Pop(_ int) (T, error)  { return a.s.Pop() }
-func (a pidlessStack[T, S]) Unwrap() any           { return a.s }
-
-// liftStack wraps a pid-oblivious strong stack; T must be named at
-// the call site (it cannot be inferred from the method set).
-func liftStack[T any, S interface {
-	Push(T) error
-	Pop() (T, error)
-}](s S) StackAPI[T] {
-	return pidlessStack[T, S]{s}
-}
-
-// weakStack adapts a Figure 1 stack: the uniform Push/Pop are its
+// weakStack adapts the Figure 1 stack: the uniform Push/Pop are its
 // single attempts, so ErrStackAborted can surface.
-type weakStack[T any, S interface {
-	TryPush(T) error
-	TryPop() (T, error)
-}] struct{ s S }
+type weakStack[T any] struct{ s *stack.Abortable[T] }
 
-func (a weakStack[T, S]) Push(_ int, v T) error { return a.s.TryPush(v) }
-func (a weakStack[T, S]) Pop(_ int) (T, error)  { return a.s.TryPop() }
-func (a weakStack[T, S]) Unwrap() any           { return a.s }
-
-func liftWeakStack[T any, S interface {
-	TryPush(T) error
-	TryPop() (T, error)
-}](s S) StackAPI[T] {
-	return weakStack[T, S]{s}
-}
+func (a weakStack[T]) Push(pid int, v T) error { return a.s.TryPush(pid, v) }
+func (a weakStack[T]) Pop(pid int) (T, error)  { return a.s.TryPop(pid) }
+func (a weakStack[T]) Unwrap() any             { return a.s }
 
 // pidlessQueue adapts a pid-oblivious strong queue (Figure 2).
 type pidlessQueue[T any, Q interface {

@@ -67,12 +67,12 @@ func BenchmarkE2WeakSolo(b *testing.B) {
 	b.ReportAllocs()
 	b.Run("boxed", func(b *testing.B) {
 		b.ReportAllocs()
-		s := stack.NewAbortable[uint64](16)
+		s := stack.NewAbortable[uint64](16, 1)
 		for i := 0; i < b.N; i++ {
-			if err := s.TryPush(uint64(i)); err != nil {
+			if err := s.TryPush(0, uint64(i)); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := s.TryPop(); err != nil {
+			if _, err := s.TryPop(0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -81,10 +81,10 @@ func BenchmarkE2WeakSolo(b *testing.B) {
 		b.ReportAllocs()
 		s := stack.NewPacked(16)
 		for i := 0; i < b.N; i++ {
-			if err := s.TryPush(uint32(i)); err != nil {
+			if err := s.TryPush(0, uint32(i)); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := s.TryPop(); err != nil {
+			if _, err := s.TryPop(0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -114,10 +114,11 @@ func parallelStack(b *testing.B, push func(pid int, v uint64) error, pop func(pi
 // (high-interference) stack.
 func BenchmarkE3NonBlocking(b *testing.B) {
 	b.ReportAllocs()
-	s := stack.NewNonBlocking[uint64](4)
+	const maxProcs = 64
+	s := stack.NewNonBlocking[uint64](4, maxProcs)
 	parallelStack(b,
-		func(_ int, v uint64) error { return s.Push(v) },
-		func(_ int) (uint64, error) { return s.Pop() })
+		func(pid int, v uint64) error { return s.Push(pid%maxProcs, v) },
+		func(pid int) (uint64, error) { return s.Pop(pid % maxProcs) })
 }
 
 // BenchmarkE4Fairness measures the Figure 3 stack under saturation and
@@ -181,9 +182,9 @@ func BenchmarkE5Throughput(b *testing.B) {
 				func(pid int) (uint64, error) { return s.Pop(pid % maxProcs) }
 		}},
 		{"non-blocking", func() (func(int, uint64) error, func(int) (uint64, error)) {
-			s := stack.NewNonBlocking[uint64](k)
-			return func(_ int, v uint64) error { return s.Push(v) },
-				func(_ int) (uint64, error) { return s.Pop() }
+			s := stack.NewNonBlocking[uint64](k, maxProcs)
+			return func(pid int, v uint64) error { return s.Push(pid%maxProcs, v) },
+				func(pid int) (uint64, error) { return s.Pop(pid % maxProcs) }
 		}},
 		{"cont-sensitive", func() (func(int, uint64) error, func(int) (uint64, error)) {
 			s := stack.NewSensitive[uint64](k, maxProcs)
@@ -238,13 +239,14 @@ func BenchmarkE6Phases(b *testing.B) {
 // BenchmarkE7Managers ablates the retry-loop contention managers.
 func BenchmarkE7Managers(b *testing.B) {
 	b.ReportAllocs()
+	const maxProcs = 64
 	for _, name := range cmanager.Names() {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			s := stack.NewNonBlockingFrom[uint64](stack.NewAbortable[uint64](4), cmanager.ByName(name))
+			s := stack.NewNonBlockingFrom[uint64](stack.NewAbortable[uint64](4, maxProcs), cmanager.ByName(name))
 			parallelStack(b,
-				func(_ int, v uint64) error { return s.Push(v) },
-				func(_ int) (uint64, error) { return s.Pop() })
+				func(pid int, v uint64) error { return s.Push(pid%maxProcs, v) },
+				func(pid int) (uint64, error) { return s.Pop(pid % maxProcs) })
 		})
 	}
 }
@@ -448,8 +450,8 @@ func BenchmarkPublicAPI(b *testing.B) {
 }
 
 // BenchmarkE17AllocFree mirrors experiment E17 under testing.B: the
-// boxed hot paths allocate per operation, the pooled ones must report
-// 0 allocs/op (the -benchmem column is the acceptance bar).
+// pooled hot paths must report 0 allocs/op (the -benchmem column is
+// the acceptance bar).
 func BenchmarkE17AllocFree(b *testing.B) {
 	b.Run("treiber", func(b *testing.B) {
 		b.ReportAllocs()
@@ -467,17 +469,9 @@ func BenchmarkE17AllocFree(b *testing.B) {
 			_, _ = q.Dequeue(0)
 		}
 	})
-	b.Run("abortable-boxed", func(b *testing.B) {
-		b.ReportAllocs()
-		s := stack.NewAbortable[uint64](16)
-		for i := 0; i < b.N; i++ {
-			_ = s.TryPush(uint64(i))
-			_, _ = s.TryPop()
-		}
-	})
 	b.Run("abortable-pooled", func(b *testing.B) {
 		b.ReportAllocs()
-		s := stack.NewAbortablePooled(16, 1)
+		s := stack.NewAbortable[uint64](16, 1)
 		for i := 0; i < b.N; i++ {
 			_ = s.TryPush(0, uint64(i))
 			_, _ = s.TryPop(0)
@@ -485,7 +479,7 @@ func BenchmarkE17AllocFree(b *testing.B) {
 	})
 	b.Run("combining-pooled", func(b *testing.B) {
 		b.ReportAllocs()
-		s := stack.NewCombiningPooled(16, 1)
+		s := stack.NewCombining[uint64](16, 1)
 		for i := 0; i < b.N; i++ {
 			_ = s.Push(0, uint64(i))
 			_, _ = s.Pop(0)

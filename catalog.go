@@ -308,50 +308,79 @@ func CatalogByKind(kind string) []Backend {
 }
 
 func stackCatalog() []Backend {
+	combining := Backend{
+		Name: nameStackCombining, Kind: KindStack,
+		Constructor: "NewCombiningStack[T](k, n)",
+		Object:      "bounded stack, flat combining",
+		Tier:        "scaling", Progress: "starvation-free", Domain: "generic", Allocation: "pooled, 0 allocs/op",
+		Experiments: []string{"E5", "E11", "E15", "E17", "E20", "E21", "E22"},
+		Robustness:  "lease-takeover",
+		Bounded:     true,
+		Stack: func(opts ...Option) StackAPI[uint64] {
+			o := applyOptions(opts)
+			return stack.NewCombining[uint64](o.capacity, o.procs)
+		},
+		Direct: func(opts ...Option) Ops {
+			o := applyOptions(opts)
+			s := stack.NewCombining[uint64](o.capacity, o.procs)
+			return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
+				if op == 0 {
+					return 0, s.Push(pid, v)
+				}
+				return s.Pop(pid)
+			}}
+		},
+	}
+	// stack/combining-pooled is stack/combining at uint64, kept under
+	// its own name for the committed E21/E22 points.
+	combiningPooled := combining
+	combiningPooled.Name, combiningPooled.Constructor = nameStackCombiningPool, "NewCombiningPooledStack(k, n)"
+	combiningPooled.Domain = "uint64"
+	combiningPooled.Experiments = []string{"E5", "E11", "E17", "E20", "E21", "E22"}
 	return []Backend{
 		{
 			Name: nameStackAbortable, Kind: KindStack,
-			Constructor: "NewAbortableStack[T](k)",
+			Constructor: "NewAbortableStack[T](k, n)",
 			Object:      "weak bounded stack, Figure 1",
-			Tier:        "paper", Progress: "abortable", Domain: "generic", Allocation: "boxed",
+			Tier:        "paper", Progress: "abortable", Domain: "generic", Allocation: "pooled, 0 allocs/op",
 			Experiments: []string{"E1", "E2", "E3", "E8", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Weak:        true, Bounded: true,
 			Stack: func(opts ...Option) StackAPI[uint64] {
 				o := applyOptions(opts)
-				return liftWeakStack[uint64](stack.NewAbortable[uint64](o.capacity))
+				return weakStack[uint64]{stack.NewAbortable[uint64](o.capacity, o.procs)}
 			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
-				s := stack.NewAbortable[uint64](o.capacity)
-				return Ops{N: 2, Do: func(_, op int, v uint64) (uint64, error) {
+				s := stack.NewAbortable[uint64](o.capacity, o.procs)
+				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
 					if op == 0 {
-						return 0, s.TryPush(v)
+						return 0, s.TryPush(pid, v)
 					}
-					return s.TryPop()
+					return s.TryPop(pid)
 				}}
 			},
 		},
 		{
 			Name: nameStackNonBlocking, Kind: KindStack,
-			Constructor: "NewNonBlockingStack[T](k)",
+			Constructor: "NewNonBlockingStack[T](k, n)",
 			Object:      "bounded stack, Figure 2",
-			Tier:        "paper", Progress: "lock-free", Domain: "generic", Allocation: "boxed",
+			Tier:        "paper", Progress: "lock-free", Domain: "generic", Allocation: "pooled, 0 allocs/op",
 			Experiments: []string{"E3", "E5", "E7", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Bounded:     true,
 			Stack: func(opts ...Option) StackAPI[uint64] {
 				o := applyOptions(opts)
-				return liftStack[uint64](stack.NewNonBlocking[uint64](o.capacity))
+				return stack.NewNonBlocking[uint64](o.capacity, o.procs)
 			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
-				s := stack.NewNonBlocking[uint64](o.capacity)
-				return Ops{N: 2, Do: func(_, op int, v uint64) (uint64, error) {
+				s := stack.NewNonBlocking[uint64](o.capacity, o.procs)
+				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
 					if op == 0 {
-						return 0, s.Push(v)
+						return 0, s.Push(pid, v)
 					}
-					return s.Pop()
+					return s.Pop(pid)
 				}}
 			},
 		},
@@ -359,7 +388,7 @@ func stackCatalog() []Backend {
 			Name: nameStackSensitive, Kind: KindStack,
 			Constructor: "NewStack[T](k, n)",
 			Object:      "bounded stack, Figure 3",
-			Tier:        "paper", Progress: "starvation-free", Domain: "generic", Allocation: "boxed",
+			Tier:        "paper", Progress: "starvation-free", Domain: "generic", Allocation: "pooled, 0 allocs/op",
 			Experiments: []string{"E1", "E4", "E5", "E6", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "lock-vulnerable",
 			Bounded:     true,
@@ -422,57 +451,13 @@ func stackCatalog() []Backend {
 				}}
 			},
 		},
-		{
-			Name: nameStackCombining, Kind: KindStack,
-			Constructor: "NewCombiningStack[T](k, n)",
-			Object:      "bounded stack, flat combining",
-			Tier:        "scaling", Progress: "starvation-free", Domain: "generic", Allocation: "boxed",
-			Experiments: []string{"E5", "E11", "E15", "E17", "E20", "E21", "E22"},
-			Robustness:  "lease-takeover",
-			Bounded:     true,
-			Stack: func(opts ...Option) StackAPI[uint64] {
-				o := applyOptions(opts)
-				return stack.NewCombining[uint64](o.capacity, o.procs)
-			},
-			Direct: func(opts ...Option) Ops {
-				o := applyOptions(opts)
-				s := stack.NewCombining[uint64](o.capacity, o.procs)
-				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
-					if op == 0 {
-						return 0, s.Push(pid, v)
-					}
-					return s.Pop(pid)
-				}}
-			},
-		},
-		{
-			Name: nameStackCombiningPool, Kind: KindStack,
-			Constructor: "NewCombiningPooledStack(k, n)",
-			Object:      "bounded stack, flat combining",
-			Tier:        "scaling", Progress: "starvation-free", Domain: "uint64", Allocation: "pooled, 0 allocs/op",
-			Experiments: []string{"E5", "E11", "E17", "E20", "E21", "E22"},
-			Robustness:  "lease-takeover",
-			Bounded:     true,
-			Stack: func(opts ...Option) StackAPI[uint64] {
-				o := applyOptions(opts)
-				return stack.NewCombiningPooled(o.capacity, o.procs)
-			},
-			Direct: func(opts ...Option) Ops {
-				o := applyOptions(opts)
-				s := stack.NewCombiningPooled(o.capacity, o.procs)
-				return Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
-					if op == 0 {
-						return 0, s.Push(pid, v)
-					}
-					return s.Pop(pid)
-				}}
-			},
-		},
+		combining,
+		combiningPooled,
 		{
 			Name: nameStackAdaptive, Kind: KindStack,
 			Constructor: "NewAdaptiveStack[T](k, n)",
 			Object:      "contention-adaptive stack, sensitive-combining ladder",
-			Tier:        "adaptive", Progress: "starvation-free", Domain: "generic", Allocation: "boxed",
+			Tier:        "adaptive", Progress: "starvation-free", Domain: "generic", Allocation: "pooled rungs",
 			Experiments: []string{"E5", "E11", "E17", "E20", "E21", "E22", "E23"},
 			Robustness:  "lock-vulnerable",
 			Bounded:     true,
@@ -912,8 +897,9 @@ func setDirect(add, remove, contains func(int, uint64) bool) Ops {
 
 // find resolves a backend name of the given kind, accepting both the
 // full catalog name ("stack/treiber") and the bare variant
-// ("treiber"), and applies the WithPooled redirection (a pooled
-// backend, or one that already runs at 0 allocs/op, passes through).
+// ("treiber"), and applies WithPooled (a pooled backend, or one that
+// already runs at 0 allocs/op, passes; any other is an error) and the
+// WithAdaptive redirection.
 func find(kind, name string, opts []Option) (Backend, options, error) {
 	o := applyOptions(opts)
 	if !strings.Contains(name, "/") {
@@ -938,11 +924,7 @@ func find(kind, name string, opts []Option) (Backend, options, error) {
 			kind, name, strings.Join(names, ", "))
 	}
 	if o.pooled && !strings.Contains(b.Allocation, "pooled") && !strings.Contains(b.Allocation, "0 allocs/op") {
-		p, ok := lookup(b.Name + "-pooled")
-		if !ok {
-			return Backend{}, o, fmt.Errorf("repro: backend %s has no pooled sibling", b.Name)
-		}
-		b = p
+		return Backend{}, o, fmt.Errorf("repro: backend %s does not recycle its nodes", b.Name)
 	}
 	if o.adaptive && b.Tier != "adaptive" {
 		a, ok := lookup(kind + "/adaptive")
@@ -962,9 +944,9 @@ func genericStack[T any](name string, o options) (StackAPI[T], bool) {
 	case nameStackSensitive:
 		return stack.NewSensitive[T](o.capacity, o.procs), true
 	case nameStackAbortable:
-		return liftWeakStack[T](stack.NewAbortable[T](o.capacity)), true
+		return weakStack[T]{stack.NewAbortable[T](o.capacity, o.procs)}, true
 	case nameStackNonBlocking:
-		return liftStack[T](stack.NewNonBlocking[T](o.capacity)), true
+		return stack.NewNonBlocking[T](o.capacity, o.procs), true
 	case nameStackTreiber:
 		return stack.NewTreiber[T](o.procs), true
 	case nameStackElimination:
@@ -1000,9 +982,9 @@ func genericQueue[T any](name string, o options) (QueueAPI[T], bool) {
 
 // NewStackBackend builds the named stack backend from the catalog
 // behind the uniform StackAPI contract. Generic-domain backends
-// instantiate at any T; the pooled Figure 1 tier (combining-pooled)
-// carries uint64 elements and is available exactly when T is uint64. Options: WithCapacity,
-// WithProcs, WithWidth, WithPooled.
+// instantiate at any T; combining-pooled, the uint64 alias of
+// combining, is available exactly when T is uint64. Options:
+// WithCapacity, WithProcs, WithWidth, WithPooled.
 //
 //	s, err := repro.NewStackBackend[string]("sensitive",
 //	    repro.WithCapacity(1024), repro.WithProcs(8))

@@ -20,7 +20,7 @@ func main() {
 	const procs, k = 8, 1024
 
 	var st memory.Stats
-	weak := stack.NewAbortableObserved[uint64](k, &st)
+	weak := stack.NewAbortableObserved[uint64](k, procs, &st)
 	s := stack.NewSensitiveFrom[uint64](weak, lock.NewRoundRobin(lock.NewTAS(), procs), &st)
 
 	phases := workload.SoloThenStorm(procs, 100000)

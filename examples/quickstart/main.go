@@ -49,11 +49,11 @@ func main() {
 
 	// The weak (abortable) stack underneath: a single attempt either
 	// takes effect or reports ⊥ with no effect.
-	weak := repro.NewAbortableStack[int](8)
-	if err := weak.TryPush(42); err != nil {
+	weak := repro.NewAbortableStack[int](8, procs)
+	if err := weak.TryPush(0, 42); err != nil {
 		fmt.Println("solo weak pushes never abort, but got:", err)
 	}
-	v, _ := weak.TryPop()
+	v, _ := weak.TryPop(0)
 	fmt.Println("weak round-trip:", v)
 
 	// And the FIFO sibling, this time through the backend catalog:
@@ -80,8 +80,7 @@ func main() {
 	fmt.Println()
 
 	// The catalog itself is data: swap "sensitive" for any same-kind
-	// name below (WithPooled redirects to a pooled sibling where one
-	// exists) and the code above runs unchanged.
+	// name below and the code above runs unchanged.
 	fmt.Print("queue backends in the catalog:")
 	for _, b := range repro.CatalogByKind(repro.KindQueue) {
 		fmt.Printf(" %s", b.Name)

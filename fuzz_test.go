@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 
 	"repro"
@@ -44,27 +45,53 @@ func FuzzStackBackendsAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const k = 4
 		for _, b := range repro.CatalogByKind(repro.KindStack) {
-			ops := repro.Drive(b, append([]repro.Option{
-				repro.WithCapacity(k), repro.WithProcs(1)}, b.LinOpts...)...)
+			opts := append([]repro.Option{repro.WithCapacity(k), repro.WithProcs(1)}, b.LinOpts...)
+			variants := []repro.Ops{repro.Drive(b, opts...)}
+			if b.Domain == "generic" {
+				variants = append(variants, stringStack(t, b.Name, opts))
+			}
 			cap := k
 			if !b.Bounded {
 				cap = 1 << 30
 			}
-			ref := spec.NewStack[uint64](cap)
-			fuzzKind(t, b.Name, ops, data, func(op int, v uint64) (uint64, error) {
-				if op == 0 {
-					if ref.Push(v) {
-						return 0, nil
+			for _, ops := range variants {
+				ref := spec.NewStack[uint64](cap)
+				fuzzKind(t, b.Name, ops, data, func(op int, v uint64) (uint64, error) {
+					if op == 0 {
+						if ref.Push(v) {
+							return 0, nil
+						}
+						return 0, repro.ErrStackFull
 					}
-					return 0, repro.ErrStackFull
-				}
-				if want, ok := ref.Pop(); ok {
-					return want, nil
-				}
-				return 0, repro.ErrStackEmpty
-			})
+					if want, ok := ref.Pop(); ok {
+						return want, nil
+					}
+					return 0, repro.ErrStackEmpty
+				})
+			}
 		}
 	})
+}
+
+// stringStack drives the named generic-domain stack backend at
+// T = string, each value travelling as its decimal text: the lockstep
+// replay then covers a pointer-carrying T, where a value slot read or
+// cleared out of turn shows up as a wrong or empty string.
+func stringStack(t *testing.T, name string, opts []repro.Option) repro.Ops {
+	s, err := repro.NewStackBackend[string](name, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return repro.Ops{N: 2, Do: func(pid, op int, v uint64) (uint64, error) {
+		if op == 0 {
+			return 0, s.Push(pid, strconv.FormatUint(v, 10))
+		}
+		str, err := s.Pop(pid)
+		if err != nil {
+			return 0, err
+		}
+		return strconv.ParseUint(str, 10, 64)
+	}}
 }
 
 func FuzzQueueBackendsAgree(f *testing.F) {

@@ -22,13 +22,15 @@ type container[T any] interface {
 // contRec is one immutable epoch record of an adaptive container; see
 // the package comment for the transition diagram. The register holding
 // it is the migration epoch: every transition installs a fresh record,
-// so pointer identity identifies the epoch with no ABA.
+// so pointer identity identifies the epoch with no ABA. A sealed
+// window (mig and sealed) has reached quiescence and can only close.
 type contRec[T any] struct {
-	gen  uint64
-	rung int
-	impl container[T]
-	mig  bool
-	dst  int
+	gen    uint64
+	rung   int
+	impl   container[T]
+	mig    bool
+	sealed bool
+	dst    int
 }
 
 // meta is the shared engine of Stack and Queue: the epoch register,
@@ -102,28 +104,43 @@ func (m *meta[T]) do(pid int, op func(container[T]) (T, error)) (T, error) {
 }
 
 // help drives an open migration window to a resolution: quiesce the
-// announce array, snapshot the frozen source, rebuild the target
-// privately, and publish target-plus-close in one CAS — or abort the
-// window when quiescence cannot be reached within the budget. Any
-// process can help; losers of the close CAS discard their private
-// target, which is what makes a crashed migrator harmless.
+// announce array and seal the window, snapshot the frozen source,
+// rebuild the target privately, and publish target-plus-close in one
+// CAS — or abort the window when quiescence cannot be reached within
+// the budget. Any process can help; losers of the close CAS discard
+// their private target, which is what makes a crashed migrator
+// harmless.
+//
+// The seal CAS is what makes the snapshot safe. An abort re-publishes
+// the source, so operations resume on it; a helper that quiesced just
+// before someone else aborted would otherwise read a live source. The
+// seal succeeds only while the unaborted window is still current, and
+// a sealed window is never aborted, so once sealed the source takes no
+// more operations and every helper may read it.
 func (m *meta[T]) help(pid int, rec *contRec[T]) {
-	if quiesceSlots(m.ann, pid, m.t.quiesceBudget()) {
-		snap := rec.impl.snapshot()
-		dst := m.build[rec.dst]()
-		for _, v := range snap {
-			// The target is private until the close CAS publishes it:
-			// refills run contention-free and cannot overflow (equal
-			// capacity), so the error is always nil.
-			dst.put(pid, v)
+	if !rec.sealed {
+		if !quiesceSlots(m.ann, pid, m.t.quiesceBudget()) {
+			if m.state.CAS(rec, &contRec[T]{gen: rec.gen + 1, rung: rec.rung, impl: rec.impl}) {
+				m.onAbort()
+			}
+			return
 		}
-		if m.state.CAS(rec, &contRec[T]{gen: rec.gen + 1, rung: rec.dst, impl: dst}) {
-			m.onClose(rec.rung, rec.dst)
+		sealed := &contRec[T]{gen: rec.gen + 1, rung: rec.rung, impl: rec.impl, mig: true, sealed: true, dst: rec.dst}
+		if !m.state.CAS(rec, sealed) {
+			return
 		}
-		return
+		rec = sealed
 	}
-	if m.state.CAS(rec, &contRec[T]{gen: rec.gen + 1, rung: rec.rung, impl: rec.impl}) {
-		m.onAbort()
+	snap := rec.impl.snapshot()
+	dst := m.build[rec.dst]()
+	for _, v := range snap {
+		// The target is private until the close CAS publishes it:
+		// refills run contention-free and cannot overflow (equal
+		// capacity), so the error is always nil.
+		dst.put(pid, v)
+	}
+	if m.state.CAS(rec, &contRec[T]{gen: rec.gen + 1, rung: rec.dst, impl: dst}) {
+		m.onClose(rec.rung, rec.dst)
 	}
 }
 

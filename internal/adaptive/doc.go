@@ -32,6 +32,12 @@
 //	mig  --close-->  stable{gen+2, dst, target}   (one winner)
 //	mig  --abort-->  stable{gen+2, rung, impl}    (graceful degradation)
 //
+// The stack and queue containers add one step before the close: after
+// quiescence a helper CASes mig{gen+1} to sealed{gen+2, rung, impl,
+// dst}, which only closes (to stable{gen+3, dst, target}). The seal
+// keeps a helper from snapshotting a source that an abort has already
+// handed back to live operations.
+//
 // Writers on an announce-gated rung publish their intent in a per-pid
 // padded announce register, then re-validate the record pointer (a
 // Dekker-style handshake with the migrator) before touching the

@@ -21,7 +21,7 @@ func init() {
 	register(Experiment{
 		ID:    "E17",
 		Title: "allocation & GC pressure: boxed vs pooled vs packed hot paths",
-		Claim: "recycling nodes through per-pid pools with §2.2 sequence tags removes the allocator from the hot path: the pooled Treiber and Michael-Scott paths run at 0 steady-state allocs/op where the boxed backends allocate a record per op (with GC cycles to match), and forced reuse — every op recycling a just-retired node — preserves conservation because the tags make every stale CAS fail",
+		Claim: "recycling nodes and value slots through per-pid pools with §2.2 sequence tags removes the allocator from the hot path: the pooled Treiber and Michael-Scott paths and the Figure 1-3 stack ladder run at 0 steady-state allocs/op where a boxed record per op would cost an allocation and GC cycles to match, and forced reuse — every op recycling a just-retired node — preserves conservation because the tags make every stale CAS fail",
 		Run:   runE17,
 	})
 }
@@ -34,28 +34,14 @@ type allocBackend struct {
 	push     func(pid int, v uint64) error
 	pop      func(pid int) (uint64, error)
 	wantZero bool // acceptance: steady state must not allocate
-	// maxAllocs, when positive, caps the solo allocs/op: one worker, so
-	// no attempt aborts and the figure counts the records a completed
-	// operation needs. Contended rows cannot carry the cap, because a
-	// boxed aborted attempt pays its record too.
-	maxAllocs float64
-}
-
-// soloCeiling caps the solo allocs/op of the boxed Figure 1 stacks,
-// whose every solo operation runs one attempt: one TOP record, which
-// the help step later installs in STACK[] as is. A second record per
-// operation reads 2.0.
-var soloCeiling = map[string]float64{
-	"stack/abortable": 1.05, "stack/non-blocking": 1.05, "stack/sensitive": 1.05,
-	"stack/combining": 1.05, "stack/adaptive": 1.05,
 }
 
 // allocBackends builds the E17 comparison set: every stack and queue
 // backend the public catalog exports (the catalog's allocation
 // profile decides which must measure 0 allocs/op), plus the
-// internal-only variants — the packed bit-packing stack and the
-// pooled Figure 1 retrofits — that complete each family's
-// boxed/packed/pooled triangle.
+// internal-only rows: the packed bit-packing stack, and the Figure 1
+// stack under its pooled row name (the same body as stack/abortable,
+// driven directly rather than through the catalog adapter).
 func allocBackends(procs int) []allocBackend {
 	k := 1024
 	var out []allocBackend
@@ -76,8 +62,7 @@ func allocBackends(procs int) []allocBackend {
 		if b.Weak {
 			// Weak entries make single attempts through the uniform
 			// interface; retry aborts so every measured op completed and
-			// allocs/op stays comparable with the strong rows (a boxed
-			// aborted attempt still pays its records).
+			// allocs/op stays comparable with the strong rows.
 			rawPush, rawPop := push, pop
 			aborted := stack.ErrAborted
 			if b.Kind == repro.KindQueue {
@@ -100,8 +85,7 @@ func allocBackends(procs int) []allocBackend {
 		}
 		be := allocBackend{
 			name: b.Name, push: push, pop: pop,
-			wantZero:  strings.Contains(b.Allocation, "0 allocs/op"),
-			maxAllocs: soloCeiling[b.Name],
+			wantZero: strings.Contains(b.Allocation, "0 allocs/op"),
 		}
 		if ps, ok := inner.(interface{ PoolStats() memory.PoolStats }); ok {
 			be.pool = ps.PoolStats
@@ -109,7 +93,7 @@ func allocBackends(procs int) []allocBackend {
 		out = append(out, be)
 	}
 
-	ap := stack.NewAbortablePooled(k, procs)
+	ap := stack.NewAbortable[uint64](k, procs)
 	out = append(out, allocBackend{
 		name: "stack/abortable-pooled", pool: ap.PoolStats, wantZero: true,
 		push: func(pid int, v uint64) error { return retryPush(func(v uint64) error { return ap.TryPush(pid, v) }, v) },
@@ -118,11 +102,11 @@ func allocBackends(procs int) []allocBackend {
 	pk := stack.NewPacked(k)
 	out = append(out, allocBackend{
 		name: "stack/packed", wantZero: true,
-		push: func(_ int, v uint64) error {
-			return retryPush(func(v uint64) error { return pk.TryPush(uint32(v)) }, v)
+		push: func(pid int, v uint64) error {
+			return retryPush(func(v uint64) error { return pk.TryPush(pid, uint32(v)) }, v)
 		},
-		pop: func(_ int) (uint64, error) {
-			return retryPop(func() (uint64, error) { v, err := pk.TryPop(); return uint64(v), err })
+		pop: func(pid int) (uint64, error) {
+			return retryPop(func() (uint64, error) { v, err := pk.TryPop(pid); return uint64(v), err })
 		},
 	})
 	return out
@@ -215,7 +199,7 @@ func runE17(cfg Config, w io.Writer) error {
 
 	tb := metrics.NewTable("backend", "allocs/op", "B/op", "GC cycles", "ops/s", "solo allocs/op", "verdict")
 	defer cfg.logTable("E17 steady state", tb)
-	var failed, over []string
+	var failed []string
 	for _, be := range allocBackends(procs) {
 		res := measureAllocs(procs, warmup, ops, cfg.Seed, be.push, be.pop)
 		solo := measureAllocs(1, warmup, ops, cfg.Seed, be.push, be.pop)
@@ -226,10 +210,6 @@ func runE17(cfg Config, w io.Writer) error {
 		if be.wantZero && res.allocsPerOp >= 0.01 {
 			verdict = "FAIL: allocates"
 			failed = append(failed, be.name)
-		}
-		if be.maxAllocs > 0 && solo.allocsPerOp > be.maxAllocs {
-			verdict = fmt.Sprintf("FAIL: solo > %.2f allocs/op", be.maxAllocs)
-			over = append(over, be.name)
 		}
 		tb.AddRow(be.name,
 			fmt.Sprintf("%.3f", res.allocsPerOp),
@@ -248,9 +228,6 @@ func runE17(cfg Config, w io.Writer) error {
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("E17: steady state still allocates on %v", failed)
-	}
-	if len(over) > 0 {
-		return fmt.Errorf("E17: solo allocs/op above the ceiling on %v", over)
 	}
 	return nil
 }

@@ -101,13 +101,13 @@ func runE15Contended(cfg Config, steps []int, w io.Writer) error {
 	}
 	serialized := func(mk func(procs int) lock.PidLock) func(int) (func(int, uint64) error, func(int) (uint64, error)) {
 		return func(procs int) (func(int, uint64) error, func(int) (uint64, error)) {
-			weak := stack.NewAbortable[uint64](k)
+			weak := stack.NewAbortable[uint64](k, procs)
 			lk := mk(procs)
 			push := func(pid int, v uint64) error {
 				lk.Acquire(pid)
 				defer lk.Release(pid)
 				return core.Retry(nil, func() (error, bool) {
-					err := weak.TryPush(v)
+					err := weak.TryPush(pid, v)
 					return err, err != stack.ErrAborted
 				})
 			}
@@ -119,7 +119,7 @@ func runE15Contended(cfg Config, steps []int, w io.Writer) error {
 					err error
 				}
 				r := core.Retry(nil, func() (res, bool) {
-					v, err := weak.TryPop()
+					v, err := weak.TryPop(pid)
 					return res{v, err}, err != stack.ErrAborted
 				})
 				return r.v, r.err

@@ -104,8 +104,8 @@ func runE1(cfg Config, w io.Writer) error {
 	// Weak operations alone (5 accesses, the §3 count).
 	probes = append(probes, probe{"boxed", "weak_push", func() (memory.Snapshot, uint64) {
 		var st memory.Stats
-		s := stack.NewAbortableObserved[uint64](2, &st)
-		if err := s.TryPush(1); err != nil {
+		s := stack.NewAbortableObserved[uint64](2, 1, &st)
+		if err := s.TryPush(0, 1); err != nil {
 			panic(err)
 		}
 		return st.Snapshot(), 0
@@ -113,11 +113,11 @@ func runE1(cfg Config, w io.Writer) error {
 	probes = append(probes, probe{"packed", "weak_pop", func() (memory.Snapshot, uint64) {
 		var st memory.Stats
 		s := stack.NewPackedObserved(2, &st)
-		if err := s.TryPush(1); err != nil {
+		if err := s.TryPush(0, 1); err != nil {
 			panic(err)
 		}
 		before := st.Snapshot()
-		if _, err := s.TryPop(); err != nil {
+		if _, err := s.TryPop(0); err != nil {
 			panic(err)
 		}
 		return st.Snapshot().Sub(before), 0
@@ -178,12 +178,13 @@ func runE2(cfg Config, w io.Writer) error {
 		var tryPush func(v uint64) error
 		var tryPop func() (uint64, error)
 		if backend == "boxed" {
-			s := stack.NewAbortable[uint64](16)
-			tryPush, tryPop = s.TryPush, func() (uint64, error) { return s.TryPop() }
+			s := stack.NewAbortable[uint64](16, 1)
+			tryPush = func(v uint64) error { return s.TryPush(0, v) }
+			tryPop = func() (uint64, error) { return s.TryPop(0) }
 		} else {
 			s := stack.NewPacked(16)
-			tryPush = func(v uint64) error { return s.TryPush(uint32(v)) }
-			tryPop = func() (uint64, error) { v, err := s.TryPop(); return uint64(v), err }
+			tryPush = func(v uint64) error { return s.TryPush(0, uint32(v)) }
+			tryPop = func() (uint64, error) { v, err := s.TryPop(0); return uint64(v), err }
 		}
 		rng := workload.NewRNG(cfg.Seed)
 		aborts := 0

@@ -42,7 +42,7 @@ func runE4(cfg Config, w io.Writer) error {
 			return s.Push, s.Pop
 		}},
 		{"sensitive raw TAS (no RR)", func() (func(int, uint64) error, func(int) (uint64, error)) {
-			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](8), lock.IgnorePid(lock.NewTAS()), nil)
+			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](8, procs), lock.IgnorePid(lock.NewTAS()), nil)
 			return s.Push, s.Pop
 		}},
 		{"lock-based TAS", func() (func(int, uint64) error, func(int) (uint64, error)) {

@@ -92,22 +92,23 @@ func abortSentinel(b repro.Backend, aborted error) error {
 }
 
 // internalLinTargets covers the implementations that are deliberately
-// not in the public catalog — the packed bit-packing variants and the
-// pooled Figure 1 retrofits — so their histories stay checked too.
+// not in the public catalog — the packed bit-packing variants — so
+// their histories stay checked too, plus the Figure 1 stack driven
+// directly under its pooled row name.
 func internalLinTargets() []LinTarget {
 	return []LinTarget{
 		{"stack/packed", "stack", 6, func(procs int) (func(int, bool, uint64) (uint64, error), error, error, error) {
 			s := stack.NewPacked(6)
-			return func(_ int, push bool, v uint64) (uint64, error) {
+			return func(pid int, push bool, v uint64) (uint64, error) {
 				if push {
-					return 0, s.TryPush(uint32(v))
+					return 0, s.TryPush(pid, uint32(v))
 				}
-				got, err := s.TryPop()
+				got, err := s.TryPop(pid)
 				return uint64(got), err
 			}, stack.ErrFull, stack.ErrEmpty, stack.ErrAborted
 		}},
 		{"stack/abortable-pooled", "stack", 6, func(procs int) (func(int, bool, uint64) (uint64, error), error, error, error) {
-			s := stack.NewAbortablePooled(6, procs)
+			s := stack.NewAbortable[uint64](6, procs)
 			return func(pid int, push bool, v uint64) (uint64, error) {
 				if push {
 					return 0, s.TryPush(pid, v)

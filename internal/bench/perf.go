@@ -59,8 +59,9 @@ const e3WindowFloor = 10 * time.Millisecond
 type e3Worker func(pid int, rng *workload.RNG, aborts *atomic.Uint64) (op func() bool)
 
 func runE3(cfg Config, w io.Writer) error {
+	cfg = cfg.withDefaults()
 	return runE3With(cfg, w, func() e3Worker {
-		s := stack.NewNonBlocking[uint64](4) // tiny stack maximizes interference
+		s := stack.NewNonBlocking[uint64](4, cfg.Procs) // tiny stack maximizes interference
 		return func(pid int, rng *workload.RNG, aborts *atomic.Uint64) func() bool {
 			op := abortCountedMix(s, pid, rng, aborts)
 			return func() bool { op(); return true }
@@ -126,10 +127,10 @@ func abortCountedMix(s *stack.NonBlocking[uint64], pid int, rng *workload.RNG, a
 	return func() {
 		var n int
 		if workload.Balanced.NextIsPush(rng) {
-			_, n = s.PushCounted(workload.Value(pid, i))
+			_, n = s.PushCounted(pid, workload.Value(pid, i))
 			i++
 		} else {
-			_, _, n = s.PopCounted()
+			_, _, n = s.PopCounted(pid)
 		}
 		aborts.Add(uint64(n))
 	}
@@ -212,11 +213,9 @@ func runE6(cfg Config, w io.Writer) error {
 			return cfgRow{name: name, stats: &st, push: s.Push, pop: s.Pop,
 				slow: func() uint64 { return s.Guard().Stats().Slow }}
 		case "non-blocking":
-			weak := stack.NewAbortableObserved[uint64](1024, &st)
+			weak := stack.NewAbortableObserved[uint64](1024, cfg.Procs, &st)
 			s := stack.NewNonBlockingFrom[uint64](weak, nil)
-			return cfgRow{name: name, stats: &st,
-				push: func(_ int, v uint64) error { return s.Push(v) },
-				pop:  func(_ int) (uint64, error) { return s.Pop() }}
+			return cfgRow{name: name, stats: &st, push: s.Push, pop: s.Pop}
 		default:
 			panic("unknown impl")
 		}
@@ -274,7 +273,7 @@ func runE7(cfg Config, w io.Writer) error {
 	// its own manager instance from mk (shared managers just return
 	// the same one).
 	measure := func(name string, mk func(pid int) core.Manager) {
-		weak := stack.NewAbortable[uint64](4)
+		weak := stack.NewAbortable[uint64](4, procs)
 		var totalAborts atomic.Uint64
 		counts, elapsed := runTimed(procs, cfg.Seed, sleep(cfg.Duration), func(pid int, rng *workload.RNG, _ time.Time) func() {
 			return abortCountedMix(stack.NewNonBlockingFrom[uint64](weak, mk(pid)), pid, rng, &totalAborts)

@@ -97,10 +97,9 @@ func TestSensitiveStackLinearizable(t *testing.T) {
 func TestNonBlockingStackLinearizable(t *testing.T) {
 	const procs, k = 4, 6
 	for seed := int64(100); seed < 108; seed++ {
-		s := stack.NewNonBlocking[uint64](k)
+		s := stack.NewNonBlocking[uint64](k, procs)
 		h := recordStackRounds(t, procs, 30, 4, seed,
-			func(_ int, v uint64) error { return s.Push(v) },
-			func(_ int) (uint64, error) { return s.Pop() },
+			s.Push, s.Pop,
 			stack.ErrFull, stack.ErrEmpty, nil)
 		checkStackHistory(t, "nonblocking", k, h)
 	}
@@ -111,10 +110,9 @@ func TestAbortableStackWeakOpsLinearizable(t *testing.T) {
 	// linearization points). Aborted ops are dropped by the recorder.
 	const procs, k = 4, 6
 	for seed := int64(200); seed < 208; seed++ {
-		s := stack.NewAbortable[uint64](k)
+		s := stack.NewAbortable[uint64](k, procs)
 		h := recordStackRounds(t, procs, 30, 4, seed,
-			func(_ int, v uint64) error { return s.TryPush(v) },
-			func(_ int) (uint64, error) { return s.TryPop() },
+			s.TryPush, s.TryPop,
 			stack.ErrFull, stack.ErrEmpty, stack.ErrAborted)
 		checkStackHistory(t, "abortable", k, h)
 	}
@@ -125,9 +123,9 @@ func TestPackedStackWeakOpsLinearizable(t *testing.T) {
 	for seed := int64(300); seed < 308; seed++ {
 		s := stack.NewPacked(k)
 		h := recordStackRounds(t, procs, 30, 4, seed,
-			func(_ int, v uint64) error { return s.TryPush(uint32(v)) },
-			func(_ int) (uint64, error) {
-				v, err := s.TryPop()
+			func(pid int, v uint64) error { return s.TryPush(pid, uint32(v)) },
+			func(pid int) (uint64, error) {
+				v, err := s.TryPop(pid)
 				return uint64(v), err
 			},
 			stack.ErrFull, stack.ErrEmpty, stack.ErrAborted)

@@ -18,7 +18,7 @@
 //     one heap allocation per published record.
 //   - TaggedRef[T] over Pool[T] (tagged.go, pool.go): a register
 //     holding 〈handle, seqnb〉 in one word, with records recycled
-//     through a type-stable arena (per-pid free lists, bounded shared
+//     through a type-stable arena (per-pid free lists, shared
 //     overflow). The hot path allocates nothing (experiment E17);
 //     recycling makes ABA real again and the tag, CASed together with
 //     the handle, is what defeats it.

@@ -7,11 +7,11 @@ import (
 )
 
 // Pool is a type-stable arena of records addressed by Handle, with
-// per-pid free lists and a bounded shared overflow. It is the
-// allocation backend of the tagged register family: the hot paths of
-// the pooled stacks and queues Get and Put nodes here instead of
-// allocating per operation, so their steady state runs at zero
-// allocations per operation (experiment E17).
+// per-pid free lists and a shared overflow. It is the allocation
+// backend of the tagged register family: the hot paths of the pooled
+// stacks and queues Get and Put nodes here instead of allocating per
+// operation, so their steady state runs at zero allocations per
+// operation (experiment E17).
 //
 // Memory handed out by Get is never returned to the Go heap — blocks
 // live for the pool's lifetime — which is precisely what makes
@@ -44,11 +44,9 @@ type Pool[T any] struct {
 	next     uint64
 	overflow []Handle
 
-	localCap    int
-	overflowCap int
-	limit       uint64 // test-only shrunken handle horizon (0 = 2^31-1)
-	locals      []poolLocal
-	drops       atomic.Uint64
+	localCap int
+	limit    uint64 // test-only shrunken handle horizon (0 = 2^31-1)
+	locals   []poolLocal
 }
 
 const (
@@ -86,9 +84,9 @@ type PoolStats struct {
 	Spills uint64
 	// Refills counts local-cache refills from the shared list.
 	Refills uint64
-	// Drops counts handles abandoned because the bounded overflow was
-	// full; each drop strands one arena record. A correctly sized
-	// overflow never drops.
+	// Drops counts freed handles the pool abandoned. The shared
+	// overflow grows to hold every freed handle, so it is always 0;
+	// the pooled structures' tests and E17 pin that.
 	Drops uint64
 }
 
@@ -100,11 +98,10 @@ func NewPool[T any](procs int, init func(*T)) *Pool[T] {
 		panic("memory: pool process count must be >= 1")
 	}
 	p := &Pool[T]{
-		init:        init,
-		next:        1, // handle 0 is NilHandle
-		localCap:    poolLocalCap,
-		overflowCap: 2 * procs * poolLocalCap,
-		locals:      make([]poolLocal, procs),
+		init:     init,
+		next:     1, // handle 0 is NilHandle
+		localCap: poolLocalCap,
+		locals:   make([]poolLocal, procs),
 	}
 	blocks := []*poolBlock[T]{new(poolBlock[T])}
 	p.blocks.Store(&blocks)
@@ -191,32 +188,34 @@ func (p *Pool[T]) TryGet(pid int) (Handle, error) {
 }
 
 // Put recycles h onto pid's free list, spilling the older half to the
-// bounded shared overflow when the local list is full.
+// shared overflow when the local list is full. The overflow grows to
+// hold every freed handle: dropping one would never give memory back
+// (blocks live for the pool's lifetime), only strand a record and make
+// a later Get carve a fresh one.
 func (p *Pool[T]) Put(pid int, h Handle) {
 	l := &p.locals[pid]
 	l.free = append(l.free, h)
 	if len(l.free) <= p.localCap {
 		return
 	}
-	spill := l.free[:p.localCap/2]
+	half := p.localCap / 2
 	p.mu.Lock()
-	room := p.overflowCap - len(p.overflow)
-	take := len(spill)
-	if take > room {
-		take = room
-	}
-	p.overflow = append(p.overflow, spill[:take]...)
+	p.overflow = append(p.overflow, l.free[:half]...)
 	p.mu.Unlock()
-	if dropped := len(spill) - take; dropped > 0 {
-		p.drops.Add(uint64(dropped))
-	}
-	l.free = append(l.free[:0], l.free[p.localCap/2:]...)
+	l.free = append(l.free[:0], l.free[half:]...)
 	l.spills.Add(1)
 }
 
+// MaxArena bounds the records a pool for procs pids ever carves when
+// at most live handles are outside its free lists at any time. A Get
+// carves a fresh record only when its pid's local list and the shared
+// overflow are both empty, so every other record is live or waits in
+// another pid's local list, which holds at most poolLocalCap handles.
+func MaxArena(live, procs int) int { return live + procs*poolLocalCap }
+
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool[T]) Stats() PoolStats {
-	st := PoolStats{Drops: p.drops.Load()}
+	var st PoolStats
 	for i := range p.locals {
 		l := &p.locals[i]
 		st.Allocs += l.allocs.Load()

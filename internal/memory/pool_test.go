@@ -226,9 +226,9 @@ func TestPoolGetPanicsOnExhaustion(t *testing.T) {
 }
 
 func TestPoolSizedOverflowNeverDrops(t *testing.T) {
-	// The overflow is sized 2·procs·poolLocalCap: even if every pid
-	// spills its whole local cache and one pid absorbs all frees, no
-	// handle is ever dropped (each drop strands an arena record).
+	// The overflow grows to hold every freed handle: even if every pid
+	// spills its whole local cache, no handle is ever dropped (a drop
+	// would strand an arena record).
 	const procs = 4
 	p := NewPool[uint64](procs, nil)
 	var held [procs][]Handle
@@ -265,6 +265,35 @@ func TestPoolSizedOverflowNeverDrops(t *testing.T) {
 	}
 	if st := p.Stats(); st.Refills == 0 {
 		t.Fatalf("the drain never refilled from overflow: %+v", st)
+	}
+}
+
+// TestPoolOverflowKeepsEveryHandle frees far more handles from one pid
+// than any fixed overflow would hold: every one must come back through
+// the overflow, so draining them carves no fresh record.
+func TestPoolOverflowKeepsEveryHandle(t *testing.T) {
+	const n = 10 * poolLocalCap
+	p := NewPool[uint64](2, nil)
+	held := make([]Handle, n)
+	for i := range held {
+		held[i] = p.Get(0)
+	}
+	for _, h := range held {
+		p.Put(0, h)
+	}
+	arena := p.ArenaSize()
+	seen := make(map[Handle]bool, n)
+	for i := 0; i < n; i++ {
+		seen[p.Get(0)] = true
+	}
+	if grown := p.ArenaSize(); grown != arena {
+		t.Fatalf("arena grew %d -> %d although every handle was freed", arena, grown)
+	}
+	if len(seen) != n {
+		t.Fatalf("got %d distinct handles back, want %d", len(seen), n)
+	}
+	if st := p.Stats(); st.Drops != 0 {
+		t.Fatalf("pool dropped %d handles: %+v", st.Drops, st)
 	}
 }
 

@@ -83,10 +83,9 @@ func (v TaggedVal) WithoutMark() TaggedVal { return v &^ TaggedMark }
 // dereferenced field when a subsequent CAS on the register succeeds
 // (the tag proves the register — hence the record — was untouched in
 // between), or (b) validate a read snapshot by re-reading the register
-// word (see stack.AbortablePooled). Record fields a stale reader may
-// load must be atomics: such a reader may race a recycler, and
-// although every such read is discarded by (a)/(b), the access itself
-// must be data-race-free. A payload touched only by the record's
+// word. Record fields a stale reader may load must be atomics: such a
+// reader may race a recycler, and although every such read is
+// discarded by (a)/(b), the access itself must be data-race-free. A payload touched only by the record's
 // owner — before the CAS that publishes it, after the CAS that hands
 // it over — is never read stale and may be a plain field of any type
 // (stack.Treiber, queue.MichaelScott).

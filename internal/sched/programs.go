@@ -58,30 +58,16 @@ func queueOutcome(err error) string {
 }
 
 // weakStack is the common surface of the model-checked stacks. The
-// operations take the calling pid: the pooled backends route node
+// operations take the calling pid: the arena and pooled backends route
 // recycling through per-pid free lists; the others ignore it.
-type weakStack interface {
-	TryPush(pid int, v uint64) error
-	TryPop(pid int) (uint64, error)
-}
-
-// pidlessStack adapts the pid-oblivious weak stacks.
-type pidlessStack struct {
-	s interface {
-		TryPush(v uint64) error
-		TryPop() (uint64, error)
-	}
-}
-
-func (a pidlessStack) TryPush(_ int, v uint64) error { return a.s.TryPush(v) }
-func (a pidlessStack) TryPop(_ int) (uint64, error)  { return a.s.TryPop() }
+type weakStack = stack.Weak[uint64]
 
 // packedAdapter lifts the uint32-valued packed stack to uint64.
 type packedAdapter struct{ s *stack.Packed }
 
-func (a packedAdapter) TryPush(v uint64) error { return a.s.TryPush(uint32(v)) }
-func (a packedAdapter) TryPop() (uint64, error) {
-	v, err := a.s.TryPop()
+func (a packedAdapter) TryPush(pid int, v uint64) error { return a.s.TryPush(pid, uint32(v)) }
+func (a packedAdapter) TryPop(pid int) (uint64, error) {
+	v, err := a.s.TryPop(pid)
 	return uint64(v), err
 }
 
@@ -89,7 +75,9 @@ func (a packedAdapter) TryPop() (uint64, error) {
 type StackBackend int
 
 const (
-	// Boxed is the Figure 1 stack on boxed registers.
+	// Boxed is the Figure 1 stack, its values in a write-once arena
+	// behind packed 〈index, handle, seq〉 registers (the name predates
+	// that layout).
 	Boxed StackBackend = iota
 	// PackedWords is the Figure 1 stack on bit-packed registers.
 	PackedWords
@@ -98,8 +86,8 @@ const (
 	// PooledTreiber is the Treiber stack over recycled pooled nodes
 	// with a tagged head register.
 	PooledTreiber
-	// PooledAbortable is the Figure 1 stack over pooled, tagged
-	// registers (validated-snapshot reads).
+	// PooledAbortable is the same Figure 1 stack as Boxed, kept as a
+	// separate name for the pooled walks and crash sweeps.
 	PooledAbortable
 )
 
@@ -149,16 +137,14 @@ func weakStackBuilder(backend StackBackend, k int, initial []uint64, plans [][]S
 // procs processes (the pooled backends size their free lists by it).
 func newWeakStack(backend StackBackend, k, procs int, obs memory.Observer) weakStack {
 	switch backend {
-	case Boxed:
-		return pidlessStack{stack.NewAbortableObserved[uint64](k, obs)}
+	case Boxed, PooledAbortable:
+		return stack.NewAbortableObserved[uint64](k, max(procs, 1), obs)
 	case PackedWords:
-		return pidlessStack{packedAdapter{stack.NewPackedObserved(k, obs)}}
+		return packedAdapter{stack.NewPackedObserved(k, obs)}
 	case NaiveABA:
-		return pidlessStack{stack.NewNaiveObserved[uint64](k, obs)}
+		return stack.NewNaiveObserved[uint64](k, obs)
 	case PooledTreiber:
 		return stack.NewTreiberObserved[uint64](max(procs, 1), obs)
-	case PooledAbortable:
-		return stack.NewAbortablePooledObserved(k, max(procs, 1), obs)
 	default:
 		panic("sched: unknown stack backend")
 	}

@@ -21,7 +21,7 @@ type weakUint32 interface {
 
 func backends(k int) map[string]weakUint32 {
 	return map[string]weakUint32{
-		"boxed":  NewAbortable[uint32](k),
+		"boxed":  NewAbortable[uint32](k, 1),
 		"packed": NewPacked(k),
 	}
 }
@@ -30,12 +30,12 @@ func TestWeakLIFOSolo(t *testing.T) {
 	for name, s := range backends(8) {
 		t.Run(name, func(t *testing.T) {
 			for i := uint32(1); i <= 5; i++ {
-				if err := s.TryPush(i); err != nil {
+				if err := s.TryPush(0, i); err != nil {
 					t.Fatalf("TryPush(%d) = %v", i, err)
 				}
 			}
 			for want := uint32(5); want >= 1; want-- {
-				v, err := s.TryPop()
+				v, err := s.TryPop(0)
 				if err != nil {
 					t.Fatalf("TryPop() = %v", err)
 				}
@@ -43,7 +43,7 @@ func TestWeakLIFOSolo(t *testing.T) {
 					t.Fatalf("TryPop() = %d, want %d", v, want)
 				}
 			}
-			if _, err := s.TryPop(); !errors.Is(err, ErrEmpty) {
+			if _, err := s.TryPop(0); !errors.Is(err, ErrEmpty) {
 				t.Fatalf("TryPop() on empty = %v, want ErrEmpty", err)
 			}
 		})
@@ -54,11 +54,11 @@ func TestWeakFull(t *testing.T) {
 	for name, s := range backends(3) {
 		t.Run(name, func(t *testing.T) {
 			for i := uint32(0); i < 3; i++ {
-				if err := s.TryPush(i); err != nil {
+				if err := s.TryPush(0, i); err != nil {
 					t.Fatalf("TryPush #%d = %v", i, err)
 				}
 			}
-			if err := s.TryPush(99); !errors.Is(err, ErrFull) {
+			if err := s.TryPush(0, 99); !errors.Is(err, ErrFull) {
 				t.Fatalf("TryPush on full = %v, want ErrFull", err)
 			}
 			// A failed-full push must not clobber the contents.
@@ -78,7 +78,7 @@ func TestWeakSoloNeverAborts(t *testing.T) {
 			depth := 0
 			for i := 0; i < 20000; i++ {
 				if rng.Intn(2) == 0 {
-					err := s.TryPush(uint32(i))
+					err := s.TryPush(0, uint32(i))
 					if errors.Is(err, ErrAborted) {
 						t.Fatalf("solo TryPush aborted at op %d", i)
 					}
@@ -86,7 +86,7 @@ func TestWeakSoloNeverAborts(t *testing.T) {
 						depth++
 					}
 				} else {
-					_, err := s.TryPop()
+					_, err := s.TryPop(0)
 					if errors.Is(err, ErrAborted) {
 						t.Fatalf("solo TryPop aborted at op %d", i)
 					}
@@ -111,7 +111,7 @@ func TestWeakDifferentialVsReference(t *testing.T) {
 			for i := 0; i < 50000; i++ {
 				if rng.Intn(2) == 0 {
 					v := rng.Uint32()
-					err := s.TryPush(v)
+					err := s.TryPush(0, v)
 					switch {
 					case len(ref) == s.Capacity():
 						if !errors.Is(err, ErrFull) {
@@ -123,7 +123,7 @@ func TestWeakDifferentialVsReference(t *testing.T) {
 						ref = append(ref, v)
 					}
 				} else {
-					v, err := s.TryPop()
+					v, err := s.TryPop(0)
 					if len(ref) == 0 {
 						if !errors.Is(err, ErrEmpty) {
 							t.Fatalf("op %d: pop on empty = %v", i, err)
@@ -148,7 +148,7 @@ func TestWeakSnapshot(t *testing.T) {
 	for name, s := range backends(8) {
 		t.Run(name, func(t *testing.T) {
 			for _, v := range []uint32{10, 20, 30} {
-				if err := s.TryPush(v); err != nil {
+				if err := s.TryPush(0, v); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -189,22 +189,22 @@ func TestWeakPropertyPushPopRoundTrip(t *testing.T) {
 				}
 				var s weakUint32
 				if name == "boxed" {
-					s = NewAbortable[uint32](len(vals))
+					s = NewAbortable[uint32](len(vals), 1)
 				} else {
 					s = NewPacked(len(vals))
 				}
 				for _, v := range vals {
-					if s.TryPush(v) != nil {
+					if s.TryPush(0, v) != nil {
 						return false
 					}
 				}
 				for i := len(vals) - 1; i >= 0; i-- {
-					v, err := s.TryPop()
+					v, err := s.TryPop(0)
 					if err != nil || v != vals[i] {
 						return false
 					}
 				}
-				_, err := s.TryPop()
+				_, err := s.TryPop(0)
 				return errors.Is(err, ErrEmpty)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -220,12 +220,12 @@ func TestAbortableGenericPayload(t *testing.T) {
 		s string
 		n int
 	}
-	s := NewAbortable[payload](4)
+	s := NewAbortable[payload](4, 1)
 	in := payload{s: "hello", n: 42}
-	if err := s.TryPush(in); err != nil {
+	if err := s.TryPush(0, in); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.TryPop()
+	got, err := s.TryPop(0)
 	if err != nil || got != in {
 		t.Fatalf("TryPop = (%+v, %v), want (%+v, nil)", got, err, in)
 	}
@@ -235,16 +235,17 @@ func TestAbortableHelpCompletesLazyWrite(t *testing.T) {
 	// The implementation is lazy: after a push, STACK[top] may be
 	// stale until the next operation helps. Verify help happens by
 	// pushing twice and checking the first cell through Snapshot.
-	s := NewAbortable[uint32](4)
-	if err := s.TryPush(1); err != nil {
+	s := NewAbortable[uint32](4, 1)
+	if err := s.TryPush(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.TryPush(2); err != nil {
+	if err := s.TryPush(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	// cell[1] must now hold 1 (written by the second push's help).
-	if got := s.cells.Read(1); got.value != 1 {
-		t.Fatalf("cell[1] = %+v, want value 1 after help", got)
+	// cell[1] must now hold 1's slot (written by the second push's
+	// help).
+	if got := *s.vals.At(wordHandle(s.cells.Read(1))); got != 1 {
+		t.Fatalf("cell[1] holds %d, want 1 after help", got)
 	}
 	got := s.Snapshot()
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
@@ -253,99 +254,74 @@ func TestAbortableHelpCompletesLazyWrite(t *testing.T) {
 }
 
 func TestAbortableStaleHelperCannotCorrupt(t *testing.T) {
-	// Regression test for the boxed-help subtlety: a helper holding a
-	// stale TOP record must not overwrite a newer cell. Simulate the
+	// Regression test for the conditional help: a helper holding a
+	// stale TOP word must not overwrite a newer cell. Simulate the
 	// stale helper directly.
-	s := NewAbortable[uint32](4)
-	if err := s.TryPush(1); err != nil {
+	s := NewAbortable[uint32](4, 1)
+	if err := s.TryPush(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	stale := s.top.Read() // TOP = (1, 1, seq)
 	// Advance the stack so cell[1] is rewritten with newer tags.
-	if _, err := s.TryPop(); err != nil {
+	if _, err := s.TryPop(0); err != nil {
 		t.Fatal(err)
 	} // TOP = (0, ⊥, _), pending cell[0] write
-	if err := s.TryPush(7); err != nil {
+	if err := s.TryPush(0, 7); err != nil {
 		t.Fatal(err)
 	} // TOP = (1, 7, seq'), helps cell[0]
-	if err := s.TryPush(8); err != nil {
+	if err := s.TryPush(0, 8); err != nil {
 		t.Fatal(err)
 	} // helps cell[1] ← (7, seq')
 	before := s.cells.Read(1)
 	s.help(stale) // stale helper replays
 	after := s.cells.Read(1)
 	if before != after {
-		t.Fatalf("stale helper overwrote cell[1]: %+v -> %+v", before, after)
+		t.Fatalf("stale helper overwrote cell[1]: %#x -> %#x", before, after)
 	}
 	// And the stack still pops correctly.
-	if v, err := s.TryPop(); err != nil || v != 8 {
+	if v, err := s.TryPop(0); err != nil || v != 8 {
 		t.Fatalf("pop = (%d, %v), want (8, nil)", v, err)
 	}
-	if v, err := s.TryPop(); err != nil || v != 7 {
+	if v, err := s.TryPop(0); err != nil || v != 7 {
 		t.Fatalf("pop = (%d, %v), want (7, nil)", v, err)
 	}
 }
 
 func TestAbortableHelpInstallsTopRecord(t *testing.T) {
-	// Cells 1..k start out sharing one 〈⊥, 0〉 record; STACK[0] keeps
-	// its own 〈⊥, -1〉 dummy.
+	// Cells 1..k start at 〈⊥, 0〉; STACK[0] is the 〈⊥, -1〉 dummy.
 	const k = 4
-	s := NewAbortable[uint32](k)
-	shared := s.cells.Read(1)
-	for x := 2; x <= k; x++ {
-		if got := s.cells.Read(x); got != shared {
-			t.Fatalf("cell[%d] = %p, want the shared initial record %p", x, got, shared)
+	s := NewAbortable[uint32](k, 1)
+	for x := 1; x <= k; x++ {
+		if got := s.cells.Read(x); got != packCell(memory.NilHandle, 0) {
+			t.Fatalf("cell[%d] = %#x, want 〈⊥, 0〉", x, got)
 		}
 	}
-	if s.cells.Read(0) == shared || s.cells.Read(0).seq != ^uint64(0) {
-		t.Fatalf("cell[0] = %+v, want its own dummy with seq -1", s.cells.Read(0))
+	if got := s.cells.Read(0); got != packCell(memory.NilHandle, ^uint32(0)) {
+		t.Fatalf("cell[0] = %#x, want the dummy 〈⊥, -1〉", got)
 	}
-	// The help step installs the TOP record it read, not a copy: after
-	// push→push, STACK[1] is pointer-equal to the first push's TOP.
-	if err := s.TryPush(1); err != nil {
+	// The help step installs the cell half of the TOP word it read:
+	// after push→push, STACK[1] is the first push's 〈handle, seq〉.
+	if err := s.TryPush(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	first := s.top.Read()
-	if err := s.TryPush(2); err != nil {
+	if err := s.TryPush(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.cells.Read(1); got != first {
-		t.Fatalf("cell[1] = %p (%+v), want the first push's TOP record %p", got, got, first)
+	if got := s.cells.Read(1); got != first&cellMask {
+		t.Fatalf("cell[1] = %#x, want the first push's TOP word %#x", got, first&cellMask)
 	}
-	// Helping the same record again is a no-op: its seq guard is spent.
+	// Helping the same word again is a no-op: its seq guard is spent.
 	s.help(first)
-	if got := s.cells.Read(1); got != first {
-		t.Fatalf("re-help replaced cell[1]: %p -> %p", first, got)
-	}
-}
-
-func TestAbortableOneAllocPerAttempt(t *testing.T) {
-	// A solo attempt allocates exactly its new TOP record; the help
-	// step reuses the record it read.
-	if raceEnabled {
-		t.Skip("-race instrumentation allocates")
-	}
-	const runs = 1000 // AllocsPerRun adds one warm-up call
-	s := NewAbortable[uint32](runs + 1)
-	if got := testing.AllocsPerRun(runs, func() {
-		if err := s.TryPush(1); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 1 {
-		t.Fatalf("TryPush allocs = %v, want 1", got)
-	}
-	if got := testing.AllocsPerRun(runs, func() {
-		if _, err := s.TryPop(); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 1 {
-		t.Fatalf("TryPop allocs = %v, want 1", got)
+	if got := s.cells.Read(1); got != first&cellMask {
+		t.Fatalf("re-help replaced cell[1]: %#x -> %#x", first&cellMask, got)
 	}
 }
 
 func TestSensitiveSoloPairAllocs(t *testing.T) {
-	// Figure 3's fast path adds no allocation of its own: a solo
-	// push+pop pair costs the two TOP records of its two attempts.
+	// Figure 3's fast path adds no allocation of its own, and the
+	// Figure 1 attempts underneath recycle their value slots: a solo
+	// push+pop pair allocates nothing.
 	if raceEnabled {
 		t.Skip("-race instrumentation allocates")
 	}
@@ -357,8 +333,8 @@ func TestSensitiveSoloPairAllocs(t *testing.T) {
 		if _, err := s.Pop(0); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 2 {
-		t.Fatalf("Push+Pop allocs = %v, want 2", got)
+	}); got != 0 {
+		t.Fatalf("Push+Pop allocs = %v, want 0", got)
 	}
 }
 
@@ -367,15 +343,15 @@ func TestWeakAccessCountSolo(t *testing.T) {
 	// weak_push/weak_pop performs exactly 5 shared accesses
 	// (read TOP, help read, help CAS, read neighbour cell, CAS TOP).
 	var st memory.Stats
-	s := NewAbortableObserved[uint32](8, &st)
-	if err := s.TryPush(1); err != nil {
+	s := NewAbortableObserved[uint32](8, 1, &st)
+	if err := s.TryPush(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Total(); got != 5 {
 		t.Fatalf("weak_push accesses = %d (%+v), want 5", got, st.Snapshot())
 	}
 	st.Reset()
-	if _, err := s.TryPop(); err != nil {
+	if _, err := s.TryPop(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Total(); got != 5 {
@@ -385,7 +361,7 @@ func TestWeakAccessCountSolo(t *testing.T) {
 	// Packed backend: the unconditional help CAS gives the same count.
 	var stp memory.Stats
 	p := NewPackedObserved(8, &stp)
-	if err := p.TryPush(1); err != nil {
+	if err := p.TryPush(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := stp.Total(); got != 5 {
@@ -397,8 +373,8 @@ func TestWeakEmptyFullAccessCount(t *testing.T) {
 	// Returning empty/full is even cheaper: 3 accesses (read TOP,
 	// help read + CAS).
 	var st memory.Stats
-	s := NewAbortableObserved[uint32](2, &st)
-	if _, err := s.TryPop(); !errors.Is(err, ErrEmpty) {
+	s := NewAbortableObserved[uint32](2, 1, &st)
+	if _, err := s.TryPop(0); !errors.Is(err, ErrEmpty) {
 		t.Fatal(err)
 	}
 	if got := st.Total(); got != 3 {
@@ -408,11 +384,13 @@ func TestWeakEmptyFullAccessCount(t *testing.T) {
 
 func TestConstructorPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"abortable k=0":      func() { NewAbortable[int](0) },
-		"packed k=0":         func() { NewPacked(0) },
-		"packed k too large": func() { NewPacked(memory.MaxIndex + 1) },
-		"lockbased k=0":      func() { NewLockBased[int](0) },
-		"naive k=0":          func() { NewNaive[int](0) },
+		"abortable k=0": func() { NewAbortable[int](0, 1) },
+		// 4095 values + 16384 pids' free lists exceed 2^20-1 handles.
+		"abortable handle overflow": func() { NewAbortable[int](memory.MaxIndex, 1<<14) },
+		"packed k=0":                func() { NewPacked(0) },
+		"packed k too large":        func() { NewPacked(memory.MaxIndex + 1) },
+		"lockbased k=0":             func() { NewLockBased[int](0) },
+		"naive k=0":                 func() { NewNaive[int](0) },
 	} {
 		func() {
 			defer func() {
@@ -426,13 +404,13 @@ func TestConstructorPanics(t *testing.T) {
 }
 
 func TestProgressLabels(t *testing.T) {
-	if NewAbortable[int](1).Progress() != core.ObstructionFree {
+	if NewAbortable[int](1, 1).Progress() != core.ObstructionFree {
 		t.Error("Abortable progress label")
 	}
 	if NewPacked(1).Progress() != core.ObstructionFree {
 		t.Error("Packed progress label")
 	}
-	if NewNonBlocking[int](1).Progress() != core.NonBlocking {
+	if NewNonBlocking[int](1, 1).Progress() != core.NonBlocking {
 		t.Error("NonBlocking progress label")
 	}
 	if NewSensitive[int](1, 2).Progress() != core.StarvationFree {
@@ -448,10 +426,10 @@ func TestProgressLabels(t *testing.T) {
 	// starvation-free: raw TAS (E6's "no RR" variant) only guarantees
 	// that some operation completes.
 	rawTAS := lock.IgnorePid(lock.NewTAS())
-	if NewSensitiveFrom[int](NewAbortable[int](1), rawTAS, nil).Progress() != core.NonBlocking {
+	if NewSensitiveFrom[int](NewAbortable[int](1, 1), rawTAS, nil).Progress() != core.NonBlocking {
 		t.Error("Sensitive(raw TAS) progress label")
 	}
-	if NewSensitiveFrom[int](NewAbortable[int](1), lock.IgnorePid(lock.NewTicket()), nil).Progress() != core.StarvationFree {
+	if NewSensitiveFrom[int](NewAbortable[int](1, 1), lock.IgnorePid(lock.NewTicket()), nil).Progress() != core.StarvationFree {
 		t.Error("Sensitive(ticket) progress label")
 	}
 	if NewLockBasedWith[int](1, rawTAS).Progress() != core.NonBlocking {
@@ -464,22 +442,22 @@ func TestNaiveSequentiallyCorrect(t *testing.T) {
 	// that is what makes it a fair cautionary tale.
 	s := NewNaive[uint32](8)
 	for i := uint32(1); i <= 5; i++ {
-		if err := s.TryPush(i); err != nil {
+		if err := s.TryPush(0, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for want := uint32(5); want >= 1; want-- {
-		v, err := s.TryPop()
+		v, err := s.TryPop(0)
 		if err != nil || v != want {
 			t.Fatalf("pop = (%d, %v), want (%d, nil)", v, err, want)
 		}
 	}
-	if _, err := s.TryPop(); !errors.Is(err, ErrEmpty) {
+	if _, err := s.TryPop(0); !errors.Is(err, ErrEmpty) {
 		t.Fatal("empty pop")
 	}
 	if err := func() error {
 		for i := uint32(0); i < 9; i++ {
-			if err := s.TryPush(i); err != nil {
+			if err := s.TryPush(0, i); err != nil {
 				return err
 			}
 		}

@@ -29,54 +29,39 @@ type combRes[T any] struct {
 type Combining[T any] struct {
 	// weak makes the single attempts, taking the pid of the executing
 	// process (the caller on the fast path, the combiner when serving
-	// the publication list) so pooled backends can recycle through
-	// per-pid free lists.
-	weak PidWeak[T]
+	// the publication list) so the weak stack recycles through per-pid
+	// free lists.
+	weak Weak[T]
 	core *combine.Core[combOp[T], combRes[T]]
 }
 
-// pidless adapts the Figure 1 stack to pid-taking attempts (the pid
-// is ignored).
-type pidless[T any] struct{ s *Abortable[T] }
-
-func (a pidless[T]) TryPush(_ int, v T) error { return a.s.TryPush(v) }
-func (a pidless[T]) TryPop(int) (T, error)    { return a.s.TryPop() }
-func (a pidless[T]) Len() int                 { return a.s.Len() }
-func (a pidless[T]) Snapshot() []T            { return a.s.Snapshot() }
-
 // NewCombining returns a flat-combining stack of capacity k for n
-// processes (pids in [0, n)) over the paper's Figure 1 weak stack.
+// processes (pids in [0, n)) over the paper's Figure 1 weak stack. The
+// whole strong path — fast-path attempt, published request, combiner
+// service — runs allocation-free (experiment E17).
 func NewCombining[T any](k, n int) *Combining[T] {
-	return newCombining[T](pidless[T]{NewAbortable[T](k)}, n, nil)
+	return newCombining[T](NewAbortable[T](k, n), n, nil)
 }
 
 // NewCombiningFrom builds the flat-combining construction over any
-// pid-taking weak stack for n processes.
-func NewCombiningFrom[T any](weak PidWeak[T], n int) *Combining[T] {
+// weak stack for n processes.
+func NewCombiningFrom[T any](weak Weak[T], n int) *Combining[T] {
 	return newCombining(weak, n, nil)
 }
 
-// NewCombiningPooled returns a flat-combining stack of capacity k for
-// n processes over the pooled abortable backend: the whole strong
-// path — fast-path attempt, published request, combiner service — runs
-// allocation-free (experiment E17).
-func NewCombiningPooled(k, n int) *Combining[uint64] {
-	return NewCombiningFrom[uint64](NewAbortablePooled(k, n), n)
-}
-
 // NewCombiningObserved returns a flat-combining stack of capacity k
-// for n processes over the observed boxed weak stack, with the
+// for n processes over the observed Figure 1 weak stack, with the
 // combiner lease, heartbeat and CONTENTION observed too: under
 // internal/sched's controller the whole contended path — publication,
 // combining, crash, takeover — becomes deterministically schedulable.
 func NewCombiningObserved(k, n int, obs memory.Observer) *Combining[uint64] {
-	return newCombining[uint64](pidless[uint64]{NewAbortableObserved[uint64](k, obs)}, n, obs)
+	return newCombining[uint64](NewAbortableObserved[uint64](k, n, obs), n, obs)
 }
 
 // newCombining is the one constructor: the construction over weak for
 // n processes, with the combining core observed by obs (nil disables
 // instrumentation).
-func newCombining[T any](weak PidWeak[T], n int, obs memory.Observer) *Combining[T] {
+func newCombining[T any](weak Weak[T], n int, obs memory.Observer) *Combining[T] {
 	s := &Combining[T]{weak: weak}
 	s.core = combine.NewCoreObserved[combOp[T], combRes[T]](n, s.attempt, obs)
 	return s

@@ -107,7 +107,7 @@ func TestSensitiveConserves(t *testing.T) {
 func TestSensitiveWithStarvationFreeLockConserves(t *testing.T) {
 	// The §4 Remark variant: a starvation-free lock, no FLAG/TURN.
 	procs, perProc, k := 6, stressN(1500), 32
-	s := NewSensitiveFrom[uint64](NewAbortable[uint64](k), lock.IgnorePid(lock.NewTicket()), nil)
+	s := NewSensitiveFrom[uint64](NewAbortable[uint64](k, procs), lock.IgnorePid(lock.NewTicket()), nil)
 	conserved(t, procs, perProc,
 		s.Push,
 		s.Pop,
@@ -126,14 +126,14 @@ func TestSensitiveWithStarvationFreeLockConserves(t *testing.T) {
 
 func TestNonBlockingConserves(t *testing.T) {
 	procs, perProc, k := 8, stressN(2000), 64
-	s := NewNonBlocking[uint64](k)
+	s := NewNonBlocking[uint64](k, procs)
 	conserved(t, procs, perProc,
-		func(_ int, v uint64) error { return s.Push(v) },
-		func(_ int) (uint64, error) { return s.Pop() },
+		s.Push,
+		s.Pop,
 		func() []uint64 {
 			var out []uint64
 			for {
-				v, err := s.Pop()
+				v, err := s.Pop(0)
 				if err != nil {
 					return out
 				}
@@ -157,11 +157,11 @@ func TestNonBlockingPackedConserves(t *testing.T) {
 			for i := 0; i < perProc; i++ {
 				v := uint32(pid)<<24 | uint32(i)
 				for {
-					err := s.Push(v)
+					err := s.Push(pid, v)
 					if err == nil {
 						break
 					}
-					if got, err := s.Pop(); err == nil {
+					if got, err := s.Pop(pid); err == nil {
 						popped[pid] = append(popped[pid], got)
 					}
 				}
@@ -176,7 +176,7 @@ func TestNonBlockingPackedConserves(t *testing.T) {
 		}
 	}
 	for {
-		v, err := s.Pop()
+		v, err := s.Pop(0)
 		if err != nil {
 			break
 		}
@@ -250,7 +250,7 @@ func TestSensitiveFastPathDominatesWhenSolo(t *testing.T) {
 
 func TestNonBlockingCountedReportsAborts(t *testing.T) {
 	procs, perProc, k := 8, stressN(1000), 8
-	s := NewNonBlocking[uint64](k)
+	s := NewNonBlocking[uint64](k, procs)
 	var wg sync.WaitGroup
 	var totalAborts int64
 	var mu sync.Mutex
@@ -260,9 +260,9 @@ func TestNonBlockingCountedReportsAborts(t *testing.T) {
 			defer wg.Done()
 			local := int64(0)
 			for i := 0; i < perProc; i++ {
-				_, a := s.PushCounted(uint64(i))
+				_, a := s.PushCounted(pid, uint64(i))
 				local += int64(a)
-				_, _, a2 := s.PopCounted()
+				_, _, a2 := s.PopCounted(pid)
 				local += int64(a2)
 			}
 			mu.Lock()

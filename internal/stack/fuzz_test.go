@@ -44,10 +44,10 @@ func FuzzAbortableVsSpec(f *testing.F) {
 	f.Add([]byte{0, 9, 1, 0, 0, 8, 0, 7, 0, 6, 0, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const k = 4
-		s := NewAbortable[uint32](k)
+		s := NewAbortable[uint32](k, 1)
 		interpretOps(t, data, k,
-			s.TryPush,
-			s.TryPop)
+			func(v uint32) error { return s.TryPush(0, v) },
+			func() (uint32, error) { return s.TryPop(0) })
 	})
 }
 
@@ -58,8 +58,8 @@ func FuzzPackedVsSpec(f *testing.F) {
 		const k = 4
 		s := NewPacked(k)
 		interpretOps(t, data, k,
-			s.TryPush,
-			s.TryPop)
+			func(v uint32) error { return s.TryPush(0, v) },
+			func() (uint32, error) { return s.TryPop(0) })
 	})
 }
 
@@ -89,29 +89,47 @@ func FuzzCombiningVsSpec(f *testing.F) {
 	})
 }
 
+// interpretStringOps is interpretOps over a string-valued weak stack:
+// each value travels as its decimal text, so a value written, read or
+// cleared out of turn shows up as a wrong or empty string.
+func interpretStringOps(t *testing.T, data []byte, k int, s Weak[string]) {
+	t.Helper()
+	interpretOps(t, data, k,
+		func(v uint32) error { return s.TryPush(0, strconv.FormatUint(uint64(v), 10)) },
+		func() (uint32, error) {
+			str, err := s.TryPop(0)
+			if err != nil {
+				return 0, err
+			}
+			v, perr := strconv.ParseUint(str, 10, 32)
+			if perr != nil {
+				t.Fatalf("popped %q: %v", str, perr)
+			}
+			return uint32(v), nil
+		})
+}
+
 func FuzzTreiberPooledVsSpec(f *testing.F) {
 	// Solo cross-check of the recycled-node stack against the spec at a
 	// pointer-carrying T: the single-pid pool is LIFO, so every pop's
 	// node returns on the very next push — maximum same-address reuse
-	// pressure on the head tag, and a value written, read or cleared
-	// out of turn shows up as a wrong string.
+	// pressure on the head tag.
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
 	f.Add([]byte{0, 9, 1, 0, 0, 8, 1, 0, 0, 7, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewTreiber[string](1)
-		interpretOps(t, data, 1<<30, // effectively unbounded
-			func(v uint32) error { return s.TryPush(0, strconv.FormatUint(uint64(v), 10)) },
-			func() (uint32, error) {
-				str, err := s.TryPop(0)
-				if err != nil {
-					return 0, err
-				}
-				v, perr := strconv.ParseUint(str, 10, 32)
-				if perr != nil {
-					t.Fatalf("popped %q: %v", str, perr)
-				}
-				return uint32(v), nil
-			})
+		interpretStringOps(t, data, 1<<30, NewTreiber[string](1)) // effectively unbounded
+	})
+}
+
+func FuzzAbortableStringStackVsSpec(f *testing.F) {
+	// The Figure 1 stack at a pointer-carrying T: the single-pid arena
+	// is LIFO, so a popped value's slot is the next push's slot, while
+	// STACK[] still holds the old handle under an older sequence number.
+	f.Add([]byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
+	f.Add([]byte{0, 9, 1, 0, 0, 8, 1, 0, 0, 7, 0, 6, 0, 5, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const k = 4
+		interpretStringOps(t, data, k, NewAbortable[string](k, 1))
 	})
 }
 
@@ -120,7 +138,7 @@ func FuzzAbortablePooledVsSpec(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 3, 1, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const k = 4
-		s := NewAbortablePooled(k, 1)
+		s := NewAbortable[uint64](k, 1)
 		interpretOps(t, data, k,
 			func(v uint32) error { return s.TryPush(0, uint64(v)) },
 			func() (uint32, error) { v, err := s.TryPop(0); return uint32(v), err })
@@ -132,5 +150,5 @@ func FuzzAbortablePooledVsSpec(f *testing.F) {
 // iterate repro.Catalog() instead of enumerating backends by hand, so
 // every exported backend — including the internal variants' public
 // faces — is replayed against the spec from one list. The per-backend
-// *VsSpec targets above stay here to keep the internal-only packed and
-// pooled variants covered solo.
+// *VsSpec targets above stay here to keep the internal-only packed
+// variant and the non-uint64 value types covered solo.

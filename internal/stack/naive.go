@@ -42,9 +42,10 @@ func NewNaiveObserved[T any](k int, obs memory.Observer) *Naive[T] {
 	}
 }
 
-// TryPush is a single push attempt. The fatal flaw: the cell is
-// written *before* the index CAS, with no tag tying the two together.
-func (s *Naive[T]) TryPush(v T) error {
+// TryPush is a single push attempt (the pid is ignored). The fatal
+// flaw: the cell is written *before* the index CAS, with no tag tying
+// the two together.
+func (s *Naive[T]) TryPush(_ int, v T) error {
 	t := s.top.Read()
 	if int(t) == s.k {
 		return ErrFull
@@ -56,10 +57,10 @@ func (s *Naive[T]) TryPush(v T) error {
 	return ErrAborted
 }
 
-// TryPop is a single pop attempt. The fatal flaw: the value is read
-// before the index CAS, and the CAS succeeding does not prove the
-// stack was untouched (ABA on the index word).
-func (s *Naive[T]) TryPop() (T, error) {
+// TryPop is a single pop attempt (the pid is ignored). The fatal flaw:
+// the value is read before the index CAS, and the CAS succeeding does
+// not prove the stack was untouched (ABA on the index word).
+func (s *Naive[T]) TryPop(int) (T, error) {
 	var zero T
 	t := s.top.Read()
 	if t == 0 {

@@ -17,10 +17,11 @@ type NonBlocking[T any] struct {
 	weak Weak[T]
 }
 
-// NewNonBlocking returns a non-blocking stack of capacity k over a
-// fresh abortable stack, with the paper's bare retry loop.
-func NewNonBlocking[T any](k int) *NonBlocking[T] {
-	return NewNonBlockingFrom[T](NewAbortable[T](k), nil)
+// NewNonBlocking returns a non-blocking stack of capacity k for n
+// processes (pids in [0, n)) over a fresh abortable stack, with the
+// paper's bare retry loop.
+func NewNonBlocking[T any](k, n int) *NonBlocking[T] {
+	return NewNonBlockingFrom[T](NewAbortable[T](k, n), nil)
 }
 
 // NewNonBlockingFrom builds the Figure 2 construction over any weak
@@ -31,32 +32,37 @@ func NewNonBlockingFrom[T any](weak Weak[T], m core.Manager) *NonBlocking[T] {
 	return &NonBlocking[T]{Retrier: core.NewRetrier(m), weak: weak}
 }
 
-// Push pushes v, retrying aborted attempts; it returns nil or ErrFull
-// (or core.ErrExhausted when a retry budget is set and spent).
-func (s *NonBlocking[T]) Push(v T) error {
-	err, _ := s.PushCounted(v)
+// Push pushes v on behalf of pid, retrying aborted attempts; it
+// returns nil or ErrFull (or core.ErrExhausted when a retry budget is
+// set and spent).
+func (s *NonBlocking[T]) Push(pid int, v T) error {
+	err, _ := s.PushCounted(pid, v)
 	return err
 }
 
-// Pop pops the top value, retrying aborted attempts; it returns the
-// value or ErrEmpty (or core.ErrExhausted when a retry budget is set
-// and spent).
-func (s *NonBlocking[T]) Pop() (T, error) {
-	v, err, _ := s.PopCounted()
+// Pop pops the top value on behalf of pid, retrying aborted attempts;
+// it returns the value or ErrEmpty (or core.ErrExhausted when a retry
+// budget is set and spent).
+func (s *NonBlocking[T]) Pop(pid int) (T, error) {
+	v, err, _ := s.PopCounted(pid)
 	return v, err
 }
 
 // PushCounted is Push instrumented for E3/E7: it also reports how many
 // attempts aborted.
-func (s *NonBlocking[T]) PushCounted(v T) (error, int) {
+func (s *NonBlocking[T]) PushCounted(pid int, v T) (error, int) {
 	_, aborts, err := core.RetryOp(&s.Retrier, ErrAborted, func() (struct{}, error) {
-		return struct{}{}, s.weak.TryPush(v)
+		return struct{}{}, s.weak.TryPush(pid, v)
 	})
 	return err, aborts
 }
 
 // PopCounted is Pop instrumented for E3/E7.
-func (s *NonBlocking[T]) PopCounted() (T, error, int) {
-	v, aborts, err := core.RetryOp(&s.Retrier, ErrAborted, s.weak.TryPop)
+func (s *NonBlocking[T]) PopCounted(pid int) (T, error, int) {
+	v, aborts, err := core.RetryOp(&s.Retrier, ErrAborted, func() (T, error) {
+		return s.weak.TryPop(pid)
+	})
 	return v, err, aborts
 }
+
+var _ Strong[int] = (*NonBlocking[int])(nil)

@@ -7,10 +7,12 @@ import (
 
 // Packed is Figure 1 on the bit-packed register backend: TOP and every
 // STACK[x] are single 64-bit words holding 〈index, value, seqnb〉 /
-// 〈value, sn〉 (see memory/pack.go for the layout and the wrap-around
-// caveat). This matches the paper's machine model — one-word
-// Compare&Swap, unconditional help CAS — and is allocation-free, at
-// the price of uint32 values and capacity <= memory.MaxIndex.
+// 〈value, sn〉 with the value itself in the word (see memory/pack.go
+// for the layout and the wrap-around caveat). This matches the paper's
+// machine model word for word — one-word Compare&Swap, unconditional
+// help CAS — at the price of uint32 values and capacity <=
+// memory.MaxIndex. E1 measures it next to Abortable; its operations
+// take a pid only to share the Weak interface, and ignore it.
 type Packed struct {
 	top   *memory.Word
 	cells *memory.Words
@@ -55,7 +57,7 @@ func (s *Packed) help(index int, value uint32, seq uint32) {
 
 // TryPush is weak_push(v) on the packed backend; see Abortable.TryPush
 // for the contract.
-func (s *Packed) TryPush(v uint32) error {
+func (s *Packed) TryPush(_ int, v uint32) error {
 	topw := s.top.Read() // line 01
 	index, value, seq := memory.UnpackTop(topw)
 	s.help(index, value, seq) // line 02
@@ -72,7 +74,7 @@ func (s *Packed) TryPush(v uint32) error {
 
 // TryPop is weak_pop() on the packed backend; see Abortable.TryPop for
 // the contract.
-func (s *Packed) TryPop() (uint32, error) {
+func (s *Packed) TryPop(int) (uint32, error) {
 	topw := s.top.Read() // line 08
 	index, value, seq := memory.UnpackTop(topw)
 	s.help(index, value, seq) // line 09

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"weak"
 
+	"repro/internal/lock"
 	"repro/internal/spec"
 )
 
@@ -55,28 +56,31 @@ func TestTreiberPooledMatchesSpecSolo(t *testing.T) {
 
 func TestAbortablePooledMatchesSpecSolo(t *testing.T) {
 	const k = 4
-	s := NewAbortablePooled(k, 1)
+	s := NewAbortable[uint64](k, 1)
 	pooledVsSpec(t, k, 5000, s.TryPush, s.TryPop)
 	if st := s.PoolStats(); st.Reuses == 0 {
 		t.Fatalf("solo churn never recycled a record: %+v", st)
 	}
 }
 
+// TestAbortablePooledAgreesWithBoxed runs the arena-backed Figure 1
+// stack in lockstep with Packed, the one-word machine model that holds
+// its values in the registers themselves.
 func TestAbortablePooledAgreesWithBoxed(t *testing.T) {
 	const k = 3
-	boxed := NewAbortable[uint64](k)
-	pooled := NewAbortablePooled(k, 1)
+	packed := NewPacked(k)
+	pooled := NewAbortable[uint32](k, 1)
 	for i := 0; i < 4000; i++ {
 		if i%5 < 3 {
-			v := uint64(i)
-			be, pe := boxed.TryPush(v), pooled.TryPush(0, v)
-			if (be == nil) != (pe == nil) {
-				t.Fatalf("op %d: push disagreement: boxed=%v pooled=%v", i, be, pe)
+			v := uint32(i)
+			be, pe := packed.TryPush(0, v), pooled.TryPush(0, v)
+			if be != pe {
+				t.Fatalf("op %d: push disagreement: packed=%v pooled=%v", i, be, pe)
 			}
 		} else {
-			bv, be := boxed.TryPop()
+			bv, be := packed.TryPop(0)
 			pv, pe := pooled.TryPop(0)
-			if (be == nil) != (pe == nil) || (be == nil && bv != pv) {
+			if be != pe || bv != pv {
 				t.Fatalf("op %d: pop disagreement: (%d,%v) vs (%d,%v)", i, bv, be, pv, pe)
 			}
 		}
@@ -107,10 +111,10 @@ func TestTreiberPooledConserves(t *testing.T) {
 }
 
 func TestCombiningPooledConserves(t *testing.T) {
-	// The pooled weak stack under the flat-combining construction:
-	// strong, starvation-free, and allocation-free.
+	// The arena-backed weak stack under the flat-combining
+	// construction: strong, starvation-free, and allocation-free.
 	procs, perProc, k := 6, stressN(1500), 32
-	s := NewCombiningPooled(k, procs)
+	s := NewCombining[uint64](k, procs)
 	conserved(t, procs, perProc,
 		s.Push,
 		s.Pop,
@@ -128,7 +132,7 @@ func TestCombiningPooledConserves(t *testing.T) {
 }
 
 func TestAbortablePooledSnapshotAndLen(t *testing.T) {
-	s := NewAbortablePooled(8, 1)
+	s := NewAbortable[uint64](8, 1)
 	for i := uint64(1); i <= 5; i++ {
 		if err := s.TryPush(0, i*10); err != nil {
 			t.Fatal(err)
@@ -283,6 +287,122 @@ func TestTreiberPopReleasesValue(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
+// TestAbortableConservesPointers runs the conservation workload at a
+// pointer T over one arena-backed Figure 1 stack shared by a Figure 3
+// and a Figure 2 wrapper, so guarded and bare retries interleave. A
+// value slot is plain memory owned by one process at a time: under
+// -race a read or write outside that window — a helper or line 11
+// touching a value, or a pop reading before its TOP CAS — is a data
+// race, and a slot reused too early shows up as a wrong value.
+func TestAbortableConservesPointers(t *testing.T) {
+	procs, perProc, k := 4, stressN(4000), 16
+	weak := NewAbortable[*uint64](k, procs)
+	se := NewSensitiveFrom[*uint64](weak, lock.NewRoundRobin(lock.NewTAS(), procs), nil)
+	nb := NewNonBlockingFrom[*uint64](weak, nil)
+	push := func(pid int, v uint64) error {
+		if pid%2 == 0 {
+			return se.Push(pid, &v)
+		}
+		return nb.Push(pid, &v)
+	}
+	pop := func(pid int) (uint64, error) {
+		var p *uint64
+		var err error
+		if pid%2 == 0 {
+			p, err = se.Pop(pid)
+		} else {
+			p, err = nb.Pop(pid)
+		}
+		if err != nil {
+			return 0, err
+		}
+		return *p, nil
+	}
+	conserved(t, procs, perProc, push, pop, func() []uint64 {
+		var out []uint64
+		for {
+			v, err := pop(0)
+			if err != nil {
+				return out
+			}
+			out = append(out, v)
+		}
+	})
+	if st := weak.PoolStats(); st.Reuses == 0 || st.Drops != 0 {
+		t.Fatalf("arena did not recycle cleanly: %+v", st)
+	}
+}
+
+// pushFreshAbortable is pushFresh for the Figure 1 stack.
+//
+//go:noinline
+func pushFreshAbortable(t *testing.T, s *Abortable[*[64]byte]) weak.Pointer[[64]byte] {
+	p := new([64]byte)
+	if err := s.TryPush(0, p); err != nil {
+		t.Fatal(err)
+	}
+	return weak.Make(p)
+}
+
+// TestAbortablePopReleasesValue checks that the arena does not retain
+// what a pop handed out: the slot goes back to the free list cleared,
+// so a popped value is collectable although STACK[] still holds its
+// handle.
+func TestAbortablePopReleasesValue(t *testing.T) {
+	s := NewAbortable[*[64]byte](4, 1)
+	kept := pushFreshAbortable(t, s)
+	popped := pushFreshAbortable(t, s)
+	_ = pushFreshAbortable(t, s) // helps STACK[2] to popped's handle
+	if _, err := s.TryPop(0); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := s.TryPop(0); err != nil || p != popped.Value() {
+		t.Fatalf("pop = (%p, %v), want the second record", p, err)
+	}
+	runtime.GC()
+	if popped.Value() != nil {
+		t.Fatal("a popped value is still reachable from the arena")
+	}
+	if kept.Value() == nil {
+		t.Fatal("a stacked value was collected")
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestStacksSoloAllocFree pins a solo push+pop at 0 allocations on the
+// Figure 1 stack and on the strong stacks built over it.
+func TestStacksSoloAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ab := NewAbortable[uint64](16, 1)
+	se := NewSensitive[uint64](16, 1)
+	nb := NewNonBlocking[uint64](16, 1)
+	co := NewCombining[uint64](16, 1)
+	for name, op := range map[string]func(){
+		"abortable": func() {
+			_ = ab.TryPush(0, 7)
+			_, _ = ab.TryPop(0)
+		},
+		"sensitive": func() {
+			_ = se.Push(0, 7)
+			_, _ = se.Pop(0)
+		},
+		"non-blocking": func() {
+			_ = nb.Push(0, 7)
+			_, _ = nb.Pop(0)
+		},
+		"combining": func() {
+			_ = co.Push(0, 7)
+			_, _ = co.Pop(0)
+		},
+	} {
+		if n := testing.AllocsPerRun(1000, op); n != 0 {
+			t.Errorf("%s: solo push+pop = %v allocs, want 0", name, n)
+		}
+	}
+}
+
 // TestTreiberSoloAllocFree pins a solo push+pop at 0 allocations.
 func TestTreiberSoloAllocFree(t *testing.T) {
 	if raceEnabled {
@@ -306,18 +426,9 @@ func BenchmarkTreiberSolo(b *testing.B) {
 	}
 }
 
-func BenchmarkAbortableBoxedSolo(b *testing.B) {
-	b.ReportAllocs()
-	s := NewAbortable[uint64](16)
-	for i := 0; i < b.N; i++ {
-		_ = s.TryPush(uint64(i))
-		_, _ = s.TryPop()
-	}
-}
-
 func BenchmarkAbortablePooledSolo(b *testing.B) {
 	b.ReportAllocs()
-	s := NewAbortablePooled(16, 1)
+	s := NewAbortable[uint64](16, 1)
 	for i := 0; i < b.N; i++ {
 		_ = s.TryPush(0, uint64(i))
 		_, _ = s.TryPop(0)

@@ -27,7 +27,7 @@ func NewSensitive[T any](k, n int) *Sensitive[T] { return NewSensitiveObserved[T
 // both the weak stack and the CONTENTION register reported to obs —
 // the configuration under which E1 counts Theorem 1's six accesses.
 func NewSensitiveObserved[T any](k, n int, obs memory.Observer) *Sensitive[T] {
-	return NewSensitiveFrom[T](NewAbortableObserved[T](k, obs), lock.NewRoundRobin(lock.NewTAS(), n), obs)
+	return NewSensitiveFrom[T](NewAbortableObserved[T](k, n, obs), lock.NewRoundRobin(lock.NewTAS(), n), obs)
 }
 
 // NewSensitiveFrom builds Figure 3 over any weak stack and any
@@ -45,7 +45,7 @@ func NewSensitiveFrom[T any](weak Weak[T], lk lock.PidLock, obs memory.Observer)
 // round-robin.
 func (s *Sensitive[T]) Push(pid int, v T) error {
 	_, err := core.DoOp(s.Guard(), pid, ErrAborted, func() (struct{}, error) {
-		return struct{}{}, s.weak.TryPush(v)
+		return struct{}{}, s.weak.TryPush(pid, v)
 	})
 	return err
 }
@@ -53,7 +53,9 @@ func (s *Sensitive[T]) Push(pid int, v T) error {
 // Pop is strong_pop(): it always returns the top value or ErrEmpty,
 // never aborts, and terminates for every caller.
 func (s *Sensitive[T]) Pop(pid int) (T, error) {
-	return core.DoOp(s.Guard(), pid, ErrAborted, s.weak.TryPop)
+	return core.DoOp(s.Guard(), pid, ErrAborted, func() (T, error) {
+		return s.weak.TryPop(pid)
+	})
 }
 
 // Snapshot returns the elements bottom-first when the weak backend

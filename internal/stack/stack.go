@@ -27,18 +27,12 @@ type Strong[T any] interface {
 	Pop(pid int) (T, error)
 }
 
-// Weak is the interface of abortable stacks: single attempts that may
-// return ErrAborted, in which case the operation had no effect and may
-// be retried.
+// Weak is the interface of abortable stacks: single attempts by the
+// calling process that may return ErrAborted, in which case the
+// operation had no effect and may be retried. The pid routes recycled
+// slots and nodes through per-pid free lists; backends without them
+// ignore it.
 type Weak[T any] interface {
-	TryPush(v T) error
-	TryPop() (T, error)
-}
-
-// PidWeak is Weak for backends whose attempts take the calling
-// process identity: the pooled stacks recycle nodes through per-pid
-// free lists.
-type PidWeak[T any] interface {
 	TryPush(pid int, v T) error
 	TryPop(pid int) (T, error)
 }

@@ -61,7 +61,7 @@
 //
 // The options constructors (NewStackBackend, NewQueueBackend,
 // NewDequeBackend, NewSetBackend) resolve any catalog name —
-// WithPooled redirects to a backend's pooled sibling — and the
+// WithPooled insists on a recycling backend — and the
 // harnesses (internal/bench, cmd/lincheck, the lockstep fuzzers)
 // enumerate the catalog instead of keeping backend lists of their
 // own. Experiment E20 pins the unified dispatch cost at a few
@@ -160,11 +160,16 @@ var ErrExhausted = core.ErrExhausted
 // lock).
 func NewStack[T any](k, n int) *Stack[T] { return stack.NewSensitive[T](k, n) }
 
-// NewAbortableStack returns the Figure 1 weak stack of capacity k.
-func NewAbortableStack[T any](k int) *AbortableStack[T] { return stack.NewAbortable[T](k) }
+// NewAbortableStack returns the Figure 1 weak stack of capacity k for
+// n processes: TryPush(pid, v)/TryPop(pid) recycle value slots through
+// per-pid free lists, so pids are in [0, n).
+func NewAbortableStack[T any](k, n int) *AbortableStack[T] { return stack.NewAbortable[T](k, n) }
 
-// NewNonBlockingStack returns the Figure 2 stack of capacity k.
-func NewNonBlockingStack[T any](k int) *NonBlockingStack[T] { return stack.NewNonBlocking[T](k) }
+// NewNonBlockingStack returns the Figure 2 stack of capacity k for n
+// processes (Push(pid, v)/Pop(pid), pids in [0, n)).
+func NewNonBlockingStack[T any](k, n int) *NonBlockingStack[T] {
+	return stack.NewNonBlocking[T](k, n)
+}
 
 // NewTreiberStack returns an empty unbounded lock-free stack for n
 // processes (pids in [0, n)).
@@ -240,12 +245,11 @@ type PoolStats = memory.PoolStats
 // processes (pids in [0, n)).
 func NewPooledQueue[T any](n int) *PooledQueue[T] { return queue.NewMichaelScott[T](n) }
 
-// NewCombiningPooledStack returns a flat-combining stack of capacity k
-// for n processes whose entire strong path — fast path, publication,
-// combiner service — runs allocation-free over the pooled Figure 1
-// backend.
+// NewCombiningPooledStack is NewCombiningStack[uint64](k, n): the
+// Figure 1 stack under every combining stack recycles its value slots,
+// so the whole strong path runs allocation-free at any T.
 func NewCombiningPooledStack(k, n int) *CombiningStack[uint64] {
-	return stack.NewCombiningPooled(k, n)
+	return stack.NewCombining[uint64](k, n)
 }
 
 // Deque is the contention-sensitive, starvation-free double-ended

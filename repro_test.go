@@ -99,11 +99,11 @@ func TestPublicQueueFIFO(t *testing.T) {
 }
 
 func TestPublicAbortableContracts(t *testing.T) {
-	s := repro.NewAbortableStack[int](1)
-	if err := s.TryPush(1); err != nil {
+	s := repro.NewAbortableStack[int](1, 1)
+	if err := s.TryPush(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.TryPush(2); !errors.Is(err, repro.ErrStackFull) {
+	if err := s.TryPush(0, 2); !errors.Is(err, repro.ErrStackFull) {
 		t.Fatalf("push on full = %v", err)
 	}
 	q := repro.NewAbortableQueue[int](1)
@@ -129,11 +129,11 @@ func TestPublicGuardComposition(t *testing.T) {
 }
 
 func TestPublicNonBlocking(t *testing.T) {
-	s := repro.NewNonBlockingStack[int](4)
-	if err := s.Push(7); err != nil {
+	s := repro.NewNonBlockingStack[int](4, 1)
+	if err := s.Push(0, 7); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := s.Pop(); err != nil || v != 7 {
+	if v, err := s.Pop(0); err != nil || v != 7 {
 		t.Fatalf("Pop = (%d, %v)", v, err)
 	}
 	q := repro.NewNonBlockingQueue[int](4)
@@ -641,8 +641,8 @@ func TestWithRetryPolicySoloNeverSheds(t *testing.T) {
 // every attempt aborts.
 type alwaysAbortedStack struct{ attempts int }
 
-func (a *alwaysAbortedStack) TryPush(uint64) error { a.attempts++; return repro.ErrStackAborted }
-func (a *alwaysAbortedStack) TryPop() (uint64, error) {
+func (a *alwaysAbortedStack) TryPush(int, uint64) error { a.attempts++; return repro.ErrStackAborted }
+func (a *alwaysAbortedStack) TryPop(int) (uint64, error) {
 	a.attempts++
 	return 0, repro.ErrStackAborted
 }
@@ -664,22 +664,22 @@ func TestRetryBudgetDegradesGracefully(t *testing.T) {
 	weak := &alwaysAbortedStack{}
 	nb := stack.NewNonBlockingFrom[uint64](weak, nil)
 	nb.SetRetryPolicy(nil, 3)
-	if err := nb.Push(9); !errors.Is(err, repro.ErrExhausted) {
+	if err := nb.Push(0, 9); !errors.Is(err, repro.ErrExhausted) {
 		t.Fatalf("exhausted Push error = %v, want repro.ErrExhausted", err)
 	}
 	if weak.attempts != 3 {
 		t.Fatalf("Push made %d attempts, want the budget of 3", weak.attempts)
 	}
-	if _, err := nb.Pop(); !errors.Is(err, repro.ErrExhausted) {
+	if _, err := nb.Pop(0); !errors.Is(err, repro.ErrExhausted) {
 		t.Fatalf("exhausted Pop error = %v, want repro.ErrExhausted", err)
 	}
 	// The E3/E7 counted variants run the same budgeted loop.
 	weak.attempts = 0
-	if err, aborts := nb.PushCounted(9); !errors.Is(err, repro.ErrExhausted) || aborts != 3 || weak.attempts != 3 {
+	if err, aborts := nb.PushCounted(0, 9); !errors.Is(err, repro.ErrExhausted) || aborts != 3 || weak.attempts != 3 {
 		t.Fatalf("PushCounted = (%v, %d aborts) after %d attempts, want (ErrExhausted, 3) after 3", err, aborts, weak.attempts)
 	}
 	weak.attempts = 0
-	if _, err, aborts := nb.PopCounted(); !errors.Is(err, repro.ErrExhausted) || aborts != 3 || weak.attempts != 3 {
+	if _, err, aborts := nb.PopCounted(0); !errors.Is(err, repro.ErrExhausted) || aborts != 3 || weak.attempts != 3 {
 		t.Fatalf("PopCounted = (%v, %d aborts) after %d attempts, want (ErrExhausted, 3) after 3", err, aborts, weak.attempts)
 	}
 
@@ -866,8 +866,8 @@ func TestUnwrapThroughAdaptive(t *testing.T) {
 }
 
 // TestUnwrapForwardingMultiHop walks every multi-hop adapter chain the
-// options constructors can assemble — WithPooled redirects and the
-// adaptive wrappers — one Unwrap hop at a time: each layer must
+// options constructors can assemble — WithPooled and the adaptive
+// wrappers — one Unwrap hop at a time: each layer must
 // implement Unwrapper (or be the concrete backend), with no chain
 // silently truncated.
 func TestUnwrapForwardingMultiHop(t *testing.T) {
