@@ -421,7 +421,15 @@ func BenchmarkE14Deque(b *testing.B) {
 // freshly recorded histories.
 func BenchmarkE11Checker(b *testing.B) {
 	b.ReportAllocs()
-	tgt := bench.LinTargets()[0] // stack/abortable
+	var tgt bench.LinTarget
+	for _, t := range bench.LinTargets() {
+		if t.Name == "stack/abortable" {
+			tgt = t
+		}
+	}
+	if tgt.Build == nil {
+		b.Fatal("no stack/abortable lin target")
+	}
 	b.ResetTimer()
 	opsChecked := 0
 	for i := 0; i < b.N; i++ {

@@ -12,10 +12,11 @@ import (
 )
 
 // The backend catalog: one descriptor per exported backend, carrying
-// the metadata the README table quotes and the constructor closures
-// the harnesses consume. internal/bench, cmd/lincheck, and the
-// lockstep fuzzers iterate Catalog() instead of keeping their own
-// backend lists, so a backend's name is written exactly once — here.
+// the metadata the README table quotes and the direct-call builder E20
+// measures against; Drive builds any entry behind its capability
+// interface. internal/bench, cmd/lincheck, and the lockstep fuzzers
+// iterate Catalog() instead of keeping their own backend lists, so a
+// backend's name is written exactly once — here.
 
 // Object kinds, the values of Backend.Kind.
 const (
@@ -91,7 +92,10 @@ type Ops struct {
 
 // Backend describes one catalog entry. The string fields mirror the
 // README backend-catalog table (TestCatalogMatchesReadme keeps the
-// two in lockstep); the closures build fresh instances.
+// two in lockstep). The capability-typed construction of an entry is
+// not a field: it is the entry's case in genericStack, genericQueue,
+// newDeque or newSet below, which Drive and the New*Backend
+// constructors share.
 type Backend struct {
 	// Name is the catalog identifier, "<kind>/<variant>".
 	Name string
@@ -145,15 +149,6 @@ type Backend struct {
 	LinOpts []Option
 	LinNote string
 
-	// Exactly one of the following four is non-nil, matching Kind: it
-	// builds a fresh instance behind the kind's capability interface,
-	// instantiated at the uniform measurement domain (uint64 values;
-	// uint32 for deques).
-	Stack func(opts ...Option) StackAPI[uint64]
-	Queue func(opts ...Option) QueueAPI[uint64]
-	Deque func(opts ...Option) DequeAPI
-	Set   func(opts ...Option) SetAPI
-
 	// Direct builds a fresh instance and returns closures over the
 	// concrete type's own methods — no adapter, no interface
 	// dispatch. Experiment E20 measures Drive (the interface path)
@@ -164,12 +159,14 @@ type Backend struct {
 // Drive builds a fresh instance of b behind its capability interface
 // and wraps it in the uniform Ops driver — the unified-dispatch path
 // (compare Backend.Direct). Values are truncated to the backend's
-// domain where it is narrower than uint64.
+// domain where it is narrower than uint64. Drive panics if b names no
+// construction (an entry added to the catalog without its case).
 func Drive(b Backend, opts ...Option) Ops {
 	o := applyOptions(opts)
 	switch b.Kind {
 	case KindStack:
-		s := b.Stack(opts...)
+		s, ok := genericStack[uint64](b.Name, o)
+		mustBuild(b, ok)
 		applyRetryPolicy(s, o)
 		ops := Ops{N: 2, Instance: s, Do: func(pid, op int, v uint64) (uint64, error) {
 			if op == 0 {
@@ -193,7 +190,8 @@ func Drive(b Backend, opts ...Option) Ops {
 		armCrash(&ops, s)
 		return ops
 	case KindQueue:
-		q := b.Queue(opts...)
+		q, ok := genericQueue[uint64](b.Name, o)
+		mustBuild(b, ok)
 		applyRetryPolicy(q, o)
 		ops := Ops{N: 2, Instance: q, Do: func(pid, op int, v uint64) (uint64, error) {
 			if op == 0 {
@@ -217,7 +215,8 @@ func Drive(b Backend, opts ...Option) Ops {
 		armCrash(&ops, q)
 		return ops
 	case KindDeque:
-		d := b.Deque(opts...)
+		d, ok := newDeque(b.Name, o)
+		mustBuild(b, ok)
 		applyRetryPolicy(d, o)
 		return Ops{N: 4, Instance: d, Do: func(pid, op int, v uint64) (uint64, error) {
 			switch op {
@@ -234,7 +233,8 @@ func Drive(b Backend, opts ...Option) Ops {
 			}
 		}}
 	default: // KindSet
-		s := b.Set(opts...)
+		s, ok := newSet(b.Name, o)
+		mustBuild(b, ok)
 		applyRetryPolicy(s, o)
 		ops := Ops{N: 3, Instance: s, Do: func(pid, op int, v uint64) (uint64, error) {
 			var got bool
@@ -267,6 +267,14 @@ func Drive(b Backend, opts ...Option) Ops {
 		}
 		armCrash(&ops, s)
 		return ops
+	}
+}
+
+// mustBuild panics, naming the entry, when the construction switches
+// have no case for a catalog entry.
+func mustBuild(b Backend, ok bool) {
+	if !ok {
+		panic(fmt.Sprintf("repro: catalog entry %s (%s) has no construction case", b.Name, b.Kind))
 	}
 }
 
@@ -316,10 +324,6 @@ func stackCatalog() []Backend {
 		Experiments: []string{"E5", "E11", "E15", "E17", "E20", "E21", "E22"},
 		Robustness:  "lease-takeover",
 		Bounded:     true,
-		Stack: func(opts ...Option) StackAPI[uint64] {
-			o := applyOptions(opts)
-			return stack.NewCombining[uint64](o.capacity, o.procs)
-		},
 		Direct: func(opts ...Option) Ops {
 			o := applyOptions(opts)
 			s := stack.NewCombining[uint64](o.capacity, o.procs)
@@ -346,10 +350,6 @@ func stackCatalog() []Backend {
 			Experiments: []string{"E1", "E2", "E3", "E8", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Weak:        true, Bounded: true,
-			Stack: func(opts ...Option) StackAPI[uint64] {
-				o := applyOptions(opts)
-				return weakStack[uint64]{stack.NewAbortable[uint64](o.capacity, o.procs)}
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := stack.NewAbortable[uint64](o.capacity, o.procs)
@@ -369,10 +369,6 @@ func stackCatalog() []Backend {
 			Experiments: []string{"E3", "E5", "E7", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Bounded:     true,
-			Stack: func(opts ...Option) StackAPI[uint64] {
-				o := applyOptions(opts)
-				return stack.NewNonBlocking[uint64](o.capacity, o.procs)
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := stack.NewNonBlocking[uint64](o.capacity, o.procs)
@@ -392,10 +388,6 @@ func stackCatalog() []Backend {
 			Experiments: []string{"E1", "E4", "E5", "E6", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "lock-vulnerable",
 			Bounded:     true,
-			Stack: func(opts ...Option) StackAPI[uint64] {
-				o := applyOptions(opts)
-				return stack.NewSensitive[uint64](o.capacity, o.procs)
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := stack.NewSensitive[uint64](o.capacity, o.procs)
@@ -414,10 +406,6 @@ func stackCatalog() []Backend {
 			Tier:        "baseline", Progress: "lock-free", Domain: "generic", Allocation: "pooled, 0 allocs/op",
 			Experiments: []string{"E5", "E8", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
-			Stack: func(opts ...Option) StackAPI[uint64] {
-				o := applyOptions(opts)
-				return stack.NewTreiber[uint64](o.procs)
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := stack.NewTreiber[uint64](o.procs)
@@ -436,10 +424,6 @@ func stackCatalog() []Backend {
 			Tier:        "baseline", Progress: "lock-free", Domain: "generic", Allocation: "recycled nodes, boxed offers",
 			Experiments: []string{"E5", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
-			Stack: func(opts ...Option) StackAPI[uint64] {
-				o := applyOptions(opts)
-				return stack.NewElimination[uint64](o.width, o.procs)
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := stack.NewElimination[uint64](o.width, o.procs)
@@ -463,10 +447,6 @@ func stackCatalog() []Backend {
 			Bounded:     true,
 			LinOpts:     []Option{WithThresholds(adaptive.ForcingThresholds())},
 			LinNote:     "forced morphs",
-			Stack: func(opts ...Option) StackAPI[uint64] {
-				o := applyOptions(opts)
-				return adaptive.NewStack[uint64](o.capacity, o.procs, o.thr())
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := adaptive.NewStack[uint64](o.capacity, o.procs, o.thr())
@@ -491,10 +471,6 @@ func queueCatalog() []Backend {
 			Experiments: []string{"E9", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Weak:        true, Bounded: true,
-			Queue: func(opts ...Option) QueueAPI[uint64] {
-				o := applyOptions(opts)
-				return liftWeakQueue[uint64](queue.NewAbortable[uint64](o.capacity))
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				q := queue.NewAbortable[uint64](o.capacity)
@@ -514,10 +490,6 @@ func queueCatalog() []Backend {
 			Experiments: []string{"E9", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Bounded:     true,
-			Queue: func(opts ...Option) QueueAPI[uint64] {
-				o := applyOptions(opts)
-				return liftQueue[uint64](queue.NewNonBlocking[uint64](o.capacity))
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				q := queue.NewNonBlocking[uint64](o.capacity)
@@ -537,10 +509,6 @@ func queueCatalog() []Backend {
 			Experiments: []string{"E9", "E11", "E16", "E17", "E20", "E21", "E22"},
 			Robustness:  "lock-vulnerable",
 			Bounded:     true,
-			Queue: func(opts ...Option) QueueAPI[uint64] {
-				o := applyOptions(opts)
-				return queue.NewSensitive[uint64](o.capacity, o.procs)
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				q := queue.NewSensitive[uint64](o.capacity, o.procs)
@@ -560,10 +528,6 @@ func queueCatalog() []Backend {
 			Experiments: []string{"E9", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "lease-takeover",
 			Bounded:     true,
-			Queue: func(opts ...Option) QueueAPI[uint64] {
-				o := applyOptions(opts)
-				return queue.NewCombining[uint64](o.capacity, o.procs)
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				q := queue.NewCombining[uint64](o.capacity, o.procs)
@@ -585,10 +549,6 @@ func queueCatalog() []Backend {
 			Bounded:     true,
 			LinOpts:     []Option{WithShards(1)},
 			LinNote:     "K=1",
-			Queue: func(opts ...Option) QueueAPI[uint64] {
-				o := applyOptions(opts)
-				return queue.NewSharded[uint64](o.capacity, o.procs, o.shards)
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				q := queue.NewSharded[uint64](o.capacity, o.procs, o.shards)
@@ -607,10 +567,6 @@ func queueCatalog() []Backend {
 			Tier:        "allocation", Progress: "lock-free", Domain: "generic", Allocation: "pooled, 0 allocs/op",
 			Experiments: []string{"E8", "E9", "E11", "E17", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
-			Queue: func(opts ...Option) QueueAPI[uint64] {
-				o := applyOptions(opts)
-				return queue.NewMichaelScott[uint64](o.procs)
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				q := queue.NewMichaelScott[uint64](o.procs)
@@ -632,10 +588,6 @@ func queueCatalog() []Backend {
 			Bounded:     true,
 			LinOpts:     []Option{WithShards(1), WithThresholds(adaptive.ForcingThresholds())},
 			LinNote:     "K=1, forced morphs",
-			Queue: func(opts ...Option) QueueAPI[uint64] {
-				o := applyOptions(opts)
-				return adaptive.NewQueue[uint64](o.capacity, o.procs, o.shards, o.thr())
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				q := adaptive.NewQueue[uint64](o.capacity, o.procs, o.shards, o.thr())
@@ -660,10 +612,6 @@ func dequeCatalog() []Backend {
 			Experiments: []string{"E14", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Weak:        true, Bounded: true,
-			Deque: func(opts ...Option) DequeAPI {
-				o := applyOptions(opts)
-				return weakDeque[*deque.Abortable]{deque.NewAbortable(o.capacity)}
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				d := deque.NewAbortable(o.capacity)
@@ -691,10 +639,6 @@ func dequeCatalog() []Backend {
 			Experiments: []string{"E14", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Bounded:     true,
-			Deque: func(opts ...Option) DequeAPI {
-				o := applyOptions(opts)
-				return pidlessDeque[*deque.NonBlocking]{deque.NewNonBlocking(o.capacity)}
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				d := deque.NewNonBlocking(o.capacity)
@@ -722,10 +666,6 @@ func dequeCatalog() []Backend {
 			Experiments: []string{"E14", "E20", "E21", "E22"},
 			Robustness:  "lock-vulnerable",
 			Bounded:     true,
-			Deque: func(opts ...Option) DequeAPI {
-				o := applyOptions(opts)
-				return deque.NewSensitive(o.capacity, o.procs)
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				d := deque.NewSensitive(o.capacity, o.procs)
@@ -758,9 +698,6 @@ func setCatalog() []Backend {
 			Experiments: []string{"E11", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
 			Weak:        true,
-			Set: func(opts ...Option) SetAPI {
-				return weakSet{set.NewAbortable()}
-			},
 			Direct: func(opts ...Option) Ops {
 				s := set.NewAbortable()
 				return Ops{N: 3, Do: func(_, op int, v uint64) (uint64, error) {
@@ -782,9 +719,6 @@ func setCatalog() []Backend {
 			Tier:        "paper", Progress: "lock-free updates, wait-free Contains", Domain: "uint64", Allocation: "COW boxed",
 			Experiments: []string{"E11", "E18", "E19", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
-			Set: func(opts ...Option) SetAPI {
-				return liftSet(set.NewNonBlocking())
-			},
 			Direct: func(opts ...Option) Ops {
 				s := set.NewNonBlocking()
 				return setDirect(s.Add, s.Remove, s.Contains)
@@ -797,10 +731,6 @@ func setCatalog() []Backend {
 			Tier:        "paper", Progress: "starvation-free updates, wait-free Contains", Domain: "uint64", Allocation: "COW boxed",
 			Experiments: []string{"E11", "E18", "E20", "E21", "E22"},
 			Robustness:  "lock-vulnerable",
-			Set: func(opts ...Option) SetAPI {
-				o := applyOptions(opts)
-				return liftSet(set.NewSensitive(o.procs))
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := set.NewSensitive(o.procs)
@@ -814,10 +744,6 @@ func setCatalog() []Backend {
 			Tier:        "scaling", Progress: "starvation-free", Domain: "uint64", Allocation: "COW boxed",
 			Experiments: []string{"E11", "E18", "E20", "E21", "E22"},
 			Robustness:  "lease-takeover",
-			Set: func(opts ...Option) SetAPI {
-				o := applyOptions(opts)
-				return liftSet(set.NewCombining(o.procs))
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := set.NewCombining(o.procs)
@@ -831,10 +757,6 @@ func setCatalog() []Backend {
 			Tier:        "allocation", Progress: "lock-free", Domain: "uint64", Allocation: "pooled",
 			Experiments: []string{"E11", "E18", "E19", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
-			Set: func(opts ...Option) SetAPI {
-				o := applyOptions(opts)
-				return liftSet(set.NewHarris(o.procs))
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := set.NewHarris(o.procs)
@@ -848,10 +770,6 @@ func setCatalog() []Backend {
 			Tier:        "hash", Progress: "lock-free", Domain: "uint64", Allocation: "pooled + shortcut words",
 			Experiments: []string{"E11", "E18", "E19", "E20", "E21", "E22"},
 			Robustness:  "survivor-safe",
-			Set: func(opts ...Option) SetAPI {
-				o := applyOptions(opts)
-				return liftSet(set.NewHash(o.procs))
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := set.NewHash(o.procs)
@@ -867,10 +785,6 @@ func setCatalog() []Backend {
 			Robustness:  "survivor-safe",
 			LinOpts:     []Option{WithThresholds(adaptive.ForcingThresholds())},
 			LinNote:     "forced morphs",
-			Set: func(opts ...Option) SetAPI {
-				o := applyOptions(opts)
-				return liftSet(adaptive.NewSet(o.procs, o.thr()))
-			},
 			Direct: func(opts ...Option) Ops {
 				o := applyOptions(opts)
 				s := adaptive.NewSet(o.procs, o.thr())
@@ -936,9 +850,10 @@ func find(kind, name string, opts []Option) (Backend, options, error) {
 	return b, o, nil
 }
 
-// genericStack instantiates a generic-domain stack backend at T. It
-// lives next to the catalog literals so each backend's construction
-// is written only in this file.
+// genericStack builds a stack backend at T. It lives next to the
+// catalog literals so each backend's construction is written only in
+// this file. combining-pooled, the uint64 alias of combining, builds
+// only at T = uint64.
 func genericStack[T any](name string, o options) (StackAPI[T], bool) {
 	switch name {
 	case nameStackSensitive:
@@ -951,6 +866,11 @@ func genericStack[T any](name string, o options) (StackAPI[T], bool) {
 		return stack.NewTreiber[T](o.procs), true
 	case nameStackElimination:
 		return stack.NewElimination[T](o.width, o.procs), true
+	case nameStackCombiningPool:
+		if _, ok := any(*new(T)).(uint64); !ok {
+			return nil, false
+		}
+		fallthrough
 	case nameStackCombining:
 		return stack.NewCombining[T](o.capacity, o.procs), true
 	case nameStackAdaptive:
@@ -980,6 +900,40 @@ func genericQueue[T any](name string, o options) (QueueAPI[T], bool) {
 	return nil, false
 }
 
+// newDeque builds a deque backend (uint32 values).
+func newDeque(name string, o options) (DequeAPI, bool) {
+	switch name {
+	case nameDequeSensitive:
+		return deque.NewSensitive(o.capacity, o.procs), true
+	case nameDequeAbortable:
+		return weakDeque[*deque.Abortable]{deque.NewAbortable(o.capacity)}, true
+	case nameDequeNonBlocking:
+		return pidlessDeque[*deque.NonBlocking]{deque.NewNonBlocking(o.capacity)}, true
+	}
+	return nil, false
+}
+
+// newSet builds a set backend (uint64 keys).
+func newSet(name string, o options) (SetAPI, bool) {
+	switch name {
+	case nameSetSensitive:
+		return liftSet(set.NewSensitive(o.procs)), true
+	case nameSetAbortable:
+		return weakSet{set.NewAbortable()}, true
+	case nameSetNonBlocking:
+		return liftSet(set.NewNonBlocking()), true
+	case nameSetCombining:
+		return liftSet(set.NewCombining(o.procs)), true
+	case nameSetHarris:
+		return liftSet(set.NewHarris(o.procs)), true
+	case nameSetHash:
+		return liftSet(set.NewHash(o.procs)), true
+	case nameSetAdaptive:
+		return liftSet(adaptive.NewSet(o.procs, o.thr())), true
+	}
+	return nil, false
+}
+
 // NewStackBackend builds the named stack backend from the catalog
 // behind the uniform StackAPI contract. Generic-domain backends
 // instantiate at any T; combining-pooled, the uint64 alias of
@@ -993,15 +947,12 @@ func NewStackBackend[T any](name string, opts ...Option) (StackAPI[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	if s, ok := genericStack[T](b.Name, o); ok {
-		applyRetryPolicy(s, o)
-		return s, nil
+	s, ok := genericStack[T](b.Name, o)
+	if !ok {
+		return nil, errDomain(b)
 	}
-	if s, ok := any(b.Stack(opts...)).(StackAPI[T]); ok {
-		applyRetryPolicy(s, o)
-		return s, nil
-	}
-	return nil, fmt.Errorf("repro: backend %s carries %s elements; instantiate it at that type", b.Name, b.Domain)
+	applyRetryPolicy(s, o)
+	return s, nil
 }
 
 // NewQueueBackend is NewStackBackend's FIFO sibling. Options:
@@ -1011,15 +962,18 @@ func NewQueueBackend[T any](name string, opts ...Option) (QueueAPI[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	if q, ok := genericQueue[T](b.Name, o); ok {
-		applyRetryPolicy(q, o)
-		return q, nil
+	q, ok := genericQueue[T](b.Name, o)
+	if !ok {
+		return nil, errDomain(b)
 	}
-	if q, ok := any(b.Queue(opts...)).(QueueAPI[T]); ok {
-		applyRetryPolicy(q, o)
-		return q, nil
-	}
-	return nil, fmt.Errorf("repro: backend %s carries %s elements; instantiate it at that type", b.Name, b.Domain)
+	applyRetryPolicy(q, o)
+	return q, nil
+}
+
+// errDomain reports a backend instantiated at a type outside its
+// element domain.
+func errDomain(b Backend) error {
+	return fmt.Errorf("repro: backend %s carries %s elements; instantiate it at that type", b.Name, b.Domain)
 }
 
 // NewDequeBackend builds the named deque backend (uint32 values).
@@ -1029,7 +983,8 @@ func NewDequeBackend(name string, opts ...Option) (DequeAPI, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := b.Deque(opts...)
+	d, ok := newDeque(b.Name, o)
+	mustBuild(b, ok)
 	applyRetryPolicy(d, o)
 	return d, nil
 }
@@ -1041,7 +996,8 @@ func NewSetBackend(name string, opts ...Option) (SetAPI, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := b.Set(opts...)
+	s, ok := newSet(b.Name, o)
+	mustBuild(b, ok)
 	applyRetryPolicy(s, o)
 	return s, nil
 }

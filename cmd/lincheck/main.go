@@ -1,10 +1,10 @@
 // Command lincheck records concurrent histories of the stack, queue,
-// and set implementations and checks them for linearizability (the
-// paper's safety condition, §1.1) against sequential models.
+// deque, and set implementations and checks them for linearizability
+// (the paper's safety condition, §1.1) against sequential models.
 //
 // The target set is not maintained here: every backend in
-// repro.Catalog() is checked through its capability interface (via
-// internal/bench's catalog-driven LinTargets/SetLinTargets), plus the
+// repro.Catalog() is checked through repro.Drive (via internal/bench's
+// catalog-driven LinTargets, run by bench.RunLin), plus the
 // internal-only packed/pooled variants the catalog does not export.
 // A backend added to the catalog is picked up automatically.
 //
@@ -34,7 +34,6 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	lin "repro/internal/linearizability"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 )
@@ -60,12 +59,8 @@ func main() {
 	}
 
 	targets := bench.LinTargets()
-	setTargets := bench.SetLinTargets()
 	if *listI {
 		for _, t := range targets {
-			fmt.Println(t.Name)
-		}
-		for _, t := range setTargets {
 			fmt.Println(t.Name)
 		}
 		return
@@ -73,40 +68,20 @@ func main() {
 
 	violations := 0
 	tb := metrics.NewTable("implementation", "seed", "ops checked", "aborts dropped", "states", "verdict")
-	// report classifies one seeded run and prints a violation's segment.
-	report := func(name string, seed, n, aborts int, res lin.Result) {
-		verdict := "linearizable"
-		switch {
-		case res.Exhausted:
-			verdict = "UNDECIDED (budget)"
-		case !res.Ok:
-			verdict = "VIOLATION"
-			violations++
-		}
-		tb.AddRow(name, seed, n, aborts, res.States, verdict)
-		if !res.Ok && !res.Exhausted {
-			fmt.Fprintf(os.Stderr, "violation in %s (seed %d); offending segment:\n", name, seed)
-			for _, op := range res.FailedSegment {
-				fmt.Fprintf(os.Stderr, "  %v\n", op)
-			}
-		}
-	}
 	for _, tgt := range targets {
 		if *impl != "all" && *impl != tgt.Name {
 			continue
 		}
 		for seed := 1; seed <= *seeds; seed++ {
 			n, aborts, res := bench.RunLin(tgt, *procs, *rounds, *ops, uint64(seed)*0x9e37)
-			report(tgt.Name, seed, n, aborts, res)
-		}
-	}
-	for _, tgt := range setTargets {
-		if *impl != "all" && *impl != tgt.Name {
-			continue
-		}
-		for seed := 1; seed <= *seeds; seed++ {
-			n, aborts, res := bench.RunSetLin(tgt, *procs, *rounds, *ops, uint64(seed)*0x9e37)
-			report(tgt.Name, seed, n, aborts, res)
+			tb.AddRow(tgt.Name, seed, n, aborts, res.States, bench.LinVerdict(res))
+			if !res.Ok && !res.Exhausted {
+				violations++
+				fmt.Fprintf(os.Stderr, "violation in %s (seed %d); offending segment:\n", tgt.Name, seed)
+				for _, op := range res.FailedSegment {
+					fmt.Fprintf(os.Stderr, "  %v\n", op)
+				}
+			}
 		}
 	}
 	fmt.Print(tb.String())

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -12,7 +11,6 @@ import (
 	"repro"
 	"repro/internal/memory"
 	"repro/internal/metrics"
-	"repro/internal/queue"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
@@ -26,106 +24,41 @@ func init() {
 	})
 }
 
-// allocBackend is one implementation measured by E17: pid-aware push
-// and pop closures over a freshly built instance.
-type allocBackend struct {
+// allocRow is one implementation measured by E17: the driver of a
+// freshly built instance, every op retried until it completes.
+type allocRow struct {
 	name     string
-	pool     func() memory.PoolStats // nil for unpooled backends
-	push     func(pid int, v uint64) error
-	pop      func(pid int) (uint64, error)
+	ops      repro.Ops
 	wantZero bool // acceptance: steady state must not allocate
 }
 
-// allocBackends builds the E17 comparison set: every stack and queue
+// allocRows builds the E17 comparison set: every stack and queue
 // backend the public catalog exports (the catalog's allocation
 // profile decides which must measure 0 allocs/op), plus the
-// internal-only rows: the packed bit-packing stack, and the Figure 1
-// stack under its pooled row name (the same body as stack/abortable,
-// driven directly rather than through the catalog adapter).
-func allocBackends(procs int) []allocBackend {
-	k := 1024
-	var out []allocBackend
+// internal-only stack rows: the packed bit-packing stack, and the
+// Figure 1 stack under its pooled row name (the same body as
+// stack/abortable, driven directly rather than through the catalog
+// adapter). Weak rows retry their aborts so every measured op
+// completed and allocs/op stays comparable with the strong rows.
+func allocRows(procs int) []allocRow {
+	const k = 1024
+	var out []allocRow
 	for _, b := range repro.Catalog() {
-		var push func(int, uint64) error
-		var pop func(int) (uint64, error)
-		var inner any
-		switch b.Kind {
-		case repro.KindStack:
-			s := b.Stack(repro.WithCapacity(k), repro.WithProcs(procs))
-			push, pop, inner = s.Push, s.Pop, repro.Unwrap(s)
-		case repro.KindQueue:
-			q := b.Queue(repro.WithCapacity(k), repro.WithProcs(procs))
-			push, pop, inner = q.Enqueue, q.Dequeue, repro.Unwrap(q)
-		default:
+		if b.Kind != repro.KindStack && b.Kind != repro.KindQueue {
 			continue // the set tier has its own workload shape (E18/E19)
 		}
+		ops := repro.Drive(b, repro.WithCapacity(k), repro.WithProcs(procs))
 		if b.Weak {
-			// Weak entries make single attempts through the uniform
-			// interface; retry aborts so every measured op completed and
-			// allocs/op stays comparable with the strong rows.
-			rawPush, rawPop := push, pop
-			aborted := stack.ErrAborted
-			if b.Kind == repro.KindQueue {
-				aborted = queue.ErrAborted
-			}
-			push = func(pid int, v uint64) error {
-				for {
-					if err := rawPush(pid, v); !errors.Is(err, aborted) {
-						return err
-					}
-				}
-			}
-			pop = func(pid int) (uint64, error) {
-				for {
-					if v, err := rawPop(pid); !errors.Is(err, aborted) {
-						return v, err
-					}
-				}
-			}
+			ops = retrying(ops, kinds[b.Kind].aborted)
 		}
-		be := allocBackend{
-			name: b.Name, push: push, pop: pop,
-			wantZero: strings.Contains(b.Allocation, "0 allocs/op"),
-		}
-		if ps, ok := inner.(interface{ PoolStats() memory.PoolStats }); ok {
-			be.pool = ps.PoolStats
-		}
-		out = append(out, be)
+		out = append(out, allocRow{b.Name, ops, strings.Contains(b.Allocation, "0 allocs/op")})
 	}
-
-	ap := stack.NewAbortable[uint64](k, procs)
-	out = append(out, allocBackend{
-		name: "stack/abortable-pooled", pool: ap.PoolStats, wantZero: true,
-		push: func(pid int, v uint64) error { return retryPush(func(v uint64) error { return ap.TryPush(pid, v) }, v) },
-		pop:  func(pid int) (uint64, error) { return retryPop(func() (uint64, error) { return ap.TryPop(pid) }) },
-	})
-	pk := stack.NewPacked(k)
-	out = append(out, allocBackend{
-		name: "stack/packed", wantZero: true,
-		push: func(pid int, v uint64) error {
-			return retryPush(func(v uint64) error { return pk.TryPush(pid, uint32(v)) }, v)
-		},
-		pop: func(pid int) (uint64, error) {
-			return retryPop(func() (uint64, error) { v, err := pk.TryPop(pid); return uint64(v), err })
-		},
-	})
+	for _, r := range internalRows() {
+		if kindOf(r.name) == repro.KindStack {
+			out = append(out, allocRow{r.name, retrying(r.build(k, procs), stack.ErrAborted), true})
+		}
+	}
 	return out
-}
-
-func retryPush(try func(uint64) error, v uint64) error {
-	for {
-		if err := try(v); !errors.Is(err, stack.ErrAborted) {
-			return err
-		}
-	}
-}
-
-func retryPop(try func() (uint64, error)) (uint64, error) {
-	for {
-		if v, err := try(); !errors.Is(err, stack.ErrAborted) {
-			return v, err
-		}
-	}
 }
 
 // allocResult is one measured row.
@@ -143,8 +76,7 @@ type allocResult struct {
 // between two MemStats snapshots. Worker parking around the barrier
 // costs a handful of runtime allocations; they are amortized over the
 // op count and show up only in the fourth decimal place.
-func measureAllocs(procs, warmup, ops int, seed uint64,
-	push func(pid int, v uint64) error, pop func(pid int) (uint64, error)) allocResult {
+func measureAllocs(procs, warmup, ops int, seed uint64, d repro.Ops) allocResult {
 	var warm, done sync.WaitGroup
 	start := make(chan struct{})
 	for p := 0; p < procs; p++ {
@@ -157,10 +89,10 @@ func measureAllocs(procs, warmup, ops int, seed uint64,
 			mix := func(n int) {
 				for j := 0; j < n; j++ {
 					if workload.Balanced.NextIsPush(rng) {
-						_ = push(pid, workload.Value(pid, i))
+						_, _ = d.Do(pid, 0, workload.Value(pid, i))
 						i++
 					} else {
-						_, _ = pop(pid)
+						_, _ = d.Do(pid, 1, 0)
 					}
 				}
 			}
@@ -200,9 +132,9 @@ func runE17(cfg Config, w io.Writer) error {
 	tb := metrics.NewTable("backend", "allocs/op", "B/op", "GC cycles", "ops/s", "solo allocs/op", "verdict")
 	defer cfg.logTable("E17 steady state", tb)
 	var failed []string
-	for _, be := range allocBackends(procs) {
-		res := measureAllocs(procs, warmup, ops, cfg.Seed, be.push, be.pop)
-		solo := measureAllocs(1, warmup, ops, cfg.Seed, be.push, be.pop)
+	for _, be := range allocRows(procs) {
+		res := measureAllocs(procs, warmup, ops, cfg.Seed, be.ops)
+		solo := measureAllocs(1, warmup, ops, cfg.Seed, be.ops)
 		verdict := "allocating"
 		if res.allocsPerOp < 0.01 {
 			verdict = "0 allocs/op"
@@ -245,30 +177,20 @@ func runE17ForcedReuse(cfg Config, w io.Writer) error {
 		perProc = 5000
 	}
 
-	// Every catalog backend whose instances expose recycling counters
-	// runs the forced-reuse schedule, plus the internal-only pooled
-	// Figure 1 stack.
-	type target struct {
-		name string
-		pool func() memory.PoolStats
-		push func(pid int, v uint64) error
-		pop  func(pid int) (uint64, error)
-	}
-	var targets []target
-	for _, be := range allocBackends(procs) {
-		if be.pool != nil {
-			targets = append(targets, target{be.name, be.pool, be.push, be.pop})
-		}
-	}
-
+	// Every row whose instance exposes recycling counters runs the
+	// forced-reuse schedule.
 	tb := metrics.NewTable("backend", "ops", "reuses/op", "arena records", "drops", "verdict")
 	defer cfg.logTable("E17 forced reuse", tb)
-	for _, tgt := range targets {
+	for _, tgt := range allocRows(procs) {
+		pool, ok := repro.Unwrap(tgt.ops.Instance).(interface{ PoolStats() memory.PoolStats })
+		if !ok {
+			continue
+		}
 		popped := make([][]uint64, procs)
 		runRounds(1, procs, 0, func(_, pid int, _ *workload.RNG) {
 			for i := 0; i < perProc; i++ {
-				_ = tgt.push(pid, uint64(pid)<<32|uint64(i))
-				if v, err := tgt.pop(pid); err == nil {
+				_, _ = tgt.ops.Do(pid, 0, uint64(pid)<<32|uint64(i))
+				if v, err := tgt.ops.Do(pid, 1, 0); err == nil {
 					popped[pid] = append(popped[pid], v)
 				}
 			}
@@ -280,7 +202,7 @@ func runE17ForcedReuse(cfg Config, w io.Writer) error {
 			}
 		}
 		for {
-			v, err := tgt.pop(0)
+			v, err := tgt.ops.Do(0, 1, 0)
 			if err != nil {
 				break
 			}
@@ -293,7 +215,7 @@ func runE17ForcedReuse(cfg Config, w io.Writer) error {
 				break
 			}
 		}
-		st := tgt.pool()
+		st := pool.PoolStats()
 		ops := 2 * procs * perProc
 		verdict := "conserved; tags held"
 		if !conserved {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -183,20 +184,20 @@ func runRounds(rounds, procs int, seed uint64, worker func(round, pid int, rng *
 	}
 }
 
-// hammer drives procs workers of a balanced push/pop mix against one
-// stack-like instance for d and returns the per-process completed-op
-// counts and the measured window. Values follow the workload encoding
-// so failures surface in other experiments; here only counts matter.
-func hammer(procs int, d time.Duration, seed uint64,
-	push func(pid int, v uint64) error, pop func(pid int) (uint64, error)) ([]uint64, time.Duration) {
+// hammer drives procs workers of a balanced push/pop mix (op codes 0
+// and 1 of ops) against one stack-like instance for d and returns the
+// per-process completed-op counts and the measured window. Values
+// follow the workload encoding so failures surface in other
+// experiments; here only counts matter.
+func hammer(procs int, d time.Duration, seed uint64, ops repro.Ops) ([]uint64, time.Duration) {
 	return runTimed(procs, seed, sleep(d), func(pid int, rng *workload.RNG, _ time.Time) func() {
 		i := 0
 		return func() {
 			if workload.Balanced.NextIsPush(rng) {
-				_ = push(pid, workload.Value(pid, i))
+				_, _ = ops.Do(pid, 0, workload.Value(pid, i))
 				i++
 			} else {
-				_, _ = pop(pid)
+				_, _ = ops.Do(pid, 1, 0)
 			}
 		}
 	})

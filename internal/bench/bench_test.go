@@ -183,11 +183,37 @@ func TestE11Linearizability(t *testing.T) {
 		"stack/abortable-pooled",
 		"queue/michael-scott-pooled", "queue/abortable",
 		"queue/sharded[K=1]", "queue/combining",
+		"deque/abortable", "deque/non-blocking", "deque/sensitive",
 		"set/harris", "set/hashset",
 	} {
 		if !strings.Contains(out, impl) {
 			t.Fatalf("E11 missing %s:\n%s", impl, out)
 		}
+	}
+}
+
+// TestLinTargetsCoverCatalog pins the lin target list to every catalog
+// entry of all four kinds (named with its LinNote) plus the three
+// internal-only Figure 1 variants, so no target is silently dropped.
+func TestLinTargetsCoverCatalog(t *testing.T) {
+	var want []string
+	for _, b := range repro.Catalog() {
+		name := b.Name
+		if b.LinNote != "" {
+			name += "[" + b.LinNote + "]"
+		}
+		want = append(want, name)
+	}
+	want = append(want, "stack/packed", "stack/abortable-pooled", "queue/packed")
+	var got []string
+	for _, tgt := range LinTargets() {
+		got = append(got, tgt.Name)
+		if !strings.HasPrefix(tgt.Name, tgt.Kind+"/") {
+			t.Errorf("%s: kind %q does not match the name", tgt.Name, tgt.Kind)
+		}
+	}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("lin targets:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"io"
+	"strconv"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/metrics"
@@ -44,21 +46,22 @@ func runE15(cfg Config, w io.Writer) error {
 	tb := metrics.NewTable(append([]string{"impl"}, procLabels(steps)...)...)
 	defer cfg.logTable("E15 scaling", tb)
 
-	// The lock-based fallback baselines and the paper's sensitive
-	// tower (resolved from the catalog, not by name).
-	impls := []hammerImpl{paperSensitiveStack()}
-	for _, impl := range lockStackImpls() {
-		if impl.name == "lock(mutex)" || impl.name == "lock(tas)" {
-			impls = append(impls, impl)
+	// The paper's sensitive tower (resolved from the catalog, not by
+	// name) and the lock-based fallback baselines.
+	rows := catalogRows(repro.KindStack, func(b repro.Backend) bool {
+		return b.Tier == "paper" && b.Progress == "starvation-free"
+	})
+	for _, r := range lockStackRows() {
+		if r.name == "lock(mutex)" || r.name == "lock(tas)" {
+			rows = append(rows, r)
 		}
 	}
-	for _, impl := range impls {
-		row := []interface{}{impl.name}
+	for _, r := range rows {
+		cells := []interface{}{r.name}
 		for _, procs := range steps {
-			push, pop := impl.build(k, procs)
-			row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, push, pop)))
+			cells = append(cells, rate(hammer(procs, cfg.Duration, cfg.Seed, r.build(k, procs))))
 		}
-		tb.AddRow(row...)
+		tb.AddRow(cells...)
 	}
 
 	// The combining stack, instrumented: keep each step's counters for
@@ -68,7 +71,7 @@ func runE15(cfg Config, w io.Writer) error {
 	defer cfg.logTable("E15 diagnostics", diags)
 	for _, procs := range steps {
 		s := stack.NewCombining[uint64](k, procs)
-		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, s.Push, s.Pop)))
+		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, pushPop(s, s.Push, s.Pop))))
 		st := s.Stats()
 		share := 1.0
 		if total := st.Fast + st.Published; total > 0 {
@@ -95,25 +98,19 @@ func runE15(cfg Config, w io.Writer) error {
 // attempts abort, which a lightly loaded host may never show.
 func runE15Contended(cfg Config, steps []int, w io.Writer) error {
 	const k = 1024
-	type pathImpl struct {
-		name  string
-		build func(procs int) (func(pid int, v uint64) error, func(pid int) (uint64, error))
-	}
-	serialized := func(mk func(procs int) lock.PidLock) func(int) (func(int, uint64) error, func(int) (uint64, error)) {
-		return func(procs int) (func(int, uint64) error, func(int) (uint64, error)) {
+	serialized := func(name string, mk func(procs int) lock.PidLock) row {
+		return row{name, func(k, procs int) repro.Ops {
 			weak := stack.NewAbortable[uint64](k, procs)
 			lk := mk(procs)
-			push := func(pid int, v uint64) error {
+			return repro.Ops{N: 2, Instance: weak, Do: func(pid, op int, v uint64) (uint64, error) {
 				lk.Acquire(pid)
 				defer lk.Release(pid)
-				return core.Retry(nil, func() (error, bool) {
-					err := weak.TryPush(pid, v)
-					return err, err != stack.ErrAborted
-				})
-			}
-			pop := func(pid int) (uint64, error) {
-				lk.Acquire(pid)
-				defer lk.Release(pid)
+				if op == 0 {
+					return 0, core.Retry(nil, func() (error, bool) {
+						err := weak.TryPush(pid, v)
+						return err, err != stack.ErrAborted
+					})
+				}
 				type res struct {
 					v   uint64
 					err error
@@ -123,32 +120,30 @@ func runE15Contended(cfg Config, steps []int, w io.Writer) error {
 					return res{v, err}, err != stack.ErrAborted
 				})
 				return r.v, r.err
-			}
-			return push, pop
-		}
+			}}
+		}}
 	}
-	impls := []pathImpl{
-		{"serialized RR(TAS) [Figure 3 fallback]", serialized(func(procs int) lock.PidLock {
+	rows := []row{
+		serialized("serialized RR(TAS) [Figure 3 fallback]", func(procs int) lock.PidLock {
 			return lock.NewRoundRobin(lock.NewTAS(), procs)
-		})},
-		{"serialized mutex", serialized(func(int) lock.PidLock {
+		}),
+		serialized("serialized mutex", func(int) lock.PidLock {
 			return lock.IgnorePid(lock.NewMutex())
-		})},
-		{"batched flat-combining", func(procs int) (func(int, uint64) error, func(int) (uint64, error)) {
+		}),
+		{"batched flat-combining", func(k, procs int) repro.Ops {
 			s := stack.NewCombining[uint64](k, procs)
-			return s.PushContended, s.PopContended
+			return pushPop(s, s.PushContended, s.PopContended)
 		}},
 	}
 
 	iso := metrics.NewTable(append([]string{"contended path"}, procLabels(steps)...)...)
 	defer cfg.logTable("E15 contended isolation", iso)
-	for _, impl := range impls {
-		row := []interface{}{impl.name}
+	for _, r := range rows {
+		cells := []interface{}{r.name}
 		for _, procs := range steps {
-			push, pop := impl.build(procs)
-			row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, push, pop)))
+			cells = append(cells, rate(hammer(procs, cfg.Duration, cfg.Seed, r.build(k, procs))))
 		}
-		iso.AddRow(row...)
+		iso.AddRow(cells...)
 	}
 	return fprintf(w, "\ncontended-path isolation: every op takes the fallback (ops/s)\n%s", iso.String())
 }
@@ -166,7 +161,7 @@ func runE16(cfg Config, w io.Writer) error {
 	row := []interface{}{"cont-sensitive"}
 	for _, procs := range steps {
 		q := queue.NewSensitive[uint64](k, procs)
-		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, q.Enqueue, q.Dequeue)))
+		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, pushPop(q, q.Enqueue, q.Dequeue))))
 	}
 	tb.AddRow(row...)
 
@@ -175,16 +170,16 @@ func runE16(cfg Config, w io.Writer) error {
 	rates := metrics.NewTable("shards", "procs", "steals/op", "spills/op")
 	defer cfg.logTable("E16 steal rates", rates)
 	for _, shards := range shardCounts {
-		row := []interface{}{"sharded K=" + itoa(shards)}
+		row := []interface{}{"sharded K=" + strconv.Itoa(shards)}
 		for _, procs := range steps {
 			q := queue.NewSharded[uint64](k, procs, shards)
-			counts, elapsed := hammer(procs, cfg.Duration, cfg.Seed, q.Enqueue, q.Dequeue)
+			counts, elapsed := hammer(procs, cfg.Duration, cfg.Seed, pushPop(q, q.Enqueue, q.Dequeue))
 			ops := metrics.Sum(counts)
 			row = append(row, rate(counts, elapsed))
 			if procs == steps[len(steps)-1] {
 				rates.AddRow(shards, procs,
-					float64(q.Steals())/float64(max64(ops, 1)),
-					float64(q.Spills())/float64(max64(ops, 1)))
+					float64(q.Steals())/float64(max(ops, 1)),
+					float64(q.Spills())/float64(max(ops, 1)))
 			}
 		}
 		tb.AddRow(row...)

@@ -11,7 +11,6 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/deque"
-	lin "repro/internal/linearizability"
 	"repro/internal/metrics"
 	"repro/internal/workload"
 )
@@ -32,51 +31,27 @@ func runE14(cfg Config, w io.Writer) error {
 	// every strong deque backend in the public catalog (the weak
 	// deque's single attempts abort under a hammer; part 2 measures it
 	// on its own terms).
-	type impl struct {
-		name string
-		mk   func(procs int) (push func(pid int, right bool, v uint32) error, pop func(pid int, right bool) (uint32, error))
-	}
-	var impls []impl
-	for _, b := range repro.CatalogByKind(repro.KindDeque) {
-		if b.Weak {
-			continue
-		}
-		b := b
-		impls = append(impls, impl{b.Name, func(procs int) (func(int, bool, uint32) error, func(int, bool) (uint32, error)) {
-			d := b.Deque(repro.WithCapacity(1024), repro.WithProcs(procs))
-			return func(pid int, right bool, v uint32) error {
-					if right {
-						return d.PushRight(pid, v)
-					}
-					return d.PushLeft(pid, v)
-				}, func(pid int, right bool) (uint32, error) {
-					if right {
-						return d.PopRight(pid)
-					}
-					return d.PopLeft(pid)
-				}
-		}})
-	}
 	tb := metrics.NewTable(append([]string{"impl"}, procLabels(procSteps(cfg.Procs))...)...)
 	defer cfg.logTable("E14 deque scaling", tb)
-	for _, im := range impls {
-		row := []interface{}{im.name}
+	for _, r := range catalogRows(repro.KindDeque, nil) {
+		cells := []interface{}{r.name}
 		for _, procs := range procSteps(cfg.Procs) {
-			push, pop := im.mk(procs)
-			row = append(row, rate(runTimed(procs, cfg.Seed, sleep(cfg.Duration), func(pid int, rng *workload.RNG, _ time.Time) func() {
+			d := r.build(1024, procs)
+			cells = append(cells, rate(runTimed(procs, cfg.Seed, sleep(cfg.Duration), func(pid int, rng *workload.RNG, _ time.Time) func() {
 				i := 0
 				return func() {
-					right := rng.Intn(2) == 0
+					// Op codes: 0 pushL, 1 pushR, 2 popL, 3 popR.
+					end := rng.Intn(2) ^ 1 // 1 = right
 					if workload.Balanced.NextIsPush(rng) {
-						_ = push(pid, right, uint32(pid)<<24|uint32(i))
+						_, _ = d.Do(pid, end, uint64(uint32(pid)<<24|uint32(i)))
 						i++
 					} else {
-						_, _ = pop(pid, right)
+						_, _ = d.Do(pid, 2+end, 0)
 					}
 				}
 			})))
 		}
-		tb.AddRow(row...)
+		tb.AddRow(cells...)
 	}
 	if err := fprintf(w, "deque throughput (ops/s), both-end balanced mix, capacity 1024\n%s\n", tb.String()); err != nil {
 		return err
@@ -141,73 +116,26 @@ func runE14(cfg Config, w io.Writer) error {
 		return err
 	}
 
-	// Part 3: linearizability of the strong deque's histories.
+	// Part 3: linearizability of the strong deque's histories. The
+	// strong deque is resolved from the catalog (paper tier,
+	// starvation-free) so its name is not restated here.
 	rounds := 40
 	if cfg.Quick {
 		rounds = 10
 	}
-	const procs, perRound = 4, 4
-	// The strong deque, resolved from the catalog (paper tier,
-	// starvation-free) so its name is not restated here.
-	var strong repro.Backend
+	var tgt LinTarget
 	for _, b := range repro.CatalogByKind(repro.KindDeque) {
 		if b.Tier == "paper" && b.Progress == "starvation-free" {
-			strong = b
+			tgt = linTarget(b)
 		}
 	}
-	if strong.Deque == nil {
+	if tgt.Build == nil {
 		panic("bench: the catalog has no paper-tier starvation-free deque")
 	}
-	sd := strong.Deque(repro.WithCapacity(6), repro.WithProcs(procs))
-	rec := lin.NewRecorder(procs)
-	var next atomic.Uint64
-	kinds := []string{"pushl", "pushr", "popl", "popr"}
-	runRounds(rounds, procs, cfg.Seed, func(_, pid int, rng *workload.RNG) {
-		for i := 0; i < perRound; i++ {
-			kind := kinds[rng.Intn(4)]
-			switch kind {
-			case "pushl", "pushr":
-				v := next.Add(1)
-				pend := rec.Invoke(pid, kind, v)
-				var err error
-				if kind == "pushl" {
-					err = sd.PushLeft(pid, uint32(v))
-				} else {
-					err = sd.PushRight(pid, uint32(v))
-				}
-				out := lin.OutcomeOK
-				if errors.Is(err, deque.ErrFull) {
-					out = lin.OutcomeFull
-				}
-				rec.Return(pend, 0, out)
-			default:
-				pend := rec.Invoke(pid, kind, 0)
-				var v uint32
-				var err error
-				if kind == "popl" {
-					v, err = sd.PopLeft(pid)
-				} else {
-					v, err = sd.PopRight(pid)
-				}
-				out := lin.OutcomeOK
-				if errors.Is(err, deque.ErrEmpty) {
-					out = lin.OutcomeEmpty
-				}
-				rec.Return(pend, uint64(v), out)
-			}
-		}
-	})
-	h := rec.History()
-	res := lin.CheckSegmented(lin.DequeModel(6), h, 0, 0)
-	verdict := "linearizable"
-	if res.Exhausted {
-		verdict = "UNDECIDED (budget)"
-	} else if !res.Ok {
-		verdict = "VIOLATION"
-	}
+	n, _, res := RunLin(tgt, 4, rounds, 4, cfg.Seed)
 	tb3 := metrics.NewTable("implementation", "ops checked", "search states", "verdict")
 	defer cfg.logTable("E14 linearizability", tb3)
-	tb3.AddRow(strong.Name, len(h), res.States, verdict)
+	tb3.AddRow(tgt.Name, n, res.States, LinVerdict(res))
 	if err := fprintf(w, "%s", tb3.String()); err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro"
 	"repro/internal/lock"
 	"repro/internal/memory"
 	"repro/internal/metrics"
@@ -61,17 +62,13 @@ func runE12(cfg Config, w io.Writer) error {
 	for _, procs := range procSteps(cfg.Procs) {
 		var st memory.Stats
 		l := lock.NewFastMutexObserved(procs, &st)
-		counts, _ := hammer(procs, cfg.Duration/2, cfg.Seed, func(pid int, _ uint64) error {
-			l.Acquire(pid)
-			l.Release(pid)
-			return nil
-		}, func(pid int) (uint64, error) {
+		counts, _ := hammer(procs, cfg.Duration/2, cfg.Seed, repro.Ops{N: 2, Do: func(pid, _ int, _ uint64) (uint64, error) {
 			l.Acquire(pid)
 			l.Release(pid)
 			return 0, nil
-		})
+		}})
 		sections := metrics.Sum(counts)
-		tb2.AddRow(procs, sections, float64(st.Total())/float64(max64(sections, 1)))
+		tb2.AddRow(procs, sections, float64(st.Total())/float64(max(sections, 1)))
 	}
 	return fprintf(w, "%s", tb2.String())
 }

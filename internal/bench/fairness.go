@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"repro"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/stack"
@@ -32,34 +33,29 @@ func runE4(cfg Config, w io.Writer) error {
 	tb := metrics.NewTable("configuration", "total ops", "min/proc", "max/proc", "jain")
 	defer cfg.logTable("E4 fairness", tb)
 
-	type variant struct {
-		name string
-		mk   func() (func(pid int, v uint64) error, func(pid int) (uint64, error))
-	}
-	variants := []variant{
-		{"sensitive RR(TAS) [paper]", func() (func(int, uint64) error, func(int) (uint64, error)) {
-			s := stack.NewSensitive[uint64](8, procs)
-			return s.Push, s.Pop
+	variants := []row{
+		{"sensitive RR(TAS) [paper]", func(k, procs int) repro.Ops {
+			s := stack.NewSensitive[uint64](k, procs)
+			return pushPop(s, s.Push, s.Pop)
 		}},
-		{"sensitive raw TAS (no RR)", func() (func(int, uint64) error, func(int) (uint64, error)) {
-			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](8, procs), lock.IgnorePid(lock.NewTAS()), nil)
-			return s.Push, s.Pop
+		{"sensitive raw TAS (no RR)", func(k, procs int) repro.Ops {
+			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](k, procs), lock.IgnorePid(lock.NewTAS()), nil)
+			return pushPop(s, s.Push, s.Pop)
 		}},
-		{"lock-based TAS", func() (func(int, uint64) error, func(int) (uint64, error)) {
-			s := stack.NewLockBasedWith[uint64](8, lock.IgnorePid(lock.NewTAS()))
-			return s.Push, s.Pop
+		{"lock-based TAS", func(k, _ int) repro.Ops {
+			s := stack.NewLockBasedWith[uint64](k, lock.IgnorePid(lock.NewTAS()))
+			return pushPop(s, s.Push, s.Pop)
 		}},
-		{"lock-based ticket", func() (func(int, uint64) error, func(int) (uint64, error)) {
-			s := stack.NewLockBasedWith[uint64](8, lock.IgnorePid(lock.NewTicket()))
-			return s.Push, s.Pop
+		{"lock-based ticket", func(k, _ int) repro.Ops {
+			s := stack.NewLockBasedWith[uint64](k, lock.IgnorePid(lock.NewTicket()))
+			return pushPop(s, s.Push, s.Pop)
 		}},
 	}
 	// Every count covers the same barrier-released window, so min/proc
 	// measures starvation, not a late-spawned worker's head start.
 	var longest time.Duration
 	for _, v := range variants {
-		push, pop := v.mk()
-		counts, elapsed := hammer(procs, cfg.Duration, cfg.Seed, push, pop)
+		counts, elapsed := hammer(procs, cfg.Duration, cfg.Seed, v.build(8, procs))
 		longest = max(longest, elapsed)
 		lo, hi := metrics.MinMax(counts)
 		tb.AddRow(v.name, metrics.Sum(counts), lo, hi, metrics.JainIndex(counts))

@@ -19,54 +19,15 @@ func init() {
 	})
 }
 
-// e19Impl is one backend of the key-range sweep: the uniform pid-aware
-// closures plus a quiescent snapshot for O(n)-once conservation
-// checking (E18 verifies by probing every key, which is itself O(n)
-// per probe on the list backends — ruinous at 65536) and an optional
-// resize counter.
-type e19Impl struct {
-	name  string
-	build func(procs int) (
-		add func(pid int, k uint64) bool,
-		remove func(pid int, k uint64) bool,
-		contains func(pid int, k uint64) bool,
-		snapshot func() []uint64,
-		resizes func() uint64)
-}
-
-// e19Impls selects the key-range sweep's backends from the catalog:
-// the strong, lock-free set backends — the COW Figure 2 list, the
+// lockFreeSet selects the key-range sweep's backends from the
+// catalog: the lock-free set backends — the COW Figure 2 list, the
 // Harris list, and the split-ordered hash layer — whose instances can
-// produce the quiescent snapshot the conservation check walks. (The
-// guard-serialized backends are covered by E18's narrower ranges; at
-// 65536 keys their path copies would dominate the sweep.)
-func e19Impls() []e19Impl {
-	var out []e19Impl
-	for _, b := range repro.CatalogByKind(repro.KindSet) {
-		if b.Weak || !strings.Contains(b.Progress, "lock-free") {
-			continue
-		}
-		b := b
-		out = append(out, e19Impl{name: b.Name, build: func(procs int) (func(int, uint64) bool, func(int, uint64) bool, func(int, uint64) bool, func() []uint64, func() uint64) {
-			s := b.Set(repro.WithProcs(procs))
-			inner := repro.Unwrap(s)
-			sn, ok := inner.(interface{ Snapshot() []uint64 })
-			if !ok {
-				panic(fmt.Sprintf("bench: E19 backend %s cannot produce the quiescent snapshot its conservation check walks", b.Name))
-			}
-			snapshot := sn.Snapshot
-			var resizes func() uint64
-			if r, ok := inner.(interface{ Resizes() uint64 }); ok {
-				resizes = r.Resizes
-			}
-			add := func(pid int, k uint64) bool { ok, _ := s.Add(pid, k); return ok }
-			remove := func(pid int, k uint64) bool { ok, _ := s.Remove(pid, k); return ok }
-			contains := func(pid int, k uint64) bool { ok, _ := s.Contains(pid, k); return ok }
-			return add, remove, contains, snapshot, resizes
-		}})
-	}
-	return out
-}
+// produce a quiescent snapshot, so conservation is checked with one
+// O(n) walk (E18 probes every key, itself O(n) per probe on the list
+// backends — ruinous at 65536). The guard-serialized backends are
+// covered by E18's narrower ranges; at 65536 keys their path copies
+// would dominate the sweep.
+func lockFreeSet(b repro.Backend) bool { return strings.Contains(b.Progress, "lock-free") }
 
 func runE19(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
@@ -90,22 +51,27 @@ func runE19(cfg Config, w io.Writer) error {
 	tb := metrics.NewTable(headers...)
 	defer cfg.logTable("E19 key-range sweep", tb)
 	var failed []string
-	for _, impl := range e19Impls() {
+	for _, impl := range catalogRows(repro.KindSet, lockFreeSet) {
 		implFailed := false
 		for _, m := range mixes {
 			verdict := "conserved"
 			rates := make([]float64, len(keyRanges))
 			resizes := "—"
 			for i, keys := range keyRanges {
-				add, remove, contains, snapshot, resizeCount := impl.build(procs)
+				d := impl.build(0, procs)
+				inner := repro.Unwrap(d.Instance)
+				sn, ok := inner.(interface{ Snapshot() []uint64 })
+				if !ok {
+					panic(fmt.Sprintf("bench: E19 backend %s cannot produce the quiescent snapshot its conservation check walks", impl.name))
+				}
 				var err error
-				rates[i], err = driveSetMix(procs, cfg.Duration, cfg.Seed, keys, m.mix, add, remove, contains, snapshot)
+				rates[i], err = driveSetMix(procs, cfg.Duration, cfg.Seed, keys, m.mix, d, sn.Snapshot)
 				if err != nil {
 					verdict = fmt.Sprintf("FAIL: %v", err)
 					implFailed = true
 				}
-				if resizeCount != nil && i == len(keyRanges)-1 {
-					resizes = fmt.Sprint(resizeCount())
+				if r, ok := inner.(interface{ Resizes() uint64 }); ok && i == len(keyRanges)-1 {
+					resizes = fmt.Sprint(r.Resizes())
 				}
 			}
 			// Flatness is the headline number: throughput at the widest

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"repro"
+	"repro/internal/deque"
 	lin "repro/internal/linearizability"
 	"repro/internal/metrics"
 	"repro/internal/queue"
@@ -24,233 +26,140 @@ func init() {
 	})
 }
 
-// LinTarget is one implementation checked by E11 and by cmd/lincheck:
-// a named builder that returns a uniform do(pid, push, v) driver for a
-// fresh instance plus that implementation's sentinel errors.
+// LinTarget is one implementation checked by E11, E14 and
+// cmd/lincheck: Build returns the uniform op-indexed driver (see
+// repro.Ops) over a fresh instance for procs processes. K is the
+// model capacity (0 = unbounded); a Weak target's ops are single
+// attempts, and only its aborts are dropped from the history.
 type LinTarget struct {
 	Name  string
-	Kind  string // "stack" or "queue"
-	K     int    // model capacity (0 = unbounded)
-	Build func(procs int) (do func(pid int, push bool, v uint64) (uint64, error), full, empty, aborted error)
+	Kind  string
+	K     int
+	Weak  bool
+	Build func(procs int) repro.Ops
+}
+
+// kindSpec is what the history checks know about one object kind
+// beyond its repro.Ops driver: the history names of its op codes, how
+// many leading op codes insert a fresh value, the op-code draw (which
+// also picks a set's key), the sequential model and the capacity it is
+// checked at, and the kind's sentinel errors.
+type kindSpec struct {
+	names                []string
+	inserts              int
+	draw                 func(rng *workload.RNG) (op int, key uint64)
+	model                func(k int) lin.Model
+	capacity             int
+	full, empty, aborted error
+}
+
+// setKeys is the set histories' key range: small, so windows overlap
+// constantly, and over the hash set's 2-bucket fresh table it keeps
+// every lazy split and sentinel adoption inside the recorded
+// histories.
+const setKeys = 8
+
+// balanced draws a balanced insert/remove mix (op 0 or 1).
+func balanced(rng *workload.RNG) (int, uint64) {
+	if workload.Balanced.NextIsPush(rng) {
+		return 0, 0
+	}
+	return 1, 0
+}
+
+// kinds is the per-kind table RunLin checks by (E17 also takes the
+// abort sentinels from it).
+var kinds = map[string]kindSpec{
+	repro.KindStack: {[]string{"push", "pop"}, 1, balanced, lin.StackModel, 6,
+		stack.ErrFull, stack.ErrEmpty, stack.ErrAborted},
+	repro.KindQueue: {[]string{"enq", "deq"}, 1, balanced, lin.QueueModel, 5,
+		queue.ErrFull, queue.ErrEmpty, queue.ErrAborted},
+	repro.KindDeque: {[]string{"pushl", "pushr", "popl", "popr"}, 2,
+		func(rng *workload.RNG) (int, uint64) { return rng.Intn(4), 0 }, lin.DequeModel, 6,
+		deque.ErrFull, deque.ErrEmpty, deque.ErrAborted},
+	repro.KindSet: {[]string{"add", "rem", "has"}, 0,
+		func(rng *workload.RNG) (int, uint64) { return rng.Intn(3), uint64(rng.Intn(setKeys)) },
+		func(int) lin.Model { return lin.SetModel() }, 0, nil, nil, set.ErrAborted},
 }
 
 // LinTargets returns the implementations the linearizability
-// experiments cover: every stack and queue backend in the public
-// catalog (built through its capability interface, with the
-// catalog's LinOpts applied — e.g. the sharded queue is globally
-// FIFO only when pinned to one stripe), plus the internal-only
-// packed and pooled Figure 1 variants the catalog does not export.
+// experiments cover: every backend in the public catalog, built by
+// repro.Drive with the catalog's LinOpts applied (the sharded queue
+// is globally FIFO only when pinned to one stripe), plus the
+// internal-only packed and pooled Figure 1 variants the catalog does
+// not export.
 func LinTargets() []LinTarget {
 	var out []LinTarget
 	for _, b := range repro.Catalog() {
-		if b.Kind != repro.KindStack && b.Kind != repro.KindQueue {
-			continue
-		}
-		b := b
-		modelK := 0
-		capacity := 6 // stack model capacity; queues use 5
-		if b.Kind == repro.KindQueue {
-			capacity = 5
-		}
-		if b.Bounded {
-			modelK = capacity
-		}
-		name := b.Name
-		if b.LinNote != "" {
-			name += "[" + b.LinNote + "]"
-		}
-		out = append(out, LinTarget{name, b.Kind, modelK, func(procs int) (func(int, bool, uint64) (uint64, error), error, error, error) {
-			opts := append([]repro.Option{repro.WithCapacity(capacity), repro.WithProcs(procs)}, b.LinOpts...)
-			if b.Kind == repro.KindStack {
-				s := b.Stack(opts...)
-				return func(pid int, push bool, v uint64) (uint64, error) {
-					if push {
-						return 0, s.Push(pid, v)
-					}
-					return s.Pop(pid)
-				}, stack.ErrFull, stack.ErrEmpty, abortSentinel(b, stack.ErrAborted)
-			}
-			q := b.Queue(opts...)
-			return func(pid int, enq bool, v uint64) (uint64, error) {
-				if enq {
-					return 0, q.Enqueue(pid, v)
-				}
-				return q.Dequeue(pid)
-			}, queue.ErrFull, queue.ErrEmpty, abortSentinel(b, queue.ErrAborted)
-		}})
+		out = append(out, linTarget(b))
 	}
-	return append(out, internalLinTargets()...)
-}
-
-// abortSentinel returns the kind's abort error for weak backends and
-// nil for strong ones (whose uniform operations never abort).
-func abortSentinel(b repro.Backend, aborted error) error {
-	if b.Weak {
-		return aborted
-	}
-	return nil
-}
-
-// internalLinTargets covers the implementations that are deliberately
-// not in the public catalog — the packed bit-packing variants — so
-// their histories stay checked too, plus the Figure 1 stack driven
-// directly under its pooled row name.
-func internalLinTargets() []LinTarget {
-	return []LinTarget{
-		{"stack/packed", "stack", 6, func(procs int) (func(int, bool, uint64) (uint64, error), error, error, error) {
-			s := stack.NewPacked(6)
-			return func(pid int, push bool, v uint64) (uint64, error) {
-				if push {
-					return 0, s.TryPush(pid, uint32(v))
-				}
-				got, err := s.TryPop(pid)
-				return uint64(got), err
-			}, stack.ErrFull, stack.ErrEmpty, stack.ErrAborted
-		}},
-		{"stack/abortable-pooled", "stack", 6, func(procs int) (func(int, bool, uint64) (uint64, error), error, error, error) {
-			s := stack.NewAbortable[uint64](6, procs)
-			return func(pid int, push bool, v uint64) (uint64, error) {
-				if push {
-					return 0, s.TryPush(pid, v)
-				}
-				return s.TryPop(pid)
-			}, stack.ErrFull, stack.ErrEmpty, stack.ErrAborted
-		}},
-		{"queue/packed", "queue", 5, func(procs int) (func(int, bool, uint64) (uint64, error), error, error, error) {
-			q := queue.NewPacked(5)
-			return func(_ int, enq bool, v uint64) (uint64, error) {
-				if enq {
-					return 0, q.TryEnqueue(uint32(v))
-				}
-				got, err := q.TryDequeue()
-				return uint64(got), err
-			}, queue.ErrFull, queue.ErrEmpty, queue.ErrAborted
-		}},
-	}
-}
-
-// SetLinTarget is one set-tier implementation checked by E11 and by
-// cmd/lincheck: a named builder returning a uniform do(pid, op, key)
-// driver — op is 0 for add, 1 for remove, 2 for contains — plus the
-// implementation's abort sentinel (nil for strong backends).
-type SetLinTarget struct {
-	Name  string
-	Build func(procs int) (do func(pid int, op int, k uint64) (bool, error), aborted error)
-}
-
-// SetLinTargets returns the set implementations the linearizability
-// experiments cover: every set backend in the public catalog, driven
-// through SetAPI (whose op shape — a boolean answer plus an abort
-// error on the weak backend — is exactly what RunSetLin records).
-// The hash target starts at its initial bucket count, and RunSetLin's
-// 8-key range over the 2-bucket fresh table keeps every lazy split
-// and sentinel adoption inside the recorded histories.
-func SetLinTargets() []SetLinTarget {
-	var out []SetLinTarget
-	for _, b := range repro.CatalogByKind(repro.KindSet) {
-		b := b
-		name := b.Name
-		if b.LinNote != "" {
-			name += "[" + b.LinNote + "]"
-		}
-		out = append(out, SetLinTarget{name, func(procs int) (func(int, int, uint64) (bool, error), error) {
-			opts := append([]repro.Option{repro.WithProcs(procs)}, b.LinOpts...)
-			s := b.Set(opts...)
-			return func(pid int, op int, k uint64) (bool, error) {
-				switch op {
-				case 0:
-					return s.Add(pid, k)
-				case 1:
-					return s.Remove(pid, k)
-				default:
-					return s.Contains(pid, k)
-				}
-			}, abortSentinel(b, set.ErrAborted)
-		}})
+	for _, r := range internalRows() {
+		kind := kindOf(r.name)
+		k := kinds[kind].capacity
+		out = append(out, LinTarget{r.name, kind, k, true, func(procs int) repro.Ops { return r.build(k, procs) }})
 	}
 	return out
 }
 
-// setKinds maps the op code to the history kind the set model steps.
-var setKinds = [3]string{"add", "rem", "has"}
-
-// RunSetLin is RunLin's set-tier sibling: keys are drawn from a small
-// range so windows overlap constantly, and every answer (the boolean,
-// as Output 0/1) must admit a legal linearization of the sorted-set
-// model. Aborted weak attempts are dropped.
-func RunSetLin(tgt SetLinTarget, procs, rounds, perRound int, seed uint64) (ops, aborts int, res lin.Result) {
-	do, aborted := tgt.Build(procs)
-	rec := lin.NewRecorder(procs)
-	const keyRange = 8
-	runRounds(rounds, procs, seed, func(_, pid int, rng *workload.RNG) {
-		for i := 0; i < perRound; i++ {
-			op := rng.Intn(3)
-			k := uint64(rng.Intn(keyRange))
-			pend := rec.Invoke(pid, setKinds[op], k)
-			got, err := do(pid, op, k)
-			out := uint64(0)
-			if got {
-				out = 1
-			}
-			switch {
-			case err == nil:
-				rec.Return(pend, out, lin.OutcomeOK)
-			case aborted != nil && errors.Is(err, aborted):
-				rec.Return(pend, 0, lin.OutcomeAborted)
-			default:
-				panic(err)
-			}
-		}
-	})
-	h := rec.History()
-	return len(h), rec.Aborts(), lin.CheckSegmented(lin.SetModel(), h, 0, 0)
+// linTarget checks catalog entry b at its kind's model capacity; the
+// target's name carries the entry's LinNote restriction.
+func linTarget(b repro.Backend) LinTarget {
+	capacity := kinds[b.Kind].capacity
+	name, k := b.Name, 0
+	if b.LinNote != "" {
+		name += "[" + b.LinNote + "]"
+	}
+	if b.Bounded {
+		k = capacity
+	}
+	return LinTarget{name, b.Kind, k, b.Weak, func(procs int) repro.Ops {
+		return repro.Drive(b, append([]repro.Option{repro.WithCapacity(capacity), repro.WithProcs(procs)}, b.LinOpts...)...)
+	}}
 }
 
 // RunLin records concurrent histories of one target (rounds bursts of
 // perRound ops by each of procs processes, with quiescent joins
-// between bursts) and checks them against the sequential model. It
-// returns the number of checked (non-aborted) ops, the number of
-// dropped aborted ops, and the checker result. Shared by E11 and
-// cmd/lincheck.
+// between bursts) and checks them against the kind's sequential model.
+// Inserts carry distinct values; set ops draw keys from a small range
+// and record their boolean answer as Output 0/1. It returns the number
+// of checked (non-aborted) ops, the number of dropped aborted ops, and
+// the checker result. Shared by E11, E14 and cmd/lincheck.
 func RunLin(tgt LinTarget, procs, rounds, perRound int, seed uint64) (ops, aborts int, res lin.Result) {
-	do, full, empty, aborted := tgt.Build(procs)
+	ks := kinds[tgt.Kind]
+	var aborted error
+	if tgt.Weak {
+		aborted = ks.aborted
+	}
+	d := tgt.Build(procs)
 	rec := lin.NewRecorder(procs)
 	var next seqCounter
-	pushKind, popKind := "push", "pop"
-	var model lin.Model = lin.StackModel(tgt.K)
-	if tgt.Kind == "queue" {
-		pushKind, popKind = "enq", "deq"
-		model = lin.QueueModel(tgt.K)
-	}
 	runRounds(rounds, procs, seed, func(_, pid int, rng *workload.RNG) {
 		for i := 0; i < perRound; i++ {
-			if workload.Balanced.NextIsPush(rng) {
-				v := next.inc()
-				pend := rec.Invoke(pid, pushKind, v)
-				_, err := do(pid, true, v)
-				rec.Return(pend, 0, outcomeFor(err, full, empty, aborted))
-			} else {
-				pend := rec.Invoke(pid, popKind, 0)
-				v, err := do(pid, false, 0)
-				rec.Return(pend, v, outcomeFor(err, full, empty, aborted))
+			op, v := ks.draw(rng)
+			if op < ks.inserts {
+				v = next.inc()
 			}
+			pend := rec.Invoke(pid, ks.names[op], v)
+			got, err := d.Do(pid, op, v)
+			rec.Return(pend, got, outcomeFor(err, ks.full, ks.empty, aborted))
 		}
 	})
 	h := rec.History()
-	// The checker disambiguates pops by the pushed values being
-	// distinct, which the counter guarantees; more recorded pushes than
-	// issued values would mean that assumption broke (a copied or torn
-	// counter), so fail loudly instead of checking an unsound history.
-	pushes := 0
+	// The checker disambiguates removals by the inserted values being
+	// distinct, which the counter guarantees; more recorded inserts
+	// than issued values would mean that assumption broke (a copied or
+	// torn counter), so fail loudly instead of checking an unsound
+	// history.
+	inserts := 0
 	for _, op := range h {
-		if op.Kind == pushKind {
-			pushes++
+		if slices.Contains(ks.names[:ks.inserts], op.Kind) {
+			inserts++
 		}
 	}
-	if uint64(pushes) > next.issued() {
-		panic("bench: history records more pushes than values issued")
+	if uint64(inserts) > next.issued() {
+		panic("bench: history records more inserts than values issued")
 	}
-	return len(h), rec.Aborts(), lin.CheckSegmented(model, h, 0, 0)
+	return len(h), rec.Aborts(), lin.CheckSegmented(ks.model(tgt.K), h, 0, 0)
 }
 
 func runE11(cfg Config, w io.Writer) error {
@@ -261,34 +170,27 @@ func runE11(cfg Config, w io.Writer) error {
 	}
 	tb := metrics.NewTable("implementation", "ops checked", "aborts dropped", "search states", "verdict")
 	defer cfg.logTable("E11 linearizability", tb)
-	// row adds one target's result and reports a hard violation.
-	row := func(name string, ops, aborts int, res lin.Result) error {
-		verdict := "linearizable"
-		if res.Exhausted {
-			verdict = "UNDECIDED (budget)"
-		} else if !res.Ok {
-			verdict = "VIOLATION"
-		}
-		tb.AddRow(name, ops, aborts, res.States, verdict)
-		if !res.Ok && !res.Exhausted {
-			fprintf(w, "%s", tb.String())
-			return fmt.Errorf("E11: %s produced a non-linearizable history", name)
-		}
-		return nil
-	}
 	for _, tgt := range LinTargets() {
 		ops, aborts, res := RunLin(tgt, procs, rounds, perRound, cfg.Seed)
-		if err := row(tgt.Name, ops, aborts, res); err != nil {
-			return err
-		}
-	}
-	for _, tgt := range SetLinTargets() {
-		ops, aborts, res := RunSetLin(tgt, procs, rounds, perRound, cfg.Seed)
-		if err := row(tgt.Name, ops, aborts, res); err != nil {
-			return err
+		tb.AddRow(tgt.Name, ops, aborts, res.States, LinVerdict(res))
+		if !res.Ok && !res.Exhausted {
+			fprintf(w, "%s", tb.String())
+			return fmt.Errorf("E11: %s produced a non-linearizable history", tgt.Name)
 		}
 	}
 	return fprintf(w, "%s", tb.String())
+}
+
+// LinVerdict is the verdict cell of a checked history: a search that
+// ran out of budget decided nothing.
+func LinVerdict(res lin.Result) string {
+	switch {
+	case res.Exhausted:
+		return "UNDECIDED (budget)"
+	case !res.Ok:
+		return "VIOLATION"
+	}
+	return "linearizable"
 }
 
 // seqCounter issues the distinct values the recorded histories push.

@@ -3,10 +3,12 @@ package bench
 import (
 	"errors"
 	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro"
 	"repro/internal/cmanager"
 	"repro/internal/core"
 	"repro/internal/memory"
@@ -110,7 +112,7 @@ func runE3With(cfg Config, w io.Writer, newWorker func() e3Worker) error {
 			}
 		})
 		ops := totalOps.Load()
-		abortsPerOp := float64(totalAborts.Load()) / float64(max64(ops, 1))
+		abortsPerOp := float64(totalAborts.Load()) / float64(max(ops, 1))
 		tb.AddRow(procs, int64(opsPerSec(last-first, elapsed)), abortsPerOp, minWindow, windows)
 		if minWindow == 0 {
 			fprintf(w, "%s", tb.String())
@@ -143,13 +145,12 @@ func runE5(cfg Config, w io.Writer) error {
 	defer cfg.logTable("E5 stack scaling", tb)
 	// The lock-based references, then every strong stack backend the
 	// public catalog exports.
-	for _, impl := range append(lockStackImpls(), catalogStackImpls()...) {
-		row := []interface{}{impl.name}
+	for _, r := range append(lockStackRows(), catalogRows(repro.KindStack, nil)...) {
+		cells := []interface{}{r.name}
 		for _, procs := range procSteps(cfg.Procs) {
-			push, pop := impl.build(k, procs)
-			row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, push, pop)))
+			cells = append(cells, rate(hammer(procs, cfg.Duration, cfg.Seed, r.build(k, procs))))
 		}
-		tb.AddRow(row...)
+		tb.AddRow(cells...)
 	}
 	if err := fprintf(w, "throughput (ops/s), stack capacity %d, balanced push/pop mix\n", k); err != nil {
 		return err
@@ -160,30 +161,9 @@ func runE5(cfg Config, w io.Writer) error {
 func procLabels(steps []int) []string {
 	out := make([]string, len(steps))
 	for i, p := range steps {
-		out[i] = "p=" + itoa(p)
+		out[i] = "p=" + strconv.Itoa(p)
 	}
 	return out
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func max64(a uint64, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // phasedImpl is one measured configuration of E6: an instrumented
@@ -280,7 +260,7 @@ func runE7(cfg Config, w io.Writer) error {
 		})
 		ops := metrics.Sum(counts)
 		tb.AddRow(name, procs, rate(counts, elapsed),
-			float64(totalAborts.Load())/float64(max64(ops, 1)))
+			float64(totalAborts.Load())/float64(max(ops, 1)))
 	}
 
 	for _, name := range cmanager.Names() {
@@ -303,13 +283,12 @@ func runE9(cfg Config, w io.Writer) error {
 	// the public catalog exports.
 	tb := metrics.NewTable(append([]string{"impl"}, procLabels(procSteps(cfg.Procs))...)...)
 	defer cfg.logTable("E9 queue scaling", tb)
-	for _, impl := range append(lockQueueImpls(), catalogQueueImpls()...) {
-		row := []interface{}{impl.name}
+	for _, r := range append(lockQueueRows(), catalogRows(repro.KindQueue, nil)...) {
+		cells := []interface{}{r.name}
 		for _, procs := range procSteps(cfg.Procs) {
-			enq, deq := impl.build(k, procs)
-			row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, enq, deq)))
+			cells = append(cells, rate(hammer(procs, cfg.Duration, cfg.Seed, r.build(k, procs))))
 		}
-		tb.AddRow(row...)
+		tb.AddRow(cells...)
 	}
 	if err := fprintf(w, "queue throughput (ops/s), capacity %d, balanced enq/deq mix\n%s", k, tb.String()); err != nil {
 		return err

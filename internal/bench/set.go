@@ -22,62 +22,39 @@ func init() {
 	})
 }
 
-// setImpl is a uniform handle on one set implementation for E18.
-type setImpl struct {
-	name string
-	// build returns pid-aware add/remove/contains closures over a
-	// fresh instance for procs processes.
-	build func(procs int) (
-		add func(pid int, k uint64) bool,
-		remove func(pid int, k uint64) bool,
-		contains func(pid int, k uint64) bool)
+// setRows returns E18's comparison set: the lock-based baseline plus
+// every strong set backend the public catalog exports (weak backends
+// abort under a hammer and are excluded).
+func setRows() []row {
+	lockRow := row{"lock(mutex)", func(int, int) repro.Ops {
+		var mu sync.Mutex
+		s := spec.NewSet()
+		return repro.Ops{N: 3, Instance: s, Do: func(_, op int, k uint64) (uint64, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			var ok bool
+			switch op {
+			case 0:
+				ok = s.Add(k)
+			case 1:
+				ok = s.Remove(k)
+			default:
+				ok = s.Contains(k)
+			}
+			if ok {
+				return 1, nil
+			}
+			return 0, nil
+		}}
+	}}
+	return append([]row{lockRow}, catalogRows(repro.KindSet, nil)...)
 }
 
-// setImpls returns E18's comparison set: the lock-based baseline
-// plus every strong set backend the public catalog exports (weak
-// backends abort under a hammer and are excluded).
-func setImpls() []setImpl {
-	out := []setImpl{
-		{
-			name: "lock(mutex)",
-			build: func(procs int) (func(int, uint64) bool, func(int, uint64) bool, func(int, uint64) bool) {
-				var mu sync.Mutex
-				s := spec.NewSet()
-				return func(_ int, k uint64) bool {
-						mu.Lock()
-						defer mu.Unlock()
-						return s.Add(k)
-					}, func(_ int, k uint64) bool {
-						mu.Lock()
-						defer mu.Unlock()
-						return s.Remove(k)
-					}, func(_ int, k uint64) bool {
-						mu.Lock()
-						defer mu.Unlock()
-						return s.Contains(k)
-					}
-			},
-		},
-	}
-	for _, b := range repro.CatalogByKind(repro.KindSet) {
-		if b.Weak {
-			continue
-		}
-		b := b
-		out = append(out, setImpl{name: b.Name, build: func(procs int) (func(int, uint64) bool, func(int, uint64) bool, func(int, uint64) bool) {
-			return strongSetOps(b, procs)
-		}})
-	}
-	return out
-}
-
-// strongSetOps builds a fresh instance of a strong catalog set and
-// returns its answers stripped of the always-nil error.
-func strongSetOps(b repro.Backend, procs int) (add, remove, contains func(int, uint64) bool) {
-	s := b.Set(repro.WithProcs(procs))
-	return func(pid int, k uint64) bool { ok, _ := s.Add(pid, k); return ok },
-		func(pid int, k uint64) bool { ok, _ := s.Remove(pid, k); return ok },
-		func(pid int, k uint64) bool { ok, _ := s.Contains(pid, k); return ok }
+// member runs set op code op (0 add, 1 remove, 2 contains; see
+// repro.Ops) on key k and returns its boolean answer.
+func member(d repro.Ops, pid, op int, k uint64) bool {
+	got, _ := d.Do(pid, op, k)
+	return got == 1
 }
 
 // driveSetMix prefills every other key (descending, so the insert
@@ -90,30 +67,30 @@ func strongSetOps(b repro.Backend, procs int) (add, remove, contains func(int, u
 // recycled-node tag mistake or a lost update breaks the balance. It
 // returns the measured throughput in ops/s and the first violation.
 // Shared by E18 (snapshot = probeAll) and E19 (one snapshot walk).
-func driveSetMix(procs int, d time.Duration, seed uint64, keyRange int, mix workload.SetMix,
-	add, remove, contains func(pid int, k uint64) bool, snapshot func() []uint64) (float64, error) {
+func driveSetMix(procs int, window time.Duration, seed uint64, keyRange int, mix workload.SetMix,
+	d repro.Ops, snapshot func() []uint64) (float64, error) {
 	for k := (keyRange - 1) &^ 1; k >= 0; k -= 2 { // largest even key first, odd ranges included
-		add(0, uint64(k))
+		member(d, 0, 0, uint64(k))
 	}
 	adds := make([]atomic.Int64, keyRange)
 	removes := make([]atomic.Int64, keyRange)
 	for k := 0; k < keyRange; k += 2 {
 		adds[k].Add(1)
 	}
-	counts, elapsed := runTimed(procs, seed, sleep(d), func(pid int, rng *workload.RNG, _ time.Time) func() {
+	counts, elapsed := runTimed(procs, seed, sleep(window), func(pid int, rng *workload.RNG, _ time.Time) func() {
 		return func() {
 			k := uint64(rng.Intn(keyRange))
 			switch mix.Next(rng) {
 			case workload.SetAdd:
-				if add(pid, k) {
+				if member(d, pid, 0, k) {
 					adds[k].Add(1)
 				}
 			case workload.SetRemove:
-				if remove(pid, k) {
+				if member(d, pid, 1, k) {
 					removes[k].Add(1)
 				}
 			default:
-				contains(pid, k)
+				member(d, pid, 2, k)
 			}
 		}
 	})
@@ -144,11 +121,11 @@ func driveSetMix(procs int, d time.Duration, seed uint64, keyRange int, mix work
 // [0, keyRange). Each probe is itself O(n) on the list backends, which
 // is fine at E18's ranges; E19's wider sweep walks one Snapshot
 // instead.
-func probeAll(keyRange int, contains func(pid int, k uint64) bool) func() []uint64 {
+func probeAll(keyRange int, d repro.Ops) func() []uint64 {
 	return func() []uint64 {
 		var in []uint64
 		for k := uint64(0); k < uint64(keyRange); k++ {
-			if contains(0, k) {
+			if member(d, 0, 2, k) {
 				in = append(in, k)
 			}
 		}
@@ -176,16 +153,15 @@ func runE18(cfg Config, w io.Writer) error {
 		"verdict")
 	defer cfg.logTable("E18 set throughput", tb)
 	var failed []string
-	for _, impl := range setImpls() {
+	for _, impl := range setRows() {
 		implFailed := false
 		for _, m := range mixes {
 			verdict := "conserved"
 			var rates [2]float64
 			for i, keys := range []int{smallKeys, largeKeys} {
-				add, remove, contains := impl.build(procs)
+				d := impl.build(0, procs)
 				var err error
-				rates[i], err = driveSetMix(procs, cfg.Duration, cfg.Seed, keys, m.mix,
-					add, remove, contains, probeAll(keys, contains))
+				rates[i], err = driveSetMix(procs, cfg.Duration, cfg.Seed, keys, m.mix, d, probeAll(keys, d))
 				if err != nil {
 					verdict = fmt.Sprintf("FAIL: %v", err)
 					implFailed = true

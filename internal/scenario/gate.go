@@ -52,26 +52,58 @@ type Verdict struct {
 // backend of every library scenario, so a silently dropped cell fails
 // the release rather than shrinking it.
 func Evaluate(rows []Row) []Verdict {
-	byCell := map[[2]string][]Row{}
-	knownScenario := map[string]bool{}
-	for _, s := range Library() {
-		knownScenario[s.Name] = true
+	return evaluateLibrary(rows, Library(), "scenario.Library()", evaluateCell)
+}
+
+// gated is the view of one measurement row the shared gates read.
+type gated interface {
+	gateView() (scenario, backend string, opsPerSec float64, conserved string)
+}
+
+func (r Row) gateView() (string, string, float64, string) {
+	return r.Scenario, r.Backend, r.OpsPerSec, r.Conserved
+}
+
+func (r CrashRow) gateView() (string, string, float64, string) {
+	return r.Scenario, r.Backend, r.OpsPerSec, r.Conserved
+}
+
+func (r AdaptiveRow) gateView() (string, string, float64, string) {
+	return r.Scenario, r.Backend, r.OpsPerSec, r.Conserved
+}
+
+// groupCells buckets rows by (scenario, backend) cell. A row whose
+// scenario is not in lib (named libName in the verdict) fails the
+// known-scenario gate instead of joining a cell.
+func groupCells[R gated](rows []R, lib []Scenario, libName string) (map[[2]string][]R, []Verdict) {
+	known := map[string]bool{}
+	for _, s := range lib {
+		known[s.Name] = true
 	}
+	byCell := map[[2]string][]R{}
 	var verdicts []Verdict
 	for _, r := range rows {
-		if !knownScenario[r.Scenario] {
+		scenario, backend, _, _ := r.gateView()
+		if !known[scenario] {
 			verdicts = append(verdicts, Verdict{
-				Scenario: r.Scenario, Backend: r.Backend, Gate: "known-scenario",
-				Observed: "not in scenario.Library()", Bound: "declared scenario", OK: false,
+				Scenario: scenario, Backend: backend, Gate: "known-scenario",
+				Observed: "not in " + libName, Bound: "declared scenario", OK: false,
 			})
 			continue
 		}
-		key := [2]string{r.Scenario, r.Backend}
+		key := [2]string{scenario, backend}
 		byCell[key] = append(byCell[key], r)
 	}
+	return byCell, verdicts
+}
 
-	for _, sc := range Library() {
-		// Coverage: every applicable catalog backend must have rows.
+// evaluateLibrary is E21's and E22's evaluator: group the rows, then
+// per library scenario the catalog coverage gate (every applicable
+// catalog backend must have rows) followed by gate over each backend's
+// cell, backends in sorted order.
+func evaluateLibrary[R gated](rows []R, lib []Scenario, libName string, gate func(Scenario, string, []R) []Verdict) []Verdict {
+	byCell, verdicts := groupCells(rows, lib, libName)
+	for _, sc := range lib {
 		var missing []string
 		total := 0
 		for _, b := range repro.Catalog() {
@@ -101,11 +133,51 @@ func Evaluate(rows []Row) []Verdict {
 		}
 		sort.Strings(backends)
 		for _, backend := range backends {
-			cell := byCell[[2]string{sc.Name, backend}]
-			verdicts = append(verdicts, evaluateCell(sc, backend, cell)...)
+			verdicts = append(verdicts, gate(sc, backend, byCell[[2]string{sc.Name, backend}])...)
 		}
 	}
 	return verdicts
+}
+
+// varianceGate is the shared throughput-variance methodology gate: the
+// max/min ops/s across a cell's reruns within the scenario's bound. It
+// reports false when the scenario declares no bound or the cell has a
+// single rerun.
+func varianceGate[R gated](sc Scenario, backend string, cell []R) (Verdict, bool) {
+	if sc.Gate.MaxVarianceRatio <= 0 || len(cell) < 2 {
+		return Verdict{}, false
+	}
+	_, _, lo, _ := cell[0].gateView()
+	hi := lo
+	for _, r := range cell[1:] {
+		_, _, rate, _ := r.gateView()
+		lo, hi = min(lo, rate), max(hi, rate)
+	}
+	ratio := hi / lo
+	if lo <= 0 {
+		ratio = 0 // zero-throughput rerun: fail via the bound below
+	}
+	return Verdict{Scenario: sc.Name, Backend: backend, Gate: "variance",
+		Observed: fmt.Sprintf("max/min ops/s = %.2f", ratio),
+		Bound:    fmt.Sprintf("≤ %.0f over %d reruns", sc.Gate.MaxVarianceRatio, len(cell)),
+		OK:       lo > 0 && ratio <= sc.Gate.MaxVarianceRatio}, true
+}
+
+// conservationGate requires every row of a cell to report "ok"; unit
+// names a row ("rerun" or "row") and bad is the failing observation.
+func conservationGate[R gated](scenario, backend string, cell []R, unit, bad string) Verdict {
+	ok := true
+	for _, r := range cell {
+		if _, _, _, conserved := r.gateView(); conserved != "ok" {
+			ok = false
+		}
+	}
+	obs := "all " + unit + "s ok"
+	if !ok {
+		obs = bad
+	}
+	return Verdict{Scenario: scenario, Backend: backend, Gate: "conservation",
+		Observed: obs, Bound: "every " + unit + " ok", OK: ok}
 }
 
 // evaluateCell applies one scenario's gate to one backend's reruns.
@@ -136,37 +208,10 @@ func evaluateCell(sc Scenario, backend string, cell []Row) []Verdict {
 		add(slo.gate, fmt.Sprintf("median %v", med), fmt.Sprintf("≤ %v", slo.bound), med <= slo.bound)
 	}
 
-	if sc.Gate.MaxVarianceRatio > 0 && len(cell) >= 2 {
-		lo, hi := cell[0].OpsPerSec, cell[0].OpsPerSec
-		for _, r := range cell[1:] {
-			if r.OpsPerSec < lo {
-				lo = r.OpsPerSec
-			}
-			if r.OpsPerSec > hi {
-				hi = r.OpsPerSec
-			}
-		}
-		ratio := hi / lo
-		if lo <= 0 {
-			ratio = 0 // zero-throughput rerun: fail via the bound below
-		}
-		add("variance", fmt.Sprintf("max/min ops/s = %.2f", ratio),
-			fmt.Sprintf("≤ %.0f over %d reruns", sc.Gate.MaxVarianceRatio, len(cell)),
-			lo > 0 && ratio <= sc.Gate.MaxVarianceRatio)
+	if v, ok := varianceGate(sc, backend, cell); ok {
+		out = append(out, v)
 	}
-
-	conservedOK := true
-	for _, r := range cell {
-		if r.Conserved != "ok" {
-			conservedOK = false
-		}
-	}
-	obs := "all reruns ok"
-	if !conservedOK {
-		obs = "conservation violated"
-	}
-	add("conservation", obs, "every rerun ok", conservedOK)
-	return out
+	return append(out, conservationGate(sc.Name, backend, cell, "rerun", "conservation violated"))
 }
 
 // CrashRow is one E22 measurement row as the gate evaluator consumes
@@ -197,63 +242,14 @@ type CrashRow struct {
 // measured rows carry the catalog's declared Robustness), and the
 // shared throughput-variance methodology gate.
 func EvaluateCrash(rows []CrashRow) []Verdict {
-	byCell := map[[2]string][]CrashRow{}
-	knownScenario := map[string]bool{}
-	for _, s := range CrashLibrary() {
-		knownScenario[s.Name] = true
-	}
 	robustness := map[string]string{}
 	for _, b := range repro.Catalog() {
 		robustness[b.Name] = b.Robustness
 	}
-	var verdicts []Verdict
-	for _, r := range rows {
-		if !knownScenario[r.Scenario] {
-			verdicts = append(verdicts, Verdict{
-				Scenario: r.Scenario, Backend: r.Backend, Gate: "known-scenario",
-				Observed: "not in scenario.CrashLibrary()", Bound: "declared scenario", OK: false,
-			})
-			continue
-		}
-		key := [2]string{r.Scenario, r.Backend}
-		byCell[key] = append(byCell[key], r)
-	}
-
-	for _, sc := range CrashLibrary() {
-		var missing []string
-		total := 0
-		for _, b := range repro.Catalog() {
-			if !sc.AppliesTo(b.Kind) {
-				continue
-			}
-			total++
-			if len(byCell[[2]string{sc.Name, b.Name}]) == 0 {
-				missing = append(missing, b.Name)
-			}
-		}
-		obs := fmt.Sprintf("%d/%d backends", total-len(missing), total)
-		if len(missing) > 0 {
-			obs += fmt.Sprintf(" (missing %v)", missing)
-		}
-		verdicts = append(verdicts, Verdict{
-			Scenario: sc.Name, Backend: "*", Gate: "coverage",
-			Observed: obs, Bound: fmt.Sprintf("%d/%d backends", total, total),
-			OK: len(missing) == 0,
+	return evaluateLibrary(rows, CrashLibrary(), "scenario.CrashLibrary()",
+		func(sc Scenario, backend string, cell []CrashRow) []Verdict {
+			return evaluateCrashCell(sc, backend, cell, robustness)
 		})
-
-		var backends []string
-		for key := range byCell {
-			if key[0] == sc.Name {
-				backends = append(backends, key[1])
-			}
-		}
-		sort.Strings(backends)
-		for _, backend := range backends {
-			cell := byCell[[2]string{sc.Name, backend}]
-			verdicts = append(verdicts, evaluateCrashCell(sc, backend, cell, robustness)...)
-		}
-	}
-	return verdicts
 }
 
 // evaluateCrashCell applies the crash gates to one backend's reruns.
@@ -288,17 +284,7 @@ func evaluateCrashCell(sc Scenario, backend string, cell []CrashRow, robustness 
 			positive && med <= sc.Gate.MaxRecovery)
 	}
 
-	conservedOK := true
-	for _, r := range cell {
-		if r.Conserved != "ok" {
-			conservedOK = false
-		}
-	}
-	obs := "all reruns ok"
-	if !conservedOK {
-		obs = "conservation bracket violated"
-	}
-	add("conservation", obs, "every rerun ok", conservedOK)
+	out = append(out, conservationGate(sc.Name, backend, cell, "rerun", "conservation bracket violated"))
 
 	want, known := robustness[backend]
 	labelOK := known
@@ -311,23 +297,8 @@ func evaluateCrashCell(sc Scenario, backend string, cell []CrashRow, robustness 
 	}
 	add("classification", got, fmt.Sprintf("catalog says %q", want), labelOK)
 
-	if sc.Gate.MaxVarianceRatio > 0 && len(cell) >= 2 {
-		lo, hi := cell[0].OpsPerSec, cell[0].OpsPerSec
-		for _, r := range cell[1:] {
-			if r.OpsPerSec < lo {
-				lo = r.OpsPerSec
-			}
-			if r.OpsPerSec > hi {
-				hi = r.OpsPerSec
-			}
-		}
-		ratio := hi / lo
-		if lo <= 0 {
-			ratio = 0
-		}
-		add("variance", fmt.Sprintf("max/min ops/s = %.2f", ratio),
-			fmt.Sprintf("≤ %.0f over %d reruns", sc.Gate.MaxVarianceRatio, len(cell)),
-			lo > 0 && ratio <= sc.Gate.MaxVarianceRatio)
+	if v, ok := varianceGate(sc, backend, cell); ok {
+		out = append(out, v)
 	}
 	return out
 }
@@ -383,24 +354,9 @@ func adaptiveSlack(phaseOps uint64, ncpu int) (float64, string) {
 // The ncpu argument is the measuring host's CPU count from the
 // document's provenance stamp, which picks the within-slack tier.
 func EvaluateAdaptive(rows []AdaptiveRow, ncpu int) []Verdict {
-	knownScenario := map[string]bool{}
-	for _, s := range AdaptiveLibrary() {
-		knownScenario[s.Name] = true
-	}
 	// byCell: (scenario, backend) -> rows; phases stay mixed and are
 	// re-split per gate.
-	byCell := map[[2]string][]AdaptiveRow{}
-	var verdicts []Verdict
-	for _, r := range rows {
-		if !knownScenario[r.Scenario] {
-			verdicts = append(verdicts, Verdict{
-				Scenario: r.Scenario, Backend: r.Backend, Gate: "known-scenario",
-				Observed: "not in scenario.AdaptiveLibrary()", Bound: "declared scenario", OK: false,
-			})
-			continue
-		}
-		byCell[[2]string{r.Scenario, r.Backend}] = append(byCell[[2]string{r.Scenario, r.Backend}], r)
-	}
+	byCell, verdicts := groupCells(rows, AdaptiveLibrary(), "scenario.AdaptiveLibrary()")
 
 	for _, sc := range AdaptiveLibrary() {
 		for _, ladder := range AdaptiveLadders() {
@@ -446,18 +402,7 @@ func EvaluateAdaptive(rows []AdaptiveRow, ncpu int) []Verdict {
 		return keys[i][1] < keys[j][1]
 	})
 	for _, key := range keys {
-		conservedOK := true
-		for _, r := range byCell[key] {
-			if r.Conserved != "ok" {
-				conservedOK = false
-			}
-		}
-		obs := "all rows ok"
-		if !conservedOK {
-			obs = "conservation violated"
-		}
-		verdicts = append(verdicts, Verdict{Scenario: key[0], Backend: key[1],
-			Gate: "conservation", Observed: obs, Bound: "every row ok", OK: conservedOK})
+		verdicts = append(verdicts, conservationGate(key[0], key[1], byCell[key], "row", "conservation violated"))
 	}
 	return verdicts
 }

@@ -393,14 +393,12 @@ func TestCatalogShape(t *testing.T) {
 			b.Progress == "" || b.Domain == "" || b.Allocation == "" {
 			t.Errorf("%s: incomplete metadata: %+v", b.Name, b)
 		}
-		nonNil := 0
-		for _, ok := range []bool{b.Stack != nil, b.Queue != nil, b.Deque != nil, b.Set != nil} {
-			if ok {
-				nonNil++
-			}
+		ops := repro.Drive(b)
+		if want := map[string]int{repro.KindStack: 2, repro.KindQueue: 2, repro.KindDeque: 4, repro.KindSet: 3}[b.Kind]; ops.N != want {
+			t.Errorf("%s: Drive has %d op codes, want %d for a %s", b.Name, ops.N, want, b.Kind)
 		}
-		if nonNil != 1 {
-			t.Errorf("%s: %d kind constructors set, want exactly 1", b.Name, nonNil)
+		if ops.Instance == nil {
+			t.Errorf("%s: Drive left Instance nil", b.Name)
 		}
 		if b.Direct == nil {
 			t.Errorf("%s: no direct-call builder", b.Name)
