@@ -2,12 +2,15 @@ package adaptive
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/cmanager"
+	"repro/internal/memory"
 	"repro/internal/queue"
 	"repro/internal/set"
+	"repro/internal/spec"
 	"repro/internal/stack"
 )
 
@@ -380,5 +383,63 @@ func TestRungsNames(t *testing.T) {
 	}
 	if got := NewSet(1, manual()).Rungs(); len(got) != 3 || got[0] != "cow" || got[2] != "hash" {
 		t.Fatalf("set rungs = %v", got)
+	}
+}
+
+// TestSetStaleHelperLeavesLiveSourceAlone replays, solo, the window
+// race on a harris or hash source: a helper quiesces, another helper
+// aborts the window, live updates resume on the re-published source,
+// and only then does the first helper act on its stale record. It must
+// leave the epoch, the rung and the contents alone, and, sealing
+// first, must not walk the live list at all: its observed accesses are
+// the quiesce read of the other announce slot and the failed seal CAS.
+func TestSetStaleHelperLeavesLiveSourceAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		src, dst int
+	}{{"harris", rungHarris, rungHash}, {"hash", rungHash, rungHarris}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var st memory.Stats
+			s := NewSetObserved(2, manual(), &st)
+			ref := spec.NewSet()
+			for k := uint64(0); k < 32; k += 2 {
+				s.Add(0, k)
+				ref.Add(k)
+			}
+			if !s.MorphTo(0, tc.src) {
+				t.Fatalf("MorphTo(%s) failed", tc.name)
+			}
+			rec := s.state.Read()
+			stale := &setRec{gen: rec.gen + 1, rung: rec.rung, impl: rec.impl, mig: true, dst: tc.dst}
+			if !s.state.CAS(rec, stale) {
+				t.Fatal("open CAS failed")
+			}
+			if !quiesceSlots(s.ann, 0, s.t.quiesceBudget()) {
+				t.Fatal("solo quiesce failed")
+			}
+			if !s.state.CAS(stale, &setRec{gen: stale.gen + 1, rung: stale.rung, impl: stale.impl}) {
+				t.Fatal("abort CAS failed")
+			}
+			for k := uint64(0); k < 48; k += 3 {
+				if got, want := s.Add(1, k), ref.Add(k); got != want {
+					t.Fatalf("Add(%d) = %v, spec %v", k, got, want)
+				}
+				if got, want := s.Remove(1, k+1), ref.Remove(k+1); got != want {
+					t.Fatalf("Remove(%d) = %v, spec %v", k+1, got, want)
+				}
+			}
+			live := s.state.Read()
+			before, migs := st.Snapshot(), s.Stats().Migrations
+			s.helpQuiesced(0, stale)
+			if got, want := st.Snapshot().Sub(before), (memory.Snapshot{Reads: 1, CASes: 1}); got != want {
+				t.Fatalf("stale helper observed %+v, want %+v (quiesce read + failed seal)", got, want)
+			}
+			if s.state.Read() != live || s.Stats().Migrations != migs || s.Rung() != tc.name {
+				t.Fatalf("stale helper moved the epoch: rung %s, migrations %d → %d", s.Rung(), migs, s.Stats().Migrations)
+			}
+			if snap, want := s.Snapshot(), ref.Snapshot(); !slices.Equal(snap, want) {
+				t.Fatalf("contents %v, spec %v", snap, want)
+			}
+		})
 	}
 }

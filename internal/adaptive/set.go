@@ -27,13 +27,16 @@ const upLevel = 3
 
 // setRec is one immutable epoch record of the adaptive set; the
 // register holding it is the migration epoch (see the package
-// comment). impl is *set.Abortable, *set.Harris or *set.Hash.
+// comment). impl is *set.Abortable, *set.Harris or *set.Hash. A sealed
+// window (mig and sealed) has a quiesced harris/hash source and can
+// only close.
 type setRec struct {
-	gen  uint64
-	rung int
-	impl any
-	mig  bool
-	dst  int
+	gen    uint64
+	rung   int
+	impl   any
+	mig    bool
+	sealed bool
+	dst    int
 }
 
 // Set is the contention-adaptive sorted set: the copy-on-write list
@@ -48,8 +51,8 @@ type setRec struct {
 // and any update that raced the flip fails its stale root CAS. The
 // harris and hash rungs are multi-register, so their updates run under
 // the announce protocol and a migrator quiesces the announce array
-// before snapshotting. Reads never announce on any rung: the source
-// stays authoritative until the close CAS.
+// and seals the window before snapshotting. Reads never announce on
+// any rung: the source stays authoritative until the close CAS.
 type Set struct {
 	state *memory.Ref[setRec]
 	ann   []annSlot
@@ -220,19 +223,38 @@ func (s *Set) completeFromCow(pid int, rec *setRec, cw *set.Abortable) {
 }
 
 // helpQuiesced drives a window with an announce-gated source (harris
-// or hash): quiesce, snapshot, rebuild, close — or abort the window
-// when the budget runs out.
+// or hash): quiesce and seal, snapshot, rebuild, close — or abort the
+// window when the budget runs out.
+//
+// The seal is the containers' (DESIGN §9). An abort re-publishes the
+// source; a helper that quiesced just before someone else aborted
+// would otherwise walk a live list. Its close CAS would fail and its
+// rebuild be discarded, but the walk itself need not end: recycled
+// nodes can leave a cycle of free next words (a removed node's frozen
+// word naming its successor, that successor recycled into a lost
+// insert that names the removed node), and a walker standing on one
+// loops until a pool hands a node of the cycle out again. The seal
+// CAS succeeds only while the unaborted window is current, and a
+// sealed window never aborts, so every snapshot walks a list no
+// update will touch again.
 func (s *Set) helpQuiesced(pid int, rec *setRec) {
-	if quiesceSlots(s.ann, pid, s.t.quiesceBudget()) {
-		snap := rec.impl.(interface{ Snapshot() []uint64 }).Snapshot()
-		dst := s.buildRung(pid, rec.dst, snap)
-		if s.state.CAS(rec, &setRec{gen: rec.gen + 1, rung: rec.dst, impl: dst}) {
-			s.onClose(rec.rung, rec.dst)
+	if !rec.sealed {
+		if !quiesceSlots(s.ann, pid, s.t.quiesceBudget()) {
+			if s.state.CAS(rec, &setRec{gen: rec.gen + 1, rung: rec.rung, impl: rec.impl}) {
+				s.onAbort()
+			}
+			return
 		}
-		return
+		sealed := &setRec{gen: rec.gen + 1, rung: rec.rung, impl: rec.impl, mig: true, sealed: true, dst: rec.dst}
+		if !s.state.CAS(rec, sealed) {
+			return
+		}
+		rec = sealed
 	}
-	if s.state.CAS(rec, &setRec{gen: rec.gen + 1, rung: rec.rung, impl: rec.impl}) {
-		s.onAbort()
+	snap := rec.impl.(interface{ Snapshot() []uint64 }).Snapshot()
+	dst := s.buildRung(pid, rec.dst, snap)
+	if s.state.CAS(rec, &setRec{gen: rec.gen + 1, rung: rec.dst, impl: dst}) {
+		s.onClose(rec.rung, rec.dst)
 	}
 }
 

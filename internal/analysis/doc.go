@@ -11,8 +11,8 @@
 //     of the atomic.* register types must only be touched through
 //     their methods (or by address) — the classic latent race the
 //     dynamic detector only finds on witnessed interleavings.
-//   - taggedword: memory.TaggedRef/TaggedRefs registers may only be
-//     initialized in place (Init) and advanced by CAS; copying one —
+//   - taggedword: memory.TaggedRef registers may only be built by
+//     their constructors and advanced by CAS; copying one —
 //     by assignment, argument passing, return, range, or composite
 //     literal — forks the atomic word and breaks the §2.2 sequence-tag
 //     discipline that makes recycled-node CAS safe.

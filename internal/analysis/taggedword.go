@@ -6,9 +6,9 @@ import (
 )
 
 // TaggedWord enforces the §2.2 sequence-tag discipline on the pooled
-// register types: a memory.TaggedRef or memory.TaggedRefs — and any
-// value embedding one — may only be initialized in place (Init, or the
-// New* constructors, which hand back pointers) and mutated through
+// register type: a memory.TaggedRef — and any value embedding one — is
+// built by the New* constructors (which hand back pointers) or as a
+// zero value in place, shared by pointer, and mutated only through
 // CAS/Write on the register itself. Copying such a value by
 // assignment, argument passing, return, range, send, or composite
 // literal forks the atomic word: the copy's tag stream diverges from
@@ -17,10 +17,12 @@ import (
 //
 // The home package (internal/memory) is exempt from the
 // direct-overwrite rule for construction, but not from the copy rule:
-// even there a register is never copied, only built in place.
+// even there a register is never copied, only built in place. Bare
+// atomic.Uint64 tagged words (internal/set's next and bucket words)
+// fall under mixedatomic's typed-atomic rule and vet's copylocks.
 var TaggedWord = &Analyzer{
 	Name: "taggedword",
-	Doc:  "report copies and direct overwrites of memory.TaggedRef/TaggedRefs registers",
+	Doc:  "report copies and direct overwrites of memory.TaggedRef registers",
 	Run:  runTaggedWord,
 }
 
@@ -29,7 +31,7 @@ const taggedHomePkg = "internal/memory"
 
 // taggedTypeNames are the register types whose copy breaks the tag
 // discipline.
-var taggedTypeNames = []string{"TaggedRef", "TaggedRefs"}
+var taggedTypeNames = []string{"TaggedRef"}
 
 func runTaggedWord(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -38,20 +40,20 @@ func runTaggedWord(pass *Pass) error {
 			case *ast.AssignStmt:
 				for _, rhs := range n.Rhs {
 					if copiesTagged(pass.Info, rhs) {
-						pass.Reportf(rhs.Pos(), "assignment copies a %s register; build it in place with Init", taggedWhat(pass.Info, rhs))
+						pass.Reportf(rhs.Pos(), "assignment copies a %s register; share a pointer", taggedWhat(pass.Info, rhs))
 					}
 				}
 				for _, lhs := range n.Lhs {
 					if star, ok := ast.Unparen(lhs).(*ast.StarExpr); ok {
 						if containsTagged(exprType(pass.Info, star)) {
-							pass.Reportf(lhs.Pos(), "overwrite of a %s register through a pointer; registers advance only by CAS (or Init before sharing)", taggedWhat(pass.Info, star))
+							pass.Reportf(lhs.Pos(), "overwrite of a %s register through a pointer; registers advance only by CAS", taggedWhat(pass.Info, star))
 						}
 					}
 				}
 			case *ast.ValueSpec:
 				for _, v := range n.Values {
 					if copiesTagged(pass.Info, v) {
-						pass.Reportf(v.Pos(), "variable initialization copies a %s register; build it in place with Init", taggedWhat(pass.Info, v))
+						pass.Reportf(v.Pos(), "variable initialization copies a %s register; share a pointer", taggedWhat(pass.Info, v))
 					}
 				}
 			case *ast.CallExpr:
@@ -76,7 +78,7 @@ func runTaggedWord(pass *Pass) error {
 				}
 			case *ast.KeyValueExpr:
 				if copiesTagged(pass.Info, n.Value) {
-					pass.Reportf(n.Value.Pos(), "composite literal copies a %s register; build it in place with Init", taggedWhat(pass.Info, n.Value))
+					pass.Reportf(n.Value.Pos(), "composite literal copies a %s register; share a pointer", taggedWhat(pass.Info, n.Value))
 				}
 			}
 			return true

@@ -1,16 +1,12 @@
-// Package clean holds the blessed tagged-register idioms: build in
-// place with Init, advance by CAS, share by pointer. The pass must
-// stay silent on all of it.
+// Package clean holds the blessed tagged-register idioms: build with
+// NewTaggedRef (or as a zero value in place), advance by CAS, share by
+// pointer. The pass must stay silent on all of it.
 package clean
 
 import "repro/internal/memory"
 
 type slot struct {
 	reg memory.TaggedRef[uint64]
-}
-
-func initSlot(s *slot, pool *memory.Pool[uint64]) {
-	s.reg.Init(pool, memory.PackTagged(memory.NilHandle, 0), nil)
 }
 
 func advance(s *slot, h memory.Handle) bool {

@@ -8,7 +8,7 @@ type slot struct {
 }
 
 func fork(s *slot) memory.TaggedRef[uint64] {
-	cp := s.reg // want `assignment copies a TaggedRef register; build it in place with Init`
+	cp := s.reg // want `assignment copies a TaggedRef register; share a pointer`
 	return cp   // want `return copies a TaggedRef register; return a pointer`
 }
 
@@ -27,12 +27,12 @@ func ship(s *slot, ch chan memory.TaggedRef[uint64]) {
 }
 
 func box(s *slot) slot {
-	return slot{reg: s.reg} // want `composite literal copies a TaggedRef register; build it in place with Init`
+	return slot{reg: s.reg} // want `composite literal copies a TaggedRef register; share a pointer`
 }
 
 var spare memory.TaggedRef[uint64]
 
 func initCopy(s *slot) {
-	var dup = s.reg // want `variable initialization copies a TaggedRef register; build it in place with Init`
-	spare = dup     // want `assignment copies a TaggedRef register; build it in place with Init`
+	var dup = s.reg // want `variable initialization copies a TaggedRef register; share a pointer`
+	spare = dup     // want `assignment copies a TaggedRef register; share a pointer`
 }

@@ -21,7 +21,10 @@
 //     through a type-stable arena (per-pid free lists, shared
 //     overflow). The hot path allocates nothing (experiment E17);
 //     recycling makes ABA real again and the tag, CASed together with
-//     the handle, is what defeats it.
+//     the handle, is what defeats it. A structure with a register per
+//     record (internal/set's list nodes and buckets) embeds bare
+//     atomic.Uint64 words holding a TaggedVal instead, and reports
+//     their accesses to its one observer.
 //
 // Words and Refs[T] are fixed arrays of the first two families (the
 // shape of the paper's STACK[0..k]): one word per register and one

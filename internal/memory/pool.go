@@ -233,6 +233,3 @@ func (p *Pool[T]) ArenaSize() int {
 	defer p.mu.Unlock()
 	return int(p.next - 1)
 }
-
-// Procs returns the number of pids the pool serves.
-func (p *Pool[T]) Procs() int { return len(p.locals) }

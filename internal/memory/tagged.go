@@ -85,10 +85,17 @@ func (v TaggedVal) WithoutMark() TaggedVal { return v &^ TaggedMark }
 // between), or (b) validate a read snapshot by re-reading the register
 // word. Record fields a stale reader may load must be atomics: such a
 // reader may race a recycler, and although every such read is
-// discarded by (a)/(b), the access itself must be data-race-free. A payload touched only by the record's
-// owner — before the CAS that publishes it, after the CAS that hands
-// it over — is never read stale and may be a plain field of any type
-// (stack.Treiber, queue.MichaelScott).
+// discarded by (a)/(b), the access itself must be data-race-free. A
+// payload touched only by the record's owner — before the CAS that
+// publishes it, after the CAS that hands it over — is never read stale
+// and may be a plain field of any type (stack.Treiber,
+// queue.MichaelScott).
+//
+// A TaggedRef carries its pool and observer, so it suits a structure's
+// few root registers. Registers replicated per record or per bucket
+// (internal/set's next and bucket words) are bare atomic.Uint64 words
+// holding a TaggedVal, and the structure reports their accesses to its
+// one observer.
 type TaggedRef[T any] struct {
 	w    atomic.Uint64
 	pool *Pool[T]
@@ -107,19 +114,6 @@ func NewTaggedRefObserved[T any](pool *Pool[T], init TaggedVal, obs Observer) *T
 	r := &TaggedRef[T]{pool: pool, obs: obs}
 	r.w.Store(uint64(init))
 	return r
-}
-
-// Init initializes r in place over pool holding init, reporting to
-// obs. It exists for registers embedded inside pooled records (a list
-// node's next register, say), which cannot be assigned from a
-// constructed TaggedRef because the atomic word must not be copied.
-// Call it only while no other process can reach r — in practice from a
-// Pool's init hook, once per freshly carved record; recycled records
-// keep their accumulated tag and are never re-Init'ed.
-func (r *TaggedRef[T]) Init(pool *Pool[T], init TaggedVal, obs Observer) {
-	r.pool = pool
-	r.obs = obs
-	r.w.Store(uint64(init))
 }
 
 // Read returns the current 〈handle, tag〉 word.
@@ -157,30 +151,3 @@ func (r *TaggedRef[T]) Deref(v TaggedVal) *T {
 	}
 	return r.pool.At(v.Handle())
 }
-
-// Pool returns the register's backing pool.
-func (r *TaggedRef[T]) Pool() *Pool[T] { return r.pool }
-
-// TaggedRefs is a fixed array of tagged registers sharing one pool and
-// observer, the pooled sibling of Refs.
-type TaggedRefs[T any] struct {
-	regs []TaggedRef[T]
-}
-
-// NewTaggedRefs returns n registers over pool, the i-th initialized to
-// init(i). A nil obs disables instrumentation.
-func NewTaggedRefs[T any](pool *Pool[T], n int, init func(i int) TaggedVal, obs Observer) *TaggedRefs[T] {
-	a := &TaggedRefs[T]{regs: make([]TaggedRef[T], n)}
-	for i := range a.regs {
-		a.regs[i].pool = pool
-		a.regs[i].obs = obs
-		a.regs[i].w.Store(uint64(init(i)))
-	}
-	return a
-}
-
-// At returns the i-th register.
-func (a *TaggedRefs[T]) At(i int) *TaggedRef[T] { return &a.regs[i] }
-
-// Len returns the number of registers.
-func (a *TaggedRefs[T]) Len() int { return len(a.regs) }

@@ -20,17 +20,19 @@
 //     (Sensitive, NonBlocking, Combining) stack over it exactly as
 //     over the weak stack.
 //   - Harris — the Harris/Michael lock-free linked list (Harris,
-//     DISC 2001; Michael, SPAA 2002) over pooled, recycled nodes with
-//     tagged 〈handle, seqnb〉 next registers (memory.TaggedRef plus the
-//     TaggedMark deletion bit). Disjoint windows update in parallel;
-//     node recycling makes §2.2's ABA real on every next register and
-//     the tags are load-bearing, as in the allocation tier.
+//     DISC 2001; Michael, SPAA 2002) over pooled, recycled two-word
+//     nodes: a key and a bare tagged 〈handle, seqnb〉 next word
+//     (memory.TaggedVal plus the TaggedMark deletion bit) whose
+//     accesses the list reports to its one observer. Disjoint windows
+//     update in parallel; node recycling makes §2.2's ABA real on
+//     every next register and the tags are load-bearing, as in the
+//     allocation tier.
 //
 // Both lists pay per-operation work that grows with the resident key
 // count. Hash is the exit: the split-ordered hash layer (Shalev &
 // Shavit, J.ACM 2006) over the same Harris engine — one list in
-// bit-reversed key order, a lazily split, CAS-doubled bucket array of
-// sentinel shortcuts into it — bringing Add/Remove/Contains to O(1)
+// bit-reversed key order, a lazily split, CAS-doubled array of 8-byte
+// sentinel shortcut words into it — bringing Add/Remove/Contains to O(1)
 // expected while reusing the mark/unlink, tag-validation and
 // recycling disciplines unchanged (keys < 2^63; one reserved bit).
 //

@@ -7,18 +7,21 @@ import (
 	"repro/internal/memory"
 )
 
-// hmNode is one pooled list node. key is atomic because a stale
-// traverser may overlap a recycler rewriting the node (the read is
-// discarded when validation fails, but must be data-race-free). next
-// is a full tagged register: unlike the pooled Michael-Scott queue,
-// where head/tail are the model's registers and node links are private
-// plumbing, here the next words ARE the object's shared registers —
-// every traversal step reads one, every update CASes one — so they are
-// observed (the deterministic scheduler gates on them) and their tags
-// accumulate across node lives.
+// hmNode is one pooled list node: two words, four to a cache line.
+// key is atomic because a stale traverser may overlap a recycler
+// rewriting the node (the read is discarded when validation fails, but
+// must be data-race-free). next is a bare tagged word 〈successor
+// handle, tag〉 plus the memory.TaggedMark deletion bit: unlike the
+// pooled Michael-Scott queue, where head/tail are the model's
+// registers and node links are private plumbing, here the next words
+// ARE the object's shared registers — every traversal step reads one,
+// every update CASes one — so the list reports each access to its one
+// observer (the deterministic scheduler gates on them), and their tags
+// accumulate across node lives. A fresh arena record's zero word is
+// already PackTagged(NilHandle, 0).
 type hmNode struct {
 	key  atomic.Uint64
-	next memory.TaggedRef[hmNode]
+	next atomic.Uint64
 }
 
 // list is the Harris/Michael engine shared by the plain sorted list
@@ -36,17 +39,45 @@ type list struct {
 }
 
 // newList returns the shared engine for procs processes (pids in
-// [0, procs)), reporting node next-register accesses to obs (nil
-// disables instrumentation).
+// [0, procs)), reporting register accesses to obs (nil disables
+// instrumentation).
 func newList(procs int, obs memory.Observer) *list {
-	l := &list{obs: obs}
-	l.pool = memory.NewPool[hmNode](procs, func(n *hmNode) {
-		// Fresh arena records only: recycled nodes keep their
-		// accumulated next tag (monotonic across lives, like the pooled
-		// Michael-Scott queue's counted pointers).
-		n.next.Init(l.pool, memory.PackTagged(memory.NilHandle, 0), obs)
-	})
-	return l
+	return &list{pool: memory.NewPool[hmNode](procs, nil), obs: obs}
+}
+
+// read, write and cas are the only accesses the engine makes to a
+// shared register (a head, bucket or next word); each reports to the
+// observer first, exactly as a memory.TaggedRef method would.
+// Constructors store initial words directly, unobserved.
+func (l *list) read(r *atomic.Uint64) memory.TaggedVal {
+	if l.obs != nil {
+		l.obs.OnAccess(memory.Read)
+	}
+	return memory.TaggedVal(r.Load())
+}
+
+func (l *list) write(r *atomic.Uint64, v memory.TaggedVal) {
+	if l.obs != nil {
+		l.obs.OnAccess(memory.Write)
+	}
+	r.Store(uint64(v))
+}
+
+func (l *list) cas(r *atomic.Uint64, old, new memory.TaggedVal) bool {
+	if l.obs != nil {
+		l.obs.OnAccess(memory.CAS)
+	}
+	return r.CompareAndSwap(uint64(old), uint64(new))
+}
+
+// link prepares node h to be linked in front of succ: advancing its
+// next word off the word's current content keeps the tag monotonic
+// across the node's lives, so a stale CAS from a previous life can
+// never match. The node is private until the caller's link CAS
+// publishes it.
+func (l *list) link(h, succ memory.Handle) {
+	n := l.pool.At(h)
+	l.write(&n.next, l.read(&n.next).Next(succ))
 }
 
 // find walks from the start register to k's window. It returns the
@@ -65,20 +96,20 @@ func newList(procs int, obs memory.Observer) *list {
 // pred's register still held predW, so the chain up to and including
 // the current node was intact and the key read belongs to this life of
 // the node.
-func (l *list) find(pid int, start *memory.TaggedRef[hmNode], k uint64) (pred *memory.TaggedRef[hmNode], predW, currW memory.TaggedVal, found bool) {
+func (l *list) find(pid int, start *atomic.Uint64, k uint64) (pred *atomic.Uint64, predW, currW memory.TaggedVal, found bool) {
 restart:
 	for {
 		pred = start
-		predW = pred.Read()
+		predW = l.read(pred)
 		for {
 			curr := predW.Handle()
 			if curr == memory.NilHandle {
 				return pred, predW, 0, false
 			}
 			cn := l.pool.At(curr)
-			currW = cn.next.Read()
+			currW = l.read(&cn.next)
 			ckey := cn.key.Load()
-			if pred.Read() != predW {
+			if l.read(pred) != predW {
 				continue restart // pred moved: curr may be another life
 			}
 			if currW.Marked() {
@@ -88,7 +119,7 @@ restart:
 				// stable until the node is recycled — and recycling
 				// waits for this unlink.
 				unlinked := predW.Next(currW.Handle())
-				if !pred.CAS(predW, unlinked) {
+				if !l.cas(pred, predW, unlinked) {
 					continue restart
 				}
 				l.pool.Put(pid, curr)
@@ -106,21 +137,16 @@ restart:
 // insert adds a node with key k into the window found from start; it
 // reports whether k was newly inserted. Lock-free: a failed link CAS
 // means some concurrent update succeeded.
-func (l *list) insert(pid int, start *memory.TaggedRef[hmNode], k uint64) bool {
+func (l *list) insert(pid int, start *atomic.Uint64, k uint64) bool {
 	for {
 		pred, predW, _, found := l.find(pid, start, k)
 		if found {
 			return false
 		}
 		h := l.pool.Get(pid)
-		n := l.pool.At(h)
-		n.key.Store(k)
-		// The node is private until the link CAS below publishes it;
-		// advancing the next word off the register's current content
-		// keeps the tag monotonic across the node's lives, so a stale
-		// CAS from a previous life can never match.
-		n.next.Write(n.next.Read().Next(predW.Handle()))
-		if pred.CAS(predW, predW.Next(h)) {
+		l.pool.At(h).key.Store(k)
+		l.link(h, predW.Handle())
+		if l.cas(pred, predW, predW.Next(h)) {
 			return true
 		}
 		l.pool.Put(pid, h) // never published: safe to recycle directly
@@ -131,18 +157,17 @@ func (l *list) insert(pid int, start *memory.TaggedRef[hmNode], k uint64) bool {
 // whether k was present. The two-step Harris discipline: mark the
 // victim's next word (the linearization point), then unlink it —
 // leaving the unlink to a later traversal if the CAS is lost.
-func (l *list) delete(pid int, start *memory.TaggedRef[hmNode], k uint64) bool {
+func (l *list) delete(pid int, start *atomic.Uint64, k uint64) bool {
 	for {
 		pred, predW, currW, found := l.find(pid, start, k)
 		if !found {
 			return false
 		}
 		curr := predW.Handle()
-		cn := l.pool.At(curr)
-		if !cn.next.CAS(currW, currW.Next(currW.Handle()).WithMark()) {
+		if !l.cas(&l.pool.At(curr).next, currW, currW.Next(currW.Handle()).WithMark()) {
 			continue // curr changed under us: retry the whole window
 		}
-		if pred.CAS(predW, predW.Next(currW.Handle())) {
+		if l.cas(pred, predW, predW.Next(currW.Handle())) {
 			l.pool.Put(pid, curr) // this process unlinked it: retire
 		}
 		return true
@@ -152,7 +177,7 @@ func (l *list) delete(pid int, start *memory.TaggedRef[hmNode], k uint64) bool {
 // search reports whether k is reachable from start. It shares find's
 // validated traversal (including the helping unlinks), so it is
 // lock-free rather than wait-free.
-func (l *list) search(pid int, start *memory.TaggedRef[hmNode], k uint64) bool {
+func (l *list) search(pid int, start *atomic.Uint64, k uint64) bool {
 	_, _, _, found := l.find(pid, start, k)
 	return found
 }
@@ -184,7 +209,7 @@ func (l *list) search(pid int, start *memory.TaggedRef[hmNode], k uint64) bool {
 // split-ordered bucket index, at O(1) expected.
 type Harris struct {
 	l    *list
-	head *memory.TaggedRef[hmNode]
+	head atomic.Uint64
 }
 
 // NewHarris returns an empty lock-free set for procs processes (pids
@@ -198,29 +223,25 @@ func NewHarris(procs int) *Harris {
 // instrumentation). Key loads and pool traffic are arena-private and
 // not observed.
 func NewHarrisObserved(procs int, obs memory.Observer) *Harris {
-	l := newList(procs, obs)
-	return &Harris{
-		l:    l,
-		head: memory.NewTaggedRefObserved(l.pool, memory.PackTagged(memory.NilHandle, 0), obs),
-	}
+	return &Harris{l: newList(procs, obs)}
 }
 
 // Add inserts k on behalf of pid; it reports whether k was newly
 // inserted.
 func (s *Harris) Add(pid int, k uint64) bool {
-	return s.l.insert(pid, s.head, k)
+	return s.l.insert(pid, &s.head, k)
 }
 
 // Remove deletes k on behalf of pid; it reports whether k was present.
 func (s *Harris) Remove(pid int, k uint64) bool {
-	return s.l.delete(pid, s.head, k)
+	return s.l.delete(pid, &s.head, k)
 }
 
 // Contains reports membership of k on behalf of pid. It shares find's
 // validated traversal (including the helping unlinks), so it is
 // lock-free; see Abortable for the wait-free alternative.
 func (s *Harris) Contains(pid int, k uint64) bool {
-	return s.l.search(pid, s.head, k)
+	return s.l.search(pid, &s.head, k)
 }
 
 // Len returns the number of unmarked keys; quiescent states only.
@@ -230,10 +251,10 @@ func (s *Harris) Len() int { return len(s.Snapshot()) }
 // states only.
 func (s *Harris) Snapshot() []uint64 {
 	var out []uint64
-	w := s.head.Read()
+	w := s.l.read(&s.head)
 	for w.Handle() != memory.NilHandle {
 		n := s.l.pool.At(w.Handle())
-		nw := n.next.Read()
+		nw := s.l.read(&n.next)
 		if !nw.Marked() {
 			out = append(out, n.key.Load())
 		}

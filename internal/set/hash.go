@@ -60,15 +60,16 @@ func sentinelSkey(b uint64) uint64 { return bits.Reverse64(b) }
 // keyOfSkey inverts regularSkey.
 func keyOfSkey(sk uint64) uint64 { return bits.Reverse64(sk &^ 1) }
 
-// hashTable is one published generation of the bucket index: a word
-// per bucket holding 〈sentinel handle, tag〉, NilHandle while the
-// bucket is uninitialized. Entries are shortcut caches — the sentinel
-// nodes themselves live in the list — so a table can be copied and
-// republished wholesale (see grow) without synchronizing with bucket
-// initializers: a lost shortcut update is re-derived from the list.
+// hashTable is one published generation of the bucket index: a bare
+// tagged word per bucket holding 〈sentinel handle, tag〉, NilHandle
+// while the bucket is uninitialized (the zero word). Entries are
+// shortcut caches — the sentinel nodes themselves live in the list —
+// so a table can be copied and republished wholesale (see grow)
+// without synchronizing with bucket initializers: a lost shortcut
+// update is re-derived from the list.
 type hashTable struct {
 	mask    uint64
-	buckets *memory.TaggedRefs[hmNode]
+	buckets []atomic.Uint64
 }
 
 // Hash is the split-ordered hash set: the same pooled, tagged,
@@ -87,7 +88,6 @@ type Hash struct {
 	table   atomic.Pointer[hashTable]
 	count   atomic.Int64
 	resizes atomic.Uint64
-	obs     memory.Observer
 }
 
 // NewHash returns an empty split-ordered hash set for procs processes
@@ -103,21 +103,15 @@ func NewHash(procs int) *Hash {
 // correct, see grow) are not observed.
 func NewHashObserved(procs int, obs memory.Observer) *Hash {
 	l := newList(procs, obs)
-	s := &Hash{l: l, obs: obs}
+	s := &Hash{l: l}
 	// Bucket 0's sentinel anchors the list and exists from birth, so
 	// parent walks always terminate. Constructed single-threaded: the
 	// pool Get and the word stores are unobserved builder accesses.
 	h0 := l.pool.Get(0)
 	l.pool.At(h0).key.Store(sentinelSkey(0))
-	s.table.Store(&hashTable{
-		mask: hashInitialBuckets - 1,
-		buckets: memory.NewTaggedRefs[hmNode](l.pool, hashInitialBuckets, func(i int) memory.TaggedVal {
-			if i == 0 {
-				return memory.PackTagged(h0, 0)
-			}
-			return memory.PackTagged(memory.NilHandle, 0)
-		}, obs),
-	})
+	t := &hashTable{mask: hashInitialBuckets - 1, buckets: make([]atomic.Uint64, hashInitialBuckets)}
+	t.buckets[0].Store(uint64(memory.PackTagged(h0, 0)))
+	s.table.Store(t)
 	return s
 }
 
@@ -125,14 +119,14 @@ func NewHashObserved(procs int, obs memory.Observer) *Hash {
 // start register for its window walks: the bucket sentinel's next
 // register. First touch initializes the bucket (and, recursively, any
 // uninitialized ancestors).
-func (s *Hash) bucket(pid int, k uint64) *memory.TaggedRef[hmNode] {
+func (s *Hash) bucket(pid int, k uint64) *atomic.Uint64 {
 	t := s.table.Load()
 	return s.bucketIn(pid, t, k&t.mask)
 }
 
-func (s *Hash) bucketIn(pid int, t *hashTable, b uint64) *memory.TaggedRef[hmNode] {
-	w := t.buckets.At(int(b))
-	v := w.Read()
+func (s *Hash) bucketIn(pid int, t *hashTable, b uint64) *atomic.Uint64 {
+	w := &t.buckets[b]
+	v := s.l.read(w)
 	if v.Handle() != memory.NilHandle {
 		return &s.l.pool.At(v.Handle()).next
 	}
@@ -147,7 +141,7 @@ func (s *Hash) bucketIn(pid int, t *hashTable, b uint64) *memory.TaggedRef[hmNod
 // because a loser's prepared node is recycled and can reappear, same
 // handle, as anything (sched.HashSplitABASchedule replays exactly
 // that window deterministically).
-func (s *Hash) initBucket(pid int, t *hashTable, b uint64, w *memory.TaggedRef[hmNode], v memory.TaggedVal) *memory.TaggedRef[hmNode] {
+func (s *Hash) initBucket(pid int, t *hashTable, b uint64, w *atomic.Uint64, v memory.TaggedVal) *atomic.Uint64 {
 	parent := b &^ (uint64(1) << (63 - uint(bits.LeadingZeros64(b)))) // b > 0: bucket 0 is born initialized
 	start := s.bucketIn(pid, t, parent)
 	sk := sentinelSkey(b)
@@ -159,10 +153,9 @@ func (s *Hash) initBucket(pid int, t *hashTable, b uint64, w *memory.TaggedRef[h
 			break
 		}
 		h = s.l.pool.Get(pid)
-		n := s.l.pool.At(h)
-		n.key.Store(sk)
-		n.next.Write(n.next.Read().Next(predW.Handle()))
-		if pred.CAS(predW, predW.Next(h)) {
+		s.l.pool.At(h).key.Store(sk)
+		s.l.link(h, predW.Handle())
+		if s.l.cas(pred, predW, predW.Next(h)) {
 			break
 		}
 		s.l.pool.Put(pid, h) // never published: safe to recycle directly
@@ -171,7 +164,7 @@ func (s *Hash) initBucket(pid int, t *hashTable, b uint64, w *memory.TaggedRef[h
 	// initializer already cached the same handle (sentinels are
 	// permanent, so there is exactly one per split-order key);
 	// losing the whole word to a table swap just costs a re-derivation.
-	w.CAS(v, v.Next(h))
+	s.l.cas(w, v, v.Next(h))
 	return &s.l.pool.At(h).next
 }
 
@@ -191,12 +184,10 @@ func (s *Hash) grow() {
 	if old >= hashMaxBuckets || s.count.Load() <= hashMaxLoad*int64(old) {
 		return
 	}
-	nb := memory.NewTaggedRefs[hmNode](s.l.pool, int(2*old), func(i int) memory.TaggedVal {
-		if uint64(i) < old {
-			return t.buckets.At(i).Read()
-		}
-		return memory.PackTagged(memory.NilHandle, 0)
-	}, s.obs)
+	nb := make([]atomic.Uint64, 2*old)
+	for i := range t.buckets {
+		nb[i].Store(uint64(s.l.read(&t.buckets[i])))
+	}
 	if s.table.CompareAndSwap(t, &hashTable{mask: 2*old - 1, buckets: nb}) {
 		s.resizes.Add(1)
 	}
@@ -253,10 +244,10 @@ func (s *Hash) Len() int { return len(s.Snapshot()) }
 // are sorted before returning.
 func (s *Hash) Snapshot() []uint64 {
 	var out []uint64
-	w := s.l.pool.At(s.table.Load().buckets.At(0).Read().Handle()).next.Read()
+	w := s.l.read(&s.l.pool.At(s.l.read(&s.table.Load().buckets[0]).Handle()).next)
 	for w.Handle() != memory.NilHandle {
 		n := s.l.pool.At(w.Handle())
-		nw := n.next.Read()
+		nw := s.l.read(&n.next)
 		sk := n.key.Load()
 		if !nw.Marked() && sk&1 == 1 {
 			out = append(out, keyOfSkey(sk))
