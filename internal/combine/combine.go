@@ -150,19 +150,30 @@ type armedCrash struct {
 // mid-pass therefore costs the survivors one lease budget of spinning
 // instead of wedging every future contended operation — see the
 // package comment's crash-tolerance argument.
+//
+// The fields fall into three groups by writer and frequency, each
+// starting at least 64 B after the previous group's last word, so no
+// 64-byte line holds words of two groups at any allocation offset:
+// the read-mostly header that every Do loads, the lease and heartbeat
+// that the combiner writes on every pass and every served slot, and
+// the per-pass counters.
 type Core[A, R any] struct {
 	try          func(pid int, arg A) (R, bool)
 	contention   *memory.Flag
-	lease        atomic.Uint64
-	beat         atomic.Uint64
 	obs          memory.Observer
 	leaseBudget  int
 	leaseTimeout time.Duration
 	slots        []slot[A, R]
 	armed        atomic.Pointer[armedCrash]
+	_            [56]byte
+
+	lease atomic.Uint64
+	beat  atomic.Uint64
+	_     [56]byte
 
 	// Combiner-side counters: touched once per combining pass, not
-	// per operation, so sharing the words is harmless.
+	// per operation, so sharing the words among themselves is
+	// harmless.
 	combines atomic.Uint64
 	served   atomic.Uint64
 	maxBatch atomic.Uint64

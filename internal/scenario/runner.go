@@ -226,11 +226,16 @@ func Run(b repro.Backend, sc Scenario, opt Options) Result {
 			zipf = workload.NewZipf(ph.ZipfS, ph.KeyRange)
 		}
 		phaseStart := time.Now()
+		// One histogram per worker, merged after the join: a shared one
+		// would bump the same count/sum/max words on every op.
+		hists := make([]*metrics.Histogram, ph.Procs)
 		var wg sync.WaitGroup
 		for pid := 0; pid < ph.Procs; pid++ {
 			wg.Add(1)
 			go func(pid int) {
 				defer wg.Done()
+				hist := &metrics.Histogram{}
+				hists[pid] = hist
 				rng := workload.NewRNG(streamSeed(sc.Seed, phaseIdx, pid))
 				crashAt := -1
 				if ph.CrashPids > 0 && pid >= ph.Procs-ph.CrashPids {
@@ -313,7 +318,7 @@ func Run(b repro.Backend, sc Scenario, opt Options) Result {
 					inOp, curOp, curV = true, op, v
 					got, err := drv.Do(pid, op, v)
 					inOp = false
-					res.Hist.Record(time.Since(t0))
+					hist.Record(time.Since(t0))
 					myAttempted++
 					if err == nil {
 						myOK++
@@ -339,6 +344,9 @@ func Run(b repro.Backend, sc Scenario, opt Options) Result {
 			}(pid)
 		}
 		wg.Wait()
+		for _, h := range hists {
+			res.Hist.Merge(h)
+		}
 		// Every per-goroutine total has flushed (the defers ran before
 		// Wait returned), so the attempted delta is this phase's ops.
 		phaseOps := attempted.Load()

@@ -83,10 +83,18 @@ type hashTable struct {
 // parent. Keys must be < 2^63 (one reserved bit; see the package
 // notes above). Operations take the calling pid for the pool's
 // per-pid free lists.
+//
+// count is bumped by every successful update, while l and table are
+// loaded by every operation. The 56-byte pads start count at least
+// 64 B from every other word, so no 64-byte line holds count and
+// another word at any allocation offset (Go does not line-align
+// structs, so distance, not alignment, keeps them apart).
 type Hash struct {
 	l       *list
 	table   atomic.Pointer[hashTable]
+	_       [56]byte
 	count   atomic.Int64
+	_       [56]byte
 	resizes atomic.Uint64
 }
 

@@ -85,6 +85,10 @@ func TestListObservedAccessCounts(t *testing.T) {
 // TestNodeLayout pins the set's register footprint: a list node is two
 // words (key and tagged next, four to a cache line) and a bucket
 // shortcut is one word, so a later field cannot quietly regrow them.
+// It also pins Hash's hot-word isolation: count, bumped by every
+// update, starts at least 64 B from table (loaded by every operation)
+// and from the words after it, so no 64-byte line holds both at any
+// allocation offset.
 func TestNodeLayout(t *testing.T) {
 	if got := unsafe.Sizeof(hmNode{}); got != 16 {
 		t.Fatalf("hmNode is %d bytes, want 16", got)
@@ -92,5 +96,12 @@ func TestNodeLayout(t *testing.T) {
 	f, _ := reflect.TypeFor[hashTable]().FieldByName("buckets")
 	if got := f.Type.Elem().Size(); got != 8 {
 		t.Fatalf("a bucket word is %d bytes, want 8", got)
+	}
+	var h Hash
+	if d := unsafe.Offsetof(h.count) - unsafe.Offsetof(h.table); d < 64 {
+		t.Fatalf("Hash.count starts %d B after Hash.table, want >= 64", d)
+	}
+	if d := unsafe.Offsetof(h.resizes) - unsafe.Offsetof(h.count); d < 64 {
+		t.Fatalf("Hash.resizes starts %d B after Hash.count, want >= 64", d)
 	}
 }

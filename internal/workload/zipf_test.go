@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestZipfRange(t *testing.T) {
 	z := NewZipf(1.1, 64)
@@ -62,5 +65,97 @@ func TestZipfPanicsOnBadArgs(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// searchRank is the pre-guide sampler kept as the reference: a binary
+// search for the least rank whose CDF exceeds u over the whole table.
+func searchRank(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] <= u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// zipfMatches checks the guided inversion against searchRank at u.
+func zipfMatches(t *testing.T, z *Zipf, s float64, u float64) {
+	t.Helper()
+	if got, want := z.rank(u), searchRank(z.cdf, u); got != want {
+		t.Fatalf("Zipf(%v, %d) at u=%v (bits %#x): guide gives %d, search gives %d",
+			s, z.N(), u, math.Float64bits(u), got, want)
+	}
+}
+
+// TestZipfGuideMatchesSearch pins that the guide table only speeds the
+// inversion up: every draw equals the full-range binary search's, so
+// every seeded op stream built on Zipf is unchanged. Besides RNG
+// draws it probes each CDF value, its float neighbours and the cell
+// edges, where an off-by-one in the guide would show first.
+func TestZipfGuideMatchesSearch(t *testing.T) {
+	const draws = 200_000
+	for _, s := range []float64{0.5, 0.99, 1.1, 2, 4} {
+		for _, n := range []int{1, 2, 3, 7, 100, 4096, 65536} {
+			z := NewZipf(s, n)
+			r, ref := NewRNG(uint64(n)), NewRNG(uint64(n))
+			for i := 0; i < draws; i++ {
+				if got, want := z.Next(r), searchRank(z.cdf, ref.Float64()); got != want {
+					t.Fatalf("Zipf(%v, %d) draw %d: guide gives %d, search gives %d", s, n, i, got, want)
+				}
+			}
+			edges := []float64{0, math.Nextafter(1, 0)}
+			for _, c := range z.cdf {
+				edges = append(edges, c, math.Nextafter(c, 0), math.Nextafter(c, 1))
+			}
+			m := len(z.guide) - 1
+			for j := 0; j <= m; j++ {
+				c := float64(j) / float64(m)
+				edges = append(edges, c, math.Nextafter(c, 0), math.Nextafter(c, 1))
+			}
+			for _, u := range edges {
+				if u >= 0 && u < 1 {
+					zipfMatches(t, z, s, u)
+				}
+			}
+		}
+	}
+}
+
+// FuzzZipfMatchesSearch drives the same equivalence from fuzzed skews,
+// sizes up to 2^16 and raw u bits: once through the RNG's 53-bit map
+// (whose top, bits → 1, is the largest u a draw can produce) and once
+// as the float those bits spell, when it lies in [0, 1).
+func FuzzZipfMatchesSearch(f *testing.F) {
+	f.Add(1.1, uint16(4095), uint64(0))
+	f.Add(0.5, uint16(0), ^uint64(0))
+	f.Add(4.0, uint16(65535), uint64(1)<<63)
+	f.Add(0.99, uint16(6), math.Float64bits(math.Nextafter(1, 0)))
+	f.Fuzz(func(t *testing.T, s float64, n uint16, bits uint64) {
+		if !(s >= 0.01 && s <= 64) {
+			t.Skip()
+		}
+		z := NewZipf(s, int(n)+1)
+		zipfMatches(t, z, s, float64(bits>>11)/(1<<53))
+		if u := math.Float64frombits(bits); u >= 0 && u < 1 {
+			zipfMatches(t, z, s, u)
+		}
+		for _, c := range z.cdf[:min(len(z.cdf), 64)] {
+			zipfMatches(t, z, s, c)
+		}
+	})
+}
+
+// BenchmarkZipfNext times one draw at the shape of objbench's set-write
+// workload: Zipf(1.1) over 4,096 keys.
+func BenchmarkZipfNext(b *testing.B) {
+	z, r := NewZipf(1.1, 4096), NewRNG(1)
+	b.ReportAllocs()
+	for b.Loop() {
+		z.Next(r)
 	}
 }
