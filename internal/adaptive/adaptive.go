@@ -108,6 +108,34 @@ type Stats struct {
 	InRung map[string]time.Duration
 }
 
+// container is the rung contract of the adaptive stack and queue: a
+// rung plus one strong put/take pair.
+type container[T any] interface {
+	rung[T]
+	put(pid int, v T) error
+	take(pid int) (T, error)
+}
+
+// fill refills a freshly built container from a snapshot, oldest
+// first. The target is private until the close CAS publishes it:
+// refills run contention-free and cannot overflow (equal capacity), so
+// the error is always nil.
+func fill[T any](c container[T], pid int, snap []T) container[T] {
+	for _, v := range snap {
+		c.put(pid, v)
+	}
+	return c
+}
+
+// containerRule is the stack and queue ladders' decision rule: climb
+// on a saturated contention or active-pid signal, descend when both
+// sit at the floor.
+func (t Thresholds) containerRule(_ int, delta uint64, act int) (up, down bool) {
+	up = delta >= uint64(t.UpContended) || act >= t.UpProcs
+	down = delta <= uint64(t.DownContended) && act <= t.DownProcs
+	return up, down
+}
+
 // annSlot is one per-pid announce register, padded so concurrent
 // announces from different pids never share a cache line.
 type annSlot struct {

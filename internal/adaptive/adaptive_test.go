@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -319,30 +320,79 @@ func TestConcurrentSetMorphSmoke(t *testing.T) {
 	}
 }
 
+// TestQuiesceBudgetAbortsAndDisables runs every ladder's engine into
+// a stuck announce from a "crashed" pid 1, on a gated rung: every window
+// must abort, abortLimit of them must disable adaptation, and the
+// object must keep serving operations on its current rung.
 func TestQuiesceBudgetAbortsAndDisables(t *testing.T) {
 	th := manual()
 	th.QuiesceBudget = 4
-	s := NewStack[int](8, 2, th)
-	// A stuck announce from a "crashed" pid 1 makes every window abort.
-	s.m.ann[1].w.Write(1)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"stack", func(t *testing.T) {
+			s := NewStack[int](8, 2, th)
+			abortsAndDisables(t, s.meta, 1, func() error {
+				if err := s.Push(0, 7); err != nil {
+					return err
+				}
+				if v, err := s.Pop(0); err != nil || v != 7 {
+					return fmt.Errorf("pop = %d, %v", v, err)
+				}
+				return nil
+			})
+		}},
+		{"queue", func(t *testing.T) {
+			q := NewQueue[int](8, 2, 0, th)
+			abortsAndDisables(t, q.meta, 1, func() error {
+				if err := q.Enqueue(0, 7); err != nil {
+					return err
+				}
+				if v, err := q.Dequeue(0); err != nil || v != 7 {
+					return fmt.Errorf("dequeue = %d, %v", v, err)
+				}
+				return nil
+			})
+		}},
+		{"set/harris", func(t *testing.T) {
+			s := NewSet(2, th)
+			if !s.MorphTo(0, rungHarris) {
+				t.Fatal("MorphTo(harris) failed")
+			}
+			abortsAndDisables(t, s.meta, rungHash, func() error {
+				if !s.Add(0, 7) || !s.Contains(0, 7) || !s.Remove(0, 7) || s.Contains(0, 7) {
+					return errors.New("add/contains/remove of key 7 broken")
+				}
+				return nil
+			})
+		}},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// abortsAndDisables sticks pid 1's announce, tries to morph m to dst
+// abortLimit times, and checks the abort→disable rule; serve runs
+// operations on the object afterwards.
+func abortsAndDisables[T any, R rung[T]](t *testing.T, m *meta[T, R], dst int, serve func() error) {
+	t.Helper()
+	before := m.Stats()
+	m.ann[1].w.Write(1)
 	for i := 0; i < abortLimit; i++ {
-		if s.MorphTo(0, 1) {
+		if m.MorphTo(0, dst) {
 			t.Fatal("morph succeeded despite stuck announce")
 		}
 	}
-	st := s.Stats()
-	if st.Aborted < abortLimit {
-		t.Fatalf("aborted = %d, want >= %d", st.Aborted, abortLimit)
+	st := m.Stats()
+	if st.Aborted < abortLimit || st.Migrations != before.Migrations || st.Rung != before.Rung {
+		t.Fatalf("stats %+v, want >= %d aborted windows and no move from %s", st, abortLimit, before.Rung)
 	}
-	if !s.m.disabled.Load() {
+	if !m.disabled.Load() {
 		t.Fatal("object not disabled after consecutive aborts")
 	}
-	// The object still serves operations on its current rung.
-	if err := s.Push(0, 7); err != nil {
-		t.Fatalf("push after disable: %v", err)
-	}
-	if v, err := s.Pop(0); err != nil || v != 7 {
-		t.Fatalf("pop after disable = %d, %v", v, err)
+	if err := serve(); err != nil {
+		t.Fatalf("after disable: %v", err)
 	}
 }
 
@@ -410,14 +460,14 @@ func TestSetStaleHelperLeavesLiveSourceAlone(t *testing.T) {
 				t.Fatalf("MorphTo(%s) failed", tc.name)
 			}
 			rec := s.state.Read()
-			stale := &setRec{gen: rec.gen + 1, rung: rec.rung, impl: rec.impl, mig: true, dst: tc.dst}
+			stale := &record[setRung]{gen: rec.gen + 1, rung: rec.rung, impl: rec.impl, mig: true, dst: tc.dst}
 			if !s.state.CAS(rec, stale) {
 				t.Fatal("open CAS failed")
 			}
 			if !quiesceSlots(s.ann, 0, s.t.quiesceBudget()) {
 				t.Fatal("solo quiesce failed")
 			}
-			if !s.state.CAS(stale, &setRec{gen: stale.gen + 1, rung: stale.rung, impl: stale.impl}) {
+			if !s.state.CAS(stale, &record[setRung]{gen: stale.gen + 1, rung: stale.rung, impl: stale.impl}) {
 				t.Fatal("abort CAS failed")
 			}
 			for k := uint64(0); k < 48; k += 3 {
@@ -430,7 +480,7 @@ func TestSetStaleHelperLeavesLiveSourceAlone(t *testing.T) {
 			}
 			live := s.state.Read()
 			before, migs := st.Snapshot(), s.Stats().Migrations
-			s.helpQuiesced(0, stale)
+			s.help(0, stale)
 			if got, want := st.Snapshot().Sub(before), (memory.Snapshot{Reads: 1, CASes: 1}); got != want {
 				t.Fatalf("stale helper observed %+v, want %+v (quiesce read + failed seal)", got, want)
 			}

@@ -23,45 +23,50 @@
 //
 // # The epoch-gated handoff
 //
-// All of an object's regime state hangs off one atomic record
-// register. A record is immutable after publication; every transition
-// is a CAS installing a fresh record, so the register's pointer
-// identity is the migration epoch:
+// One engine runs the handoff for all three ladders. All of an
+// object's regime state hangs off one atomic record register. A record
+// is immutable after publication; every transition is a CAS installing
+// a fresh record, so the register's pointer identity is the migration
+// epoch:
 //
 //	stable{gen, rung, impl}  --open-->  mig{gen+1, rung, impl, dst}
 //	mig  --close-->  stable{gen+2, dst, target}   (one winner)
 //	mig  --abort-->  stable{gen+2, rung, impl}    (graceful degradation)
 //
-// The stack and queue containers add one step before the close: after
-// quiescence a helper CASes mig{gen+1} to sealed{gen+2, rung, impl,
-// dst}, which only closes (to stable{gen+3, dst, target}). The seal
-// keeps a helper from snapshotting a source that an abort has already
-// handed back to live operations.
+// Before the close the source must be frozen, in one of two modes.
 //
-// Writers on an announce-gated rung publish their intent in a per-pid
-// padded announce register, then re-validate the record pointer (a
-// Dekker-style handshake with the migrator) before touching the
-// structure; a migrator that has opened a window spin-reads the
-// announce array until every other slot is clear (quiescence), within
-// a bounded budget. Once the source is quiescent it is frozen: the
-// migrator (or any helper that finds the window open) snapshots it,
-// rebuilds the target privately, and publishes target-plus-close in a
-// single CAS — crash-restartable, because a half-built private target
-// is simply garbage and the next helper rebuilds it.
+// A gated rung (every container rung, the harris and hash set rungs)
+// is frozen by announce quiescence plus a record seal. Its writers
+// publish their intent in a per-pid padded announce register, then
+// re-validate the record pointer (a Dekker-style handshake with the
+// migrator) before touching the structure. A helper that finds the
+// window open spin-reads the announce array until every other slot is
+// clear, within a bounded budget, and then CASes mig{gen+1} to
+// sealed{gen+2, rung, impl, dst}, which only closes (to
+// stable{gen+3, dst, target}). The seal keeps a helper from
+// snapshotting a source that an abort has already handed back to live
+// operations.
 //
-// The copy-on-write set rung needs no announces at all: its whole
-// state is one root register, so the migrator freezes it by CASing a
-// sealed wrapper onto the root (set.Abortable.Seal). A writer parked
-// mid-update across the flip fails its stale root CAS against the
-// sealed root and re-dispatches through the record — the exact replay
-// pinned by sched.AdaptiveMigrationSchedule.
+// An in-place rung (the copy-on-write set rung) needs no announces:
+// its whole state is one root register, so the window's opener
+// freezes it by CASing a sealed wrapper onto the root
+// (set.Abortable.Seal), and helpers finish only a window whose root is
+// already sealed. A writer parked mid-update across the flip fails its
+// stale root CAS against the sealed root and re-dispatches through the
+// record — the exact replay pinned by sched.AdaptiveMigrationSchedule.
+//
+// Once the source is frozen, the migrator (or any helper) snapshots
+// it, builds the target privately from the ladder's rung table, and
+// publishes target-plus-close in a single CAS — crash-restartable,
+// because a half-built private target is simply garbage and the next
+// helper rebuilds it.
 //
 // Readers never announce: during a window the source structure stays
 // authoritative until the close CAS (the target is unreachable before
 // it), which is the deterministic tie-break that keeps mid-flight
 // reads linearizable.
 //
-// If quiescence cannot be reached within the budget (a crashed process
+// If the source cannot be frozen within the budget (a crashed process
 // with a stuck announce, or livelock-grade interference), the window
 // is aborted: the source stays current and operations continue
 // unharmed. After abortLimit consecutive aborts the object stops

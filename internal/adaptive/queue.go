@@ -11,28 +11,31 @@ import (
 // regime). The sharded rung relaxes cross-shard order exactly as
 // queue.Sharded documents; descending restores the strict FIFO rungs.
 type Queue[T any] struct {
-	m *meta[T]
+	*meta[T, container[T]]
 }
-
-// queueRungs names the ladder, bottom first.
-var queueRungs = []string{"sensitive", "combining", "sharded"}
 
 // NewQueue returns an adaptive queue of total capacity k for n
 // processes governed by t; shards parameterizes the top rung (<= 0
 // picks queue.NewSharded's default).
 func NewQueue[T any](k, n, shards int, t Thresholds) *Queue[T] {
-	build := []func() container[T]{
-		func() container[T] { return sensQueue[T]{queue.NewSensitive[T](k, n)} },
-		func() container[T] { return combQueue[T]{queue.NewCombining[T](k, n)} },
-		func() container[T] { return shardQueue[T]{queue.NewSharded[T](k, n, shards)} },
+	ladder := []step[T, container[T]]{
+		{"sensitive", func(pid int, snap []T) container[T] {
+			return fill[T](sensQueue[T]{queue.NewSensitive[T](k, n)}, pid, snap)
+		}},
+		{"combining", func(pid int, snap []T) container[T] {
+			return fill[T](combQueue[T]{queue.NewCombining[T](k, n)}, pid, snap)
+		}},
+		{"sharded", func(pid int, snap []T) container[T] {
+			return fill[T](shardQueue[T]{queue.NewSharded[T](k, n, shards)}, pid, snap)
+		}},
 	}
-	return &Queue[T]{m: newMeta[T](n, t, queueRungs, build)}
+	return &Queue[T]{newMeta(n, t, nil, ladder, t.containerRule)}
 }
 
 // Enqueue appends v on behalf of pid; it returns nil or queue.ErrFull
 // and never aborts, whatever rung serves it.
 func (q *Queue[T]) Enqueue(pid int, v T) error {
-	_, err := q.m.do(pid, func(c container[T]) (T, error) {
+	_, err := q.do(pid, func(c container[T]) (T, error) {
 		var zero T
 		return zero, c.put(pid, v)
 	})
@@ -42,26 +45,8 @@ func (q *Queue[T]) Enqueue(pid int, v T) error {
 // Dequeue removes a value on behalf of pid; it returns the value or
 // queue.ErrEmpty and never aborts.
 func (q *Queue[T]) Dequeue(pid int) (T, error) {
-	return q.m.do(pid, func(c container[T]) (T, error) { return c.take(pid) })
+	return q.do(pid, func(c container[T]) (T, error) { return c.take(pid) })
 }
-
-// Stats returns the migration counters and time-in-regime.
-func (q *Queue[T]) Stats() Stats { return q.m.stats() }
-
-// Rung returns the current rung's name.
-func (q *Queue[T]) Rung() string { return q.m.names[q.m.curRung.Load()] }
-
-// Rungs returns the ladder's rung names, bottom first.
-func (q *Queue[T]) Rungs() []string { return append([]string(nil), q.m.names...) }
-
-// MorphTo steps the queue to rung dst (an index into Rungs) ignoring
-// thresholds; it reports whether dst was reached. Test hook.
-func (q *Queue[T]) MorphTo(pid, dst int) bool { return q.m.morphTo(pid, dst) }
-
-// Unwrap returns the current rung's concrete backend. After a morph it
-// returns the new rung — callers holding extensions across migrations
-// must re-Unwrap.
-func (q *Queue[T]) Unwrap() any { return q.m.unwrap() }
 
 // Progress reports StarvationFree: every rung of the ladder is.
 func (q *Queue[T]) Progress() core.Progress { return core.StarvationFree }

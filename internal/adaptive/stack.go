@@ -11,26 +11,27 @@ import (
 // pays for batching. Both rungs are linearizable and starvation-free,
 // and the epoch-gated handoff preserves the LIFO state across morphs.
 type Stack[T any] struct {
-	m *meta[T]
+	*meta[T, container[T]]
 }
-
-// stackRungs names the ladder, bottom first.
-var stackRungs = []string{"sensitive", "combining"}
 
 // NewStack returns an adaptive stack of capacity k for n processes
 // governed by t.
 func NewStack[T any](k, n int, t Thresholds) *Stack[T] {
-	build := []func() container[T]{
-		func() container[T] { return sensStack[T]{stack.NewSensitive[T](k, n)} },
-		func() container[T] { return combStack[T]{stack.NewCombining[T](k, n)} },
+	ladder := []step[T, container[T]]{
+		{"sensitive", func(pid int, snap []T) container[T] {
+			return fill[T](sensStack[T]{stack.NewSensitive[T](k, n)}, pid, snap)
+		}},
+		{"combining", func(pid int, snap []T) container[T] {
+			return fill[T](combStack[T]{stack.NewCombining[T](k, n)}, pid, snap)
+		}},
 	}
-	return &Stack[T]{m: newMeta[T](n, t, stackRungs, build)}
+	return &Stack[T]{newMeta(n, t, nil, ladder, t.containerRule)}
 }
 
 // Push pushes v on behalf of pid; it returns nil or stack.ErrFull and
 // never aborts, whatever rung serves it.
 func (s *Stack[T]) Push(pid int, v T) error {
-	_, err := s.m.do(pid, func(c container[T]) (T, error) {
+	_, err := s.do(pid, func(c container[T]) (T, error) {
 		var zero T
 		return zero, c.put(pid, v)
 	})
@@ -40,26 +41,8 @@ func (s *Stack[T]) Push(pid int, v T) error {
 // Pop pops the top value on behalf of pid; it returns the value or
 // stack.ErrEmpty and never aborts.
 func (s *Stack[T]) Pop(pid int) (T, error) {
-	return s.m.do(pid, func(c container[T]) (T, error) { return c.take(pid) })
+	return s.do(pid, func(c container[T]) (T, error) { return c.take(pid) })
 }
-
-// Stats returns the migration counters and time-in-regime.
-func (s *Stack[T]) Stats() Stats { return s.m.stats() }
-
-// Rung returns the current rung's name.
-func (s *Stack[T]) Rung() string { return s.m.names[s.m.curRung.Load()] }
-
-// Rungs returns the ladder's rung names, bottom first.
-func (s *Stack[T]) Rungs() []string { return append([]string(nil), s.m.names...) }
-
-// MorphTo steps the stack to rung dst (an index into Rungs) ignoring
-// thresholds; it reports whether dst was reached. Test hook.
-func (s *Stack[T]) MorphTo(pid, dst int) bool { return s.m.morphTo(pid, dst) }
-
-// Unwrap returns the current rung's concrete backend. After a morph it
-// returns the new rung — callers holding extensions across migrations
-// must re-Unwrap.
-func (s *Stack[T]) Unwrap() any { return s.m.unwrap() }
 
 // Progress reports StarvationFree: every rung of the ladder is.
 func (s *Stack[T]) Progress() core.Progress { return core.StarvationFree }

@@ -144,6 +144,16 @@ const AdaptiveMigrationGates = 17
 // snapshot is exactly the expected membership on whichever rung the
 // run ended, and no migration window aborted.
 func CrashAdaptiveMigration(crashAt int) (Builder, CrashPlan) {
+	return crashAdaptiveMigration(0, 1, crashAt) // cow → harris
+}
+
+// crashAdaptiveMigration is CrashAdaptiveMigration's run with the
+// prefilled set first moved, unscheduled, to rung src and the
+// migrator's MorphTo aimed at dst. From a gated source (harris, hash)
+// a migrator that dies after the open leaves an unsealed window the
+// survivor's first update quiesces, seals and closes; one that dies
+// after the seal leaves a window the survivor closes.
+func crashAdaptiveMigration(src, dst, crashAt int) (Builder, CrashPlan) {
 	initial := []uint64{10, 20}
 	survivor := []SetOp{
 		{Kind: "add", Key: 30},
@@ -159,13 +169,17 @@ func CrashAdaptiveMigration(crashAt int) (Builder, CrashPlan) {
 				panic(fmt.Sprintf("sched: prefill add(%d) = false", k))
 			}
 		}
+		if !s.MorphTo(0, src) {
+			panic(fmt.Sprintf("sched: prefill MorphTo(%d) failed", src))
+		}
+		base := s.Stats().Migrations
 		rec := lin.NewRecorder(2)
 		for _, k := range initial {
 			pend := rec.Invoke(0, "add", k)
 			rec.Return(pend, 1, lin.OutcomeOK)
 		}
 		ops := [][]func(){
-			{func() { s.MorphTo(0, 1) }}, // rung 1 = harris; crashes mid-window
+			{func() { s.MorphTo(0, dst) }}, // crashes mid-window
 			nil,
 		}
 		for _, p := range survivor {
@@ -178,8 +192,8 @@ func CrashAdaptiveMigration(crashAt int) (Builder, CrashPlan) {
 				return fmt.Errorf("survivor history not linearizable: %v", h)
 			}
 			st := s.Stats()
-			if st.Migrations > 1 || st.Aborted != 0 {
-				return fmt.Errorf("migrations = %d aborted = %d, want <= 1 and 0", st.Migrations, st.Aborted)
+			if st.Migrations > base+1 || st.Aborted != 0 {
+				return fmt.Errorf("migrations = %d aborted = %d, want <= %d and 0", st.Migrations, st.Aborted, base+1)
 			}
 			return checkSnapshot(s.Snapshot(), []uint64{20, 30})
 		}}

@@ -97,11 +97,17 @@ func TestNodeLayout(t *testing.T) {
 	if got := f.Type.Elem().Size(); got != 8 {
 		t.Fatalf("a bucket word is %d bytes, want 8", got)
 	}
-	var h Hash
-	if d := unsafe.Offsetof(h.count) - unsafe.Offsetof(h.table); d < 64 {
+	off := func(name string) uintptr {
+		f, ok := reflect.TypeFor[Hash]().FieldByName(name)
+		if !ok {
+			t.Fatalf("Hash has no field %s", name)
+		}
+		return f.Offset
+	}
+	if d := off("count") - off("table"); d < 64 {
 		t.Fatalf("Hash.count starts %d B after Hash.table, want >= 64", d)
 	}
-	if d := unsafe.Offsetof(h.resizes) - unsafe.Offsetof(h.count); d < 64 {
+	if d := off("resizes") - off("count"); d < 64 {
 		t.Fatalf("Hash.resizes starts %d B after Hash.count, want >= 64", d)
 	}
 }
