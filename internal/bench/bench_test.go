@@ -322,7 +322,7 @@ func TestE15Combining(t *testing.T) {
 	if !strings.Contains(out, "fast share") {
 		t.Fatalf("E15 missing diagnostics table:\n%s", out)
 	}
-	for _, row := range []string{"serialized RR(TAS)", "serialized mutex", "batched flat-combining"} {
+	for _, row := range []string{"serialized RR(TTAS)", "serialized mutex", "batched flat-combining"} {
 		if !strings.Contains(out, row) {
 			t.Fatalf("E15 missing contended-path row %s:\n%s", row, out)
 		}

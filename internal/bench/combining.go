@@ -16,7 +16,7 @@ func init() {
 	register(Experiment{
 		ID:    "E15",
 		Title: "flat combining on the contended path: stack throughput at 1-64 procs",
-		Claim: "batching the contended path (one combiner serves every published request per lock acquisition) beats handing the fallback lock to each process in turn: with the contended path isolated, the batched fallback out-throughputs Figure 3's serialized starvation-free fallback (round-robin over TAS) from 8 procs up at the same liveness guarantee, while the mixed workload keeps the sensitive six-access fast path when uncontended",
+		Claim: "batching the contended path (one combiner serves every published request per lock acquisition) beats handing the fallback lock to each process in turn: with the contended path isolated, the batched fallback out-throughputs Figure 3's serialized starvation-free fallback (round-robin over TTAS, lock.NewFigure3) from 8 procs up at the same liveness guarantee, while the mixed workload keeps the sensitive six-access fast path when uncontended",
 		Run:   runE15,
 	})
 	register(Experiment{
@@ -124,8 +124,8 @@ func runE15Contended(cfg Config, steps []int, w io.Writer) error {
 		}}
 	}
 	rows := []row{
-		serialized("serialized RR(TAS) [Figure 3 fallback]", func(procs int) lock.PidLock {
-			return lock.NewRoundRobin(lock.NewTAS(), procs)
+		serialized("serialized RR(TTAS) [Figure 3 fallback]", func(procs int) lock.PidLock {
+			return lock.NewFigure3(procs)
 		}),
 		serialized("serialized mutex", func(int) lock.PidLock {
 			return lock.IgnorePid(lock.NewMutex())

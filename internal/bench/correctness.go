@@ -72,7 +72,7 @@ func runE1(cfg Config, w io.Writer) error {
 		return func() (memory.Snapshot, uint64) {
 			var st memory.Stats
 			weak := stack.NewPackedObserved(2, &st)
-			s := stack.NewSensitiveFrom[uint32](weak, lock.NewRoundRobin(lock.NewTAS(), 2), &st)
+			s := stack.NewSensitiveFrom[uint32](weak, lock.NewFigure3(2), &st)
 			for i := 0; i < prefill; i++ {
 				if err := s.Push(0, uint32(i)); err != nil {
 					panic(err)

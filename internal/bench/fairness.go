@@ -34,8 +34,10 @@ func runE4(cfg Config, w io.Writer) error {
 	defer cfg.logTable("E4 fairness", tb)
 
 	variants := []row{
+		// RR over TAS, the raw-TAS row's lock, so that the two rows
+		// differ only in the round-robin.
 		{"sensitive RR(TAS) [paper]", func(k, procs int) repro.Ops {
-			s := stack.NewSensitive[uint64](k, procs)
+			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](k, procs), lock.NewRoundRobin(lock.NewTAS(), procs), nil)
 			return pushPop(s, s.Push, s.Pop)
 		}},
 		{"sensitive raw TAS (no RR)", func(k, procs int) repro.Ops {
@@ -85,6 +87,7 @@ func runE10(cfg Config, w io.Writer) error {
 		{"Mutex", func() lock.PidLock { return lock.IgnorePid(lock.NewMutex()) }},
 		{"Tournament", func() lock.PidLock { return lock.NewTournament(procs) }},
 		{"RR(TAS) [§4.4]", func() lock.PidLock { return lock.NewRoundRobin(lock.NewTAS(), procs) }},
+		{"RR(TTAS) [Figure 3]", func() lock.PidLock { return lock.NewFigure3(procs) }},
 		{"RR(Backoff)", func() lock.PidLock { return lock.NewRoundRobin(lock.NewBackoff(), procs) }},
 	}
 	for _, v := range variants {

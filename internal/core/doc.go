@@ -15,9 +15,9 @@
 //   - Figure 3: DoOp over an object's Guard serves the contention-free
 //     case on a lock-free shortcut — one CONTENTION read plus one weak
 //     attempt, no lock — and serializes conflicting operations behind
-//     a PidLock, typically lock.RoundRobin over a deadlock-free lock,
-//     which makes the object starvation-free (Theorem 1). Every
-//     Sensitive embeds a Guarded.
+//     a PidLock, typically lock.NewFigure3 (lock.RoundRobin over a
+//     deadlock-free TTAS lock), which makes the object starvation-free
+//     (Theorem 1). Every Sensitive embeds a Guarded.
 //
 // Progress documents the liveness hierarchy the paper walks through
 // (§1.2): obstruction-freedom ⊂ non-blocking ⊂ starvation-freedom;

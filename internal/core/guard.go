@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"runtime"
 	"sync/atomic"
 
@@ -14,17 +15,32 @@ import (
 // (e.g. both push and pop of a stack) must share one Guard, because
 // CONTENTION is a per-object signal.
 //
-// The lock is a PidLock; pass lock.NewRoundRobin(deadlockFreeLock, n)
-// to obtain the paper's exact Figure 3 (starvation-free over a merely
-// deadlock-free lock), or lock.IgnorePid(starvationFreeLock) for the
-// simplified variant of the §4 Remark.
+// The lock is a PidLock; pass lock.NewFigure3(n) to obtain the paper's
+// exact Figure 3 (starvation-free over a merely deadlock-free lock),
+// or lock.IgnorePid(starvationFreeLock) for the simplified variant of
+// the §4 Remark.
+//
+// Every field is read-only after construction, so the words every
+// operation reads never share a line with a word an operation writes:
+// the path counters live in slots, one per pid, in an allocation of
+// their own.
 type Guard struct {
 	contention *memory.Flag
 	lk         lock.PidLock
+	slots      []guardSlot // len is a power of two
+	mask       int         // len(slots)-1: pid's counters are slots[pid&mask]
+}
 
+// guardSlot holds one pid's path counters. Its owner writes them on
+// every operation, so the blank pads keep them at least 64 B from any
+// other word — the neighbouring slots', and whatever shares the
+// allocation's first and last lines — at any allocation offset.
+type guardSlot struct {
+	_       [56]byte
 	fast    atomic.Uint64 // operations completed on the shortcut
 	slow    atomic.Uint64 // operations that took the lock
 	retries atomic.Uint64 // weak attempts consumed inside the slow path
+	_       [56]byte
 }
 
 // NewGuard returns a Guard over lk with an uninstrumented CONTENTION
@@ -36,8 +52,16 @@ func NewGuard(lk lock.PidLock) *Guard {
 // NewGuardObserved returns a Guard whose CONTENTION register reports
 // every access to obs, so that experiment E1 can count the shortcut's
 // shared accesses. A nil obs disables instrumentation.
+//
+// The guard keeps one counter slot per process when lk knows its
+// process count (lock.RoundRobin's N), rounded up to a power of two,
+// and one shared slot otherwise (an IgnorePid lock takes any pid).
 func NewGuardObserved(lk lock.PidLock, obs memory.Observer) *Guard {
-	return &Guard{contention: memory.NewFlagObserved(false, obs), lk: lk}
+	n := 1
+	if l, ok := lk.(interface{ N() int }); ok && l.N() > 1 {
+		n = 1 << bits.Len(uint(l.N()-1))
+	}
+	return &Guard{contention: memory.NewFlagObserved(false, obs), lk: lk, slots: make([]guardSlot, n), mask: n - 1}
 }
 
 // GuardStats is a snapshot of a Guard's path counters.
@@ -53,16 +77,29 @@ type GuardStats struct {
 	Retries uint64
 }
 
-// Stats returns a snapshot of the guard's path counters.
+// Stats returns the guard's path counters summed over every slot. It
+// is exact at quiescence; under load each counter is a lower bound of
+// its value at return, and Slow never decreases between calls.
 func (g *Guard) Stats() GuardStats {
-	return GuardStats{Fast: g.fast.Load(), Slow: g.slow.Load(), Retries: g.retries.Load()}
+	var st GuardStats
+	for i := range g.slots {
+		s := &g.slots[i]
+		st.Fast += s.fast.Load()
+		st.Slow += s.slow.Load()
+		st.Retries += s.retries.Load()
+	}
+	return st
 }
 
-// ResetStats zeroes the path counters (between quiescent phases only).
+// ResetStats zeroes every slot's counters (between quiescent phases
+// only).
 func (g *Guard) ResetStats() {
-	g.fast.Store(0)
-	g.slow.Store(0)
-	g.retries.Store(0)
+	for i := range g.slots {
+		s := &g.slots[i]
+		s.fast.Store(0)
+		s.slow.Store(0)
+		s.retries.Store(0)
+	}
 }
 
 // Do runs one strong operation according to Figure 3 over a comma-ok
@@ -82,30 +119,35 @@ func Do[R any](g *Guard, pid int, try func() (R, bool)) R {
 // of one successful weak attempt — six in total for the paper's stack
 // (Theorem 1) — and no lock.
 func DoOp[V any](g *Guard, pid int, bot error, try func() (V, error)) (V, error) {
+	slot := &g.slots[pid&g.mask]
 	if !g.contention.Read() { // line 01
 		if v, err := try(); !bottom(err, bot) { // line 02
-			g.fast.Add(1)
+			slot.fast.Add(1)
 			return v, err
 		}
 	}
 	// Slow path: lines 04-13. Lines 04-06 and 10-12 (the FLAG/TURN
 	// round-robin and the underlying lock) live inside the PidLock.
-	g.slow.Add(1)
+	slot.slow.Add(1)
 	g.lk.Acquire(pid)        // lines 04-06
 	g.contention.Write(true) // line 07
-	for {                    // line 08
-		g.retries.Add(1)
+	// Line 08: retry the weak operation until it is not ⊥.
+	for tries := uint64(1); ; tries++ {
 		v, err := try()
 		if !bottom(err, bot) {
 			g.contention.Write(false) // line 09
 			g.lk.Release(pid)         // lines 10-12
+			slot.retries.Add(tries)
 			return v, err
 		}
 		// A failed attempt means some process is concurrently inside
-		// a line-02 shortcut; yield so it can finish (the paper's
-		// asynchrony assumption makes this a no-op in the model, but
-		// a cooperative scheduler needs it).
-		runtime.Gosched()
+		// a line-02 shortcut. The paper's asynchrony assumption lets
+		// it finish; a cooperative scheduler may have descheduled it,
+		// so yield every lock.SpinBudget failures, as the spin locks
+		// do, to let it run when goroutines outnumber processors.
+		if tries%lock.SpinBudget == 0 {
+			runtime.Gosched()
+		}
 	}
 }
 

@@ -63,10 +63,10 @@ type Sensitive struct {
 }
 
 // NewSensitive returns the paper's configuration for n processes: a
-// fresh weak deque of capacity k behind a round-robin-wrapped
-// test-and-set lock.
+// fresh weak deque of capacity k behind the Figure 3 lock
+// (lock.NewFigure3).
 func NewSensitive(k, n int) *Sensitive {
-	return NewSensitiveFrom(NewAbortable(k), lock.NewRoundRobin(lock.NewTAS(), n))
+	return NewSensitiveFrom(NewAbortable(k), lock.NewFigure3(n))
 }
 
 // NewSensitiveFrom builds Figure 3 over an existing weak deque and

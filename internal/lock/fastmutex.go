@@ -79,7 +79,7 @@ func (l *FastMutex) Acquire(pid int) {
 			for j := 0; j < l.n; j++ {
 				spins := 0
 				for l.b[j].f.Read() {
-					if spins++; spins >= spinBudget {
+					if spins++; spins >= SpinBudget {
 						spins = 0
 						runtime.Gosched()
 					}
@@ -106,7 +106,7 @@ func (l *FastMutex) Release(pid int) {
 func (l *FastMutex) waitYClear() {
 	spins := 0
 	for l.y.Read() != 0 {
-		if spins++; spins >= spinBudget {
+		if spins++; spins >= SpinBudget {
 			spins = 0
 			runtime.Gosched()
 		}

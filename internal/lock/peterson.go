@@ -31,7 +31,7 @@ func (l *Peterson) Acquire(pid int) {
 	l.victim.Write(uint64(pid))
 	spins := 0
 	for l.flag[other].Read() && l.victim.Read() == uint64(pid) {
-		if spins++; spins >= spinBudget {
+		if spins++; spins >= SpinBudget {
 			spins = 0
 			runtime.Gosched()
 		}

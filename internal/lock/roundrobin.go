@@ -49,6 +49,16 @@ func NewRoundRobin(inner Lock, n int) *RoundRobin {
 	return &RoundRobin{inner: inner, n: n, flag: make([]paddedFlag, n)}
 }
 
+// NewFigure3 returns the slow-path lock of the paper's Figure 3 for n
+// processes: the round-robin transformation over a test-and-test-and-
+// set lock, which is deadlock-free only, as the paper assumes, and is
+// made starvation-free by the FLAG/TURN lines (§4.4). Every Sensitive
+// shell builds its lock here. The inner lock is TTAS rather than TAS
+// because TTAS waiters spin on reads of a shared line instead of
+// failing CASes that take it exclusive, which contended Figure 3
+// objects measured as faster (EXPERIMENTS E19).
+func NewFigure3(n int) *RoundRobin { return NewRoundRobin(NewTTAS(), n) }
+
 // N returns the number of processes the lock was built for.
 func (l *RoundRobin) N() int { return l.n }
 
@@ -63,7 +73,7 @@ func (l *RoundRobin) Acquire(pid int) {
 		if t == pid || !l.flag[t].f.Read() {
 			break
 		}
-		if spins++; spins >= spinBudget {
+		if spins++; spins >= SpinBudget {
 			spins = 0
 			runtime.Gosched()
 		}

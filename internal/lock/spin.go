@@ -5,11 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// spinBudget is the number of failed probe iterations a spinning lock
+// SpinBudget is the number of failed probe iterations a spinning lock
 // tolerates before yielding the processor. Yielding keeps the spin
 // locks live when there are more competing goroutines than GOMAXPROCS
-// (the holder must get scheduled to release).
-const spinBudget = 64
+// (the holder must get scheduled to release). core.DoOp's slow path
+// paces its in-lock retries by the same budget.
+const SpinBudget = 64
 
 // TAS is a test-and-set spin lock: a single CAS-able register, the
 // simplest deadlock-free lock and the paper's minimal assumption for
@@ -28,7 +29,7 @@ func NewTAS() *TAS { return &TAS{} }
 func (l *TAS) Lock() {
 	spins := 0
 	for !l.state.CompareAndSwap(0, 1) {
-		if spins++; spins >= spinBudget {
+		if spins++; spins >= SpinBudget {
 			spins = 0
 			runtime.Gosched()
 		}
@@ -58,7 +59,7 @@ func (l *TTAS) Lock() {
 	for {
 		spins := 0
 		for l.state.Load() != 0 {
-			if spins++; spins >= spinBudget {
+			if spins++; spins >= SpinBudget {
 				spins = 0
 				runtime.Gosched()
 			}
@@ -99,7 +100,7 @@ func (l *Backoff) Lock() {
 	for {
 		spins := 0
 		for l.state.Load() != 0 {
-			if spins++; spins >= spinBudget {
+			if spins++; spins >= SpinBudget {
 				spins = 0
 				runtime.Gosched()
 			}

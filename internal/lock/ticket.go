@@ -26,7 +26,7 @@ func (l *Ticket) Lock() {
 	t := l.next.Add(1) - 1
 	spins := 0
 	for l.owner.Load() != t {
-		if spins++; spins >= spinBudget {
+		if spins++; spins >= SpinBudget {
 			spins = 0
 			runtime.Gosched()
 		}

@@ -51,8 +51,8 @@ type Sensitive[T any] struct {
 }
 
 // NewSensitive returns the paper's configuration for n processes: a
-// fresh abortable queue of capacity k over a round-robin-wrapped
-// test-and-set lock.
+// fresh abortable queue of capacity k over the Figure 3 lock
+// (lock.NewFigure3).
 func NewSensitive[T any](k, n int) *Sensitive[T] { return NewSensitiveObserved[T](k, n, nil) }
 
 // NewSensitiveFrom builds Figure 3 over any weak queue and PidLock.
@@ -63,7 +63,7 @@ func NewSensitiveFrom[T any](weak Weak[T], lk lock.PidLock) *Sensitive[T] {
 // NewSensitiveObserved is NewSensitive with all shared accesses (weak
 // queue and CONTENTION register) reported to obs.
 func NewSensitiveObserved[T any](k, n int, obs memory.Observer) *Sensitive[T] {
-	lk := lock.NewRoundRobin(lock.NewTAS(), n)
+	lk := lock.NewFigure3(n)
 	return &Sensitive[T]{Guarded: core.NewGuarded(lk, obs), weak: NewAbortableObserved[T](k, obs)}
 }
 

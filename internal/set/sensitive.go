@@ -21,10 +21,11 @@ type Sensitive struct {
 }
 
 // NewSensitive returns the paper's exact configuration for n processes
-// over a fresh abortable set: round-robin over a deadlock-free
-// test-and-set lock. Callers pass pids in [0, n).
+// over a fresh abortable set: the Figure 3 lock, round-robin over a
+// deadlock-free TTAS lock (lock.NewFigure3). Callers pass pids in
+// [0, n).
 func NewSensitive(n int) *Sensitive {
-	return NewSensitiveFrom(NewAbortable(), lock.NewRoundRobin(lock.NewTAS(), n))
+	return NewSensitiveFrom(NewAbortable(), lock.NewFigure3(n))
 }
 
 // NewSensitiveFrom builds Figure 3 over any weak set and any PidLock.

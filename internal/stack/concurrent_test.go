@@ -2,8 +2,10 @@ package stack
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/lock"
 )
@@ -274,5 +276,34 @@ func TestNonBlockingCountedReportsAborts(t *testing.T) {
 	// With 8 procs hammering a tiny stack there must be interference.
 	if totalAborts == 0 {
 		t.Log("warning: no aborts observed (machine too serial?); counts still consistent")
+	}
+}
+
+// TestSensitiveOversubscribedConserves runs four workers per P on the
+// Figure 3 stack, so slow-path holders routinely wait on descheduled
+// shortcut operations: DoOp's budgeted yield must let those run, and
+// every value must still be popped or left exactly once. CI runs it at
+// -cpu 1,2.
+func TestSensitiveOversubscribedConserves(t *testing.T) {
+	procs, perProc, k := 4*runtime.GOMAXPROCS(0), stressN(2000), 64
+	s := NewSensitive[uint64](k, procs)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conserved(t, procs, perProc, s.Push, s.Pop, func() []uint64 {
+			var out []uint64
+			for {
+				v, err := s.Pop(0)
+				if err != nil {
+					return out
+				}
+				out = append(out, v)
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d workers x %d ops not done after 30s at GOMAXPROCS %d", procs, perProc, runtime.GOMAXPROCS(0))
 	}
 }

@@ -18,8 +18,9 @@ type Sensitive[T any] struct {
 }
 
 // NewSensitive returns the paper's exact configuration for n
-// processes: a fresh abortable stack of capacity k guarded by a
-// round-robin transformation of a deadlock-free test-and-set lock.
+// processes: a fresh abortable stack of capacity k guarded by the
+// Figure 3 lock, round-robin over a deadlock-free TTAS lock
+// (lock.NewFigure3).
 // Callers pass pids in [0, n).
 func NewSensitive[T any](k, n int) *Sensitive[T] { return NewSensitiveObserved[T](k, n, nil) }
 
@@ -27,7 +28,7 @@ func NewSensitive[T any](k, n int) *Sensitive[T] { return NewSensitiveObserved[T
 // both the weak stack and the CONTENTION register reported to obs —
 // the configuration under which E1 counts Theorem 1's six accesses.
 func NewSensitiveObserved[T any](k, n int, obs memory.Observer) *Sensitive[T] {
-	return NewSensitiveFrom[T](NewAbortableObserved[T](k, n, obs), lock.NewRoundRobin(lock.NewTAS(), n), obs)
+	return NewSensitiveFrom[T](NewAbortableObserved[T](k, n, obs), lock.NewFigure3(n), obs)
 }
 
 // NewSensitiveFrom builds Figure 3 over any weak stack and any

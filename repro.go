@@ -156,8 +156,8 @@ var ErrExhausted = core.ErrExhausted
 
 // NewStack returns a contention-sensitive, starvation-free stack of
 // capacity k for n processes — the paper's exact Figure 3
-// configuration (abortable stack + round-robin over a test-and-set
-// lock).
+// configuration (abortable stack + the round-robin transformation
+// over a deadlock-free TTAS lock, lock.NewFigure3).
 func NewStack[T any](k, n int) *Stack[T] { return stack.NewSensitive[T](k, n) }
 
 // NewAbortableStack returns the Figure 1 weak stack of capacity k for
