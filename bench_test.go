@@ -256,9 +256,14 @@ func BenchmarkE7Managers(b *testing.B) {
 // search budget is affordable).
 func BenchmarkE8ModelChecker(b *testing.B) {
 	b.ReportAllocs()
-	build, schedule := sched.ABASchedule(sched.Boxed)
+	var r sched.ABAReplay
+	for _, r = range sched.ABAReplays() {
+		if r.Name == "boxed" {
+			break
+		}
+	}
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Replay(build, schedule, 0); err != nil {
+		if _, err := sched.Replay(r.Build, r.Schedule, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -368,10 +373,10 @@ func BenchmarkE12FastMutex(b *testing.B) {
 // (how many §5 crash scenarios per second the scheduler can sweep).
 func BenchmarkE13CrashReplay(b *testing.B) {
 	b.ReportAllocs()
-	survivor := []sched.StackOp{{Push: true, Value: 1}, {Push: false}}
+	survivor := []sched.Op{{V: 1}, {Code: 1}} // push 1, pop
 	for i := 0; i < b.N; i++ {
-		build, crashes := sched.CrashPush(sched.Boxed, 8, nil, 77, 3, survivor)
-		if _, err := sched.ReplayWithCrashes(build, []int{0, 0, 0}, crashes, 0); err != nil {
+		build := sched.Program(sched.Lookup("stack/boxed", 8), nil, [][]sched.Op{{{V: 77}}, survivor}, nil)
+		if _, err := sched.ReplayWithCrashes(build, []int{0, 0, 0}, sched.CrashPlan{0: 3}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

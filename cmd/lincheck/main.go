@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro"
 	"repro/internal/bench"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -96,32 +97,27 @@ func main() {
 // a single pop, plus the flat-combining lease-held crashes.
 func runCrashSweeps(w *os.File) error {
 	tb := metrics.NewTable("target", "crashed op", "crash points", "verdict")
-	survivor := []sched.StackOp{{Push: true, Value: 100}, {}, {}, {}}
+	survivor := []sched.Op{{V: 100}, {Code: 1}, {Code: 1}, {Code: 1}} // push 100, pop ×3
 	const points = 8
-	for _, backend := range []sched.StackBackend{sched.Boxed, sched.PackedWords, sched.PooledTreiber, sched.PooledAbortable} {
-		for _, op := range []sched.StackOp{{Push: true, Value: 77}, {}} {
-			name := "pop"
-			if op.Push {
-				name = "push"
-			}
-			err := sched.SweepCrashPoints(points, func(crashAt int) (sched.Builder, sched.CrashPlan) {
-				return sched.CrashStackOp(backend, 8, []uint64{10, 20}, op, crashAt, survivor)
-			})
-			if err != nil {
+	for _, name := range []string{"boxed", "packed", "pooled-treiber"} {
+		for _, op := range []sched.Op{{V: 77}, {Code: 1}} { // push 77, pop
+			// Process 0 runs op and is crashed by the plan; process 1
+			// runs survivor.
+			build := sched.Program(sched.Lookup("stack/"+name, 8), []uint64{10, 20},
+				[][]sched.Op{{op}, survivor}, nil)
+			opName := sched.Kinds[repro.KindStack].Names[op.Code]
+			if err := sched.SweepCrashPoints(points, build); err != nil {
 				fmt.Fprint(w, tb.String())
-				return fmt.Errorf("%v crashed %s: %v", backend, name, err)
+				return fmt.Errorf("%s crashed %s: %v", name, opName, err)
 			}
-			tb.AddRow(backend.String(), name, points+1, "linearizable (crashed op pending)")
+			tb.AddRow(name, opName, points+1, "linearizable (crashed op pending)")
 		}
 	}
 
 	// Flat combining: the combiner dies at every gate of its
 	// contended push — lease acquisition, CONTENTION raise, mid-
 	// apply, release — and the survivor must steal the lease.
-	err := sched.SweepCrashPoints(sched.CombiningCrashGates, func(crashAt int) (sched.Builder, sched.CrashPlan) {
-		return sched.CombiningCrashBuilder(false), sched.CrashPlan{0: crashAt}
-	})
-	if err != nil {
+	if err := sched.SweepCrashPoints(sched.CombiningCrashGates, sched.CombiningCrashBuilder(false)); err != nil {
 		fmt.Fprint(w, tb.String())
 		return fmt.Errorf("combining crash sweep: %v", err)
 	}
@@ -137,7 +133,7 @@ func runCrashSweeps(w *os.File) error {
 	// Adaptive set: the migrator dies at every gate of its cow→harris
 	// window — before the open, between open and seal, mid-rebuild, at
 	// the close — and the survivor must finish with nothing stranded.
-	if err := sched.SweepCrashPoints(sched.AdaptiveMigrationGates+1, sched.CrashAdaptiveMigration); err != nil {
+	if err := sched.SweepCrashPoints(sched.AdaptiveMigrationGates+1, sched.CrashAdaptiveMigration()); err != nil {
 		fmt.Fprint(w, tb.String())
 		return fmt.Errorf("adaptive migration crash sweep: %v", err)
 	}

@@ -10,12 +10,14 @@
 //	modelcheck -mode walk -target naive-aba -runs 20000
 //	modelcheck -mode aba
 //
-// Exit status 1 means a violation was found on a target that is
-// supposed to be correct (tagged model-checker backends — these are
-// internal/sched's deterministic instrumented variants, distinct from
-// the public repro.Catalog() surface that cmd/lincheck and the
-// lockstep fuzzers enumerate); the naive targets are
-// *expected* to fail and report success when they do.
+// The targets are internal/sched's named programs (sched.Programs) and
+// its pinned ABA schedules (sched.ABAReplays), both over its table of
+// observed backends — deterministic instrumented variants, distinct
+// from the public repro.Catalog() surface that cmd/lincheck and the
+// lockstep fuzzers enumerate. Exit status 1 means a violation was
+// found on a target that is supposed to be correct; the naive targets
+// are *expected* to fail and report success when they do. A walk-only
+// target refuses -mode exhaustive (exit status 2).
 package main
 
 import (
@@ -25,99 +27,6 @@ import (
 
 	"repro/internal/sched"
 )
-
-// target is a named model-checking configuration.
-type target struct {
-	name        string
-	description string
-	build       sched.Builder
-	expectFail  bool
-}
-
-func targets() []target {
-	return []target{
-		{
-			name:        "stack-pushpop",
-			description: "boxed stack: push vs pop, one op each",
-			build: sched.WeakStackBuilder(sched.Boxed, 2, []uint64{7},
-				[][]sched.StackOp{{{Push: true, Value: 9}}, {{Push: false}}}),
-		},
-		{
-			name:        "stack-pushpop-packed",
-			description: "packed stack: push vs pop, one op each",
-			build: sched.WeakStackBuilder(sched.PackedWords, 2, []uint64{7},
-				[][]sched.StackOp{{{Push: true, Value: 9}}, {{Push: false}}}),
-		},
-		{
-			name:        "stack-popper-race",
-			description: "boxed stack: two racing pops over [1 2]",
-			build: sched.WeakStackBuilder(sched.Boxed, 2, []uint64{1, 2},
-				[][]sched.StackOp{{{Push: false}}, {{Push: false}}}),
-		},
-		{
-			name:        "stack-3way",
-			description: "boxed stack: push vs push vs pop (larger tree; use -mode walk)",
-			build: sched.WeakStackBuilder(sched.Boxed, 3, []uint64{1},
-				[][]sched.StackOp{
-					{{Push: true, Value: 2}},
-					{{Push: true, Value: 3}},
-					{{Push: false}},
-				}),
-		},
-		{
-			name:        "queue-enqdeq",
-			description: "abortable queue: enqueue vs dequeue, capacity 1",
-			build: sched.WeakQueueBuilder(1, nil,
-				[][]sched.QueueOp{{{Enq: true, Value: 9}}, {{Enq: false}}}),
-		},
-		{
-			name:        "queue-enqenq",
-			description: "abortable queue: two racing enqueues on the last slot",
-			build: sched.WeakQueueBuilder(1, nil,
-				[][]sched.QueueOp{{{Enq: true, Value: 1}}, {{Enq: true, Value: 2}}}),
-		},
-		{
-			name:        "deque-opposite-ends",
-			description: "HLM deque: pushr vs popl over one element",
-			build: sched.WeakDequeBuilder(4, []uint64{7},
-				[][]sched.DequeOp{{{Kind: "pushr", Value: 9}}, {{Kind: "popl"}}}),
-		},
-		{
-			name:        "deque-singleton-races",
-			description: "HLM deque: popl vs popr over a single element (the hot spot)",
-			build: sched.WeakDequeBuilder(4, []uint64{42},
-				[][]sched.DequeOp{{{Kind: "popl"}}, {{Kind: "popr"}}}),
-		},
-		{
-			name:        "naive-aba",
-			description: "untagged stack under the pop vs pop,pop,push,push race (EXPECTED to fail)",
-			build: sched.WeakStackBuilder(sched.NaiveABA, 4, []uint64{10, 20},
-				[][]sched.StackOp{
-					{{Push: false}},
-					{{Push: false}, {Push: false}, {Push: true, Value: 30}, {Push: true, Value: 40}},
-				}),
-			expectFail: true,
-		},
-		{
-			name:        "set-add-remove",
-			description: "COW abortable set: add vs remove over overlapping keys",
-			build: sched.WeakSetBuilder(sched.CowSet, []uint64{10},
-				[][]sched.SetOp{{{Kind: "add", Key: 20}}, {{Kind: "rem", Key: 10}}}),
-		},
-		{
-			name:        "harris-window-race",
-			description: "lock-free list: racing add and remove in one window",
-			build: sched.WeakSetBuilder(sched.HarrisSet, []uint64{10, 20},
-				[][]sched.SetOp{{{Kind: "add", Key: 15}}, {{Kind: "rem", Key: 10}}}),
-		},
-		{
-			name:        "hash-split-race",
-			description: "split-ordered hash: racing bucket splits and a remove",
-			build: sched.WeakSetBuilder(sched.HashSet, []uint64{4, 6},
-				[][]sched.SetOp{{{Kind: "add", Key: 1}}, {{Kind: "rem", Key: 6}, {Kind: "add", Key: 3}}}),
-		},
-	}
-}
 
 func main() {
 	var (
@@ -131,8 +40,8 @@ func main() {
 	flag.Parse()
 
 	if *listT {
-		for _, t := range targets() {
-			fmt.Printf("%-22s %s\n", t.name, t.description)
+		for _, p := range sched.Programs() {
+			fmt.Printf("%-22s %s\n", p.Name, p.Description)
 		}
 		return
 	}
@@ -142,14 +51,14 @@ func main() {
 		return
 	}
 
-	var tgt *target
-	for _, t := range targets() {
-		if t.name == *name {
-			tgt = &t
+	var prog *sched.NamedProgram
+	for _, p := range sched.Programs() {
+		if p.Name == *name {
+			prog = &p
 			break
 		}
 	}
-	if tgt == nil {
+	if prog == nil {
 		fmt.Fprintf(os.Stderr, "modelcheck: unknown target %q (use -list)\n", *name)
 		os.Exit(2)
 	}
@@ -157,20 +66,24 @@ func main() {
 	var rep sched.Report
 	switch *mode {
 	case "exhaustive":
-		rep = sched.Explore(tgt.build, sched.Options{MaxSchedules: *maxSch})
+		if prog.WalkOnly {
+			fmt.Fprintf(os.Stderr, "modelcheck: target %q's schedule tree does not fit an exhaustive budget; use -mode walk\n", prog.Name)
+			os.Exit(2)
+		}
+		rep = sched.Explore(prog.Build, sched.Options{MaxSchedules: *maxSch})
 	case "walk":
-		rep = sched.Walk(tgt.build, *runs, *seed, sched.Options{})
+		rep = sched.Walk(prog.Build, *runs, *seed, sched.Options{})
 	default:
 		fmt.Fprintf(os.Stderr, "modelcheck: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
 
-	fmt.Printf("target:    %s (%s)\n", tgt.name, tgt.description)
+	fmt.Printf("target:    %s (%s)\n", prog.Name, prog.Description)
 	fmt.Printf("mode:      %s\n", *mode)
 	fmt.Printf("schedules: %d (complete tree: %v)\n", rep.Schedules, rep.Complete)
 	if rep.Failure == nil {
 		fmt.Println("result:    no violation found")
-		if tgt.expectFail {
+		if prog.ExpectFail {
 			fmt.Println("note:      this target is expected to fail; increase -runs")
 			os.Exit(1)
 		}
@@ -180,7 +93,7 @@ func main() {
 	for i, st := range rep.Failure.Trace {
 		fmt.Printf("    %3d: p%d %s\n", i, st.Pid, st.Access)
 	}
-	if tgt.expectFail {
+	if prog.ExpectFail {
 		fmt.Println("verdict:   expected failure reproduced (the §2.2 ABA problem)")
 		return
 	}
@@ -192,42 +105,21 @@ func main() {
 // where a retired node is back at the register when the stale CAS
 // fires (experiment E8's deterministic half).
 func runABA() {
-	for _, backend := range []sched.StackBackend{sched.NaiveABA, sched.Boxed, sched.PackedWords} {
-		build, schedule := sched.ABASchedule(backend)
-		trace, err := sched.Replay(build, schedule, 0)
-		fmt.Printf("backend %-16s: ", backend)
-		if err != nil {
+	for _, r := range sched.ABAReplays() {
+		trace, err := sched.Replay(r.Build, r.Schedule, 0)
+		fmt.Printf("backend %-16s: ", r.Name)
+		switch {
+		case err != nil:
 			fmt.Printf("CORRUPTED — %v\n", err)
-		} else {
+		case r.Recycles:
+			fmt.Printf("survived forced node recycling (%d scheduled accesses)\n", len(trace))
+		default:
 			fmt.Printf("survived the ABA interleaving (%d scheduled accesses)\n", len(trace))
 		}
-		if backend == sched.NaiveABA && err == nil {
-			fmt.Fprintln(os.Stderr, "modelcheck: the naive stack unexpectedly survived")
+		if r.Corrupts != (err != nil) {
+			fmt.Fprintf(os.Stderr, "modelcheck: backend %s: corrupted %v, expected %v\n", r.Name, err != nil, r.Corrupts)
 			os.Exit(1)
 		}
-		if backend != sched.NaiveABA && err != nil {
-			fmt.Fprintln(os.Stderr, "modelcheck: a tagged backend was corrupted")
-			os.Exit(1)
-		}
-	}
-	for _, tc := range []struct {
-		name  string
-		sched func() (sched.Builder, []int)
-	}{
-		{"pooled-treiber", sched.PooledTreiberABASchedule},
-		{"pooled-ms-queue", sched.PooledMSABASchedule},
-		{"harris-set", sched.HarrisABASchedule},
-		{"hash-set-split", sched.HashSplitABASchedule},
-	} {
-		build, schedule := tc.sched()
-		trace, err := sched.Replay(build, schedule, 0)
-		fmt.Printf("backend %-16s: ", tc.name)
-		if err != nil {
-			fmt.Printf("CORRUPTED — %v\n", err)
-			fmt.Fprintln(os.Stderr, "modelcheck: a pooled backend was corrupted by recycling")
-			os.Exit(1)
-		}
-		fmt.Printf("survived forced node recycling (%d scheduled accesses)\n", len(trace))
 	}
 	fmt.Println("verdict: sequence tags (§2.2) are necessary and sufficient on these schedules")
 }

@@ -11,6 +11,7 @@ import (
 	"repro"
 	"repro/internal/memory"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
@@ -49,7 +50,7 @@ func allocRows(procs int) []allocRow {
 		}
 		ops := repro.Drive(b, repro.WithCapacity(k), repro.WithProcs(procs))
 		if b.Weak {
-			ops = retrying(ops, kinds[b.Kind].aborted)
+			ops = retrying(ops, sched.Kinds[b.Kind].Aborted)
 		}
 		out = append(out, allocRow{b.Name, ops, strings.Contains(b.Allocation, "0 allocs/op")})
 	}

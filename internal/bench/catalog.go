@@ -7,6 +7,7 @@ import (
 	"repro"
 	"repro/internal/lock"
 	"repro/internal/queue"
+	"repro/internal/sched"
 	"repro/internal/stack"
 )
 
@@ -43,17 +44,6 @@ func catalogRows(kind string, keep func(repro.Backend) bool) []row {
 	return out
 }
 
-// pushPop is the two-op driver (op 0 push/enqueue, op 1 pop/dequeue)
-// over a hand-built instance x's closures.
-func pushPop(x any, push func(pid int, v uint64) error, pop func(pid int) (uint64, error)) repro.Ops {
-	return repro.Ops{N: 2, Instance: x, Do: func(pid, op int, v uint64) (uint64, error) {
-		if op == 0 {
-			return 0, push(pid, v)
-		}
-		return pop(pid)
-	}}
-}
-
 // retrying wraps a weak driver so every op retries until it does not
 // abort: each measured op then completed, comparable with strong rows.
 func retrying(ops repro.Ops, aborted error) repro.Ops {
@@ -81,13 +71,13 @@ func lockStackRows() []row {
 	withLock := func(name string, mk func() lock.Lock) row {
 		return row{name, func(k, _ int) repro.Ops {
 			s := stack.NewLockBasedWith[uint64](k, lock.IgnorePid(mk()))
-			return pushPop(s, s.Push, s.Pop)
+			return sched.PushPop(s, s.Push, s.Pop)
 		}}
 	}
 	return []row{
 		{"lock(mutex)", func(k, _ int) repro.Ops {
 			s := stack.NewLockBased[uint64](k)
-			return pushPop(s, s.Push, s.Pop)
+			return sched.PushPop(s, s.Push, s.Pop)
 		}},
 		withLock("lock(ticket)", func() lock.Lock { return lock.NewTicket() }),
 		withLock("lock(tas)", func() lock.Lock { return lock.NewTAS() }),
@@ -99,7 +89,7 @@ func lockStackRows() []row {
 func lockQueueRows() []row {
 	return []row{{"lock(mutex)", func(k, _ int) repro.Ops {
 		q := queue.NewLockBased[uint64](k)
-		return pushPop(q, q.Enqueue, q.Dequeue)
+		return sched.PushPop(q, q.Enqueue, q.Dequeue)
 	}}}
 }
 
@@ -111,16 +101,16 @@ func internalRows() []row {
 	return []row{
 		{"stack/packed", func(k, _ int) repro.Ops {
 			s := stack.NewPacked(k)
-			return pushPop(s, func(pid int, v uint64) error { return s.TryPush(pid, uint32(v)) },
+			return sched.PushPop(s, func(pid int, v uint64) error { return s.TryPush(pid, uint32(v)) },
 				func(pid int) (uint64, error) { v, err := s.TryPop(pid); return uint64(v), err })
 		}},
 		{"stack/abortable-pooled", func(k, procs int) repro.Ops {
 			s := stack.NewAbortable[uint64](k, procs)
-			return pushPop(s, s.TryPush, s.TryPop)
+			return sched.PushPop(s, s.TryPush, s.TryPop)
 		}},
 		{"queue/packed", func(k, _ int) repro.Ops {
 			q := queue.NewPacked(k)
-			return pushPop(q, func(_ int, v uint64) error { return q.TryEnqueue(uint32(v)) },
+			return sched.PushPop(q, func(_ int, v uint64) error { return q.TryEnqueue(uint32(v)) },
 				func(int) (uint64, error) { v, err := q.TryDequeue(); return uint64(v), err })
 		}},
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/queue"
+	"repro/internal/sched"
 	"repro/internal/stack"
 )
 
@@ -71,7 +72,7 @@ func runE15(cfg Config, w io.Writer) error {
 	defer cfg.logTable("E15 diagnostics", diags)
 	for _, procs := range steps {
 		s := stack.NewCombining[uint64](k, procs)
-		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, pushPop(s, s.Push, s.Pop))))
+		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, sched.PushPop(s, s.Push, s.Pop))))
 		st := s.Stats()
 		share := 1.0
 		if total := st.Fast + st.Published; total > 0 {
@@ -132,7 +133,7 @@ func runE15Contended(cfg Config, steps []int, w io.Writer) error {
 		}),
 		{"batched flat-combining", func(k, procs int) repro.Ops {
 			s := stack.NewCombining[uint64](k, procs)
-			return pushPop(s, s.PushContended, s.PopContended)
+			return sched.PushPop(s, s.PushContended, s.PopContended)
 		}},
 	}
 
@@ -161,7 +162,7 @@ func runE16(cfg Config, w io.Writer) error {
 	row := []interface{}{"cont-sensitive"}
 	for _, procs := range steps {
 		q := queue.NewSensitive[uint64](k, procs)
-		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, pushPop(q, q.Enqueue, q.Dequeue))))
+		row = append(row, rate(hammer(procs, cfg.Duration, cfg.Seed, sched.PushPop(q, q.Enqueue, q.Dequeue))))
 	}
 	tb.AddRow(row...)
 
@@ -173,7 +174,7 @@ func runE16(cfg Config, w io.Writer) error {
 		row := []interface{}{"sharded K=" + strconv.Itoa(shards)}
 		for _, procs := range steps {
 			q := queue.NewSharded[uint64](k, procs, shards)
-			counts, elapsed := hammer(procs, cfg.Duration, cfg.Seed, pushPop(q, q.Enqueue, q.Dequeue))
+			counts, elapsed := hammer(procs, cfg.Duration, cfg.Seed, sched.PushPop(q, q.Enqueue, q.Dequeue))
 			ops := metrics.Sum(counts)
 			row = append(row, rate(counts, elapsed))
 			if procs == steps[len(steps)-1] {

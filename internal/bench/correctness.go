@@ -152,17 +152,15 @@ func runE2(cfg Config, w io.Writer) error {
 
 	// Exhaustive half: every schedule of a solo process (there is
 	// exactly one) across the full/empty boundaries.
-	plan := []sched.StackOp{
-		{Push: true, Value: 1}, {Push: true, Value: 2}, {Push: true, Value: 3},
-		{Push: false}, {Push: false}, {Push: false},
-	}
-	for _, backend := range []sched.StackBackend{sched.Boxed, sched.PackedWords} {
-		rep := sched.Explore(sched.SoloNeverAborts(backend, 2, nil, plan), sched.Options{})
+	plan := []sched.Op{{V: 1}, {V: 2}, {V: 3}, {Code: 1}, {Code: 1}, {Code: 1}} // push 1, 2, 3; pop ×3
+	for _, name := range []string{"boxed", "packed"} {
+		solo := sched.Program(sched.Lookup("stack/"+name, 2), nil, [][]sched.Op{plan}, nil)
+		rep := sched.Explore(solo, sched.Options{})
 		verdict := "pass"
 		if rep.Failure != nil {
 			verdict = "FAIL: " + rep.Failure.Err.Error()
 		}
-		tb.AddRow(backend.String(), "model-checked", len(plan), 0, verdict)
+		tb.AddRow(name, "model-checked", len(plan), 0, verdict)
 		if rep.Failure != nil {
 			fprintf(w, "%s", tb.String())
 			return fmt.Errorf("E2: %v", rep.Failure.Err)
@@ -217,60 +215,53 @@ func runE8(cfg Config, w io.Writer) error {
 	tb := metrics.NewTable("backend", "schedule", "outcome", "verdict")
 	defer cfg.logTable("E8 ABA outcomes", tb)
 
-	// Deterministic half: the handcrafted §2.2 interleaving.
-	for _, backend := range []sched.StackBackend{sched.NaiveABA, sched.Boxed, sched.PackedWords} {
-		build, schedule := sched.ABASchedule(backend)
-		_, err := sched.Replay(build, schedule, 0)
-		switch backend {
-		case sched.NaiveABA:
+	// Deterministic half: the handcrafted §2.2 interleaving, then on
+	// the recycled-node backends the forced window — a node is retired,
+	// recycled, and back at the register when the stale CAS fires — in
+	// which the tag must make that CAS fail (the programs also assert
+	// reuse really occurred). The set tier's replays run in
+	// cmd/modelcheck -mode aba.
+	recycled := map[string]string{
+		"pooled-treiber":  "node recycled to same handle; stale CAS failed",
+		"pooled-ms-queue": "dummy recycled, head returned to old handle; stale CAS failed",
+	}
+	var naive sched.Builder
+	for _, r := range sched.ABAReplays() {
+		outcome, ok := recycled[r.Name]
+		if r.Recycles && !ok {
+			continue
+		}
+		_, err := sched.Replay(r.Build, r.Schedule, 0)
+		switch {
+		case r.Corrupts:
 			if err == nil {
 				fprintf(w, "%s", tb.String())
 				return errors.New("E8: the ABA schedule failed to break the naive stack")
 			}
-			tb.AddRow(backend.String(), "handcrafted ABA", "corrupted (pop repeated, push lost)", "reproduces §2.2")
-		default:
-			if err != nil {
-				fprintf(w, "%s", tb.String())
-				return fmt.Errorf("E8: tagged backend %v corrupted: %v", backend, err)
-			}
-			tb.AddRow(backend.String(), "handcrafted ABA", "stale CAS failed; history linearizable", "tags prevent ABA")
-		}
-	}
-
-	// Pooled half: on the recycled-node backends the §2.2 window is
-	// forced deterministically — a node is retired, recycled, and back
-	// at the register when the stale CAS fires — and the tag must make
-	// that CAS fail (the builders also assert reuse really occurred).
-	for _, tc := range []struct {
-		name    string
-		sched   func() (sched.Builder, []int)
-		outcome string
-	}{
-		{"pooled-treiber", sched.PooledTreiberABASchedule,
-			"node recycled to same handle; stale CAS failed"},
-		{"pooled-ms-queue", sched.PooledMSABASchedule,
-			"dummy recycled, head returned to old handle; stale CAS failed"},
-	} {
-		build, schedule := tc.sched()
-		if _, err := sched.Replay(build, schedule, 0); err != nil {
+			naive = r.Build
+			tb.AddRow(r.Name, "handcrafted ABA", "corrupted (pop repeated, push lost)", "reproduces §2.2")
+		case err != nil:
 			fprintf(w, "%s", tb.String())
-			return fmt.Errorf("E8: pooled backend %s corrupted: %v", tc.name, err)
+			return fmt.Errorf("E8: tagged backend %v corrupted: %v", r.Name, err)
+		case r.Recycles:
+			tb.AddRow(r.Name, "forced recycle", outcome, "tags prevent reuse ABA")
+		default:
+			tb.AddRow(r.Name, "handcrafted ABA", "stale CAS failed; history linearizable", "tags prevent ABA")
 		}
-		tb.AddRow(tc.name, "forced recycle", tc.outcome, "tags prevent reuse ABA")
 	}
 
-	// Random-walk half for the pooled Figure 1 stack: the validated
+	// Random-walk half for the Figure 1 stack over its recycled value
+	// arena (the row keeps its pooled-abortable name): the validated
 	// snapshots plus tags must keep every explored interleaving
 	// linearizable despite record recycling.
 	pooledRuns := 800
 	if cfg.Quick {
 		pooledRuns = 200
 	}
-	pooledBuild := sched.WeakStackBuilder(sched.PooledAbortable, 4, []uint64{10, 20},
-		[][]sched.StackOp{
-			{{Push: false}, {Push: true, Value: 30}},
-			{{Push: false}, {Push: false}, {Push: true, Value: 40}},
-		})
+	pooledBuild := sched.Program(sched.Lookup("stack/boxed", 4), []uint64{10, 20}, [][]sched.Op{
+		{{Code: 1}, {V: 30}},            // pop, push 30
+		{{Code: 1}, {Code: 1}, {V: 40}}, // pop, pop, push 40
+	}, nil)
 	if rep := sched.Walk(pooledBuild, pooledRuns, cfg.Seed, sched.Options{}); rep.Failure != nil {
 		fprintf(w, "%s", tb.String())
 		return fmt.Errorf("E8: pooled-abortable violated linearizability: %v", rep.Failure.Err)
@@ -283,12 +274,7 @@ func runE8(cfg Config, w io.Writer) error {
 	if cfg.Quick {
 		runs = 800
 	}
-	build := sched.WeakStackBuilder(sched.NaiveABA, 4, []uint64{10, 20},
-		[][]sched.StackOp{
-			{{Push: false}},
-			{{Push: false}, {Push: false}, {Push: true, Value: 30}, {Push: true, Value: 40}},
-		})
-	rep := sched.Walk(build, runs, cfg.Seed, sched.Options{})
+	rep := sched.Walk(naive, runs, cfg.Seed, sched.Options{})
 	if rep.Failure == nil {
 		tb.AddRow("naive", fmt.Sprintf("%d random schedules", rep.Schedules), "no violation found", "(search too small)")
 	} else {

@@ -50,9 +50,7 @@ func runE22(cfg Config, w io.Writer) error {
 	// every shared access of its contended push (lease acquisition,
 	// CONTENTION raise, mid-apply, between slots, release) and the
 	// survivor must always complete with a linearizable history.
-	if err := sched.SweepCrashPoints(sched.CombiningCrashGates, func(crashAt int) (sched.Builder, sched.CrashPlan) {
-		return sched.CombiningCrashBuilder(false), sched.CrashPlan{0: crashAt}
-	}); err != nil {
+	if err := sched.SweepCrashPoints(sched.CombiningCrashGates, sched.CombiningCrashBuilder(false)); err != nil {
 		return fmt.Errorf("E22: combining crash-point sweep: %v", err)
 	}
 	if err := fprintf(w, "crash-point sweep: combiner crashed at each of %d gates, survivor linearized at every point\n",

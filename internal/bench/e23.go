@@ -90,7 +90,7 @@ func runE23(cfg Config, w io.Writer) error {
 	// dies at every gate of its cow→harris window (before the open,
 	// between open and seal, mid-rebuild, at the close) and the
 	// survivor must always complete with the exact expected membership.
-	if err := sched.SweepCrashPoints(sched.AdaptiveMigrationGates+1, sched.CrashAdaptiveMigration); err != nil {
+	if err := sched.SweepCrashPoints(sched.AdaptiveMigrationGates+1, sched.CrashAdaptiveMigration()); err != nil {
 		return fmt.Errorf("E23: migration crash-point sweep: %v", err)
 	}
 	if err := fprintf(w, "migration crash sweep: migrator crashed at each of %d gates, survivors completed and linearized at every point\n",

@@ -77,26 +77,23 @@ func runE13(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	tb := metrics.NewTable("backend", "crash point (accesses into weak_push)", "survivor ops", "verdict")
 	defer cfg.logTable("E13 crash survival", tb)
-	survivor := []sched.StackOp{
-		{Push: true, Value: 100},
-		{Push: false},
-		{Push: false},
-		{Push: false},
-		{Push: false},
-	}
-	for _, backend := range []sched.StackBackend{sched.Boxed, sched.PackedWords} {
+	survivor := []sched.Op{{V: 100}, {Code: 1}, {Code: 1}, {Code: 1}, {Code: 1}} // push 100, pop ×4
+	for _, name := range []string{"boxed", "packed"} {
+		// Process 0 pushes 77 and is crashed by the plan; process 1
+		// runs survivor.
+		build := sched.Program(sched.Lookup("stack/"+name, 8), []uint64{10, 20},
+			[][]sched.Op{{{V: 77}}, survivor}, nil)
 		for crashAt := 0; crashAt <= 5; crashAt++ {
-			build, crashes := sched.CrashPush(backend, 8, []uint64{10, 20}, 77, crashAt, survivor)
 			schedule := make([]int, crashAt)
-			_, err := sched.ReplayWithCrashes(build, schedule, crashes, 0)
+			_, err := sched.ReplayWithCrashes(build, schedule, sched.CrashPlan{0: crashAt}, 0)
 			verdict := "survivor consistent, all ops complete"
 			if err != nil {
 				verdict = "FAIL: " + err.Error()
 			}
-			tb.AddRow(backend.String(), crashAt, len(survivor), verdict)
+			tb.AddRow(name, crashAt, len(survivor), verdict)
 			if err != nil {
 				fprintf(w, "%s", tb.String())
-				return fmt.Errorf("E13: %v crashAt=%d: %v", backend, crashAt, err)
+				return fmt.Errorf("E13: %v crashAt=%d: %v", name, crashAt, err)
 			}
 		}
 	}

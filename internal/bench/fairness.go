@@ -8,6 +8,7 @@ import (
 	"repro"
 	"repro/internal/lock"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/stack"
 	"repro/internal/workload"
 )
@@ -38,19 +39,19 @@ func runE4(cfg Config, w io.Writer) error {
 		// differ only in the round-robin.
 		{"sensitive RR(TAS) [paper]", func(k, procs int) repro.Ops {
 			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](k, procs), lock.NewRoundRobin(lock.NewTAS(), procs), nil)
-			return pushPop(s, s.Push, s.Pop)
+			return sched.PushPop(s, s.Push, s.Pop)
 		}},
 		{"sensitive raw TAS (no RR)", func(k, procs int) repro.Ops {
 			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](k, procs), lock.IgnorePid(lock.NewTAS()), nil)
-			return pushPop(s, s.Push, s.Pop)
+			return sched.PushPop(s, s.Push, s.Pop)
 		}},
 		{"lock-based TAS", func(k, _ int) repro.Ops {
 			s := stack.NewLockBasedWith[uint64](k, lock.IgnorePid(lock.NewTAS()))
-			return pushPop(s, s.Push, s.Pop)
+			return sched.PushPop(s, s.Push, s.Pop)
 		}},
 		{"lock-based ticket", func(k, _ int) repro.Ops {
 			s := stack.NewLockBasedWith[uint64](k, lock.IgnorePid(lock.NewTicket()))
-			return pushPop(s, s.Push, s.Pop)
+			return sched.PushPop(s, s.Push, s.Pop)
 		}},
 	}
 	// Every count covers the same barrier-released window, so min/proc

@@ -1,19 +1,15 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"sync/atomic"
 
 	"repro"
-	"repro/internal/deque"
 	lin "repro/internal/linearizability"
 	"repro/internal/metrics"
-	"repro/internal/queue"
-	"repro/internal/set"
-	"repro/internal/stack"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -39,49 +35,6 @@ type LinTarget struct {
 	Build func(procs int) repro.Ops
 }
 
-// kindSpec is what the history checks know about one object kind
-// beyond its repro.Ops driver: the history names of its op codes, how
-// many leading op codes insert a fresh value, the op-code draw (which
-// also picks a set's key), the sequential model and the capacity it is
-// checked at, and the kind's sentinel errors.
-type kindSpec struct {
-	names                []string
-	inserts              int
-	draw                 func(rng *workload.RNG) (op int, key uint64)
-	model                func(k int) lin.Model
-	capacity             int
-	full, empty, aborted error
-}
-
-// setKeys is the set histories' key range: small, so windows overlap
-// constantly, and over the hash set's 2-bucket fresh table it keeps
-// every lazy split and sentinel adoption inside the recorded
-// histories.
-const setKeys = 8
-
-// balanced draws a balanced insert/remove mix (op 0 or 1).
-func balanced(rng *workload.RNG) (int, uint64) {
-	if workload.Balanced.NextIsPush(rng) {
-		return 0, 0
-	}
-	return 1, 0
-}
-
-// kinds is the per-kind table RunLin checks by (E17 also takes the
-// abort sentinels from it).
-var kinds = map[string]kindSpec{
-	repro.KindStack: {[]string{"push", "pop"}, 1, balanced, lin.StackModel, 6,
-		stack.ErrFull, stack.ErrEmpty, stack.ErrAborted},
-	repro.KindQueue: {[]string{"enq", "deq"}, 1, balanced, lin.QueueModel, 5,
-		queue.ErrFull, queue.ErrEmpty, queue.ErrAborted},
-	repro.KindDeque: {[]string{"pushl", "pushr", "popl", "popr"}, 2,
-		func(rng *workload.RNG) (int, uint64) { return rng.Intn(4), 0 }, lin.DequeModel, 6,
-		deque.ErrFull, deque.ErrEmpty, deque.ErrAborted},
-	repro.KindSet: {[]string{"add", "rem", "has"}, 0,
-		func(rng *workload.RNG) (int, uint64) { return rng.Intn(3), uint64(rng.Intn(setKeys)) },
-		func(int) lin.Model { return lin.SetModel() }, 0, nil, nil, set.ErrAborted},
-}
-
 // LinTargets returns the implementations the linearizability
 // experiments cover: every backend in the public catalog, built by
 // repro.Drive with the catalog's LinOpts applied (the sharded queue
@@ -95,7 +48,7 @@ func LinTargets() []LinTarget {
 	}
 	for _, r := range internalRows() {
 		kind := kindOf(r.name)
-		k := kinds[kind].capacity
+		k := sched.Kinds[kind].Capacity
 		out = append(out, LinTarget{r.name, kind, k, true, func(procs int) repro.Ops { return r.build(k, procs) }})
 	}
 	return out
@@ -104,7 +57,7 @@ func LinTargets() []LinTarget {
 // linTarget checks catalog entry b at its kind's model capacity; the
 // target's name carries the entry's LinNote restriction.
 func linTarget(b repro.Backend) LinTarget {
-	capacity := kinds[b.Kind].capacity
+	capacity := sched.Kinds[b.Kind].Capacity
 	name, k := b.Name, 0
 	if b.LinNote != "" {
 		name += "[" + b.LinNote + "]"
@@ -125,23 +78,19 @@ func linTarget(b repro.Backend) LinTarget {
 // of checked (non-aborted) ops, the number of dropped aborted ops, and
 // the checker result. Shared by E11, E14 and cmd/lincheck.
 func RunLin(tgt LinTarget, procs, rounds, perRound int, seed uint64) (ops, aborts int, res lin.Result) {
-	ks := kinds[tgt.Kind]
-	var aborted error
-	if tgt.Weak {
-		aborted = ks.aborted
-	}
+	ks := sched.Kinds[tgt.Kind]
 	d := tgt.Build(procs)
 	rec := lin.NewRecorder(procs)
 	var next seqCounter
 	runRounds(rounds, procs, seed, func(_, pid int, rng *workload.RNG) {
 		for i := 0; i < perRound; i++ {
-			op, v := ks.draw(rng)
-			if op < ks.inserts {
+			op, v := ks.Draw(rng)
+			if op < ks.Inserts {
 				v = next.inc()
 			}
-			pend := rec.Invoke(pid, ks.names[op], v)
+			pend := rec.Invoke(pid, ks.Names[op], v)
 			got, err := d.Do(pid, op, v)
-			rec.Return(pend, got, outcomeFor(err, ks.full, ks.empty, aborted))
+			rec.Return(pend, got, ks.Outcome(err, tgt.Weak))
 		}
 	})
 	h := rec.History()
@@ -152,14 +101,14 @@ func RunLin(tgt LinTarget, procs, rounds, perRound int, seed uint64) (ops, abort
 	// history.
 	inserts := 0
 	for _, op := range h {
-		if slices.Contains(ks.names[:ks.inserts], op.Kind) {
+		if slices.Contains(ks.Names[:ks.Inserts], op.Kind) {
 			inserts++
 		}
 	}
 	if uint64(inserts) > next.issued() {
 		panic("bench: history records more inserts than values issued")
 	}
-	return len(h), rec.Aborts(), lin.CheckSegmented(ks.model(tgt.K), h, 0, 0)
+	return len(h), rec.Aborts(), lin.CheckSegmented(ks.Model(tgt.K), h, 0, 0)
 }
 
 func runE11(cfg Config, w io.Writer) error {
@@ -211,19 +160,4 @@ func (a *seqCounter) inc() uint64 {
 // issued returns how many values have been handed out so far.
 func (a *seqCounter) issued() uint64 {
 	return atomic.LoadUint64(&a.v)
-}
-
-func outcomeFor(err, full, empty, aborted error) string {
-	switch {
-	case err == nil:
-		return lin.OutcomeOK
-	case full != nil && errors.Is(err, full):
-		return lin.OutcomeFull
-	case empty != nil && errors.Is(err, empty):
-		return lin.OutcomeEmpty
-	case aborted != nil && errors.Is(err, aborted):
-		return lin.OutcomeAborted
-	default:
-		panic(err)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lock"
 	"repro/internal/memory"
 )
 
@@ -18,11 +19,6 @@ const (
 	slotDone
 )
 
-// spinBudget bounds busy-waiting before yielding, as in internal/lock:
-// with more goroutines than GOMAXPROCS the serving combiner must get
-// scheduled for a waiter's request to complete.
-const spinBudget = 64
-
 // combinePasses is how many times a combiner re-scans the publication
 // list before releasing: a second pass picks up requests published
 // while the first ran, amortizing the lock hand-off further.
@@ -32,7 +28,7 @@ const combinePasses = 2
 // observations a waiter tolerates before it presumes the combiner
 // crashed and steals the lease. The combiner bumps the heartbeat once
 // per slot application, so a live combiner is stale only while one
-// apply is in flight; with a Gosched every spinBudget observations a
+// apply is in flight; with a Gosched every lock.SpinBudget observations a
 // runnable combiner gets scheduled long before the budget expires.
 // A false steal is the only path to a double-applied request, so by
 // default the budget alone does not license one: defaultLeaseTimeout
@@ -42,7 +38,7 @@ const defaultLeaseBudget = 1 << 16
 
 // defaultLeaseTimeout is the wall-clock floor on a default-budget
 // steal: besides exhausting the observation budget, the lease must
-// have stayed frozen this long (timed from the freeze's spinBudget-th
+// have stayed frozen this long (timed from the freeze's lock.SpinBudget-th
 // observation, so short freezes never read the clock). The budget
 // alone is a few milliseconds of spinning, and a live combiner whose
 // thread the OS has descheduled (more runnable threads than cores)
@@ -319,7 +315,7 @@ func (c *Core[A, R]) DoContended(pid int, arg A) R {
 	s.published.Add(1)
 	spins, stale := 0, 0
 	var lastLease, lastBeat uint64
-	var frozenAt time.Time // when stale reached spinBudget
+	var frozenAt time.Time // when stale reached lock.SpinBudget
 	haveObs := false
 	for {
 		if s.state.Load() == slotDone {
@@ -343,7 +339,7 @@ func (c *Core[A, R]) DoContended(pid int, arg A) R {
 		}
 		b := c.loadBeat()
 		if haveObs && l == lastLease && b == lastBeat {
-			if stale++; stale == spinBudget && c.leaseTimeout > 0 {
+			if stale++; stale == lock.SpinBudget && c.leaseTimeout > 0 {
 				frozenAt = time.Now()
 			}
 			if stale >= c.leaseBudget && (c.leaseTimeout <= 0 || time.Since(frozenAt) >= c.leaseTimeout) {
@@ -366,7 +362,7 @@ func (c *Core[A, R]) DoContended(pid int, arg A) R {
 		} else {
 			lastLease, lastBeat, stale, haveObs = l, b, 0, true
 		}
-		if spins++; spins >= spinBudget {
+		if spins++; spins >= lock.SpinBudget {
 			spins = 0
 			runtime.Gosched()
 		}

@@ -9,7 +9,9 @@ import (
 // tolerates before yielding the processor. Yielding keeps the spin
 // locks live when there are more competing goroutines than GOMAXPROCS
 // (the holder must get scheduled to release). core.DoOp's slow path
-// paces its in-lock retries by the same budget.
+// paces its in-lock retries by the same budget, and internal/combine's
+// waiters their spins (the serving combiner must get scheduled for a
+// waiter's request to complete).
 const SpinBudget = 64
 
 // TAS is a test-and-set spin lock: a single CAS-able register, the

@@ -3,38 +3,11 @@ package sched
 import (
 	"fmt"
 
+	"repro"
 	"repro/internal/adaptive"
-	lin "repro/internal/linearizability"
 	"repro/internal/memory"
 	"repro/internal/set"
 )
-
-// adaptiveSetBuilder wires an adaptive set, its prefill, and a
-// linearizability recorder into a Run. The adaptive set's strong ops
-// never abort, so every history outcome is OK; MorphTo is a control
-// action, not an abstract set operation, and is kept out of the
-// history.
-func adaptiveSetRecordedOp(rec *lin.Recorder, s *adaptive.Set, pid int, p SetOp) func() {
-	return func() {
-		pend := rec.Invoke(pid, p.Kind, p.Key)
-		var res bool
-		switch p.Kind {
-		case "add":
-			res = s.Add(pid, p.Key)
-		case "rem":
-			res = s.Remove(pid, p.Key)
-		case "has":
-			res = s.Contains(pid, p.Key)
-		default:
-			panic("sched: unknown set op kind")
-		}
-		out := uint64(0)
-		if res {
-			out = 1
-		}
-		rec.Return(pend, out, lin.OutcomeOK)
-	}
-}
 
 // AdaptiveMigrationSchedule returns the builder and handcrafted
 // schedule that drive a full cow→harris migration of the adaptive set
@@ -71,54 +44,19 @@ func adaptiveSetRecordedOp(rec *lin.Recorder, s *adaptive.Set, pid int, p SetOp)
 // head read (1) + find steps over nodes 10 and 20 (4) + prep (2) +
 // link CAS (1) — and the announce clear (1) = 13.
 func AdaptiveMigrationSchedule() (Builder, []int) {
-	initial := []uint64{10, 20}
-	build := func(obs memory.Observer) Run {
-		s := adaptive.NewSetObserved(2, adaptive.Thresholds{QuiesceBudget: 1 << 10}, obs)
-		for _, k := range initial {
-			if !s.Add(0, k) {
-				panic(fmt.Sprintf("sched: prefill add(%d) = false", k))
-			}
-		}
-		rec := lin.NewRecorder(2)
-		for _, k := range initial {
-			pend := rec.Invoke(0, "add", k)
-			rec.Return(pend, 1, lin.OutcomeOK)
-		}
-		var morphOK bool
-		ops := [][]func(){
-			{adaptiveSetRecordedOp(rec, s, 0, SetOp{Kind: "add", Key: 30})},
-			{func() { morphOK = s.MorphTo(1, 1) }}, // rung 1 = harris
-		}
-		return Run{Ops: ops, Check: func() error {
-			if !morphOK {
-				return fmt.Errorf("MorphTo(harris) did not reach its rung")
-			}
-			h := rec.History()
-			res := lin.Check(lin.SetModel(), h, 0)
-			if !res.Ok {
-				return fmt.Errorf("history not linearizable: %v", h)
-			}
-			st := s.Stats()
-			if st.Migrations != 1 || st.Aborted != 0 {
+	build := Program(Lookup("set/adaptive", 0), []uint64{10, 20},
+		[][]Op{{{opAdd, 30}}, {{opMorph, 1}}}, // rung 1 = harris
+		func(inst any) error {
+			s := inst.(*adaptive.Set)
+			if st := s.Stats(); st.Migrations != 1 || st.Aborted != 0 {
 				return fmt.Errorf("migrations = %d aborted = %d, want 1 and 0", st.Migrations, st.Aborted)
 			}
 			if _, ok := s.Unwrap().(*set.Harris); !ok {
 				return fmt.Errorf("final rung is %T, want *set.Harris", s.Unwrap())
 			}
-			return checkSnapshot(s.Snapshot(), []uint64{10, 20, 30})
-		}}
-	}
-	sched := make([]int, 0, 32)
-	for i := 0; i < 2; i++ {
-		sched = append(sched, 0)
-	}
-	for i := 0; i < 17; i++ {
-		sched = append(sched, 1)
-	}
-	for i := 0; i < 13; i++ {
-		sched = append(sched, 0)
-	}
-	return build, sched
+			return snapshotIs(s, 10, 20, 30)
+		})
+	return build, segments(0, 2, 1, 17, 0, 13)
 }
 
 // AdaptiveMigrationGates is the number of shared accesses in the solo
@@ -132,7 +70,7 @@ const AdaptiveMigrationGates = 17
 
 // CrashAdaptiveMigration builds a §5 crash-tolerance run for the
 // migration window itself: process 0 runs MorphTo(harris) over the
-// prefilled cow set {10 20} and crashes after crashAt shared accesses;
+// prefilled cow set {10 20} and is crashed by the run's CrashPlan;
 // process 1 then runs a strong op sequence to completion, solo. A
 // migrator that dies before the seal leaves the window open but the
 // cow source live — the survivor's updates go straight to the source
@@ -143,74 +81,36 @@ const AdaptiveMigrationGates = 17
 // history linearizes against the sequential set model, the final
 // snapshot is exactly the expected membership on whichever rung the
 // run ended, and no migration window aborted.
-func CrashAdaptiveMigration(crashAt int) (Builder, CrashPlan) {
-	return crashAdaptiveMigration(0, 1, crashAt) // cow → harris
+func CrashAdaptiveMigration() Builder {
+	return crashAdaptiveMigration(0, 1) // cow → harris
 }
 
-// crashAdaptiveMigration is CrashAdaptiveMigration's run with the
-// prefilled set first moved, unscheduled, to rung src and the
-// migrator's MorphTo aimed at dst. From a gated source (harris, hash)
-// a migrator that dies after the open leaves an unsealed window the
-// survivor's first update quiesces, seals and closes; one that dies
-// after the seal leaves a window the survivor closes.
-func crashAdaptiveMigration(src, dst, crashAt int) (Builder, CrashPlan) {
-	initial := []uint64{10, 20}
-	survivor := []SetOp{
-		{Kind: "add", Key: 30},
-		{Kind: "rem", Key: 10},
-		{Kind: "has", Key: 20},
-		{Kind: "has", Key: 10},
-		{Kind: "has", Key: 30},
-	}
-	build := func(obs memory.Observer) Run {
-		s := adaptive.NewSetObserved(2, adaptive.Thresholds{QuiesceBudget: 1 << 10}, obs)
-		for _, k := range initial {
-			if !s.Add(0, k) {
-				panic(fmt.Sprintf("sched: prefill add(%d) = false", k))
-			}
-		}
-		if !s.MorphTo(0, src) {
+// crashAdaptiveMigration is CrashAdaptiveMigration's run with the set
+// first moved, unscheduled and before the prefill, to rung src and the
+// migrator's MorphTo
+// aimed at dst. From a gated source (harris, hash) a migrator that
+// dies after the open leaves an unsealed window the survivor's first
+// update quiesces, seals and closes; one that dies after the seal
+// leaves a window the survivor closes.
+func crashAdaptiveMigration(src, dst int) Builder {
+	t := Lookup("set/adaptive", 0)
+	build := t.Build
+	t.Build = func(k, procs int, obs memory.Observer) repro.Ops {
+		d := build(k, procs, obs)
+		if got, _ := d.Do(0, opMorph, uint64(src)); got != 1 {
 			panic(fmt.Sprintf("sched: prefill MorphTo(%d) failed", src))
 		}
-		base := s.Stats().Migrations
-		rec := lin.NewRecorder(2)
-		for _, k := range initial {
-			pend := rec.Invoke(0, "add", k)
-			rec.Return(pend, 1, lin.OutcomeOK)
-		}
-		ops := [][]func(){
-			{func() { s.MorphTo(0, dst) }}, // crashes mid-window
-			nil,
-		}
-		for _, p := range survivor {
-			ops[1] = append(ops[1], adaptiveSetRecordedOp(rec, s, 1, p))
-		}
-		return Run{Ops: ops, Check: func() error {
-			h := rec.History()
-			res := lin.Check(lin.SetModel(), h, 0)
-			if !res.Ok {
-				return fmt.Errorf("survivor history not linearizable: %v", h)
+		return d
+	}
+	survivor := []Op{{opAdd, 30}, {opRem, 10}, {opHas, 20}, {opHas, 10}, {opHas, 30}}
+	return Program(t, []uint64{10, 20}, [][]Op{{{opMorph, uint64(dst)}}, survivor},
+		func(inst any) error {
+			s := inst.(*adaptive.Set)
+			// Each MorphTo moves one rung at a time, so reaching src
+			// took src migrations.
+			if st := s.Stats(); st.Migrations > uint64(src)+1 || st.Aborted != 0 {
+				return fmt.Errorf("migrations = %d aborted = %d, want <= %d and 0", st.Migrations, st.Aborted, src+1)
 			}
-			st := s.Stats()
-			if st.Migrations > base+1 || st.Aborted != 0 {
-				return fmt.Errorf("migrations = %d aborted = %d, want <= %d and 0", st.Migrations, st.Aborted, base+1)
-			}
-			return checkSnapshot(s.Snapshot(), []uint64{20, 30})
-		}}
-	}
-	return build, CrashPlan{0: crashAt}
-}
-
-// checkSnapshot compares a quiescent snapshot against the expected
-// ascending membership.
-func checkSnapshot(got, want []uint64) error {
-	if len(got) != len(want) {
-		return fmt.Errorf("final set %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("final set %v, want %v", got, want)
-		}
-	}
-	return nil
+			return snapshotIs(s, 20, 30)
+		})
 }

@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"testing"
-
-	"repro/internal/adaptive"
-	"repro/internal/memory"
-)
+import "testing"
 
 // TestAdaptiveMigrationScheduleReplays verifies the adaptive set's
 // mid-flight migration property deterministically: a writer parked
@@ -39,28 +34,30 @@ func TestAdaptiveMigrationScheduleReplays(t *testing.T) {
 const harrisMigrationGates = 21
 
 // TestAdaptiveMigrationGateCounts pins both swept windows' gate counts
-// against a solo run under a counting observer, so a drift in either
+// on the swept programs themselves: in a crash-free replay the
+// migrator (pid 0, scheduled first) runs its window solo, so a drift
 // fails here rather than shrinking a sweep's coverage.
 func TestAdaptiveMigrationGateCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		src, dst   int
+		build      Builder
 		wantAccess int
-	}{{"cow→harris", 0, 1, AdaptiveMigrationGates}, {"harris→hash", 1, 2, harrisMigrationGates}} {
-		var st memory.Stats
-		s := adaptive.NewSetObserved(2, adaptive.Thresholds{QuiesceBudget: 1 << 10}, &st)
-		s.Add(0, 10)
-		s.Add(0, 20)
-		if !s.MorphTo(0, tc.src) {
-			t.Fatalf("%s: MorphTo(%d) failed", tc.name, tc.src)
+	}{
+		{"cow→harris", CrashAdaptiveMigration(), AdaptiveMigrationGates},
+		{"harris→hash", crashAdaptiveMigration(1, 2), harrisMigrationGates},
+	} {
+		trace, err := ReplayWithCrashes(tc.build, nil, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: crash-free run failed: %v", tc.name, err)
 		}
-		before := st.Snapshot()
-		if !s.MorphTo(0, tc.dst) {
-			t.Fatalf("%s: MorphTo(%d) failed", tc.name, tc.dst)
+		got := 0
+		for _, st := range trace {
+			if st.Pid == 0 {
+				got++
+			}
 		}
-		d := st.Snapshot().Sub(before)
-		if got := int(d.Reads + d.Writes + d.CASes); got != tc.wantAccess {
-			t.Fatalf("%s: migrator made %d accesses (%+v), want %d", tc.name, got, d, tc.wantAccess)
+		if got != tc.wantAccess {
+			t.Fatalf("%s: migrator made %d accesses, want %d (trace %s)", tc.name, got, tc.wantAccess, traceString(trace))
 		}
 	}
 }
@@ -73,11 +70,10 @@ func TestAdaptiveMigrationGateCounts(t *testing.T) {
 // cow→harris window (the cow root seal) and the harris→hash window
 // (announce quiescence plus the observed record seal).
 func TestAdaptiveMigrationCrashSweep(t *testing.T) {
-	if err := SweepCrashPoints(AdaptiveMigrationGates+1, CrashAdaptiveMigration); err != nil {
+	if err := SweepCrashPoints(AdaptiveMigrationGates+1, CrashAdaptiveMigration()); err != nil {
 		t.Fatalf("adaptive migration crash sweep: %v", err)
 	}
-	harris := func(crashAt int) (Builder, CrashPlan) { return crashAdaptiveMigration(1, 2, crashAt) }
-	if err := SweepCrashPoints(harrisMigrationGates+1, harris); err != nil {
+	if err := SweepCrashPoints(harrisMigrationGates+1, crashAdaptiveMigration(1, 2)); err != nil {
 		t.Fatalf("harris-source migration crash sweep: %v", err)
 	}
 }

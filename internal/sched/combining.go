@@ -3,18 +3,8 @@ package sched
 import (
 	"fmt"
 
-	lin "repro/internal/linearizability"
-	"repro/internal/memory"
 	"repro/internal/stack"
 )
-
-// combiningLeaseBudget is the shrunken steal budget the deterministic
-// combining runs pin: a waiter that observes the (lease, heartbeat)
-// pair frozen for 3 consecutive iterations presumes the combiner
-// crashed and steals the lease. Small enough that a pinned schedule
-// reaches the takeover in a handful of decisions, large enough that
-// the waiter demonstrably tolerates a live-but-slow combiner first.
-const combiningLeaseBudget = 3
 
 // CombiningCrashBuilder builds the §5 crash run for the flat-combining
 // stack: process 0 pushes 100 on the contended path (publish, acquire
@@ -35,53 +25,16 @@ const combiningLeaseBudget = 3
 // points die before acquisition, so the survivor acquires a free
 // lease and no steal occurs).
 func CombiningCrashBuilder(assertSteal bool) Builder {
-	return func(obs memory.Observer) Run {
-		s := stack.NewCombiningObserved(4, 2, obs)
-		s.SetLeaseBudget(combiningLeaseBudget)
-		rec := lin.NewRecorder(2)
-		var opCall int64
-		crasher := func() {
-			pend := rec.Invoke(0, "push", 100)
-			opCall = pend.CallTime()
-			err := s.PushContended(0, 100) // crashes inside at the planned gate
-			rec.Return(pend, 0, stackOutcome(err))
-			opCall = 0
+	var post func(any) error
+	if assertSteal {
+		post = func(inst any) error {
+			if st := inst.(*stack.Combining[uint64]).Stats(); st.Steals < 1 {
+				return fmt.Errorf("recovery did not steal the lease (steals=%d)", st.Steals)
+			}
+			return nil
 		}
-		survivor := func() {
-			pend := rec.Invoke(1, "pop", 0)
-			v, err := s.PopContended(1)
-			rec.Return(pend, v, stackOutcome(err))
-		}
-		return Run{Ops: [][]func(){{crasher}, {survivor}}, Check: func() error {
-			if assertSteal {
-				if st := s.Stats(); st.Steals < 1 {
-					return fmt.Errorf("recovery did not steal the lease (steals=%d)", st.Steals)
-				}
-			}
-			h := rec.History()
-			if res := lin.Check(lin.StackModel(4), h, 0); res.Ok {
-				return nil // the crashed push took no effect
-			}
-			if opCall == 0 {
-				return fmt.Errorf("completed history not linearizable: %v", h)
-			}
-			var maxRet int64
-			for _, o := range h {
-				if o.Return > maxRet {
-					maxRet = o.Return
-				}
-			}
-			h2 := append([]lin.Op{{
-				Proc: 0, Call: opCall, Return: maxRet + 1,
-				Kind: "push", Input: 100, Outcome: lin.OutcomeOK,
-			}}, h...)
-			sortOpsByCall(h2)
-			if res := lin.Check(lin.StackModel(4), h2, 0); res.Ok {
-				return nil // the crashed push took effect
-			}
-			return fmt.Errorf("history not linearizable with or without the crashed push: %v", h)
-		}}
 	}
+	return Program(Lookup("stack/combining", 4), nil, [][]Op{{{opPush, 100}}, {{opPop, 0}}}, post)
 }
 
 // CombiningTakeoverSchedule returns the builder, schedule and CrashPlan
@@ -104,11 +57,7 @@ func CombiningCrashBuilder(assertSteal bool) Builder {
 // access 12, the pop slot's heartbeat bump.
 func CombiningTakeoverSchedule() (Builder, []int, CrashPlan) {
 	const crashGate = 11
-	sched := make([]int, crashGate)
-	for i := range sched {
-		sched[i] = 0
-	}
-	return CombiningCrashBuilder(true), sched, CrashPlan{0: crashGate}
+	return CombiningCrashBuilder(true), segments(0, crashGate), CrashPlan{0: crashGate}
 }
 
 // CombiningCrashGates is one past the crash-free contended-push gate
@@ -119,5 +68,3 @@ func CombiningTakeoverSchedule() (Builder, []int, CrashPlan) {
 // completed-run endpoint. Verified by the sched tests against a probe
 // of the actual trace.
 const CombiningCrashGates = 20
-
-var _ memory.Observer = (*controller)(nil)

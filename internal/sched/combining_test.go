@@ -74,26 +74,20 @@ func TestCombiningCrashSweep(t *testing.T) {
 	// CONTENTION, mid-apply, after serving the foreign slot, and past
 	// the end (no crash) — and require the survivor to complete with a
 	// linearizable history at every point.
-	err := SweepCrashPoints(CombiningCrashGates, func(crashAt int) (Builder, CrashPlan) {
-		return CombiningCrashBuilder(false), CrashPlan{0: crashAt}
-	})
-	if err != nil {
+	if err := SweepCrashPoints(CombiningCrashGates, CombiningCrashBuilder(false)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCombiningCrashPooledBackends(t *testing.T) {
-	// The generalized single-op crash runs on the pooled backends too:
-	// a crashed process's in-flight node is leaked, never recycled, and
-	// the survivor stays consistent at every crash point.
-	survivor := []StackOp{{Push: true, Value: 100}, {Push: false}, {Push: false}, {Push: false}}
-	for _, backend := range []StackBackend{PooledTreiber, PooledAbortable} {
-		for _, op := range []StackOp{{Push: true, Value: 77}, {Push: false}} {
-			err := SweepCrashPoints(8, func(crashAt int) (Builder, CrashPlan) {
-				return CrashStackOp(backend, 8, []uint64{10, 20}, op, crashAt, survivor)
-			})
-			if err != nil {
-				t.Fatalf("%v op=%+v: %v", backend, op, err)
+	// The single-op crash runs on the recycling stacks too: a crashed
+	// process's in-flight node is leaked, never recycled, and the
+	// survivor stays consistent at every crash point.
+	survivor := []Op{{opPush, 100}, {opPop, 0}, {opPop, 0}, {opPop, 0}}
+	for _, name := range []string{"stack/pooled-treiber", "stack/boxed"} {
+		for _, op := range []Op{{opPush, 77}, {opPop, 0}} {
+			if err := SweepCrashPoints(8, crashRun(name, []uint64{10, 20}, op, survivor)); err != nil {
+				t.Fatalf("%s op=%+v: %v", name, op, err)
 			}
 		}
 	}
@@ -103,13 +97,10 @@ func TestCrashPopEveryPoint(t *testing.T) {
 	// The pop sibling of TestCrashMidPushEveryPoint: crash a popper at
 	// every point; the history must be explainable with the crashed pop
 	// absent, returning any reachable value, or reporting empty.
-	survivor := []StackOp{{Push: true, Value: 100}, {Push: false}, {Push: false}, {Push: false}}
-	for _, backend := range []StackBackend{Boxed, PackedWords} {
-		err := SweepCrashPoints(6, func(crashAt int) (Builder, CrashPlan) {
-			return CrashStackOp(backend, 8, []uint64{10, 20}, StackOp{}, crashAt, survivor)
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
+	survivor := []Op{{opPush, 100}, {opPop, 0}, {opPop, 0}, {opPop, 0}}
+	for _, name := range []string{"stack/boxed", "stack/packed"} {
+		if err := SweepCrashPoints(6, crashRun(name, []uint64{10, 20}, Op{opPop, 0}, survivor)); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

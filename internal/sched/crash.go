@@ -1,11 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	lin "repro/internal/linearizability"
-	"repro/internal/memory"
-)
+import "fmt"
 
 // CrashPlan is the §5 crash model made replayable: it maps a pid to
 // the number of granted shared accesses after which that process
@@ -17,153 +12,21 @@ import (
 // the same execution.
 type CrashPlan map[int]int
 
-// SweepCrashPoints drives mk's run once per crash point g in
-// [0, points]: the plan returned by mk(g) is executed under the
-// default deterministic schedule (lowest ready pid first), so by the
-// pid-0-crasher convention the crasher runs alone up to its g-th
-// granted access and dies there, after which the survivors run to
-// completion. It returns the first failing crash point's error,
-// wrapped with the point, or nil when every point passes. Sweeping
-// every g from 0 to one past the operation's access count exercises a
-// crash at every §5 step of the operation, including "crashed before
-// any step" and "crashed after completing".
-func SweepCrashPoints(points int, mk func(crashAt int) (Builder, CrashPlan)) error {
+// SweepCrashPoints replays build once per crash point g in [0, points]
+// with process 0 crashed after g granted accesses, under the default
+// deterministic schedule (lowest ready pid first): the crasher runs
+// alone up to its g-th granted access and dies there, after which the
+// survivors run to completion. A Program's check treats the crashed
+// operation as pending. It returns the first failing crash point's
+// error, wrapped with the point, or nil when every point passes.
+// Sweeping every g from 0 to one past the operation's access count
+// exercises a crash at every §5 step of the operation, including
+// "crashed before any step" and "crashed after completing".
+func SweepCrashPoints(points int, build Builder) error {
 	for g := 0; g <= points; g++ {
-		build, plan := mk(g)
-		if _, err := ReplayWithCrashes(build, nil, plan, 0); err != nil {
+		if _, err := ReplayWithCrashes(build, nil, CrashPlan{0: g}, 0); err != nil {
 			return fmt.Errorf("crash point %d: %w", g, err)
 		}
 	}
 	return nil
-}
-
-// CrashStackOp builds a §5 crash-tolerance run and its CrashPlan:
-// process 0 performs the single weak operation op on a stack
-// prefilled with initial and crashes after crashAt shared accesses;
-// process 1 then runs survivor to completion, solo.
-//
-// Check asserts the paper's §5 claim for lock-free code: the survivor
-// completes every operation, and the history is linearizable either
-// without the crashed operation or with some completion of it — a
-// crashed push may or may not have taken effect; a crashed pop may
-// have removed any value that was reachable (from initial or the
-// survivor's pushes) or found the stack empty. The object is never
-// left in a state explained by no completion at all.
-//
-// All stack backends are supported, including the pooled ones (their
-// free lists are sized for the two processes; a crashed process's
-// in-flight node is simply never recycled — leaked, as §5's model
-// demands).
-func CrashStackOp(backend StackBackend, k int, initial []uint64, op StackOp, crashAt int, survivor []StackOp) (Builder, CrashPlan) {
-	build := func(obs memory.Observer) Run {
-		s := newWeakStack(backend, k, 2, obs)
-		for _, v := range initial {
-			if err := s.TryPush(0, v); err != nil {
-				panic(fmt.Sprintf("sched: prefill: %v", err))
-			}
-		}
-		rec := lin.NewRecorder(2)
-		for _, v := range initial {
-			pend := rec.Invoke(0, "push", v)
-			rec.Return(pend, 0, lin.OutcomeOK)
-		}
-		var opCall int64
-		crasher := func() {
-			if op.Push {
-				pend := rec.Invoke(0, "push", op.Value)
-				opCall = pend.CallTime()
-				err := s.TryPush(0, op.Value) // crashes inside when crashAt is interior
-				// Past-the-end crash points let the op complete; record
-				// it normally so the check stays exact.
-				rec.Return(pend, 0, stackOutcome(err))
-			} else {
-				pend := rec.Invoke(0, "pop", 0)
-				opCall = pend.CallTime()
-				v, err := s.TryPop(0)
-				rec.Return(pend, v, stackOutcome(err))
-			}
-			opCall = 0
-		}
-		ops := [][]func(){{crasher}, nil}
-		for _, p := range survivor {
-			p := p
-			if p.Push {
-				ops[1] = append(ops[1], func() {
-					pend := rec.Invoke(1, "push", p.Value)
-					err := s.TryPush(1, p.Value)
-					rec.Return(pend, 0, stackOutcome(err))
-				})
-			} else {
-				ops[1] = append(ops[1], func() {
-					pend := rec.Invoke(1, "pop", 0)
-					v, err := s.TryPop(1)
-					rec.Return(pend, v, stackOutcome(err))
-				})
-			}
-		}
-		return Run{Ops: ops, Check: func() error {
-			h := rec.History()
-			if res := lin.Check(lin.StackModel(k), h, 0); res.Ok {
-				return nil // the crashed op took no effect
-			}
-			if opCall == 0 {
-				return fmt.Errorf("completed history not linearizable: %v", h)
-			}
-			// Retry with each possible completion of the crashed op,
-			// spanning from its real invocation to after everything.
-			var maxRet int64
-			for _, o := range h {
-				if o.Return > maxRet {
-					maxRet = o.Return
-				}
-			}
-			for _, c := range crashCompletions(op, initial, survivor) {
-				c.Call, c.Return = opCall, maxRet+1
-				h2 := append([]lin.Op{c}, h...)
-				sortOpsByCall(h2)
-				if res := lin.Check(lin.StackModel(k), h2, 0); res.Ok {
-					return nil // the crashed op took this effect
-				}
-			}
-			return fmt.Errorf("history not linearizable with or without the crashed %s: %v",
-				map[bool]string{true: "push", false: "pop"}[op.Push], h)
-		}}
-	}
-	return build, CrashPlan{0: crashAt}
-}
-
-// crashCompletions enumerates the effects a crashed op could have had:
-// a push succeeded or found the stack full; a pop removed any value
-// the run ever made reachable, or found the stack empty. Call/Return
-// are filled in by the caller.
-func crashCompletions(op StackOp, initial []uint64, survivor []StackOp) []lin.Op {
-	if op.Push {
-		return []lin.Op{
-			{Proc: 0, Kind: "push", Input: op.Value, Outcome: lin.OutcomeOK},
-			{Proc: 0, Kind: "push", Input: op.Value, Outcome: lin.OutcomeFull},
-		}
-	}
-	seen := make(map[uint64]bool)
-	var cands []lin.Op
-	addPop := func(v uint64) {
-		if !seen[v] {
-			seen[v] = true
-			cands = append(cands, lin.Op{Proc: 0, Kind: "pop", Output: v, Outcome: lin.OutcomeOK})
-		}
-	}
-	for _, v := range initial {
-		addPop(v)
-	}
-	for _, p := range survivor {
-		if p.Push {
-			addPop(p.Value)
-		}
-	}
-	return append(cands, lin.Op{Proc: 0, Kind: "pop", Outcome: lin.OutcomeEmpty})
-}
-
-// CrashPush is CrashStackOp specialised to the original §5 shape: the
-// crashed operation is a push of marker.
-func CrashPush(backend StackBackend, k int, initial []uint64, marker uint64, crashAt int, survivor []StackOp) (Builder, CrashPlan) {
-	return CrashStackOp(backend, k, initial, StackOp{Push: true, Value: marker}, crashAt, survivor)
 }

@@ -4,35 +4,46 @@ import (
 	"strings"
 	"testing"
 
+	lin "repro/internal/linearizability"
 	"repro/internal/memory"
 )
 
-// crashSchedule grants p0 exactly n accesses; after p0 crashes the
-// default policy schedules the survivor.
-func crashSchedule(n int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = 0
+// crashRun is the §5 single-crash program: process 0 runs op on the
+// named stack (capacity 8) prefilled with initial, process 1 runs
+// survivor; the run's CrashPlan decides where process 0 dies.
+func crashRun(name string, initial []uint64, op Op, survivor []Op) Builder {
+	return Program(Lookup(name, 8), initial, [][]Op{{op}, survivor}, nil)
+}
+
+// TestCrashedOpCompletions pins the pending-op rule directly: a
+// survivor's pop of the crashed push's value is explained by the push
+// having taken effect, and a pop of a value nobody pushed is not.
+func TestCrashedOpCompletions(t *testing.T) {
+	m := lin.StackModel(8)
+	crashed := []lin.Op{{Proc: 0, Call: 1, Kind: "push", Input: 77}}
+	outs := []uint64{0, 1, 77}
+	pop := func(v uint64) []lin.Op {
+		return []lin.Op{{Proc: 1, Call: 2, Return: 3, Kind: "pop", Output: v}}
 	}
-	return s
+	if err := checkHistory(m, pop(77), crashed, outs); err != nil {
+		t.Fatalf("pop of the crashed push's value rejected: %v", err)
+	}
+	if err := checkHistory(m, pop(78), crashed, outs); err == nil ||
+		!strings.Contains(err.Error(), "with or without the crashed push") {
+		t.Fatalf("pop of an unpushed value accepted: %v", err)
+	}
 }
 
 func TestCrashMidPushEveryPoint(t *testing.T) {
 	// §5: crash the pusher after each possible number of shared
 	// accesses (a boxed weak push has 5); the survivor must complete
 	// all its operations and see a consistent stack either way.
-	survivor := []StackOp{
-		{Push: true, Value: 100},
-		{Push: false},
-		{Push: false},
-		{Push: false},
-		{Push: false}, // drains to empty eventually
-	}
-	for _, backend := range []StackBackend{Boxed, PackedWords} {
+	survivor := []Op{{opPush, 100}, {opPop, 0}, {opPop, 0}, {opPop, 0}, {opPop, 0}} // drains to empty
+	for _, name := range []string{"stack/boxed", "stack/packed"} {
+		build := crashRun(name, []uint64{10, 20}, Op{opPush, 77}, survivor)
 		for crashAt := 0; crashAt <= 5; crashAt++ {
-			build, crashes := CrashPush(backend, 8, []uint64{10, 20}, 77, crashAt, survivor)
-			if _, err := ReplayWithCrashes(build, crashSchedule(crashAt), crashes, 0); err != nil {
-				t.Fatalf("%v crashAt=%d: %v", backend, crashAt, err)
+			if _, err := ReplayWithCrashes(build, segments(0, crashAt), CrashPlan{0: crashAt}, 0); err != nil {
+				t.Fatalf("%s crashAt=%d: %v", name, crashAt, err)
 			}
 		}
 	}
@@ -41,9 +52,8 @@ func TestCrashMidPushEveryPoint(t *testing.T) {
 func TestCrashBeyondOpCompletes(t *testing.T) {
 	// A crash limit beyond the op's access count means no crash: the
 	// run completes and the marker must be on the stack.
-	build, crashes := CrashPush(Boxed, 8, nil, 77, 50,
-		[]StackOp{{Push: false}})
-	if _, err := ReplayWithCrashes(build, crashSchedule(5), crashes, 0); err != nil {
+	build := crashRun("stack/boxed", nil, Op{opPush, 77}, []Op{{opPop, 0}})
+	if _, err := ReplayWithCrashes(build, segments(0, 5), CrashPlan{0: 50}, 0); err != nil {
 		t.Fatalf("uncrashed run failed: %v", err)
 	}
 }
@@ -54,17 +64,16 @@ func TestCrashSurvivorSeesEffectiveCrashedPush(t *testing.T) {
 	// any further op). The push took effect, so the survivor's pop
 	// must return the marker — and the check must accept it via the
 	// "crashed op took effect" branch.
-	build, crashes := CrashPush(Boxed, 8, nil, 77, 5,
-		[]StackOp{{Push: false}})
-	if _, err := ReplayWithCrashes(build, crashSchedule(5), crashes, 0); err != nil {
+	build := crashRun("stack/boxed", nil, Op{opPush, 77}, []Op{{opPop, 0}})
+	if _, err := ReplayWithCrashes(build, segments(0, 5), CrashPlan{0: 5}, 0); err != nil {
 		t.Fatalf("effective crashed push rejected: %v", err)
 	}
 }
 
 func TestCrashRejectsNondeterministicSchedule(t *testing.T) {
-	build, crashes := CrashPush(Boxed, 8, nil, 77, 1, []StackOp{{Push: false}})
+	build := crashRun("stack/boxed", nil, Op{opPush, 77}, []Op{{opPop, 0}})
 	// Granting p0 three accesses contradicts a crash after one.
-	_, err := ReplayWithCrashes(build, crashSchedule(3), crashes, 0)
+	_, err := ReplayWithCrashes(build, segments(0, 3), CrashPlan{0: 1}, 0)
 	if err == nil || !strings.Contains(err.Error(), "non-deterministic replay") {
 		t.Fatalf("expected replay mismatch, got %v", err)
 	}
@@ -73,8 +82,7 @@ func TestCrashRejectsNondeterministicSchedule(t *testing.T) {
 func TestCrashedHolderOfNaiveInvariantStillChecked(t *testing.T) {
 	// Control: a run with no crashes through ReplayWithCrashes behaves
 	// like Replay.
-	build := WeakStackBuilder(Boxed, 2, []uint64{7},
-		[][]StackOp{{{Push: true, Value: 9}}, {{Push: false}}})
+	build := Program(Lookup("stack/boxed", 2), []uint64{7}, [][]Op{{{opPush, 9}}, {{opPop, 0}}}, nil)
 	if _, err := ReplayWithCrashes(build, nil, nil, 0); err != nil {
 		t.Fatalf("crash-free ReplayWithCrashes failed: %v", err)
 	}

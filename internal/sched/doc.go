@@ -18,6 +18,21 @@
 //     sequential model with the linearizability checker, so the oracle
 //     is the paper's own safety condition.
 //
+// Every model-checked run has one shape. A Target is one observed
+// backend, named "<kind>/<variant>" in one table (Lookup picks one at
+// a capacity): its Build closes over the concrete observed
+// constructor and returns the uniform repro.Ops driver. An Op is one
+// repro.Ops op code with its value. Program(target, initial, plans,
+// post) builds the target, prefills it, runs one plan per process,
+// and checks the history against the kind's model from the Kinds
+// table — the same table internal/bench's recorded histories use —
+// treating an op left pending by a CrashPlan crash as taking any
+// effect or none, failing a one-process program on any abort (claim
+// A2), and finally running post on the built object. The named
+// configurations of cmd/modelcheck are Programs; the pinned §2.2
+// schedules are ABAReplays; the combining and adaptive crash runs are
+// Programs too.
+//
 // Restrictions: the scheduled code must perform a bounded number of
 // shared accesses per operation (weak/abortable operations qualify;
 // spinning slow paths do not), and scheduled operations must not

@@ -1,128 +1,83 @@
 package sched
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
+
+// replayPinned replays the named ABA schedule and requires it to pass
+// with its trace exactly as long as its schedule.
+func replayPinned(t *testing.T, name string) {
+	r := abaReplay(t, name)
+	trace, err := Replay(r.Build, r.Schedule, 0)
+	if err != nil {
+		t.Fatalf("%s ABA schedule failed: %v (trace %v)", name, err, trace)
+	}
+	if len(trace) != len(r.Schedule) {
+		t.Fatalf("trace has %d steps, schedule %d (gate-count drift)", len(trace), len(r.Schedule))
+	}
+}
 
 // TestPooledTreiberABAScheduleReplays verifies the satellite claim of
 // E17's design: a recycled node returns to the same handle (address)
-// mid-CAS, and the sequence tag makes the stale CAS fail — the builder
+// mid-CAS, and the sequence tag makes the stale CAS fail — the program
 // checks the remaining history is linearizable AND that recycling
 // actually happened.
-func TestPooledTreiberABAScheduleReplays(t *testing.T) {
-	build, schedule := PooledTreiberABASchedule()
-	trace, err := Replay(build, schedule, 0)
-	if err != nil {
-		t.Fatalf("pooled Treiber ABA schedule failed: %v (trace %v)", err, trace)
-	}
-	if len(trace) != len(schedule) {
-		t.Fatalf("trace has %d steps, schedule %d (gate-count drift)", len(trace), len(schedule))
-	}
-}
+func TestPooledTreiberABAScheduleReplays(t *testing.T) { replayPinned(t, "pooled-treiber") }
 
-func TestPooledMSABAScheduleReplays(t *testing.T) {
-	build, schedule := PooledMSABASchedule()
-	trace, err := Replay(build, schedule, 0)
-	if err != nil {
-		t.Fatalf("pooled Michael-Scott ABA schedule failed: %v (trace %v)", err, trace)
-	}
-	if len(trace) != len(schedule) {
-		t.Fatalf("trace has %d steps, schedule %d (gate-count drift)", len(trace), len(schedule))
-	}
-}
+func TestPooledMSABAScheduleReplays(t *testing.T) { replayPinned(t, "pooled-ms-queue") }
 
 // TestPooledBackendsSoloNeverAbort extends the E2 obligation to the
-// pooled backends: exhaustive solo schedules across the full/empty
-// boundaries must never abort (recycling must not cost abortability).
+// pooled backends: exhaustive solo schedules across the empty boundary
+// must never abort (recycling must not cost abortability).
 func TestPooledBackendsSoloNeverAbort(t *testing.T) {
-	plan := []StackOp{
-		{Push: true, Value: 1}, {Push: true, Value: 2}, {Push: true, Value: 3},
-		{Push: false}, {Push: false}, {Push: false},
-	}
-	for backend, k := range map[StackBackend]int{
-		PooledTreiber:   0, // unbounded: k only bounds the model
-		PooledAbortable: 2,
-	} {
-		rep := Explore(SoloNeverAborts(backend, k, nil, plan), Options{})
-		if rep.Failure != nil {
-			t.Fatalf("%v: %v", backend, rep.Failure.Err)
-		}
-		if rep.Schedules == 0 {
-			t.Fatalf("%v: no schedules explored", backend)
-		}
+	for _, name := range []string{"stack/pooled-treiber", "queue/pooled-ms"} {
+		explore(t, name, Program(Lookup(name, 0), nil, [][]Op{soloPlan}, nil))
 	}
 }
 
-// TestPooledAbortableRandomWalks hammers the pooled Figure 1 stack
-// with random schedules of a contended plan: every explored
-// interleaving must stay linearizable despite record recycling.
-func TestPooledAbortableRandomWalks(t *testing.T) {
-	runs := 400
+// walk samples runs random schedules of plans over the named target
+// prefilled with initial (a fifth of them under -short) and fails t on
+// a violation.
+func walk(t *testing.T, name string, initial []uint64, plans [][]Op, runs int, seed uint64) {
+	t.Helper()
 	if testing.Short() {
-		runs = 80
+		runs /= 5
 	}
-	build := WeakStackBuilder(PooledAbortable, 4, []uint64{10, 20},
-		[][]StackOp{
-			{{Push: false}, {Push: true, Value: 30}},
-			{{Push: false}, {Push: false}, {Push: true, Value: 40}},
-		})
-	rep := Walk(build, runs, 0x9e37, Options{})
+	rep := Walk(Program(Lookup(name, 4), initial, plans, nil), runs, seed, Options{})
 	if rep.Failure != nil {
-		t.Fatalf("pooled abortable violated linearizability: %v (schedule %v)",
-			rep.Failure.Err, rep.Failure.Schedule)
+		t.Fatalf("%s violated linearizability: %v (schedule %v)", name, rep.Failure.Err, rep.Failure.Schedule)
 	}
+}
+
+// stackWalkPlans contend two processes over a stack [10 20], popping
+// past empty and pushing recycled records.
+var stackWalkPlans = [][]Op{
+	{{opPop, 0}, {opPush, 30}},
+	{{opPop, 0}, {opPop, 0}, {opPush, 40}},
+}
+
+// TestPooledAbortableRandomWalks hammers the Figure 1 stack, its
+// values in recycled arena slots, with random schedules of a contended
+// plan: every explored interleaving must stay linearizable despite
+// record recycling.
+func TestPooledAbortableRandomWalks(t *testing.T) {
+	walk(t, "stack/boxed", []uint64{10, 20}, stackWalkPlans, 400, 0x9e37)
 }
 
 // TestPooledTreiberRandomWalks is the same obligation for the pooled
 // Treiber stack, whose recycling is the most aggressive (LIFO free
 // lists hand a popped node straight back to the next push).
 func TestPooledTreiberRandomWalks(t *testing.T) {
-	runs := 400
-	if testing.Short() {
-		runs = 80
-	}
-	build := WeakStackBuilder(PooledTreiber, 0, []uint64{10, 20},
-		[][]StackOp{
-			{{Push: false}, {Push: true, Value: 30}},
-			{{Push: false}, {Push: false}, {Push: true, Value: 40}},
-		})
-	rep := Walk(build, runs, 0x5eed, Options{})
-	if rep.Failure != nil {
-		t.Fatalf("pooled treiber violated linearizability: %v (schedule %v)",
-			rep.Failure.Err, rep.Failure.Schedule)
-	}
+	walk(t, "stack/pooled-treiber", []uint64{10, 20}, stackWalkPlans, 400, 0x5eed)
 }
 
 // TestPooledMSRandomWalks walks the pooled Michael-Scott queue.
 func TestPooledMSRandomWalks(t *testing.T) {
-	runs := 300
-	if testing.Short() {
-		runs = 60
-	}
-	build := WeakPooledMSQueueBuilder([]uint64{10},
-		[][]QueueOp{
-			{{Enq: false}, {Enq: true, Value: 30}},
-			{{Enq: false}, {Enq: true, Value: 40}, {Enq: false}},
-		})
-	rep := Walk(build, runs, 0xaba, Options{})
-	if rep.Failure != nil {
-		t.Fatalf("pooled michael-scott violated linearizability: %v (schedule %v)",
-			rep.Failure.Err, rep.Failure.Schedule)
-	}
+	walk(t, "queue/pooled-ms", []uint64{10}, [][]Op{
+		{{opPop, 0}, {opPush, 30}},
+		{{opPop, 0}, {opPush, 40}, {opPop, 0}},
+	}, 300, 0xaba)
 }
 
+// TestQueueBackendNames pins the queue targets' names.
 func TestQueueBackendNames(t *testing.T) {
-	for b, want := range map[QueueBackend]string{
-		BoxedQueue: "boxed", PackedQueue: "packed", PooledMSQueue: "pooled-ms",
-	} {
-		if got := b.String(); got != want {
-			t.Fatalf("QueueBackend(%d).String() = %q, want %q", b, got, want)
-		}
-	}
-	for _, b := range []StackBackend{PooledTreiber, PooledAbortable} {
-		if !strings.HasPrefix(b.String(), "pooled-") {
-			t.Fatalf("StackBackend %d name %q", b, b.String())
-		}
-	}
+	kindVariants(t, "queue", "boxed", "packed", "pooled-ms")
 }

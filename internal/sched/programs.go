@@ -1,571 +1,209 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
-	"repro/internal/deque"
 	lin "repro/internal/linearizability"
 	"repro/internal/memory"
-	"repro/internal/queue"
-	"repro/internal/stack"
 )
 
-// StackOp is one planned weak stack operation for a model-checked run.
-type StackOp struct {
-	// Push selects weak_push (with Value) over weak_pop.
-	Push bool
-	// Value is the pushed value.
-	Value uint64
+// Op is one planned operation of a model-checked run: op code Code of
+// repro.Ops (see the op-code constants) with value or key V.
+type Op struct {
+	Code int
+	V    uint64
 }
 
-// QueueOp is one planned weak queue operation for a model-checked run.
-type QueueOp struct {
-	// Enq selects a weak enqueue (with Value) over a weak dequeue.
-	Enq bool
-	// Value is the enqueued value.
-	Value uint64
-}
-
-func stackOutcome(err error) string {
-	switch {
-	case err == nil:
-		return lin.OutcomeOK
-	case errors.Is(err, stack.ErrFull):
-		return lin.OutcomeFull
-	case errors.Is(err, stack.ErrEmpty):
-		return lin.OutcomeEmpty
-	case errors.Is(err, stack.ErrAborted):
-		return lin.OutcomeAborted
-	default:
-		panic(err)
-	}
-}
-
-func queueOutcome(err error) string {
-	switch {
-	case err == nil:
-		return lin.OutcomeOK
-	case errors.Is(err, queue.ErrFull):
-		return lin.OutcomeFull
-	case errors.Is(err, queue.ErrEmpty):
-		return lin.OutcomeEmpty
-	case errors.Is(err, queue.ErrAborted):
-		return lin.OutcomeAborted
-	default:
-		panic(err)
-	}
-}
-
-// weakStack is the common surface of the model-checked stacks. The
-// operations take the calling pid: the arena and pooled backends route
-// recycling through per-pid free lists; the others ignore it.
-type weakStack = stack.Weak[uint64]
-
-// packedAdapter lifts the uint32-valued packed stack to uint64.
-type packedAdapter struct{ s *stack.Packed }
-
-func (a packedAdapter) TryPush(pid int, v uint64) error { return a.s.TryPush(pid, uint32(v)) }
-func (a packedAdapter) TryPop(pid int) (uint64, error) {
-	v, err := a.s.TryPop(pid)
-	return uint64(v), err
-}
-
-// StackBackend selects the implementation a stack Builder checks.
-type StackBackend int
-
-const (
-	// Boxed is the Figure 1 stack, its values in a write-once arena
-	// behind packed 〈index, handle, seq〉 registers (the name predates
-	// that layout).
-	Boxed StackBackend = iota
-	// PackedWords is the Figure 1 stack on bit-packed registers.
-	PackedWords
-	// NaiveABA is the deliberately untagged strawman of §2.2.
-	NaiveABA
-	// PooledTreiber is the Treiber stack over recycled pooled nodes
-	// with a tagged head register.
-	PooledTreiber
-	// PooledAbortable is the same Figure 1 stack as Boxed, kept as a
-	// separate name for the pooled walks and crash sweeps.
-	PooledAbortable
-)
-
-// String names the backend.
-func (b StackBackend) String() string {
-	switch b {
-	case Boxed:
-		return "boxed"
-	case PackedWords:
-		return "packed"
-	case NaiveABA:
-		return "naive"
-	case PooledTreiber:
-		return "pooled-treiber"
-	case PooledAbortable:
-		return "pooled-abortable"
-	default:
-		return "unknown"
-	}
-}
-
-// WeakStackBuilder returns a Builder that prefills a fresh stack of
-// capacity k with initial (bottom first), runs the per-process plans
-// as weak operations, and checks the recorded history against the
-// sequential stack model. Aborted operations take no effect by the
-// abortable-object contract, so they are dropped from the history; a
-// backend that "aborts" an operation that *did* take effect (the ABA
-// failure mode) is caught as a linearizability violation of the
-// remaining history.
-func WeakStackBuilder(backend StackBackend, k int, initial []uint64, plans [][]StackOp) Builder {
-	return weakStackBuilder(backend, k, initial, plans, false)
-}
-
-// SoloNeverAborts is WeakStackBuilder for a single process whose check
-// additionally fails if any operation returned ⊥: a solo weak
-// operation must always succeed (claim A2, the obstruction-freedom of
-// the abortable object).
-func SoloNeverAborts(backend StackBackend, k int, initial []uint64, plan []StackOp) Builder {
-	return weakStackBuilder(backend, k, initial, [][]StackOp{plan}, true)
-}
-
-func weakStackBuilder(backend StackBackend, k int, initial []uint64, plans [][]StackOp, forbidAborts bool) Builder {
-	return weakStackBuilderPost(backend, k, initial, plans, forbidAborts, nil)
-}
-
-// newWeakStack builds the observed weak stack a backend selects, for
-// procs processes (the pooled backends size their free lists by it).
-func newWeakStack(backend StackBackend, k, procs int, obs memory.Observer) weakStack {
-	switch backend {
-	case Boxed, PooledAbortable:
-		return stack.NewAbortableObserved[uint64](k, max(procs, 1), obs)
-	case PackedWords:
-		return packedAdapter{stack.NewPackedObserved(k, obs)}
-	case NaiveABA:
-		return stack.NewNaiveObserved[uint64](k, obs)
-	case PooledTreiber:
-		return stack.NewTreiberObserved[uint64](max(procs, 1), obs)
-	default:
-		panic("sched: unknown stack backend")
-	}
-}
-
-// weakStackBuilderPost additionally runs post(s) during Check, after
-// the linearizability verdict; the pooled ABA schedules use it to
-// assert that node recycling actually occurred.
-func weakStackBuilderPost(backend StackBackend, k int, initial []uint64, plans [][]StackOp, forbidAborts bool, post func(s weakStack) error) Builder {
+// Program returns a Builder that builds t for len(plans) processes,
+// prefills it from pid 0 with initial in order (bottom, front or left
+// first) through the kind's last inserting op (push, enq, pushr; a
+// set's add), runs plans[pid] on process pid, and checks the recorded
+// history against the kind's sequential model at capacity t.K. The
+// prefill is part of the object's initial state, so it is recorded as
+// history ops that precede everything else. Op codes past the kind's
+// op names are control actions (the adaptive set's morph): they run
+// unrecorded.
+//
+// Check fails when the history is not linearizable. Aborted weak
+// operations take no effect by the abortable-object contract, so they
+// are dropped from the history; a backend that "aborts" an operation
+// that did take effect (the ABA failure mode) is caught as a violation
+// of the rest. An operation left pending by a process that the run's
+// CrashPlan crashed may have taken any effect or none (§5): the
+// history must linearize without it or with some completion of it. A
+// one-process program also fails if any operation aborted: a solo weak
+// operation must always succeed (claim A2). post, if non-nil, runs
+// last on the built object (Ops.Instance).
+func Program(t Target, initial []uint64, plans [][]Op, post func(instance any) error) Builder {
+	ks := Kinds[t.Kind]
+	fill := max(ks.Inserts-1, 0)
 	return func(obs memory.Observer) Run {
-		s := newWeakStack(backend, k, len(plans), obs)
-		for _, v := range initial {
-			if err := s.TryPush(0, v); err != nil {
-				panic(fmt.Sprintf("sched: prefill: %v", err))
-			}
-		}
-		rec := lin.NewRecorder(len(plans))
-		// The prefill is part of the object's initial state: replay
-		// it as history ops that precede everything else.
-		for _, v := range initial {
-			pend := rec.Invoke(0, "push", v)
-			rec.Return(pend, 0, lin.OutcomeOK)
-		}
-		ops := make([][]func(), len(plans))
-		for pid, plan := range plans {
-			for _, p := range plan {
-				pid, p := pid, p
-				if p.Push {
-					ops[pid] = append(ops[pid], func() {
-						pend := rec.Invoke(pid, "push", p.Value)
-						err := s.TryPush(pid, p.Value)
-						rec.Return(pend, 0, stackOutcome(err))
-					})
-				} else {
-					ops[pid] = append(ops[pid], func() {
-						pend := rec.Invoke(pid, "pop", 0)
-						v, err := s.TryPop(pid)
-						rec.Return(pend, v, stackOutcome(err))
-					})
-				}
-			}
-		}
-		return Run{Ops: ops, Check: func() error {
-			if forbidAborts {
-				if n := rec.Aborts(); n > 0 {
-					return fmt.Errorf("%d solo weak operation(s) aborted", n)
-				}
-			}
-			h := rec.History()
-			res := lin.Check(lin.StackModel(k), h, 0)
-			if res.Exhausted {
-				return fmt.Errorf("sched: linearizability check exhausted")
-			}
-			if !res.Ok {
-				return fmt.Errorf("history not linearizable: %v", h)
-			}
-			if post != nil {
-				return post(s)
-			}
-			return nil
-		}}
-	}
-}
-
-// weakQueue is the common surface of the model-checked queues. The
-// operations take the calling pid (used by the pooled backend's free
-// lists, ignored elsewhere).
-type weakQueue interface {
-	TryEnqueue(pid int, v uint64) error
-	TryDequeue(pid int) (uint64, error)
-}
-
-// pidlessQueue adapts the pid-oblivious weak queues.
-type pidlessQueue struct {
-	q interface {
-		TryEnqueue(v uint64) error
-		TryDequeue() (uint64, error)
-	}
-}
-
-func (a pidlessQueue) TryEnqueue(_ int, v uint64) error { return a.q.TryEnqueue(v) }
-func (a pidlessQueue) TryDequeue(_ int) (uint64, error) { return a.q.TryDequeue() }
-
-// packedQueueAdapter lifts the uint32-valued packed queue to uint64.
-type packedQueueAdapter struct{ q *queue.Packed }
-
-func (a packedQueueAdapter) TryEnqueue(v uint64) error { return a.q.TryEnqueue(uint32(v)) }
-func (a packedQueueAdapter) TryDequeue() (uint64, error) {
-	v, err := a.q.TryDequeue()
-	return uint64(v), err
-}
-
-// pooledMSAdapter fits the pooled Michael-Scott queue to the weakQueue
-// shape. Its operations are strong (they retry internally and never
-// abort), so the "weak" enqueue always returns nil.
-type pooledMSAdapter struct{ q *queue.MichaelScott[uint64] }
-
-func (a pooledMSAdapter) TryEnqueue(pid int, v uint64) error { return a.q.Enqueue(pid, v) }
-func (a pooledMSAdapter) TryDequeue(pid int) (uint64, error) { return a.q.Dequeue(pid) }
-
-// QueueBackend selects the implementation a queue Builder checks.
-type QueueBackend int
-
-const (
-	// BoxedQueue is the generic abortable ring queue, its values in
-	// place in the ring's cells (the name predates that layout).
-	BoxedQueue QueueBackend = iota
-	// PackedQueue is the abortable ring queue on bit-packed registers.
-	PackedQueue
-	// PooledMSQueue is the Michael-Scott queue over recycled pooled
-	// nodes with tagged head/tail registers (k is ignored: unbounded).
-	PooledMSQueue
-)
-
-// String names the backend.
-func (b QueueBackend) String() string {
-	switch b {
-	case BoxedQueue:
-		return "boxed"
-	case PackedQueue:
-		return "packed"
-	case PooledMSQueue:
-		return "pooled-ms"
-	default:
-		return "unknown"
-	}
-}
-
-// WeakQueueBuilder is WeakStackBuilder's FIFO sibling over the
-// generic abortable bounded queue.
-func WeakQueueBuilder(k int, initial []uint64, plans [][]QueueOp) Builder {
-	return weakQueueBuilder(BoxedQueue, k, initial, plans, nil)
-}
-
-// WeakPackedQueueBuilder model-checks the packed queue backend.
-func WeakPackedQueueBuilder(k int, initial []uint64, plans [][]QueueOp) Builder {
-	return weakQueueBuilder(PackedQueue, k, initial, plans, nil)
-}
-
-// WeakPooledMSQueueBuilder model-checks the pooled Michael-Scott
-// queue (unbounded; k only bounds the linearizability model, pass 0).
-func WeakPooledMSQueueBuilder(initial []uint64, plans [][]QueueOp) Builder {
-	return weakQueueBuilder(PooledMSQueue, 0, initial, plans, nil)
-}
-
-func weakQueueBuilder(backend QueueBackend, k int, initial []uint64, plans [][]QueueOp, post func(q weakQueue) error) Builder {
-	return func(obs memory.Observer) Run {
-		var q weakQueue
-		switch backend {
-		case BoxedQueue:
-			q = pidlessQueue{queue.NewAbortableObserved[uint64](k, obs)}
-		case PackedQueue:
-			q = pidlessQueue{packedQueueAdapter{queue.NewPackedObserved(k, obs)}}
-		case PooledMSQueue:
-			q = pooledMSAdapter{queue.NewMichaelScottObserved[uint64](max(len(plans), 1), obs)}
-		default:
-			panic("sched: unknown queue backend")
-		}
-		for _, v := range initial {
-			if err := q.TryEnqueue(0, v); err != nil {
-				panic(fmt.Sprintf("sched: prefill: %v", err))
-			}
-		}
+		d := t.Build(t.K, len(plans), obs)
 		rec := lin.NewRecorder(len(plans))
 		for _, v := range initial {
-			pend := rec.Invoke(0, "enq", v)
-			rec.Return(pend, 0, lin.OutcomeOK)
-		}
-		ops := make([][]func(), len(plans))
-		for pid, plan := range plans {
-			for _, p := range plan {
-				pid, p := pid, p
-				if p.Enq {
-					ops[pid] = append(ops[pid], func() {
-						pend := rec.Invoke(pid, "enq", p.Value)
-						err := q.TryEnqueue(pid, p.Value)
-						rec.Return(pend, 0, queueOutcome(err))
-					})
-				} else {
-					ops[pid] = append(ops[pid], func() {
-						pend := rec.Invoke(pid, "deq", 0)
-						v, err := q.TryDequeue(pid)
-						rec.Return(pend, v, queueOutcome(err))
-					})
-				}
-			}
-		}
-		return Run{Ops: ops, Check: func() error {
-			h := rec.History()
-			res := lin.Check(lin.QueueModel(k), h, 0)
-			if res.Exhausted {
-				return fmt.Errorf("sched: linearizability check exhausted")
-			}
-			if !res.Ok {
-				return fmt.Errorf("history not linearizable: %v", h)
-			}
-			if post != nil {
-				return post(q)
-			}
-			return nil
-		}}
-	}
-}
-
-// DequeOp is one planned weak deque operation for a model-checked run.
-type DequeOp struct {
-	// Kind is one of "pushl", "pushr", "popl", "popr".
-	Kind string
-	// Value is the pushed value (push kinds only).
-	Value uint64
-}
-
-func dequeOutcome(err error) string {
-	switch {
-	case err == nil:
-		return lin.OutcomeOK
-	case errors.Is(err, deque.ErrFull):
-		return lin.OutcomeFull
-	case errors.Is(err, deque.ErrEmpty):
-		return lin.OutcomeEmpty
-	case errors.Is(err, deque.ErrAborted):
-		return lin.OutcomeAborted
-	default:
-		panic(err)
-	}
-}
-
-// WeakDequeBuilder model-checks the HLM abortable deque of capacity
-// k: prefill with rightward pushes of initial, run the per-process
-// plans, check the recorded history against the deque model.
-func WeakDequeBuilder(k int, initial []uint64, plans [][]DequeOp) Builder {
-	return func(obs memory.Observer) Run {
-		d := deque.NewAbortableObserved(k, obs)
-		for _, v := range initial {
-			if err := d.TryPushRight(uint32(v)); err != nil {
+			pend := rec.Invoke(0, ks.Names[fill], v)
+			got, err := d.Do(0, fill, v)
+			if err != nil {
 				panic(fmt.Sprintf("sched: prefill: %v", err))
 			}
+			rec.Return(pend, got, lin.OutcomeOK)
 		}
-		rec := lin.NewRecorder(len(plans))
-		for _, v := range initial {
-			pend := rec.Invoke(0, "pushr", v)
-			rec.Return(pend, 0, lin.OutcomeOK)
-		}
+		// pending[pid] is pid's invoked op until it returns (Call 0
+		// once it has): a crashed process leaves it set.
+		pending := make([]lin.Op, len(plans))
 		ops := make([][]func(), len(plans))
 		for pid, plan := range plans {
-			for _, p := range plan {
-				pid, p := pid, p
+			for _, op := range plan {
 				ops[pid] = append(ops[pid], func() {
-					pend := rec.Invoke(pid, p.Kind, p.Value)
-					var v uint32
-					var err error
-					switch p.Kind {
-					case "pushr":
-						err = d.TryPushRight(uint32(p.Value))
-					case "pushl":
-						err = d.TryPushLeft(uint32(p.Value))
-					case "popr":
-						v, err = d.TryPopRight()
-					case "popl":
-						v, err = d.TryPopLeft()
-					default:
-						panic("sched: unknown deque op kind")
+					if op.Code >= len(ks.Names) {
+						d.Do(pid, op.Code, op.V)
+						return
 					}
-					rec.Return(pend, uint64(v), dequeOutcome(err))
+					pend := rec.Invoke(pid, ks.Names[op.Code], op.V)
+					pending[pid] = lin.Op{Proc: pid, Call: pend.CallTime(), Kind: ks.Names[op.Code], Input: op.V}
+					got, err := d.Do(pid, op.Code, op.V)
+					rec.Return(pend, got, ks.Outcome(err, t.Weak))
+					pending[pid] = lin.Op{}
 				})
 			}
 		}
 		return Run{Ops: ops, Check: func() error {
-			h := rec.History()
-			res := lin.Check(lin.DequeModel(k), h, 0)
-			if res.Exhausted {
-				return fmt.Errorf("sched: linearizability check exhausted")
+			if n := rec.Aborts(); len(plans) == 1 && n > 0 {
+				return fmt.Errorf("%d solo weak operation(s) aborted", n)
 			}
-			if !res.Ok {
-				return fmt.Errorf("history not linearizable: %v", h)
+			var crashed []lin.Op
+			for _, p := range pending {
+				if p.Call != 0 {
+					crashed = append(crashed, p)
+				}
+			}
+			if err := checkHistory(ks.Model(t.K), rec.History(), crashed, outputs(ks, initial, plans)); err != nil {
+				return err
+			}
+			if post != nil {
+				return post(d.Instance)
 			}
 			return nil
 		}}
 	}
 }
 
-func sortOpsByCall(h []lin.Op) {
-	for i := 1; i < len(h); i++ {
-		for j := i; j > 0 && h[j].Call < h[j-1].Call; j-- {
-			h[j], h[j-1] = h[j-1], h[j]
+// checkHistory checks h, in which the crashed ops are pending: h must
+// linearize with each of them absent or completed with some outcome
+// and one of outs as its output.
+func checkHistory(m lin.Model, h, crashed []lin.Op, outs []uint64) error {
+	res := lin.Check(m, h, 0)
+	switch {
+	case res.Exhausted:
+		return errors.New("sched: linearizability check exhausted")
+	case res.Ok:
+		return nil
+	case len(crashed) == 0:
+		return fmt.Errorf("history not linearizable: %v", h)
+	}
+	var ret int64
+	for _, o := range h {
+		ret = max(ret, o.Return)
+	}
+	var explains func(h, crashed []lin.Op) bool
+	explains = func(h, crashed []lin.Op) bool {
+		if len(crashed) == 0 {
+			return lin.Check(m, h, 0).Ok
+		}
+		if explains(h, crashed[1:]) {
+			return true // the crashed op took no effect
+		}
+		c := crashed[0]
+		c.Return = ret + 1
+		for _, c.Outcome = range []string{lin.OutcomeOK, lin.OutcomeFull, lin.OutcomeEmpty} {
+			for _, c.Output = range outs {
+				h2 := append(slices.Clip(h), c)
+				slices.SortStableFunc(h2, func(a, b lin.Op) int { return cmp.Compare(a.Call, b.Call) })
+				if explains(h2, crashed[1:]) {
+					return true // the crashed op took this effect
+				}
+			}
+		}
+		return false
+	}
+	if explains(h, crashed) {
+		return nil
+	}
+	return fmt.Errorf("history not linearizable with or without the crashed %s: %v", crashed[0].Kind, h)
+}
+
+// outputs lists every output a crashed op could have returned: 0, a
+// set's 1, or any value the run inserts.
+func outputs(ks KindSpec, initial []uint64, plans [][]Op) []uint64 {
+	out := append([]uint64{0, 1}, initial...)
+	for _, plan := range plans {
+		for _, op := range plan {
+			if op.Code < ks.Inserts {
+				out = append(out, op.V)
+			}
 		}
 	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
-// ABASchedule returns the builder and the handcrafted schedule that
-// exhibit §2.2's ABA failure deterministically on the Naive stack
-// (experiment E8): process 0 starts a pop of b from [a b], is
-// preempted between its value read and its index CAS, while process 1
-// pops b, pops a, then pushes x and y. Process 0's stale CAS then
-// succeeds — it returns the already-popped b and the freshly pushed y
-// is lost. The same schedule shape on the tagged backends fails the
-// stale CAS instead, so their checks pass.
-func ABASchedule(backend StackBackend) (Builder, []int) {
-	build := WeakStackBuilder(backend, 4,
-		[]uint64{10, 20}, // a=10, b=20
-		[][]StackOp{
-			{{Push: false}}, // p0: pop
-			{ // p1: pop b, pop a, push x, push y
-				{Push: false},
-				{Push: false},
-				{Push: true, Value: 30},
-				{Push: true, Value: 40},
-			},
-		})
-	// p0 performs its pop's accesses except the final CAS; p1 runs all
-	// four operations to completion; p0 finishes. The access counts
-	// are implementation-exact and verified by the sched tests:
-	//
-	//   naive:  p0 pop prefix = 2 (read TOP, read cell);
-	//           p1 = 4 ops × 3 accesses = 12.
-	//   packed: p0 pop prefix = 4 (read TOP, help read, help CAS,
-	//           read below); p1 = 4 ops × 5 accesses = 20 (the packed
-	//           help CAS is unconditional, as in the paper).
-	//   boxed:  p0 prefix = 4 as above, but p1's first pop skips its
-	//           help CAS (p0 already completed that lazy write), so
-	//           p1 = 4 + 5 + 5 + 5 = 19.
-	var p0Prefix, p1Ops int
-	switch backend {
-	case NaiveABA:
-		p0Prefix, p1Ops = 2, 12
-	case Boxed:
-		p0Prefix, p1Ops = 4, 19
-	default:
-		p0Prefix, p1Ops = 4, 20
+// segments expands (pid, count) pairs into a schedule: pid repeated
+// count times, in order.
+func segments(pairs ...int) []int {
+	var s []int
+	for i := 0; i+1 < len(pairs); i += 2 {
+		for range pairs[i+1] {
+			s = append(s, pairs[i])
+		}
 	}
-	sched := make([]int, 0, p0Prefix+p1Ops+1)
-	for i := 0; i < p0Prefix; i++ {
-		sched = append(sched, 0)
-	}
-	for i := 0; i < p1Ops; i++ {
-		sched = append(sched, 1)
-	}
-	sched = append(sched, 0) // p0's final CAS
-	return build, sched
+	return s
 }
 
-// PooledTreiberABASchedule returns the builder and handcrafted
-// schedule that force the §2.2 recycled-node scenario on the pooled
-// Treiber stack: process 0 starts a pop of b from [a b], is preempted
-// between its head read and head CAS, while process 1 pops b, pops a,
-// then pushes 30 and 40 — the per-pid free list is LIFO, so 30 reuses
-// a's node and 40 reuses b's, and b's handle is the head again when p0
-// resumes. Without the tag p0's stale CAS would succeed on the
-// recycled handle (returning the long-gone b and unlinking 40); the
-// tag, advanced by p1's four head CASes, makes it fail, so the pop
-// aborts and the history stays linearizable. Check also asserts that
-// recycling really happened (>= 2 reuses).
-//
-// Gate counts: every pooled Treiber attempt performs exactly 2
-// observed accesses (head read, head CAS; node derefs and pool traffic
-// are arena-private). p0's prefix is its head read; p1 runs 4 ops to
-// completion (8 accesses); p0's final grant is the stale CAS.
-func PooledTreiberABASchedule() (Builder, []int) {
-	build := weakStackBuilderPost(PooledTreiber, 4,
-		[]uint64{10, 20}, // a=10, b=20
-		[][]StackOp{
-			{{Push: false}}, // p0: pop
-			{ // p1: pop b, pop a, push 30, push 40
-				{Push: false},
-				{Push: false},
-				{Push: true, Value: 30},
-				{Push: true, Value: 40},
-			},
-		},
-		false,
-		func(s weakStack) error {
-			st := s.(*stack.Treiber[uint64]).PoolStats()
-			if st.Reuses < 2 {
-				return fmt.Errorf("schedule recycled %d nodes, want >= 2 (no reuse pressure)", st.Reuses)
-			}
-			return nil
-		})
-	sched := []int{0}
-	for i := 0; i < 8; i++ {
-		sched = append(sched, 1)
-	}
-	return build, append(sched, 0)
+// NamedProgram is a model-checking configuration run by name
+// (cmd/modelcheck -target).
+type NamedProgram struct {
+	Name        string
+	Description string
+	Build       Builder
+	// ExpectFail marks a program some schedule must break.
+	ExpectFail bool
+	// WalkOnly marks a program whose schedule tree does not fit an
+	// exhaustive budget: sample it with Walk.
+	WalkOnly bool
 }
 
-// PooledMSABASchedule is the queue-shaped sibling on the pooled
-// Michael-Scott queue: process 0 starts a dequeue of [10] (head = the
-// dummy d), is preempted before its head CAS, while process 1
-// dequeues 10 (retiring d), enqueues 30 (recycling d as the new node)
-// and dequeues 30 — moving head THROUGH other nodes and BACK to d's
-// handle. p0's stale CAS then compares equal on the handle — the
-// textbook ABA — and only the tag (advanced by two head CASes) makes
-// it fail; p0 retries and correctly reports empty.
-//
-// Gate counts (observed accesses are head/tail register reads and
-// CASes; node next-words and pool traffic are arena-private): a
-// dequeue attempt gates head read, tail read, head re-read
-// (consistency), head CAS — the empty path stops after the re-read; an
-// enqueue gates tail read, tail re-read, tail swing CAS. So p0
-// prefixes 3 gates, p1 runs deq+enq+deq = 4+3+4 = 11, p0 finishes
-// with its failed CAS plus a 3-gate empty retry.
-func PooledMSABASchedule() (Builder, []int) {
-	build := weakQueueBuilder(PooledMSQueue, 0,
-		[]uint64{10},
-		[][]QueueOp{
-			{{Enq: false}}, // p0: deq
-			{ // p1: deq 10, enq 30, deq 30
-				{Enq: false},
-				{Enq: true, Value: 30},
-				{Enq: false},
-			},
-		},
-		func(q weakQueue) error {
-			st := q.(pooledMSAdapter).q.PoolStats()
-			if st.Reuses < 1 {
-				return fmt.Errorf("schedule recycled %d nodes, want >= 1 (no reuse pressure)", st.Reuses)
-			}
-			return nil
-		})
-	sched := []int{0, 0, 0}
-	for i := 0; i < 11; i++ {
-		sched = append(sched, 1)
+// Programs returns the named programs.
+func Programs() []NamedProgram {
+	pushPop := [][]Op{{{opPush, 9}}, {{opPop, 0}}}
+	return []NamedProgram{
+		{Name: "stack-pushpop", Description: "boxed stack: push vs pop, one op each",
+			Build: Program(Lookup("stack/boxed", 2), []uint64{7}, pushPop, nil)},
+		{Name: "stack-pushpop-packed", Description: "packed stack: push vs pop, one op each",
+			Build: Program(Lookup("stack/packed", 2), []uint64{7}, pushPop, nil)},
+		{Name: "stack-popper-race", Description: "boxed stack: two racing pops over [1 2]",
+			Build: Program(Lookup("stack/boxed", 2), []uint64{1, 2}, [][]Op{{{opPop, 0}}, {{opPop, 0}}}, nil)},
+		{Name: "stack-3way", Description: "boxed stack: push vs push vs pop (larger tree; use -mode walk)",
+			Build: Program(Lookup("stack/boxed", 3), []uint64{1},
+				[][]Op{{{opPush, 2}}, {{opPush, 3}}, {{opPop, 0}}}, nil)},
+		{Name: "queue-enqdeq", Description: "abortable queue: enqueue vs dequeue, capacity 1",
+			Build: Program(Lookup("queue/boxed", 1), nil, pushPop, nil)},
+		{Name: "queue-enqenq", Description: "abortable queue: two racing enqueues on the last slot",
+			Build: Program(Lookup("queue/boxed", 1), nil, [][]Op{{{opPush, 1}}, {{opPush, 2}}}, nil)},
+		{Name: "deque-opposite-ends", Description: "HLM deque: pushr vs popl over one element",
+			Build: Program(Lookup("deque/abortable", 4), []uint64{7}, [][]Op{{{opPushR, 9}}, {{opPopL, 0}}}, nil)},
+		{Name: "deque-singleton-races", Description: "HLM deque: popl vs popr over a single element (the hot spot)",
+			Build: Program(Lookup("deque/abortable", 4), []uint64{42}, [][]Op{{{opPopL, 0}}, {{opPopR, 0}}}, nil)},
+		{Name: "naive-aba", Description: "untagged stack under the pop vs pop,pop,push,push race (EXPECTED to fail)",
+			Build: Program(Lookup("stack/naive", 4), []uint64{10, 20}, abaPlans, nil), ExpectFail: true},
+		{Name: "set-add-remove", Description: "COW abortable set: add vs remove over overlapping keys",
+			Build: Program(Lookup("set/cow", 0), []uint64{10}, [][]Op{{{opAdd, 20}}, {{opRem, 10}}}, nil)},
+		{Name: "harris-window-race", Description: "lock-free list: racing add and remove in one window",
+			Build: Program(Lookup("set/harris", 0), []uint64{10, 20}, [][]Op{{{opAdd, 15}}, {{opRem, 10}}}, nil)},
+		{Name: "hash-split-race", Description: "split-ordered hash: racing bucket splits and a remove (tree too large; use -mode walk)",
+			Build: Program(Lookup("set/hash", 0), []uint64{4, 6},
+				[][]Op{{{opAdd, 1}}, {{opRem, 6}, {opAdd, 3}}}, nil), WalkOnly: true},
 	}
-	return build, append(sched, 0, 0, 0, 0)
 }

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro"
 	"repro/internal/memory"
+	"repro/internal/stack"
 )
 
 // counterBuilder builds a run of two processes each CAS-incrementing a
@@ -91,11 +94,47 @@ func TestExploreFindsInjectedBug(t *testing.T) {
 	}
 }
 
+// abaReplay returns the named entry of ABAReplays.
+func abaReplay(t testing.TB, name string) ABAReplay {
+	for _, r := range ABAReplays() {
+		if r.Name == name {
+			return r
+		}
+	}
+	t.Fatalf("no ABA replay %q", name)
+	return ABAReplay{}
+}
+
+// namedProgram returns the named entry of Programs.
+func namedProgram(t testing.TB, name string) NamedProgram {
+	for _, p := range Programs() {
+		if p.Name == name {
+			return p
+		}
+	}
+	t.Fatalf("no program %q", name)
+	return NamedProgram{}
+}
+
+// explore runs build exhaustively and fails t on a violation or an
+// incomplete tree.
+func explore(t *testing.T, what string, build Builder) Report {
+	t.Helper()
+	rep := Explore(build, Options{})
+	if rep.Failure != nil {
+		t.Fatalf("%s: %v\ntrace: %v", what, rep.Failure.Err, rep.Failure.Trace)
+	}
+	if !rep.Complete {
+		t.Fatalf("%s: exploration incomplete after %d schedules", what, rep.Schedules)
+	}
+	return rep
+}
+
 func TestReplayIsDeterministic(t *testing.T) {
-	build, schedule := ABASchedule(NaiveABA)
+	r := abaReplay(t, "naive")
 	var firstErr error
 	for i := 0; i < 5; i++ {
-		_, err := Replay(build, schedule, 0)
+		_, err := Replay(r.Build, r.Schedule, 0)
 		if i == 0 {
 			firstErr = err
 			continue
@@ -109,8 +148,8 @@ func TestReplayIsDeterministic(t *testing.T) {
 func TestABAScheduleBreaksNaiveStack(t *testing.T) {
 	// E8, deterministic half: the handcrafted §2.2 interleaving makes
 	// the untagged stack return a non-linearizable history.
-	build, schedule := ABASchedule(NaiveABA)
-	trace, err := Replay(build, schedule, 0)
+	r := abaReplay(t, "naive")
+	trace, err := Replay(r.Build, r.Schedule, 0)
 	if err == nil {
 		t.Fatalf("ABA schedule did not break the naive stack (trace %v)", trace)
 	}
@@ -123,10 +162,14 @@ func TestABAScheduleHarmlessOnTaggedStacks(t *testing.T) {
 	// E8, control half: the same interleaving shape cannot hurt the
 	// sequence-tagged backends — the stale CAS fails and the operation
 	// aborts instead of corrupting the stack.
-	for _, backend := range []StackBackend{Boxed, PackedWords} {
-		build, schedule := ABASchedule(backend)
-		if _, err := Replay(build, schedule, 0); err != nil {
-			t.Fatalf("%v backend failed under the ABA schedule: %v", backend, err)
+	for _, name := range []string{"boxed", "packed"} {
+		r := abaReplay(t, name)
+		trace, err := Replay(r.Build, r.Schedule, 0)
+		if err != nil {
+			t.Fatalf("%s backend failed under the ABA schedule: %v", name, err)
+		}
+		if len(trace) != len(r.Schedule) {
+			t.Fatalf("%s: trace has %d steps, schedule %d (gate-count drift)", name, len(trace), len(r.Schedule))
 		}
 	}
 }
@@ -134,140 +177,65 @@ func TestABAScheduleHarmlessOnTaggedStacks(t *testing.T) {
 func TestExhaustiveWeakStackTwoProcs(t *testing.T) {
 	// Every interleaving of one weak push against one weak pop on a
 	// small stack is linearizable, for both tagged backends.
-	for _, backend := range []StackBackend{Boxed, PackedWords} {
-		build := WeakStackBuilder(backend, 2, []uint64{7},
-			[][]StackOp{
-				{{Push: true, Value: 9}},
-				{{Push: false}},
-			})
-		rep := Explore(build, Options{})
-		if rep.Failure != nil {
-			t.Fatalf("%v: %v\ntrace: %v", backend, rep.Failure.Err, rep.Failure.Trace)
-		}
-		if !rep.Complete {
-			t.Fatalf("%v: exploration incomplete after %d schedules", backend, rep.Schedules)
-		}
-		t.Logf("%v: %d schedules, all linearizable", backend, rep.Schedules)
+	for _, name := range []string{"stack/boxed", "stack/packed"} {
+		build := Program(Lookup(name, 2), []uint64{7}, [][]Op{{{opPush, 9}}, {{opPop, 0}}}, nil)
+		rep := explore(t, name, build)
+		t.Logf("%s: %d schedules, all linearizable", name, rep.Schedules)
 	}
 }
 
 func TestExhaustiveWeakStackPopPop(t *testing.T) {
 	// Two racing pops must never both return the same value.
-	build := WeakStackBuilder(Boxed, 2, []uint64{1, 2},
-		[][]StackOp{
-			{{Push: false}},
-			{{Push: false}},
-		})
-	rep := Explore(build, Options{})
-	if rep.Failure != nil {
-		t.Fatalf("pop/pop race: %v", rep.Failure.Err)
-	}
-	if !rep.Complete {
-		t.Fatal("exploration incomplete")
-	}
+	explore(t, "pop/pop race", Program(Lookup("stack/boxed", 2), []uint64{1, 2},
+		[][]Op{{{opPop, 0}}, {{opPop, 0}}}, nil))
 }
 
-func TestExhaustiveWeakQueueTwoProcs(t *testing.T) {
-	// Enqueue racing dequeue on capacities 1 and 2, exhaustively.
+// exploreEnqDeq explores enqueue racing dequeue on capacities 1 and 2
+// of the named queue.
+func exploreEnqDeq(t *testing.T, name string) {
 	for _, k := range []int{1, 2} {
 		var initial []uint64
 		if k == 2 {
 			initial = []uint64{5}
 		}
-		build := WeakQueueBuilder(k, initial,
-			[][]QueueOp{
-				{{Enq: true, Value: 9}},
-				{{Enq: false}},
-			})
-		rep := Explore(build, Options{})
-		if rep.Failure != nil {
-			t.Fatalf("k=%d: %v\ntrace: %v", k, rep.Failure.Err, rep.Failure.Trace)
-		}
-		if !rep.Complete {
-			t.Fatalf("k=%d: exploration incomplete", k)
-		}
+		explore(t, fmt.Sprintf("%s k=%d", name, k), Program(Lookup(name, k), initial,
+			[][]Op{{{opPush, 9}}, {{opPop, 0}}}, nil))
 	}
 }
 
-func TestExhaustiveWeakPackedQueueTwoProcs(t *testing.T) {
-	// The packed backend under the same exhaustive races.
-	for _, k := range []int{1, 2} {
-		var initial []uint64
-		if k == 2 {
-			initial = []uint64{5}
-		}
-		build := WeakPackedQueueBuilder(k, initial,
-			[][]QueueOp{
-				{{Enq: true, Value: 9}},
-				{{Enq: false}},
-			})
-		rep := Explore(build, Options{})
-		if rep.Failure != nil {
-			t.Fatalf("k=%d: %v\ntrace: %v", k, rep.Failure.Err, rep.Failure.Trace)
-		}
-		if !rep.Complete {
-			t.Fatalf("k=%d: exploration incomplete", k)
-		}
-	}
-}
+func TestExhaustiveWeakQueueTwoProcs(t *testing.T) { exploreEnqDeq(t, "queue/boxed") }
+
+func TestExhaustiveWeakPackedQueueTwoProcs(t *testing.T) { exploreEnqDeq(t, "queue/packed") }
 
 func TestExhaustiveWeakPackedQueueDeqDeq(t *testing.T) {
-	build := WeakPackedQueueBuilder(2, []uint64{1, 2},
-		[][]QueueOp{
-			{{Enq: false}},
-			{{Enq: false}},
-		})
-	rep := Explore(build, Options{})
-	if rep.Failure != nil {
-		t.Fatalf("deq/deq race: %v", rep.Failure.Err)
-	}
-	if !rep.Complete {
-		t.Fatal("exploration incomplete")
-	}
+	explore(t, "deq/deq race", Program(Lookup("queue/packed", 2), []uint64{1, 2},
+		[][]Op{{{opPop, 0}}, {{opPop, 0}}}, nil))
 }
 
 func TestExhaustiveWeakQueueEnqEnq(t *testing.T) {
 	// Two racing enqueues on the last slot: exactly one may win; the
 	// other aborts or reports full, never both succeeding.
-	build := WeakQueueBuilder(1, nil,
-		[][]QueueOp{
-			{{Enq: true, Value: 1}},
-			{{Enq: true, Value: 2}},
-		})
-	rep := Explore(build, Options{})
-	if rep.Failure != nil {
-		t.Fatalf("enq/enq race: %v", rep.Failure.Err)
-	}
+	explore(t, "enq/enq race", Program(Lookup("queue/boxed", 1), nil,
+		[][]Op{{{opPush, 1}}, {{opPush, 2}}}, nil))
 }
+
+// soloPlan crosses a capacity-2 stack's full and empty boundaries.
+var soloPlan = []Op{{opPush, 1}, {opPush, 2}, {opPush, 3}, {opPop, 0}, {opPop, 0}, {opPop, 0}}
 
 func TestSoloNeverAbortsModelChecked(t *testing.T) {
 	// Claim A2 under the scheduler: a single process's weak ops never
 	// abort, on every backend, including at the full/empty boundaries.
-	plan := []StackOp{
-		{Push: true, Value: 1},
-		{Push: true, Value: 2},
-		{Push: true, Value: 3}, // full (k=2)
-		{Push: false},
-		{Push: false},
-		{Push: false}, // empty
-	}
-	for _, backend := range []StackBackend{Boxed, PackedWords} {
-		rep := Explore(SoloNeverAborts(backend, 2, nil, plan), Options{})
-		if rep.Failure != nil {
-			t.Fatalf("%v: %v", backend, rep.Failure.Err)
-		}
+	for _, name := range []string{"stack/boxed", "stack/packed"} {
+		rep := explore(t, name, Program(Lookup(name, 2), nil, [][]Op{soloPlan}, nil))
 		if rep.Schedules != 1 {
-			t.Fatalf("%v: solo run should have exactly 1 schedule, got %d", backend, rep.Schedules)
+			t.Fatalf("%s: solo run should have exactly 1 schedule, got %d", name, rep.Schedules)
 		}
 	}
 }
 
 func TestWalkSamplesWithoutFailure(t *testing.T) {
-	build := WeakStackBuilder(Boxed, 3, []uint64{1},
-		[][]StackOp{
-			{{Push: true, Value: 2}, {Push: false}},
-			{{Push: false}, {Push: true, Value: 3}},
-		})
+	build := Program(Lookup("stack/boxed", 3), []uint64{1},
+		[][]Op{{{opPush, 2}, {opPop, 0}}, {{opPop, 0}, {opPush, 3}}}, nil)
 	rep := Walk(build, 300, 42, Options{})
 	if rep.Failure != nil {
 		t.Fatalf("random walk found failure: %v", rep.Failure.Err)
@@ -280,12 +248,7 @@ func TestWalkSamplesWithoutFailure(t *testing.T) {
 func TestWalkFindsNaiveABAEventually(t *testing.T) {
 	// E8, probabilistic half: random walks alone stumble on the ABA
 	// interleaving of the naive stack.
-	build := WeakStackBuilder(NaiveABA, 4, []uint64{10, 20},
-		[][]StackOp{
-			{{Push: false}},
-			{{Push: false}, {Push: false}, {Push: true, Value: 30}, {Push: true, Value: 40}},
-		})
-	rep := Walk(build, 5000, 7, Options{})
+	rep := Walk(namedProgram(t, "naive-aba").Build, 5000, 7, Options{})
 	if rep.Failure == nil {
 		t.Fatal("5000 random schedules never exhibited the ABA bug")
 	}
@@ -320,17 +283,122 @@ func TestStepBudgetCatchesSpinning(t *testing.T) {
 }
 
 func TestReplayRejectsBogusSchedule(t *testing.T) {
-	build := WeakStackBuilder(Boxed, 2, nil, [][]StackOp{{{Push: true, Value: 1}}})
+	build := Program(Lookup("stack/boxed", 2), nil, [][]Op{{{opPush, 1}}}, nil)
 	_, err := Replay(build, []int{5}, 0) // pid 5 does not exist
 	if err == nil || !strings.Contains(err.Error(), "non-deterministic replay") {
 		t.Fatalf("bogus schedule not rejected: %v", err)
 	}
 }
 
+// TestTargetNames pins the target table's names: each is
+// "<kind>/<variant>", unique, of a kind Kinds describes, and Lookup
+// resolves it, taking k only on a bounded target.
+func TestTargetNames(t *testing.T) {
+	seen := map[string]bool{}
+	for _, tgt := range targets {
+		kind, _, _ := strings.Cut(tgt.Name, "/")
+		if kind != tgt.Kind || seen[tgt.Name] {
+			t.Fatalf("target %q: kind %q, duplicate %v", tgt.Name, tgt.Kind, seen[tgt.Name])
+		}
+		seen[tgt.Name] = true
+		if _, ok := Kinds[tgt.Kind]; !ok {
+			t.Fatalf("target %q: kind %q has no KindSpec", tgt.Name, tgt.Kind)
+		}
+		want := 0
+		if tgt.K != 0 {
+			want = 3
+		}
+		if got := Lookup(tgt.Name, 3); got.Name != tgt.Name || got.K != want {
+			t.Fatalf("Lookup(%q, 3) = %q at K=%d, want K=%d", tgt.Name, got.Name, got.K, want)
+		}
+	}
+}
+
+// kindVariants checks that the target table's entries of kind are
+// exactly the named variants, each reachable as "<kind>/<variant>".
+func kindVariants(t *testing.T, kind string, variants ...string) {
+	t.Helper()
+	want := map[string]bool{}
+	for _, v := range variants {
+		want[kind+"/"+v] = true
+		if got := Lookup(kind+"/"+v, 3).Name; got != kind+"/"+v {
+			t.Fatalf("Lookup(%q) = %q", kind+"/"+v, got)
+		}
+	}
+	for _, tgt := range targets {
+		if tgt.Kind == kind && !want[tgt.Name] {
+			t.Fatalf("%s target %q not in %v", kind, tgt.Name, variants)
+		}
+	}
+}
+
+// TestBackendString pins the stack targets' names and that an unknown
+// name is refused rather than resolved to some default.
 func TestBackendString(t *testing.T) {
-	if Boxed.String() != "boxed" || PackedWords.String() != "packed" ||
-		NaiveABA.String() != "naive" || StackBackend(9).String() != "unknown" {
-		t.Fatal("StackBackend.String mismatch")
+	kindVariants(t, "stack", "boxed", "packed", "naive", "pooled-treiber", "combining")
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "unknown target") {
+			t.Fatalf("unknown target not refused: %v", r)
+		}
+	}()
+	Lookup("stack/unknown", 3)
+}
+
+// TestSoloAbortFailsProgram pins claim A2's check: a one-process
+// program fails when an op aborts, which a two-process one may.
+func TestSoloAbortFailsProgram(t *testing.T) {
+	aborting := Target{Name: "stack/aborting", Kind: "stack", Weak: true,
+		Build: func(_, _ int, _ memory.Observer) repro.Ops {
+			return PushPop(nil, func(int, uint64) error { return stack.ErrAborted },
+				func(int) (uint64, error) { return 0, stack.ErrAborted })
+		}}
+	if _, err := Replay(Program(aborting, nil, [][]Op{{{opPush, 1}}}, nil), nil, 0); err == nil ||
+		!strings.Contains(err.Error(), "solo weak operation(s) aborted") {
+		t.Fatalf("solo abort not reported: %v", err)
+	}
+	if _, err := Replay(Program(aborting, nil, [][]Op{{{opPush, 1}}, nil}, nil), nil, 0); err != nil {
+		t.Fatalf("two-process abort rejected: %v", err)
+	}
+}
+
+// TestProgramScheduleCounts pins every named program's schedule tree:
+// a drift in any target's gate count, or in the explorer, changes a
+// count here. The naive stack must fail, at its 13th schedule; the
+// walk-only hash split is sampled instead.
+func TestProgramScheduleCounts(t *testing.T) {
+	want := map[string]int{
+		"stack-pushpop":         210,
+		"stack-pushpop-packed":  252,
+		"stack-popper-race":     210,
+		"stack-3way":            352944,
+		"queue-enqdeq":          56,
+		"queue-enqenq":          92,
+		"deque-opposite-ends":   9132,
+		"deque-singleton-races": 8778,
+		"set-add-remove":        6,
+		"harris-window-race":    4022,
+		"naive-aba":             13,
+	}
+	for _, p := range Programs() {
+		switch {
+		case p.WalkOnly:
+			if rep := Walk(p.Build, 200, 0x5b117, Options{}); rep.Failure != nil {
+				t.Errorf("%s: walk found %v (schedule %v)", p.Name, rep.Failure.Err, rep.Failure.Schedule)
+			}
+			continue
+		case p.Name == "stack-3way" && testing.Short():
+			continue // 352,944 schedules: about two minutes
+		}
+		rep := Explore(p.Build, Options{MaxSchedules: 2_000_000})
+		if (rep.Failure != nil) != p.ExpectFail {
+			t.Errorf("%s: failure %v, expected one: %v", p.Name, rep.Failure, p.ExpectFail)
+		}
+		if !p.ExpectFail && !rep.Complete {
+			t.Errorf("%s: tree incomplete after %d schedules", p.Name, rep.Schedules)
+		}
+		if rep.Schedules != want[p.Name] {
+			t.Errorf("%s: %d schedules, want %d", p.Name, rep.Schedules, want[p.Name])
+		}
 	}
 }
 
@@ -343,5 +411,37 @@ func TestGidStable(t *testing.T) {
 	go func() { ch <- gid() }()
 	if other := <-ch; other == a {
 		t.Fatal("distinct goroutines share a gid")
+	}
+}
+
+// BenchmarkExplore reports the explorer's throughput on two fixed
+// programs: every scheduled access pays a gate handoff and gid's
+// runtime.Stack parse, and every schedule a fresh build plus a
+// linearizability check.
+func BenchmarkExplore(b *testing.B) {
+	for _, name := range []string{"stack-3way", "hash-split-race"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			build := namedProgram(b, name).Build
+			schedules := 0
+			start := time.Now()
+			for b.Loop() {
+				schedules += Explore(build, Options{MaxSchedules: 100}).Schedules
+			}
+			b.ReportMetric(float64(schedules)/time.Since(start).Seconds(), "schedules/s")
+		})
+	}
+}
+
+// BenchmarkGid measures the goroutine-id parse every scheduled access
+// pays.
+func BenchmarkGid(b *testing.B) {
+	b.ReportAllocs()
+	var id uint64
+	for b.Loop() {
+		id += gid()
+	}
+	if id == 0 {
+		b.Fatal("gid returned 0")
 	}
 }

@@ -6,18 +6,9 @@ import "testing"
 // ABA window deterministically: a node retired by Remove comes back at
 // the same handle holding a different key while a slow Add still holds
 // its old next word; the sequence tag makes the stale link CAS fail,
-// and the builder checks linearizability, the final sorted contents,
+// and the program checks linearizability, the final sorted contents,
 // and that recycling actually happened.
-func TestHarrisABAScheduleReplays(t *testing.T) {
-	build, schedule := HarrisABASchedule()
-	trace, err := Replay(build, schedule, 0)
-	if err != nil {
-		t.Fatalf("harris ABA schedule failed: %v (trace %v)", err, trace)
-	}
-	if len(trace) != len(schedule) {
-		t.Fatalf("trace has %d steps, schedule %d (gate-count drift)", len(trace), len(schedule))
-	}
-}
+func TestHarrisABAScheduleReplays(t *testing.T) { replayPinned(t, "harris-set") }
 
 // TestHashSplitABAScheduleReplays verifies the split-ordered hash
 // set's bucket-initialization ABA window deterministically: a node
@@ -25,37 +16,21 @@ func TestHarrisABAScheduleReplays(t *testing.T) {
 // published sentinel while a slow splitter still holds the register's
 // old word; handle parts are equal (both nil successors), so only the
 // sequence tag makes the stale link CAS fail — without it a duplicate
-// sentinel would corrupt the bucket skeleton. The builder checks
+// sentinel would corrupt the bucket skeleton. The program checks
 // linearizability, the final contents, and that both recycles (the
 // sentinel's and the loser's never-published node) actually happened.
-func TestHashSplitABAScheduleReplays(t *testing.T) {
-	build, schedule := HashSplitABASchedule()
-	trace, err := Replay(build, schedule, 0)
-	if err != nil {
-		t.Fatalf("hash split ABA schedule failed: %v (trace %v)", err, trace)
-	}
-	if len(trace) != len(schedule) {
-		t.Fatalf("trace has %d steps, schedule %d (gate-count drift)", len(trace), len(schedule))
-	}
-}
+func TestHashSplitABAScheduleReplays(t *testing.T) { replayPinned(t, "hash-set-split") }
 
 // TestSetSoloNeverAborts extends the E2 obligation to the set tier:
 // exhaustive solo schedules over add/remove/contains — duplicate adds
 // and absent removes included — must never abort.
 func TestSetSoloNeverAborts(t *testing.T) {
-	plan := []SetOp{
-		{Kind: "add", Key: 5}, {Kind: "add", Key: 3}, {Kind: "add", Key: 5},
-		{Kind: "has", Key: 3}, {Kind: "rem", Key: 5}, {Kind: "has", Key: 5},
-		{Kind: "rem", Key: 5}, {Kind: "rem", Key: 3},
+	plan := []Op{
+		{opAdd, 5}, {opAdd, 3}, {opAdd, 5}, {opHas, 3},
+		{opRem, 5}, {opHas, 5}, {opRem, 5}, {opRem, 3},
 	}
-	for _, backend := range []SetBackend{CowSet, HarrisSet, HashSet} {
-		rep := Explore(SoloSetNeverAborts(backend, nil, plan), Options{})
-		if rep.Failure != nil {
-			t.Fatalf("%v: %v", backend, rep.Failure.Err)
-		}
-		if rep.Schedules == 0 {
-			t.Fatalf("%v: no schedules explored", backend)
-		}
+	for _, name := range []string{"set/cow", "set/harris", "set/hash"} {
+		explore(t, name, Program(Lookup(name, 0), nil, [][]Op{plan}, nil))
 	}
 }
 
@@ -63,40 +38,20 @@ func TestSetSoloNeverAborts(t *testing.T) {
 // random schedules of a contended plan: every interleaving must stay
 // linearizable, with aborted attempts taking no effect.
 func TestCowSetRandomWalks(t *testing.T) {
-	runs := 400
-	if testing.Short() {
-		runs = 80
-	}
-	build := WeakSetBuilder(CowSet, []uint64{10, 20},
-		[][]SetOp{
-			{{Kind: "rem", Key: 10}, {Kind: "add", Key: 15}, {Kind: "has", Key: 20}},
-			{{Kind: "add", Key: 15}, {Kind: "rem", Key: 20}, {Kind: "has", Key: 10}},
-		})
-	rep := Walk(build, runs, 0x5e7, Options{})
-	if rep.Failure != nil {
-		t.Fatalf("cow set violated linearizability: %v (schedule %v)",
-			rep.Failure.Err, rep.Failure.Schedule)
-	}
+	walk(t, "set/cow", []uint64{10, 20}, [][]Op{
+		{{opRem, 10}, {opAdd, 15}, {opHas, 20}},
+		{{opAdd, 15}, {opRem, 20}, {opHas, 10}},
+	}, 400, 0x5e7)
 }
 
 // TestHarrisRandomWalks walks the lock-free list under a plan mixing
 // overlapping windows and recycling (removes feeding later adds
 // through the per-pid free lists).
 func TestHarrisRandomWalks(t *testing.T) {
-	runs := 300
-	if testing.Short() {
-		runs = 60
-	}
-	build := WeakSetBuilder(HarrisSet, []uint64{10, 20, 30},
-		[][]SetOp{
-			{{Kind: "rem", Key: 20}, {Kind: "add", Key: 25}, {Kind: "has", Key: 30}},
-			{{Kind: "rem", Key: 30}, {Kind: "add", Key: 20}, {Kind: "rem", Key: 10}},
-		})
-	rep := Walk(build, runs, 0xaba5e7, Options{})
-	if rep.Failure != nil {
-		t.Fatalf("harris set violated linearizability: %v (schedule %v)",
-			rep.Failure.Err, rep.Failure.Schedule)
-	}
+	walk(t, "set/harris", []uint64{10, 20, 30}, [][]Op{
+		{{opRem, 20}, {opAdd, 25}, {opHas, 30}},
+		{{opRem, 30}, {opAdd, 20}, {opRem, 10}},
+	}, 300, 0xaba5e7)
 }
 
 // TestHashRandomWalks walks the split-ordered hash set under a plan
@@ -104,28 +59,13 @@ func TestHarrisRandomWalks(t *testing.T) {
 // of the initial 2-bucket table, so splits, adoptions and window CASes
 // collide) with cross-bucket traffic and recycling.
 func TestHashRandomWalks(t *testing.T) {
-	runs := 300
-	if testing.Short() {
-		runs = 60
-	}
-	build := WeakSetBuilder(HashSet, []uint64{4, 6},
-		[][]SetOp{
-			{{Kind: "add", Key: 1}, {Kind: "rem", Key: 6}, {Kind: "has", Key: 3}},
-			{{Kind: "add", Key: 3}, {Kind: "rem", Key: 1}, {Kind: "add", Key: 5}},
-		})
-	rep := Walk(build, runs, 0x5b117, Options{})
-	if rep.Failure != nil {
-		t.Fatalf("hash set violated linearizability: %v (schedule %v)",
-			rep.Failure.Err, rep.Failure.Schedule)
-	}
+	walk(t, "set/hash", []uint64{4, 6}, [][]Op{
+		{{opAdd, 1}, {opRem, 6}, {opHas, 3}},
+		{{opAdd, 3}, {opRem, 1}, {opAdd, 5}},
+	}, 300, 0x5b117)
 }
 
+// TestSetBackendNames pins the set targets' names.
 func TestSetBackendNames(t *testing.T) {
-	for b, want := range map[SetBackend]string{
-		CowSet: "cow", HarrisSet: "harris", HashSet: "hash",
-	} {
-		if got := b.String(); got != want {
-			t.Fatalf("SetBackend(%d).String() = %q, want %q", b, got, want)
-		}
-	}
+	kindVariants(t, "set", "cow", "harris", "hash", "adaptive")
 }

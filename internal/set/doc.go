@@ -37,6 +37,7 @@
 // recycling disciplines unchanged (keys < 2^63; one reserved bit).
 //
 // Experiments E18/E19 measure the tier across read ratios and key
-// ranges; sched.HarrisABASchedule and sched.HashSplitABASchedule
-// replay the recycled-node ABA windows deterministically.
+// ranges; the harris-set and hash-set-split entries of
+// sched.ABAReplays replay the recycled-node ABA windows
+// deterministically.
 package set

@@ -147,8 +147,8 @@ func (s *Hash) bucketIn(pid int, t *hashTable, b uint64) *atomic.Uint64 {
 // linked — and caches the handle in the bucket word. The linking CAS
 // is tag-validated like any other: the §2.2 hazard is live here
 // because a loser's prepared node is recycled and can reappear, same
-// handle, as anything (sched.HashSplitABASchedule replays exactly
-// that window deterministically).
+// handle, as anything (the hash-set-split entry of sched.ABAReplays
+// replays exactly that window deterministically).
 func (s *Hash) initBucket(pid int, t *hashTable, b uint64, w *atomic.Uint64, v memory.TaggedVal) *atomic.Uint64 {
 	parent := b &^ (uint64(1) << (63 - uint(bits.LeadingZeros64(b)))) // b > 0: bucket 0 is born initialized
 	start := s.bucketIn(pid, t, parent)
