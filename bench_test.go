@@ -263,7 +263,7 @@ func BenchmarkE8ModelChecker(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.Replay(r.Build, r.Schedule, 0); err != nil {
+		if _, err := sched.Replay(r.Build, r.Schedule, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -376,7 +376,7 @@ func BenchmarkE13CrashReplay(b *testing.B) {
 	survivor := []sched.Op{{V: 1}, {Code: 1}} // push 1, pop
 	for i := 0; i < b.N; i++ {
 		build := sched.Program(sched.Lookup("stack/boxed", 8), nil, [][]sched.Op{{{V: 77}}, survivor}, nil)
-		if _, err := sched.ReplayWithCrashes(build, []int{0, 0, 0}, sched.CrashPlan{0: 3}, 0); err != nil {
+		if _, err := sched.Replay(build, []int{0, 0, 0}, sched.CrashPlan{0: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -124,7 +124,7 @@ func runCrashSweeps(w *os.File) error {
 	tb.AddRow("stack/combining", "push (combiner)", sched.CombiningCrashGates+1, "linearizable (crashed op pending)")
 
 	build, schedule, plan := sched.CombiningTakeoverSchedule()
-	if _, err := sched.ReplayWithCrashes(build, schedule, plan, 0); err != nil {
+	if _, err := sched.Replay(build, schedule, plan); err != nil {
 		fmt.Fprint(w, tb.String())
 		return fmt.Errorf("pinned takeover replay: %v", err)
 	}
@@ -140,7 +140,7 @@ func runCrashSweeps(w *os.File) error {
 	tb.AddRow("set/adaptive", "morph (migrator)", sched.AdaptiveMigrationGates+2, "survivors complete, linearizable")
 
 	mbuild, msched := sched.AdaptiveMigrationSchedule()
-	if _, err := sched.Replay(mbuild, msched, 0); err != nil {
+	if _, err := sched.Replay(mbuild, msched, nil); err != nil {
 		fmt.Fprint(w, tb.String())
 		return fmt.Errorf("pinned migration replay: %v", err)
 	}

@@ -106,7 +106,7 @@ func main() {
 // fires (experiment E8's deterministic half).
 func runABA() {
 	for _, r := range sched.ABAReplays() {
-		trace, err := sched.Replay(r.Build, r.Schedule, 0)
+		trace, err := sched.Replay(r.Build, r.Schedule, nil)
 		fmt.Printf("backend %-16s: ", r.Name)
 		switch {
 		case err != nil:

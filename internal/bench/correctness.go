@@ -231,7 +231,7 @@ func runE8(cfg Config, w io.Writer) error {
 		if r.Recycles && !ok {
 			continue
 		}
-		_, err := sched.Replay(r.Build, r.Schedule, 0)
+		_, err := sched.Replay(r.Build, r.Schedule, nil)
 		switch {
 		case r.Corrupts:
 			if err == nil {

@@ -38,7 +38,7 @@ func runE22(cfg Config, w io.Writer) error {
 	// foreign request accepted but unserved; the survivor must steal
 	// the lease (the builder asserts Steals >= 1) and linearize.
 	build, schedule, plan := sched.CombiningTakeoverSchedule()
-	if _, err := sched.ReplayWithCrashes(build, schedule, plan, 0); err != nil {
+	if _, err := sched.Replay(build, schedule, plan); err != nil {
 		return fmt.Errorf("E22: pinned combiner-crash takeover replay: %v", err)
 	}
 	if err := fprintf(w, "pinned takeover replay: combiner crashed lease-held at gate %d; survivor stole the lease and the history linearized\n",

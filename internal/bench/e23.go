@@ -78,7 +78,7 @@ func runE23(cfg Config, w io.Writer) error {
 	// sealed root and the op re-dispatch onto the new rung, with the
 	// gate count pinned so any protocol drift fails loudly.
 	mbuild, msched := sched.AdaptiveMigrationSchedule()
-	if _, err := sched.Replay(mbuild, msched, 0); err != nil {
+	if _, err := sched.Replay(mbuild, msched, nil); err != nil {
 		return fmt.Errorf("E23: pinned mid-migration replay: %v", err)
 	}
 	if err := fprintf(w, "pinned migration replay: writer parked across the epoch flip for %d gates; stale CAS failed, op re-dispatched, history linearized\n",

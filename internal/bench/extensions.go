@@ -85,7 +85,7 @@ func runE13(cfg Config, w io.Writer) error {
 			[][]sched.Op{{{V: 77}}, survivor}, nil)
 		for crashAt := 0; crashAt <= 5; crashAt++ {
 			schedule := make([]int, crashAt)
-			_, err := sched.ReplayWithCrashes(build, schedule, sched.CrashPlan{0: crashAt}, 0)
+			_, err := sched.Replay(build, schedule, sched.CrashPlan{0: crashAt})
 			verdict := "survivor consistent, all ops complete"
 			if err != nil {
 				verdict = "FAIL: " + err.Error()

@@ -9,7 +9,7 @@ import (
 )
 
 // ABAReplay is one handcrafted schedule of §2.2's ABA window on one
-// backend: Replay(Build, Schedule, 0) drives it deterministically.
+// backend: Replay(Build, Schedule, nil) drives it deterministically.
 type ABAReplay struct {
 	// Name is the backend's name in reports.
 	Name     string

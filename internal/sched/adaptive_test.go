@@ -13,7 +13,7 @@ import "testing"
 // silently exploring a different interleaving.
 func TestAdaptiveMigrationScheduleReplays(t *testing.T) {
 	build, schedule := AdaptiveMigrationSchedule()
-	trace, err := Replay(build, schedule, 0)
+	trace, err := Replay(build, schedule, nil)
 	if err != nil {
 		t.Fatalf("adaptive migration schedule failed: %v (trace %v)", err, trace)
 	}
@@ -46,7 +46,7 @@ func TestAdaptiveMigrationGateCounts(t *testing.T) {
 		{"cow→harris", CrashAdaptiveMigration(), AdaptiveMigrationGates},
 		{"harris→hash", crashAdaptiveMigration(1, 2), harrisMigrationGates},
 	} {
-		trace, err := ReplayWithCrashes(tc.build, nil, nil, 0)
+		trace, err := Replay(tc.build, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: crash-free run failed: %v", tc.name, err)
 		}

@@ -21,7 +21,7 @@ func TestCombiningTakeoverSchedule(t *testing.T) {
 	// the survivor's pop can only complete by stealing the lease (the
 	// builder's Check asserts Steals >= 1 on top of linearizability).
 	build, sched, plan := CombiningTakeoverSchedule()
-	tr, err := ReplayWithCrashes(build, sched, plan, 0)
+	tr, err := Replay(build, sched, plan)
 	if err != nil {
 		t.Fatalf("takeover schedule failed: %v", err)
 	}
@@ -39,7 +39,7 @@ func TestCombiningTakeoverSchedule(t *testing.T) {
 	// Deterministic replay: the same schedule reproduces the identical
 	// access trace, byte for byte.
 	build2, sched2, plan2 := CombiningTakeoverSchedule()
-	tr2, err := ReplayWithCrashes(build2, sched2, plan2, 0)
+	tr2, err := Replay(build2, sched2, plan2)
 	if err != nil {
 		t.Fatalf("takeover replay failed: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestCombiningCrashGateCount(t *testing.T) {
 	// CombiningCrashGates is implementation-exact: one past the number
 	// of shared accesses p0's crash-free contended push performs under
 	// the default schedule. A drift here silently weakens the sweep.
-	tr, err := ReplayWithCrashes(CombiningCrashBuilder(false), nil, nil, 0)
+	tr, err := Replay(CombiningCrashBuilder(false), nil, nil)
 	if err != nil {
 		t.Fatalf("crash-free combining run failed: %v", err)
 	}

@@ -2,9 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/memory"
 )
@@ -43,59 +41,36 @@ type decision struct {
 
 // controller serializes the shared accesses of the run's processes:
 // it blocks each process at its next access until granted, so that at
-// every instant at most one process is between accesses. Unregistered
-// goroutines (the builder and checker) pass through unhindered.
+// every instant at most one process runs. That one process is cur, the
+// pid the scheduler last released (spawned or granted): the release is
+// a go statement or a channel send, which orders the write of cur
+// before the process reads it. While open — during the build and the
+// check — accesses pass through unscheduled.
 type controller struct {
 	events chan event
 	grants []chan struct{}
-	open   atomic.Bool
-
-	regMu sync.Mutex
-	reg   map[uint64]int
+	cur    int
+	open   bool
 }
 
+// event is what the running process reports when it stops running:
+// it reached a gate (done false) or it finished or panicked (done
+// true, err set on a panic).
 type event struct {
-	pid     int
-	blocked bool // true: at a gate; false: process finished all ops
-	access  memory.Kind
+	done   bool
+	access memory.Kind
+	err    error
 }
 
-func newController() *controller {
-	return &controller{
-		events: make(chan event),
-		reg:    make(map[uint64]int),
-	}
-}
-
-// start sizes the per-process grant channels; it must be called after
-// the run is built and before its processes are spawned.
-func (c *controller) start(procs int) {
-	c.grants = make([]chan struct{}, procs)
-	for i := range c.grants {
-		c.grants[i] = make(chan struct{}, 1)
-	}
-}
-
-// OnAccess implements memory.Observer: block until the scheduler
-// grants this process's next shared access.
+// OnAccess implements memory.Observer: report the gate and block until
+// the scheduler grants this process's next shared access.
 func (c *controller) OnAccess(k memory.Kind) {
-	if c.open.Load() {
+	if c.open {
 		return
 	}
-	c.regMu.Lock()
-	pid, ok := c.reg[gid()]
-	c.regMu.Unlock()
-	if !ok {
-		return // builder/checker access: not scheduled
-	}
-	c.events <- event{pid: pid, blocked: true, access: k}
+	pid := c.cur
+	c.events <- event{access: k}
 	<-c.grants[pid]
-}
-
-func (c *controller) register(pid int) {
-	c.regMu.Lock()
-	c.reg[gid()] = pid
-	c.regMu.Unlock()
 }
 
 // runOutcome is the full record of one executed schedule.
@@ -110,158 +85,124 @@ type runOutcome struct {
 // unbounded number of shared accesses (e.g. a spin loop).
 var ErrStepBudget = fmt.Errorf("sched: step budget exceeded (spinning operation?)")
 
-// runOnce executes one schedule of build's run: decisions follow
-// prefix while it lasts, then always pick the lowest ready pid.
-// maxSteps > 0 bounds the number of scheduling decisions.
-func runOnce(build Builder, prefix []int, maxSteps int) runOutcome {
-	return runSchedule(build, maxSteps, nil, func(d int, cands []int, blocked map[int]memory.Kind) (int, error) {
-		if d < len(prefix) {
-			pick := prefix[d]
-			if _, ready := blocked[pick]; !ready {
-				return 0, fmt.Errorf("sched: non-deterministic replay: pid %d not ready at decision %d (ready %v)", pick, d, cands)
-			}
-			return pick, nil
+// runOnce executes one schedule of build's run under plan: decisions
+// follow prefix while it lasts, then always pick the lowest ready pid.
+func runOnce(build Builder, prefix []int, plan CrashPlan, maxSteps int) runOutcome {
+	return runSchedule(build, maxSteps, plan, func(d int, cands []int) (int, error) {
+		if d >= len(prefix) {
+			return cands[0], nil
 		}
-		return cands[0], nil
+		if !slices.Contains(cands, prefix[d]) {
+			return 0, fmt.Errorf("sched: non-deterministic replay: pid %d not ready at decision %d (ready %v)", prefix[d], d, cands)
+		}
+		return prefix[d], nil
 	})
 }
 
 // runRandom executes one uniformly random schedule drawn from rng.
 func runRandom(build Builder, rng *uint64, maxSteps int) runOutcome {
-	return runSchedule(build, maxSteps, nil, func(_ int, cands []int, _ map[int]memory.Kind) (int, error) {
+	return runSchedule(build, maxSteps, nil, func(_ int, cands []int) (int, error) {
 		return cands[int(splitmix64(rng)%uint64(len(cands)))], nil
 	})
 }
 
 // runSchedule executes one schedule, consulting pick at every decision
-// point. crashAfter is the run's CrashPlan: it maps a pid to the
-// number of granted accesses after which that process crashes — it is
-// never scheduled again and stays parked at its gate (the paper's §5
-// crash model — a process stops between two shared accesses and takes
-// no further steps). A nil plan disables crashes.
-func runSchedule(build Builder, maxSteps int, crashAfter CrashPlan, pick func(d int, cands []int, blocked map[int]memory.Kind) (int, error)) runOutcome {
+// point with the ready pids in increasing order. crashAfter is the
+// run's CrashPlan: it maps a pid to the number of granted accesses
+// after which that process crashes — it is never scheduled again and
+// stays parked at its gate (the paper's §5 crash model — a process
+// stops between two shared accesses and takes no further steps). A
+// nil plan disables crashes.
+func runSchedule(build Builder, maxSteps int, crashAfter CrashPlan, pick func(d int, cands []int) (int, error)) runOutcome {
 	var out runOutcome
 
-	c := newController()
+	c := &controller{events: make(chan event), open: true}
 	run := build(c)
 	procs := len(run.Ops)
-	c.start(procs)
+	c.grants = make([]chan struct{}, procs)
+	for i := range c.grants {
+		c.grants[i] = make(chan struct{}, 1)
+	}
+	c.open = false
 
-	var panicMu sync.Mutex
+	process := func(pid int) {
+		defer func() {
+			var err error
+			if r := recover(); r != nil {
+				err = fmt.Errorf("sched: process %d panicked: %v", pid, r)
+			}
+			c.events <- event{done: true, err: err}
+		}()
+		for _, op := range run.Ops[pid] {
+			op()
+		}
+	}
+
+	// Scheduler loop: release one process (spawn the next, or grant a
+	// ready one), then wait for it to stop at a gate, finish or panic.
+	// Every process is spawned, in pid order, before the first grant.
+	granted := make([]int, procs)
+	ready := make([]bool, procs)
+	access := make([]memory.Kind, procs)
 	var panicErr error
-	var wg sync.WaitGroup
-	for pid := range run.Ops {
-		wg.Add(1)
-		go func(pid int, ops []func()) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicErr == nil {
-						panicErr = fmt.Errorf("sched: process %d panicked: %v", pid, r)
-					}
-					panicMu.Unlock()
-					c.events <- event{pid: pid, blocked: false}
+	for spawned := 0; ; {
+		if spawned < procs {
+			c.cur = spawned
+			go process(spawned)
+			spawned++
+		} else {
+			cands := make([]int, 0, procs)
+			for pid, r := range ready {
+				if r {
+					cands = append(cands, pid)
 				}
-			}()
-			c.register(pid)
-			for _, op := range ops {
-				op()
 			}
-			c.events <- event{pid: pid, blocked: false}
-		}(pid, run.Ops[pid])
-	}
-
-	// Scheduler loop: wait until every live process is blocked at a
-	// gate (or finished), then grant one.
-	running := procs
-	finished := 0
-	crashed := 0
-	granted := make(map[int]int)
-	blocked := make(map[int]memory.Kind)
-	for finished+crashed < procs {
-		for running > 0 {
-			ev := <-c.events
-			running--
-			if !ev.blocked {
-				finished++
-				continue
+			if len(cands) == 0 {
+				break // everyone finished or crashed
 			}
-			if limit, dies := crashAfter[ev.pid]; dies && granted[ev.pid] >= limit {
-				// The process crashes here: it stays parked at its
-				// gate forever and is never scheduled again.
-				crashed++
-				continue
+			var next int
+			next, out.err = pick(len(out.decisions), cands)
+			if out.err == nil && len(out.decisions) >= maxSteps {
+				out.err = ErrStepBudget
 			}
-			blocked[ev.pid] = ev.access
-		}
-		if len(blocked) == 0 {
-			break // everyone finished or crashed
+			if out.err != nil {
+				// Abort the run. Every live process is parked at its
+				// gate, so simply returning leaks them in a
+				// permanently parked state: zero CPU, reclaimed only
+				// at process exit. Releasing them instead would let a
+				// genuinely spinning operation (the very thing the
+				// step budget catches) burn a core forever.
+				// Acceptable for a test substrate; aborts are rare
+				// and terminal.
+				return out
+			}
+			out.decisions = append(out.decisions, decision{chosen: next, candidates: cands})
+			out.trace = append(out.trace, Step{Pid: next, Access: access[next]})
+			granted[next]++
+			ready[next] = false
+			c.cur = next
+			c.grants[next] <- struct{}{}
 		}
 
-		// Decision point.
-		cands := make([]int, 0, len(blocked))
-		for pid := range blocked {
-			cands = append(cands, pid)
+		ev := <-c.events
+		pid := c.cur
+		switch limit, dies := crashAfter[pid]; {
+		case ev.done:
+			if panicErr == nil {
+				panicErr = ev.err
+			}
+		case dies && granted[pid] >= limit:
+			// The process crashes here: it stays parked at its gate
+			// forever and is never scheduled again.
+		default:
+			ready[pid] = true
+			access[pid] = ev.access
 		}
-		sort.Ints(cands)
-		var next int
-		next, out.err = pick(len(out.decisions), cands, blocked)
-		if out.err == nil && maxSteps > 0 && len(out.decisions) >= maxSteps {
-			out.err = ErrStepBudget
-		}
-		if out.err != nil {
-			// Abort the run. Every live process is parked at its gate
-			// (running == 0 here), so simply returning leaks them in a
-			// permanently parked state: zero CPU, reclaimed only at
-			// process exit. Releasing them instead would let a
-			// genuinely spinning operation (the very thing the step
-			// budget catches) burn a core forever. Acceptable for a
-			// test substrate; aborts are rare and terminal.
-			return out
-		}
-
-		out.decisions = append(out.decisions, decision{chosen: next, candidates: cands})
-		out.trace = append(out.trace, Step{Pid: next, Access: blocked[next]})
-		granted[next]++
-		delete(blocked, next)
-		running = 1
-		c.grants[next] <- struct{}{}
 	}
-	c.open.Store(true)
-	if crashed == 0 {
-		wg.Wait()
-	}
-	// Survivor done-events happen-before their receipt above, so the
-	// panic flag is safely visible even without wg.Wait.
-	panicMu.Lock()
+	c.open = true
 	out.err = panicErr
-	panicMu.Unlock()
 	if out.err == nil && run.Check != nil {
 		out.err = run.Check()
 	}
 	return out
-}
-
-// ReplayWithCrashes executes one explicit schedule in which each pid
-// in the CrashPlan permanently stops after its given number of granted
-// shared accesses (the §5 crash model: a crashed process takes no
-// further steps; its goroutine is leaked parked). The run ends when
-// every non-crashed process finishes; Check then validates the
-// survivors' view.
-func ReplayWithCrashes(build Builder, schedule []int, crashAfter CrashPlan, maxSteps int) (trace []Step, err error) {
-	if maxSteps == 0 {
-		maxSteps = 10000
-	}
-	out := runSchedule(build, maxSteps, crashAfter, func(d int, cands []int, blocked map[int]memory.Kind) (int, error) {
-		if d < len(schedule) {
-			pick := schedule[d]
-			if _, ready := blocked[pick]; !ready {
-				return 0, fmt.Errorf("sched: non-deterministic replay: pid %d not ready at decision %d (ready %v)", pick, d, cands)
-			}
-			return pick, nil
-		}
-		return cands[0], nil
-	})
-	return out.trace, out.err
 }

@@ -24,7 +24,7 @@ type CrashPlan map[int]int
 // "crashed before any step" and "crashed after completing".
 func SweepCrashPoints(points int, build Builder) error {
 	for g := 0; g <= points; g++ {
-		if _, err := ReplayWithCrashes(build, nil, CrashPlan{0: g}, 0); err != nil {
+		if _, err := Replay(build, nil, CrashPlan{0: g}); err != nil {
 			return fmt.Errorf("crash point %d: %w", g, err)
 		}
 	}

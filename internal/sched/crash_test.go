@@ -42,7 +42,7 @@ func TestCrashMidPushEveryPoint(t *testing.T) {
 	for _, name := range []string{"stack/boxed", "stack/packed"} {
 		build := crashRun(name, []uint64{10, 20}, Op{opPush, 77}, survivor)
 		for crashAt := 0; crashAt <= 5; crashAt++ {
-			if _, err := ReplayWithCrashes(build, segments(0, crashAt), CrashPlan{0: crashAt}, 0); err != nil {
+			if _, err := Replay(build, segments(0, crashAt), CrashPlan{0: crashAt}); err != nil {
 				t.Fatalf("%s crashAt=%d: %v", name, crashAt, err)
 			}
 		}
@@ -53,7 +53,7 @@ func TestCrashBeyondOpCompletes(t *testing.T) {
 	// A crash limit beyond the op's access count means no crash: the
 	// run completes and the marker must be on the stack.
 	build := crashRun("stack/boxed", nil, Op{opPush, 77}, []Op{{opPop, 0}})
-	if _, err := ReplayWithCrashes(build, segments(0, 5), CrashPlan{0: 50}, 0); err != nil {
+	if _, err := Replay(build, segments(0, 5), CrashPlan{0: 50}); err != nil {
 		t.Fatalf("uncrashed run failed: %v", err)
 	}
 }
@@ -65,7 +65,7 @@ func TestCrashSurvivorSeesEffectiveCrashedPush(t *testing.T) {
 	// must return the marker — and the check must accept it via the
 	// "crashed op took effect" branch.
 	build := crashRun("stack/boxed", nil, Op{opPush, 77}, []Op{{opPop, 0}})
-	if _, err := ReplayWithCrashes(build, segments(0, 5), CrashPlan{0: 5}, 0); err != nil {
+	if _, err := Replay(build, segments(0, 5), CrashPlan{0: 5}); err != nil {
 		t.Fatalf("effective crashed push rejected: %v", err)
 	}
 }
@@ -73,18 +73,17 @@ func TestCrashSurvivorSeesEffectiveCrashedPush(t *testing.T) {
 func TestCrashRejectsNondeterministicSchedule(t *testing.T) {
 	build := crashRun("stack/boxed", nil, Op{opPush, 77}, []Op{{opPop, 0}})
 	// Granting p0 three accesses contradicts a crash after one.
-	_, err := ReplayWithCrashes(build, segments(0, 3), CrashPlan{0: 1}, 0)
+	_, err := Replay(build, segments(0, 3), CrashPlan{0: 1})
 	if err == nil || !strings.Contains(err.Error(), "non-deterministic replay") {
 		t.Fatalf("expected replay mismatch, got %v", err)
 	}
 }
 
 func TestCrashedHolderOfNaiveInvariantStillChecked(t *testing.T) {
-	// Control: a run with no crashes through ReplayWithCrashes behaves
-	// like Replay.
+	// Control: a run under a nil CrashPlan crashes nobody and passes.
 	build := Program(Lookup("stack/boxed", 2), []uint64{7}, [][]Op{{{opPush, 9}}, {{opPop, 0}}}, nil)
-	if _, err := ReplayWithCrashes(build, nil, nil, 0); err != nil {
-		t.Fatalf("crash-free ReplayWithCrashes failed: %v", err)
+	if _, err := Replay(build, nil, nil); err != nil {
+		t.Fatalf("crash-free Replay failed: %v", err)
 	}
 }
 
@@ -107,7 +106,7 @@ func TestCrashLeavesGateOpenForSurvivorChecks(t *testing.T) {
 			},
 		}
 	}
-	if _, err := ReplayWithCrashes(build, []int{0}, map[int]int{0: 1}, 0); err != nil {
+	if _, err := Replay(build, []int{0}, map[int]int{0: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !checked {

@@ -6,7 +6,7 @@
 // preemption. This package restores that control:
 //
 //   - every register constructor accepts a memory.Observer; the
-//     Controller here is an observer that blocks the accessing
+//     controller here is an observer that blocks the accessing
 //     goroutine just before each shared access until the scheduler
 //     grants it, turning real register accesses of the *production
 //     implementation* (not a re-encoding) into scheduling points;
@@ -37,6 +37,8 @@
 // shared accesses per operation (weak/abortable operations qualify;
 // spinning slow paths do not), and scheduled operations must not
 // synchronize with each other except through observed registers. The
-// goroutine-identity bridge uses runtime.Stack parsing, which is slow
-// and deliberately confined to this testing substrate.
+// scheduler releases one process at a time and attributes every
+// observed access to the process it last released, so a scheduled
+// operation must not start goroutines that touch observed registers
+// (no object package starts one).
 package sched

@@ -54,7 +54,7 @@ func Explore(build Builder, opts Options) Report {
 	var rep Report
 	prefix := []int{}
 	for {
-		out := runOnce(build, prefix, opts.MaxSteps)
+		out := runOnce(build, prefix, nil, opts.MaxSteps)
 		rep.Schedules++
 		if out.err != nil {
 			rep.Failure = &Failure{Schedule: chosen(out.decisions), Trace: out.trace, Err: out.err}
@@ -88,17 +88,14 @@ func Explore(build Builder, opts Options) Report {
 	}
 }
 
-// Walk samples random schedules of build. It is the fallback when the
+// Walk samples random schedules of build: each decision picks
+// uniformly among the ready processes. It is the fallback when the
 // schedule tree is too large to enumerate; seed makes it reproducible.
 func Walk(build Builder, runs int, seed uint64, opts Options) Report {
 	opts = opts.withDefaults()
 	var rep Report
 	rng := seed
 	for i := 0; i < runs; i++ {
-		// A random schedule is produced by replaying a prefix of
-		// random choices that is longer than any run: each decision
-		// picks uniformly among candidates via the prefix value
-		// modulo the candidate count, resolved in runRandom.
 		out := runRandom(build, &rng, opts.MaxSteps)
 		rep.Schedules++
 		if out.err != nil {
@@ -110,13 +107,15 @@ func Walk(build Builder, runs int, seed uint64, opts Options) Report {
 }
 
 // Replay executes one explicit schedule (a decision sequence as found
-// in Failure.Schedule) and returns the run's check error, the access
-// trace, and any replay error.
-func Replay(build Builder, schedule []int, maxSteps int) (trace []Step, err error) {
-	if maxSteps == 0 {
-		maxSteps = 10000
-	}
-	out := runOnce(build, schedule, maxSteps)
+// in Failure.Schedule; past its end the lowest ready pid runs) under
+// plan, and returns the access trace and the run's check or replay
+// error. Each pid in plan permanently stops after its given number of
+// granted shared accesses (the §5 crash model: a crashed process
+// takes no further steps; its goroutine is leaked parked); the run
+// ends when every non-crashed process finishes, and Check then
+// validates the survivors' view. A nil plan means no crashes.
+func Replay(build Builder, schedule []int, plan CrashPlan) ([]Step, error) {
+	out := runOnce(build, schedule, plan, Options{}.withDefaults().MaxSteps)
 	return out.trace, out.err
 }
 

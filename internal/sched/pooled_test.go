@@ -6,7 +6,7 @@ import "testing"
 // with its trace exactly as long as its schedule.
 func replayPinned(t *testing.T, name string) {
 	r := abaReplay(t, name)
-	trace, err := Replay(r.Build, r.Schedule, 0)
+	trace, err := Replay(r.Build, r.Schedule, nil)
 	if err != nil {
 		t.Fatalf("%s ABA schedule failed: %v (trace %v)", name, err, trace)
 	}

@@ -202,7 +202,7 @@ func Programs() []NamedProgram {
 			Build: Program(Lookup("set/cow", 0), []uint64{10}, [][]Op{{{opAdd, 20}}, {{opRem, 10}}}, nil)},
 		{Name: "harris-window-race", Description: "lock-free list: racing add and remove in one window",
 			Build: Program(Lookup("set/harris", 0), []uint64{10, 20}, [][]Op{{{opAdd, 15}}, {{opRem, 10}}}, nil)},
-		{Name: "hash-split-race", Description: "split-ordered hash: racing bucket splits and a remove (tree too large; use -mode walk)",
+		{Name: "hash-split-race", Description: "split-ordered hash: racing bucket splits and a remove (3,000,000 exhaustive schedules do not finish its tree; use -mode walk)",
 			Build: Program(Lookup("set/hash", 0), []uint64{4, 6},
 				[][]Op{{{opAdd, 1}}, {{opRem, 6}, {opAdd, 3}}}, nil), WalkOnly: true},
 	}

@@ -88,7 +88,7 @@ func TestExploreFindsInjectedBug(t *testing.T) {
 		t.Fatal("exploration missed the interleaving where an increment is lost")
 	}
 	// The failing schedule must replay to the same failure.
-	_, err := Replay(build, rep.Failure.Schedule, 0)
+	_, err := Replay(build, rep.Failure.Schedule, nil)
 	if err == nil || !strings.Contains(err.Error(), "want 2") {
 		t.Fatalf("replay of failing schedule: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestReplayIsDeterministic(t *testing.T) {
 	r := abaReplay(t, "naive")
 	var firstErr error
 	for i := 0; i < 5; i++ {
-		_, err := Replay(r.Build, r.Schedule, 0)
+		_, err := Replay(r.Build, r.Schedule, nil)
 		if i == 0 {
 			firstErr = err
 			continue
@@ -149,7 +149,7 @@ func TestABAScheduleBreaksNaiveStack(t *testing.T) {
 	// E8, deterministic half: the handcrafted §2.2 interleaving makes
 	// the untagged stack return a non-linearizable history.
 	r := abaReplay(t, "naive")
-	trace, err := Replay(r.Build, r.Schedule, 0)
+	trace, err := Replay(r.Build, r.Schedule, nil)
 	if err == nil {
 		t.Fatalf("ABA schedule did not break the naive stack (trace %v)", trace)
 	}
@@ -164,7 +164,7 @@ func TestABAScheduleHarmlessOnTaggedStacks(t *testing.T) {
 	// aborts instead of corrupting the stack.
 	for _, name := range []string{"boxed", "packed"} {
 		r := abaReplay(t, name)
-		trace, err := Replay(r.Build, r.Schedule, 0)
+		trace, err := Replay(r.Build, r.Schedule, nil)
 		if err != nil {
 			t.Fatalf("%s backend failed under the ABA schedule: %v", name, err)
 		}
@@ -282,9 +282,51 @@ func TestStepBudgetCatchesSpinning(t *testing.T) {
 	}
 }
 
+// panicBuilder builds two processes over one register: process 1
+// makes reads accesses and then panics, while process 0 writes it.
+func panicBuilder(reads int) Builder {
+	return func(obs memory.Observer) Run {
+		w := memory.NewWordObserved(0, obs)
+		return Run{Ops: [][]func(){
+			{func() { w.Write(1) }},
+			{func() {
+				for range reads {
+					w.Read()
+				}
+				panic("boom")
+			}},
+		}}
+	}
+}
+
+// TestProcessPanicIsReported pins the panic path: a process that
+// panics before its first scheduled access, or after some, makes Replay
+// and Explore report it instead of hanging or running the check.
+func TestProcessPanicIsReported(t *testing.T) {
+	const want = "sched: process 1 panicked: boom"
+	for _, reads := range []int{0, 2} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := Replay(panicBuilder(reads), nil, nil); err == nil || err.Error() != want {
+				t.Errorf("reads=%d: Replay returned %v, want %q", reads, err, want)
+			}
+			rep := Explore(panicBuilder(reads), Options{})
+			if rep.Failure == nil || rep.Failure.Err.Error() != want {
+				t.Errorf("reads=%d: Explore failure %+v, want %q", reads, rep.Failure, want)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("reads=%d: run hung after a process panicked", reads)
+		}
+	}
+}
+
 func TestReplayRejectsBogusSchedule(t *testing.T) {
 	build := Program(Lookup("stack/boxed", 2), nil, [][]Op{{{opPush, 1}}}, nil)
-	_, err := Replay(build, []int{5}, 0) // pid 5 does not exist
+	_, err := Replay(build, []int{5}, nil) // pid 5 does not exist
 	if err == nil || !strings.Contains(err.Error(), "non-deterministic replay") {
 		t.Fatalf("bogus schedule not rejected: %v", err)
 	}
@@ -352,11 +394,11 @@ func TestSoloAbortFailsProgram(t *testing.T) {
 			return PushPop(nil, func(int, uint64) error { return stack.ErrAborted },
 				func(int) (uint64, error) { return 0, stack.ErrAborted })
 		}}
-	if _, err := Replay(Program(aborting, nil, [][]Op{{{opPush, 1}}}, nil), nil, 0); err == nil ||
+	if _, err := Replay(Program(aborting, nil, [][]Op{{{opPush, 1}}}, nil), nil, nil); err == nil ||
 		!strings.Contains(err.Error(), "solo weak operation(s) aborted") {
 		t.Fatalf("solo abort not reported: %v", err)
 	}
-	if _, err := Replay(Program(aborting, nil, [][]Op{{{opPush, 1}}, nil}, nil), nil, 0); err != nil {
+	if _, err := Replay(Program(aborting, nil, [][]Op{{{opPush, 1}}, nil}, nil), nil, nil); err != nil {
 		t.Fatalf("two-process abort rejected: %v", err)
 	}
 }
@@ -382,12 +424,12 @@ func TestProgramScheduleCounts(t *testing.T) {
 	for _, p := range Programs() {
 		switch {
 		case p.WalkOnly:
-			if rep := Walk(p.Build, 200, 0x5b117, Options{}); rep.Failure != nil {
+			if rep := Walk(p.Build, 10_000, 0x5b117, Options{}); rep.Failure != nil {
 				t.Errorf("%s: walk found %v (schedule %v)", p.Name, rep.Failure.Err, rep.Failure.Schedule)
 			}
 			continue
 		case p.Name == "stack-3way" && testing.Short():
-			continue // 352,944 schedules: about two minutes
+			continue // 352,944 schedules: about 12 s, about a minute under -race
 		}
 		rep := Explore(p.Build, Options{MaxSchedules: 2_000_000})
 		if (rep.Failure != nil) != p.ExpectFail {
@@ -402,22 +444,10 @@ func TestProgramScheduleCounts(t *testing.T) {
 	}
 }
 
-func TestGidStable(t *testing.T) {
-	a, b := gid(), gid()
-	if a != b || a == 0 {
-		t.Fatalf("gid unstable: %d, %d", a, b)
-	}
-	ch := make(chan uint64)
-	go func() { ch <- gid() }()
-	if other := <-ch; other == a {
-		t.Fatal("distinct goroutines share a gid")
-	}
-}
-
 // BenchmarkExplore reports the explorer's throughput on two fixed
-// programs: every scheduled access pays a gate handoff and gid's
-// runtime.Stack parse, and every schedule a fresh build plus a
-// linearizability check.
+// programs: every scheduled access pays a gate handoff (an event send
+// and a grant receive), and every schedule a fresh build, one
+// goroutine per process, and a linearizability check.
 func BenchmarkExplore(b *testing.B) {
 	for _, name := range []string{"stack-3way", "hash-split-race"} {
 		b.Run(name, func(b *testing.B) {
@@ -430,18 +460,5 @@ func BenchmarkExplore(b *testing.B) {
 			}
 			b.ReportMetric(float64(schedules)/time.Since(start).Seconds(), "schedules/s")
 		})
-	}
-}
-
-// BenchmarkGid measures the goroutine-id parse every scheduled access
-// pays.
-func BenchmarkGid(b *testing.B) {
-	b.ReportAllocs()
-	var id uint64
-	for b.Loop() {
-		id += gid()
-	}
-	if id == 0 {
-		b.Fatal("gid returned 0")
 	}
 }
