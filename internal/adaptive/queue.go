@@ -62,7 +62,8 @@ func (a sensQueue[T]) contended() uint64       { return a.q.Guard().Stats().Slow
 func (a sensQueue[T]) inner() any              { return a.q }
 
 // combQueue adapts the combining rung; contention is the publication
-// counter.
+// counter: requests that used up the shortcut's lock.SpinBudget
+// attempts or met a running combiner.
 type combQueue[T any] struct{ q *queue.Combining[T] }
 
 func (a combQueue[T]) put(pid int, v T) error  { return a.q.Enqueue(pid, v) }

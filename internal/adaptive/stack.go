@@ -58,7 +58,8 @@ func (a sensStack[T]) contended() uint64       { return a.s.Guard().Stats().Slow
 func (a sensStack[T]) inner() any              { return a.s }
 
 // combStack adapts the combining rung; contention is the publication
-// counter (requests that missed the fast path).
+// counter: requests that used up the shortcut's lock.SpinBudget
+// attempts or met a running combiner.
 type combStack[T any] struct{ s *stack.Combining[T] }
 
 func (a combStack[T]) put(pid int, v T) error  { return a.s.Push(pid, v) }

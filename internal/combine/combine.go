@@ -250,15 +250,21 @@ func (c *Core[A, R]) bumpBeat() {
 }
 
 // Do runs one strong operation on behalf of pid. The fast path is
-// Figure 3's line 01-02 shortcut unchanged; the fallback publishes the
-// request and either waits for a combiner to serve it or becomes the
+// Figure 3's line 01-02 shortcut, repeated: up to lock.SpinBudget times
+// it reads CONTENTION and, while no combiner has raised it, makes one
+// weak attempt, so a solo operation still costs six accesses. Only when
+// every attempt aborted or a combiner is running does Do publish the
+// request and either wait for a combiner to serve it or become the
 // combiner itself. Do always returns a real result and terminates for
-// every caller (see the package comment's liveness argument).
+// every caller (see the package comment's liveness argument). A pid
+// armed by ArmCombinerCrash skips the shortcut.
 func (c *Core[A, R]) Do(pid int, arg A) R {
-	if !c.contention.Read() {
-		if res, ok := c.try(pid, arg); ok {
-			c.slots[pid].fast.Add(1)
-			return res
+	if a := c.armed.Load(); a == nil || a.pid != pid {
+		for attempt := 0; attempt < lock.SpinBudget && !c.contention.Read(); attempt++ {
+			if res, ok := c.try(pid, arg); ok {
+				c.slots[pid].fast.Add(1)
+				return res
+			}
 		}
 	}
 	return c.DoContended(pid, arg)
@@ -281,9 +287,11 @@ func (c *Core[A, R]) Publish(pid int, arg A) {
 // ArmCombinerCrash arms the one-shot fault injection: the next time
 // pid serves a combining pass it applies `after` slots and then its
 // goroutine exits (runtime.Goexit) with the lease held and CONTENTION
-// raised. Returns false if an injection is already armed. Survivors
-// recover via the lease takeover; the crashed pid must never operate
-// on this Core again.
+// raised. While armed, pid's Do skips the shortcut and publishes: the
+// shortcut's re-attempts absorb nearly every overlap, so without this
+// pid would almost never reach a combining pass. Returns false if an
+// injection is already armed. Survivors recover via the lease
+// takeover; the crashed pid must never operate on this Core again.
 func (c *Core[A, R]) ArmCombinerCrash(pid, after int) bool {
 	a := &armedCrash{pid: pid}
 	a.serves.Store(int64(after))

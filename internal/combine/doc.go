@@ -22,9 +22,17 @@
 // Core is generic over the weak (abortable) operation, mirroring
 // core.Do's shape: the fast path is the paper's line 01-02 shortcut
 // (read CONTENTION, one weak attempt), so a contention-free operation
-// still costs six accesses and no lock; only the fallback changes.
+// still costs six accesses and no lock. Unlike Figure 3, an aborted
+// attempt is retried: the shortcut repeats up to lock.SpinBudget
+// times, re-reading CONTENTION before each attempt, and the request is
+// published only when every attempt aborted or a combiner raised
+// CONTENTION. Overlapping fast-path operations abort one another only
+// briefly, and a combining pass costs far more than a few retries, so
+// the publication list is kept for sustained contention. A running
+// combiner still turns arrivals away at their next CONTENTION read.
 //
-// Liveness: a published request is served by the current or next
+// Liveness: the shortcut publishes after at most lock.SpinBudget
+// attempts, and a published request is served by the current or next
 // combining pass, because every combiner scans all slots before
 // releasing. With a deadlock-free combiner lock the construction is
 // therefore starvation-free — the same guarantee as Figure 3, by a

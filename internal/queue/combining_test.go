@@ -2,7 +2,9 @@ package queue
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestCombiningQueueMatchesSpecSolo(t *testing.T) {
@@ -31,6 +33,30 @@ func TestCombiningQueueConserves(t *testing.T) {
 		t.Fatal("core saw no operations")
 	}
 	if st.Served != st.Published {
+		t.Fatalf("Served = %d, Published = %d", st.Served, st.Published)
+	}
+}
+
+// TestCombiningQueueOversubscribed runs four workers per P on the
+// combining queue, half producers and half consumers. The shortcut's
+// re-attempts do not yield, so a process descheduled mid-operation
+// must not starve the others: the bounded attempts still publish, and
+// the combiner's failed applies yield. Conservation and per-producer
+// order must hold. CI runs it at -cpu 1,2.
+func TestCombiningQueueOversubscribed(t *testing.T) {
+	half, perProducer := 2*runtime.GOMAXPROCS(0), stressN(2000)
+	q := NewCombining[uint64](64, 2*half)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		qconserved(t, half, half, perProducer, q.Enqueue, q.Dequeue)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d workers not done after 30s at GOMAXPROCS %d", 2*half, runtime.GOMAXPROCS(0))
+	}
+	if st := q.Stats(); st.Served != st.Published {
 		t.Fatalf("Served = %d, Published = %d", st.Served, st.Published)
 	}
 }

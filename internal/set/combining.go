@@ -22,8 +22,8 @@ type setOp struct {
 
 // Combining is the flat-combining set: the same interface and
 // lock-free fast path as Sensitive, with the contended path batched —
-// operations that hit interference publish their request and one
-// combiner serves the whole batch per lock acquisition (see
+// operations whose shortcut attempts keep aborting publish their
+// request and one combiner serves the whole batch per lock acquisition (see
 // internal/combine). Because the weak backend's updates all CAS one
 // root register, batching is particularly effective here: a combining
 // pass applies its whole batch without ever losing a CAS.

@@ -22,10 +22,11 @@ type combRes[T any] struct {
 
 // Combining is the flat-combining stack: the Figure 3 interface and
 // fast path with a batched contended path. Solo operations still
-// complete on the six-access lock-free shortcut; operations that hit
-// contention publish their request and one combiner serves the whole
-// batch under a single combiner-lock acquisition, instead of every
-// process taking the slow-path lock in turn. See internal/combine.
+// complete on the six-access lock-free shortcut; operations whose
+// shortcut attempts keep aborting publish their request and one
+// combiner serves the whole batch under a single combiner-lock
+// acquisition, instead of every process taking the slow-path lock in
+// turn. See internal/combine.
 type Combining[T any] struct {
 	// weak makes the single attempts, taking the pid of the executing
 	// process (the caller on the fast path, the combiner when serving

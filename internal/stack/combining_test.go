@@ -2,7 +2,9 @@ package stack
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestCombiningMatchesSpecSolo(t *testing.T) {
@@ -45,6 +47,39 @@ func TestCombiningConserves(t *testing.T) {
 		t.Fatal("core saw no operations")
 	}
 	if st.Served != st.Published {
+		t.Fatalf("Served = %d, Published = %d", st.Served, st.Published)
+	}
+}
+
+// TestCombiningStackOversubscribed runs four workers per P on the
+// combining stack. The shortcut's re-attempts do not yield, so a
+// process descheduled mid-operation must not starve the others: the
+// bounded attempts still publish, and the combiner's failed applies
+// yield. Every value must be popped or left exactly once. CI runs it
+// at -cpu 1,2.
+func TestCombiningStackOversubscribed(t *testing.T) {
+	procs, perProc, k := 4*runtime.GOMAXPROCS(0), stressN(2000), 64
+	s := NewCombining[uint64](k, procs)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conserved(t, procs, perProc, s.Push, s.Pop, func() []uint64 {
+			var out []uint64
+			for {
+				v, err := s.Pop(0)
+				if err != nil {
+					return out
+				}
+				out = append(out, v)
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%d workers x %d ops not done after 30s at GOMAXPROCS %d", procs, perProc, runtime.GOMAXPROCS(0))
+	}
+	if st := s.Stats(); st.Served != st.Published {
 		t.Fatalf("Served = %d, Published = %d", st.Served, st.Published)
 	}
 }
