@@ -55,12 +55,22 @@ func bumped(w uint64) uint64 {
 type Abortable struct {
 	cells *memory.Words
 	max   int
-	// hint is a non-authoritative guess of the left end of the RN
-	// region, updated after successful right-side operations (and a
-	// mirror for the left side). It only shortens the oracle scan;
-	// correctness never depends on it.
-	rightHint *memory.Word
-	leftHint  *memory.Word
+	hints *hints
+}
+
+// hints holds the non-authoritative guesses of the two region
+// boundaries: right is the left end of the RN region, written after
+// successful right-side operations, and left mirrors it for the left
+// side. They only shorten the oracle scan; correctness never depends
+// on them. The two sides write different hints, so each sits at least
+// 64 B (word start to word start) from the other and from the words
+// outside the allocation (DESIGN §2).
+type hints struct {
+	_     [64]byte
+	left  memory.Word
+	_     [56]byte
+	right memory.Word
+	_     [56]byte
 }
 
 // NewAbortable returns a deque of capacity k >= 1 with the window
@@ -74,11 +84,12 @@ func NewAbortableObserved(k int, obs memory.Observer) *Abortable {
 		panic("deque: capacity must be >= 1")
 	}
 	numLN := k/2 + 1 // cells 0..numLN-1 start as LN
-	d := &Abortable{
-		max:       k,
-		rightHint: memory.NewWordObserved(uint64(numLN), obs),
-		leftHint:  memory.NewWordObserved(uint64(numLN-1), obs),
-	}
+	d := &Abortable{max: k, hints: new(hints)}
+	// Written before the observer is set: initialization is not counted.
+	d.hints.right.Write(uint64(numLN))
+	d.hints.left.Write(uint64(numLN - 1))
+	d.hints.right.Observe(obs)
+	d.hints.left.Observe(obs)
 	d.cells = memory.NewWordsInit(k+2, func(i int) uint64 {
 		if i < numLN {
 			return pack(kindLN, 0, 0)
@@ -103,7 +114,7 @@ func (d *Abortable) kindAt(i int) (w uint64, kind uint64) {
 // ok=false means the scan raced interference and the caller should
 // abort.
 func (d *Abortable) findRightBoundary() (k int, ok bool) {
-	k = int(d.rightHint.Read())
+	k = int(d.hints.right.Read())
 	if k < 1 {
 		k = 1
 	}
@@ -134,7 +145,7 @@ func (d *Abortable) findRightBoundary() (k int, ok bool) {
 // findLeftBoundary returns j such that A[j] was LN and A[j+1] was not
 // LN at the respective reads.
 func (d *Abortable) findLeftBoundary() (j int, ok bool) {
-	j = int(d.leftHint.Read())
+	j = int(d.hints.left.Read())
 	if j < 0 {
 		j = 0
 	}
@@ -196,7 +207,7 @@ func (d *Abortable) TryPushRight(v uint32) error {
 	if !d.cells.CAS(k, cur, pack(kindData, v, ctr+1)) {
 		return ErrAborted
 	}
-	d.rightHint.Write(uint64(k + 1))
+	d.hints.right.Write(uint64(k + 1))
 	return nil
 }
 
@@ -231,7 +242,7 @@ func (d *Abortable) TryPopRight() (uint32, error) {
 	if !d.cells.CAS(k-1, cur, pack(kindRN, 0, ctr+1)) {
 		return 0, ErrAborted // interference; no logical change happened
 	}
-	d.rightHint.Write(uint64(k - 1))
+	d.hints.right.Write(uint64(k - 1))
 	return value, nil
 }
 
@@ -263,7 +274,7 @@ func (d *Abortable) TryPushLeft(v uint32) error {
 	if !d.cells.CAS(j, cur, pack(kindData, v, ctr+1)) {
 		return ErrAborted
 	}
-	d.leftHint.Write(uint64(j - 1))
+	d.hints.left.Write(uint64(j - 1))
 	return nil
 }
 
@@ -295,7 +306,7 @@ func (d *Abortable) TryPopLeft() (uint32, error) {
 	if !d.cells.CAS(j+1, cur, pack(kindLN, 0, ctr+1)) {
 		return 0, ErrAborted
 	}
-	d.leftHint.Write(uint64(j + 1))
+	d.hints.left.Write(uint64(j + 1))
 	return value, nil
 }
 

@@ -3,6 +3,9 @@ package deque
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -284,4 +287,74 @@ func TestTowersSolo(t *testing.T) {
 	if st := s.Guard().Stats(); st.Slow != 0 {
 		t.Fatalf("solo strong ops took the slow path %d times", st.Slow)
 	}
+}
+
+// TestHintLayout pins the two hints on lines of their own (DESIGN §2):
+// each starts at least 64 B after the other's last word and after the
+// allocation's start, and ends at least 64 B before the next
+// allocation. Fields are word-aligned, so they never share a 64-byte
+// line at any allocation offset.
+func TestHintLayout(t *testing.T) {
+	typ := reflect.TypeFor[hints]()
+	var names []string
+	var offs []uintptr
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Name != "_" {
+			names = append(names, f.Name)
+			offs = append(offs, f.Offset)
+		}
+	}
+	if want := []string{"left", "right"}; !slices.Equal(names, want) {
+		t.Fatalf("hints registers = %v, want %v", names, want)
+	}
+	last := func(off uintptr) uintptr { return off + reflect.TypeFor[memory.Word]().Size() - 8 }
+	if offs[0] < 64 || offs[1]-last(offs[0]) < 64 || typ.Size()-last(offs[1]) < 64 {
+		t.Errorf("hints offsets %v in %d B, want each word >= 64 B from the other and the edges", offs, typ.Size())
+	}
+}
+
+// BenchmarkAbortableDequeBothEnds is E14 part 2's traffic: one
+// goroutine works each end of a half-full deque of 1024, and an
+// iteration is one push and one pop on each side. Each side writes its
+// own hint after every operation, so hints sharing a line would move
+// that line on every operation (TestHintLayout).
+func BenchmarkAbortableDequeBothEnds(b *testing.B) {
+	b.ReportAllocs()
+	d := NewAbortable(1024)
+	for i := uint32(0); i < 256; i++ {
+		if err := d.TryPushRight(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	done := func(err error) bool { return !errors.Is(err, ErrAborted) }
+	var wg sync.WaitGroup
+	wg.Add(2)
+	b.ResetTimer()
+	go func() {
+		defer wg.Done()
+		for n := 0; n < b.N; n++ {
+			core.Retry(nil, func() (error, bool) {
+				err := d.TryPushRight(1)
+				return err, done(err)
+			})
+			core.Retry(nil, func() (error, bool) {
+				_, err := d.TryPopRight()
+				return err, done(err)
+			})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for n := 0; n < b.N; n++ {
+			v := core.Retry(nil, func() (uint32, bool) {
+				v, err := d.TryPopLeft()
+				return v, done(err)
+			})
+			core.Retry(nil, func() (error, bool) {
+				err := d.TryPushLeft(v)
+				return err, done(err)
+			})
+		}
+	}()
+	wg.Wait()
 }

@@ -9,9 +9,9 @@ import (
 // sibling of the paper's Figure 1 stack. TryEnqueue/TryDequeue make a
 // single attempt and abort on interference; solo attempts never abort.
 //
-// The ring is k slots, each a sequence register and a value cell. For
-// slot j and ticket pos (pos ≡ j mod k) the sequence register takes
-// the values
+// The ring is k slots, each a sequence register and a value cell (see
+// ring for the placement of HEAD and TAIL). For slot j and ticket pos
+// (pos ≡ j mod k) the sequence register takes the values
 //
 //	2*pos      — free, reserved for the enqueuer holding ticket pos;
 //	2*pos+1    — occupied, ready for the dequeuer holding ticket pos;
@@ -46,12 +46,10 @@ import (
 //     dequeue publishes, which happens after its HEAD CAS, yet head
 //     still equals pos-k), so tail-head = k held at that read.
 type Abortable[T any] struct {
-	head *memory.Word
-	tail *memory.Word
+	ring
 	seqs *memory.Words
 	vals []T
 	obs  memory.Observer
-	k    uint64
 }
 
 // NewAbortable returns an abortable queue of capacity k >= 1.
@@ -62,18 +60,10 @@ func NewAbortable[T any](k int) *Abortable[T] {
 // NewAbortableObserved returns an abortable queue whose every shared
 // access is reported to obs first (nil disables instrumentation).
 func NewAbortableObserved[T any](k int, obs memory.Observer) *Abortable[T] {
-	if k < 1 {
-		panic("queue: capacity must be >= 1")
-	}
-	return &Abortable[T]{
-		head: memory.NewWordObserved(0, obs),
-		tail: memory.NewWordObserved(0, obs),
-		// Slot j is initially free for ticket j (lap 0).
-		seqs: memory.NewWordsInit(k, func(j int) uint64 { return 2 * uint64(j) }, obs),
-		vals: make([]T, k),
-		obs:  obs,
-		k:    uint64(k),
-	}
+	q := &Abortable[T]{ring: newRing(k, obs), vals: make([]T, k), obs: obs}
+	// Every slot is initially free for its lap-0 ticket.
+	q.seqs = q.newSlots(func(pos uint64) uint64 { return 2 * pos }, obs)
+	return q
 }
 
 // observe reports a value-cell access, which the paper's access
@@ -96,12 +86,12 @@ func (q *Abortable[T]) Capacity() int { return int(q.k) }
 // stack's weak operations, which is what makes the E9 comparison to
 // Theorem 1 meaningful.
 func (q *Abortable[T]) TryEnqueue(v T) error {
-	pos := q.tail.Read()
-	j := int(pos % q.k)
+	pos := q.ends.tail.Read()
+	j := q.slot(pos)
 	seq := q.seqs.Read(j)
 	switch {
 	case seq == 2*pos: // slot free for this ticket: claim it
-		if !q.tail.CAS(pos, pos+1) {
+		if !q.ends.tail.CAS(pos, pos+1) {
 			return ErrAborted // another enqueuer claimed first
 		}
 		q.observe(memory.Write)
@@ -109,7 +99,7 @@ func (q *Abortable[T]) TryEnqueue(v T) error {
 		q.seqs.Write(j, 2*pos+1) // publish
 		return nil
 	case seq < 2*pos: // previous-lap value not yet fully dequeued
-		if h := q.head.Read(); h+q.k == pos {
+		if h := q.ends.head.Read(); h+q.k == pos {
 			return ErrFull // proven: tail-head = k (see type comment)
 		}
 		return ErrAborted // a dequeuer is mid-flight
@@ -123,12 +113,12 @@ func (q *Abortable[T]) TryEnqueue(v T) error {
 // ErrAborted on interference (no effect). Solo attempts never abort.
 func (q *Abortable[T]) TryDequeue() (T, error) {
 	var zero T
-	pos := q.head.Read()
-	j := int(pos % q.k)
+	pos := q.ends.head.Read()
+	j := q.slot(pos)
 	seq := q.seqs.Read(j)
 	switch {
 	case seq == 2*pos+1: // occupied and ready: claim it
-		if !q.head.CAS(pos, pos+1) {
+		if !q.ends.head.CAS(pos, pos+1) {
 			return zero, ErrAborted // another dequeuer claimed first
 		}
 		q.observe(memory.Read)
@@ -137,7 +127,7 @@ func (q *Abortable[T]) TryDequeue() (T, error) {
 		q.seqs.Write(j, 2*(pos+q.k)) // free the slot for the next lap
 		return v, nil
 	case seq == 2*pos: // no enqueue has published ticket pos
-		if t := q.tail.Read(); t == pos {
+		if t := q.ends.tail.Read(); t == pos {
 			return zero, ErrEmpty // proven: head = tail (see type comment)
 		}
 		return zero, ErrAborted // an enqueuer is mid-flight
@@ -147,15 +137,15 @@ func (q *Abortable[T]) TryDequeue() (T, error) {
 }
 
 // Len returns the number of elements; quiescent states only.
-func (q *Abortable[T]) Len() int { return int(q.tail.Read() - q.head.Read()) }
+func (q *Abortable[T]) Len() int { return int(q.ends.tail.Read() - q.ends.head.Read()) }
 
 // Snapshot returns the contents oldest-first; quiescent states only.
 func (q *Abortable[T]) Snapshot() []T {
-	h, t := q.head.Read(), q.tail.Read()
+	h, t := q.ends.head.Read(), q.ends.tail.Read()
 	out := make([]T, 0, t-h)
 	for pos := h; pos < t; pos++ {
 		q.observe(memory.Read)
-		out = append(out, q.vals[pos%q.k])
+		out = append(out, q.vals[q.slot(pos)])
 	}
 	return out
 }

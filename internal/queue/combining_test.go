@@ -3,6 +3,7 @@ package queue
 import (
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -94,4 +95,33 @@ func TestCombiningQueueCapacityAndLen(t *testing.T) {
 	if got := q.Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)
 	}
+}
+
+// BenchmarkCombiningQueueContended is objbench's queue-contended at the
+// algorithm layer: GOMAXPROCS workers with distinct pids run a 50/50
+// enqueue/dequeue mix on one flat-combining queue of capacity 1024,
+// prefilled with 512.
+func BenchmarkCombiningQueueContended(b *testing.B) {
+	b.ReportAllocs()
+	const k = 1024
+	q := NewCombining[uint64](k, runtime.GOMAXPROCS(0))
+	for i := range k / 2 {
+		_ = q.Enqueue(0, uint64(i))
+	}
+	var pids atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		pid := int(pids.Add(1) - 1)
+		x := uint64(pid+1) * 0x9e3779b97f4a7c15 // xorshift64 state
+		for pb.Next() {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			if x&1 == 0 {
+				_ = q.Enqueue(pid, x)
+			} else {
+				_, _ = q.Dequeue(pid)
+			}
+		}
+	})
 }

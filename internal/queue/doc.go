@@ -8,7 +8,8 @@
 // stack — CAS-able position registers plus per-slot sequence numbers
 // against ABA (§2.2) — arranged as a ring:
 //
-//   - HEAD and TAIL are monotonically increasing tickets;
+//   - HEAD and TAIL are monotonically increasing tickets, each on
+//     lines of its own;
 //   - slot j serves tickets pos with pos ≡ j (mod k); its sequence
 //     register encodes the slot state: seq = 2·pos means free for the
 //     enqueuer holding ticket pos, seq = 2·pos+1 means occupied and

@@ -38,20 +38,52 @@ func interpretQueueOps(t *testing.T, data []byte, k int, tryEnq func(uint32) err
 	}
 }
 
+// ringCapacity maps a fuzzed byte to a ring capacity: every k in
+// 1..40, or 1024, objbench's.
+func ringCapacity(b uint8) int {
+	if k := int(b % 41); k > 0 {
+		return k
+	}
+	return 1024
+}
+
+// addRingSeeds adds one seed at each of a few capacities, odd and
+// even, below and above a line of slots, and objbench's 1024. Each
+// seed fills its ring, overfills it by one, drains it, then wraps it.
+func addRingSeeds(f *testing.F) {
+	lap := func(k int) []byte { // fill k, drain k, then wrap by two
+		var ops []byte
+		for i := 0; i < k; i++ {
+			ops = append(ops, 0, byte(i))
+		}
+		ops = append(ops, 0, 99) // full
+		for i := 0; i < k; i++ {
+			ops = append(ops, 1, 0)
+		}
+		return append(ops, 1, 0, 0, 7, 0, 8, 1, 0, 1, 0, 1, 0) // empty, then wrap
+	}
+	for _, k := range []uint8{5, 18, 27, 36} {
+		f.Add(k, lap(int(k)))
+	}
+	f.Add(uint8(0), []byte{0, 1, 0, 2, 1, 0, 0, 3, 1, 0, 1, 0, 1, 0}) // k = 1024
+}
+
 func FuzzAbortableQueueVsSpec(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
-	f.Add([]byte{0, 9, 0, 8, 0, 7, 0, 6, 1, 0, 0, 5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const k = 4
+	f.Add(uint8(4), []byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
+	f.Add(uint8(4), []byte{0, 9, 0, 8, 0, 7, 0, 6, 1, 0, 0, 5})
+	addRingSeeds(f)
+	f.Fuzz(func(t *testing.T, kb uint8, data []byte) {
+		k := ringCapacity(kb)
 		q := NewAbortable[uint32](k)
 		interpretQueueOps(t, data, k, q.TryEnqueue, q.TryDequeue)
 	})
 }
 
 func FuzzPackedQueueVsSpec(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 0, 0, 2, 1, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const k = 3
+	f.Add(uint8(3), []byte{0, 1, 1, 0, 0, 2, 1, 0})
+	addRingSeeds(f)
+	f.Fuzz(func(t *testing.T, kb uint8, data []byte) {
+		k := ringCapacity(kb)
 		q := NewPacked(k)
 		interpretQueueOps(t, data, k, q.TryEnqueue, q.TryDequeue)
 	})
@@ -77,10 +109,11 @@ func FuzzAbortableStringQueueVsSpec(f *testing.F) {
 	// FuzzAbortableQueueVsSpec at a pointer-carrying T: every enqueued
 	// string lives in a ring cell, so a cell written, read or cleared
 	// out of turn shows up as a wrong value here.
-	f.Add([]byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
-	f.Add([]byte{0, 9, 0, 8, 0, 7, 0, 6, 1, 0, 0, 5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		const k = 4
+	f.Add(uint8(4), []byte{0, 1, 0, 2, 1, 0, 1, 0, 1, 0})
+	f.Add(uint8(4), []byte{0, 9, 0, 8, 0, 7, 0, 6, 1, 0, 0, 5})
+	addRingSeeds(f)
+	f.Fuzz(func(t *testing.T, kb uint8, data []byte) {
+		k := ringCapacity(kb)
 		q := NewAbortable[string](k)
 		interpretQueueOps(t, data, k,
 			func(v uint32) error { return q.TryEnqueue(strconv.FormatUint(uint64(v), 10)) },

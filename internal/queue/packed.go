@@ -17,10 +17,8 @@ import (
 // slot within one read-to-CAS window, which is unreachable in
 // practice (Abortable's 64-bit sequence has no wrap at all).
 type Packed struct {
-	head  *memory.Word
-	tail  *memory.Word
+	ring
 	slots *memory.Words
-	k     uint64
 }
 
 func packSlot(value uint32, seq uint32) uint64 { return uint64(value)<<32 | uint64(seq) }
@@ -35,16 +33,9 @@ func NewPacked(k int) *Packed { return NewPackedObserved(k, nil) }
 // NewPackedObserved returns an instrumented packed queue (nil obs
 // disables instrumentation).
 func NewPackedObserved(k int, obs memory.Observer) *Packed {
-	if k < 1 {
-		panic("queue: capacity must be >= 1")
-	}
-	q := &Packed{
-		head: memory.NewWordObserved(0, obs),
-		tail: memory.NewWordObserved(0, obs),
-		k:    uint64(k),
-	}
-	q.slots = memory.NewWordsInit(k, func(j int) uint64 {
-		return packSlot(0, uint32(2*j)) // free for ticket j, lap 0
+	q := &Packed{ring: newRing(k, obs)}
+	q.slots = q.newSlots(func(pos uint64) uint64 {
+		return packSlot(0, uint32(2*pos)) // free for its lap-0 ticket
 	}, obs)
 	return q
 }
@@ -55,18 +46,18 @@ func (q *Packed) Capacity() int { return int(q.k) }
 // TryEnqueue makes one attempt to append v; see Abortable.TryEnqueue
 // for the contract. Successful attempts cost 4 shared accesses.
 func (q *Packed) TryEnqueue(v uint32) error {
-	pos := q.tail.Read()
-	j := int(pos % q.k)
+	pos := q.ends.tail.Read()
+	j := q.slot(pos)
 	_, seq := unpackSlot(q.slots.Read(j))
 	switch dif := int32(seq - uint32(2*pos)); {
 	case dif == 0: // free for this ticket: claim it
-		if !q.tail.CAS(pos, pos+1) {
+		if !q.ends.tail.CAS(pos, pos+1) {
 			return ErrAborted
 		}
 		q.slots.Write(j, packSlot(v, uint32(2*pos+1))) // value + publish, one word
 		return nil
 	case dif < 0: // previous-lap value not yet fully dequeued
-		if h := q.head.Read(); h+q.k == pos {
+		if h := q.ends.head.Read(); h+q.k == pos {
 			return ErrFull
 		}
 		return ErrAborted
@@ -79,12 +70,12 @@ func (q *Packed) TryEnqueue(v uint32) error {
 // Abortable.TryDequeue for the contract. Successful attempts cost 4
 // shared accesses.
 func (q *Packed) TryDequeue() (uint32, error) {
-	pos := q.head.Read()
-	j := int(pos % q.k)
+	pos := q.ends.head.Read()
+	j := q.slot(pos)
 	v, seq := unpackSlot(q.slots.Read(j))
 	switch dif := int32(seq - uint32(2*pos)); {
 	case dif == 1: // occupied and ready: claim it
-		if !q.head.CAS(pos, pos+1) {
+		if !q.ends.head.CAS(pos, pos+1) {
 			return 0, ErrAborted
 		}
 		// The pre-claim read is the value: the slot word can only be
@@ -93,7 +84,7 @@ func (q *Packed) TryDequeue() (uint32, error) {
 		q.slots.Write(j, packSlot(0, uint32(2*(pos+q.k))))
 		return v, nil
 	case dif == 0: // no enqueue has published this ticket
-		if t := q.tail.Read(); t == pos {
+		if t := q.ends.tail.Read(); t == pos {
 			return 0, ErrEmpty
 		}
 		return 0, ErrAborted
@@ -103,14 +94,14 @@ func (q *Packed) TryDequeue() (uint32, error) {
 }
 
 // Len returns the number of elements; quiescent states only.
-func (q *Packed) Len() int { return int(q.tail.Read() - q.head.Read()) }
+func (q *Packed) Len() int { return int(q.ends.tail.Read() - q.ends.head.Read()) }
 
 // Snapshot returns the contents oldest-first; quiescent states only.
 func (q *Packed) Snapshot() []uint32 {
-	h, t := q.head.Read(), q.tail.Read()
+	h, t := q.ends.head.Read(), q.ends.tail.Read()
 	out := make([]uint32, 0, t-h)
 	for pos := h; pos < t; pos++ {
-		v, _ := unpackSlot(q.slots.Read(int(pos % q.k)))
+		v, _ := unpackSlot(q.slots.Read(q.slot(pos)))
 		out = append(out, v)
 	}
 	return out

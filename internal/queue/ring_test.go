@@ -2,11 +2,14 @@ package queue
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"weak"
 
 	"repro/internal/core"
+	"repro/internal/memory"
 )
 
 // The abortable ring keeps values in place: these tests pin the three
@@ -109,4 +112,92 @@ func TestRingQueuesSoloAllocFree(t *testing.T) {
 			t.Errorf("%s: solo enqueue+dequeue = %v allocs, want 0", name, n)
 		}
 	}
+}
+
+// TestRingLayout pins where the ring queues' registers live (DESIGN
+// §2). HEAD and TAIL sit at least 64 B (word start to word start) from
+// each other and from the words outside their allocation; fields are
+// word-aligned, so they never share a 64-byte line at any allocation
+// offset. The ticket map is a bijection on [0, k), ticket pos+k shares
+// pos's slot, and every slot starts free for its lap-0 ticket. The
+// offsets are read through reflect because contlint's mixedatomic pass
+// flags unsafe.Offsetof on atomics.
+func TestRingLayout(t *testing.T) {
+	typ := reflect.TypeFor[ringEnds]()
+	var names []string
+	var offs []uintptr
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Name != "_" {
+			names = append(names, f.Name)
+			offs = append(offs, f.Offset)
+		}
+	}
+	if want := []string{"head", "tail"}; !slices.Equal(names, want) {
+		t.Fatalf("ringEnds registers = %v, want %v", names, want)
+	}
+	last := func(off uintptr) uintptr { // offset of a Word's last 8 bytes
+		return off + reflect.TypeFor[memory.Word]().Size() - 8
+	}
+	if offs[0] < 64 {
+		t.Errorf("HEAD starts %d B into the allocation, want >= 64", offs[0])
+	}
+	if d := offs[1] - last(offs[0]); d < 64 {
+		t.Errorf("TAIL starts %d B after HEAD's last word, want >= 64", d)
+	}
+	if d := typ.Size() - last(offs[1]); d < 64 {
+		t.Errorf("the next allocation starts %d B after TAIL's last word, want >= 64", d)
+	}
+
+	for k := 1; k <= 1100; k++ {
+		r := newRing(k, nil)
+		seen := make([]bool, k)
+		for pos := uint64(0); pos < uint64(k); pos++ {
+			j := r.slot(pos)
+			if j < 0 || j >= k || seen[j] {
+				t.Fatalf("k=%d: ticket %d maps to slot %d, out of range or taken", k, pos, j)
+			}
+			seen[j] = true
+			for _, lap := range []uint64{1, 2, 1 << 40} {
+				if got := r.slot(pos + lap*uint64(k)); got != j {
+					t.Fatalf("k=%d: ticket %d maps to slot %d, ticket %d to %d", k, pos+lap*uint64(k), got, pos, j)
+				}
+			}
+		}
+
+		q, p := NewAbortable[uint64](k), NewPacked(k)
+		for pos := uint64(0); pos < uint64(k); pos++ {
+			if got := q.seqs.Read(q.slot(pos)); got != 2*pos {
+				t.Fatalf("k=%d: Abortable's slot for ticket %d starts at seq %d, want %d", k, pos, got, 2*pos)
+			}
+			if _, got := unpackSlot(p.slots.Read(p.slot(pos))); got != uint32(2*pos) {
+				t.Fatalf("k=%d: Packed's slot for ticket %d starts at seq %d, want %d", k, pos, got, 2*pos)
+			}
+		}
+	}
+}
+
+// BenchmarkAbortableQueueSPSC runs one producer and one consumer on an
+// abortable ring of 1024; an iteration is one element through the
+// ring. A consumer trailing its producer reads slots the producer
+// wrote a moment before, so this is the traffic that keeps
+// consecutive tickets on shared lines (see ring).
+func BenchmarkAbortableQueueSPSC(b *testing.B) {
+	b.ReportAllocs()
+	q := NewAbortable[uint64](1024)
+	done := make(chan struct{})
+	b.ResetTimer()
+	go func() {
+		defer close(done)
+		for n := 0; n < b.N; {
+			if _, err := q.TryDequeue(); err == nil {
+				n++
+			}
+		}
+	}()
+	for i := 0; i < b.N; {
+		if q.TryEnqueue(uint64(i)) == nil {
+			i++
+		}
+	}
+	<-done
 }
