@@ -148,6 +148,9 @@ func TestHashAccounting(t *testing.T) {
 	if s.Resizes() == 0 {
 		t.Fatalf("stress over 256 keys never resized (buckets %d)", s.Buckets())
 	}
+	if got, want := s.Size(), s.Len(); got != want {
+		t.Fatalf("Size() = %d (sum of the pid stripes), Len() = %d at quiescence", got, want)
+	}
 }
 
 // TestHashSingleBucketWar concentrates every process on keys of one

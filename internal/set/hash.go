@@ -37,8 +37,18 @@ const (
 	// gracefully toward the plain list's O(chain) walks.
 	hashMaxBuckets = 1 << 20
 	// hashMaxLoad is the average number of regular keys per bucket
-	// tolerated before the table doubles.
+	// tolerated before the table doubles. The check is exact in what it
+	// compares (the stripe sum against hashMaxLoad·buckets), but a pid
+	// makes it only after every max(1, buckets/hashCheckDiv) of its own
+	// successful adds. Below hashCheckDiv buckets that is every add, so
+	// small tables double at exactly the add that crosses the bound.
+	// Above it each of procs pids can hold fewer than
+	// buckets/hashCheckDiv unchecked adds, so the load factor can
+	// overshoot hashMaxLoad by less than procs/hashCheckDiv before a
+	// doubling.
 	hashMaxLoad = 3
+	// hashCheckDiv scales a pid's resize-check cadence to the table.
+	hashCheckDiv = 64
 )
 
 // hashMaxKey bounds the representable key range: the low bit of the
@@ -84,18 +94,29 @@ type hashTable struct {
 // notes above). Operations take the calling pid for the pool's
 // per-pid free lists.
 //
-// count is bumped by every successful update, while l and table are
-// loaded by every operation. The 56-byte pads start count at least
-// 64 B from every other word, so no 64-byte line holds count and
-// another word at any allocation offset (Go does not line-align
-// structs, so distance, not alignment, keeps them apart).
+// The key count lives in per-pid stripes: Add and Remove write only
+// the caller's stripe, so no word outside the list's registers is
+// written by every successful update. Size and the resize check sum
+// the stripes. Every operation loads l, never written after
+// construction, and table, written once per doubling.
 type Hash struct {
 	l       *list
 	table   atomic.Pointer[hashTable]
-	_       [56]byte
-	count   atomic.Int64
-	_       [56]byte
+	stripes []hashStripe // one per pid, in an allocation of their own
 	resizes atomic.Uint64
+}
+
+// hashStripe is one pid's share of the key count. Its owner writes it
+// on every successful update, so the blank pads keep its words at
+// least 64 B from any other word — the neighbouring stripes', and
+// whatever shares the allocation's first and last lines — at any
+// allocation offset. A stripe's count goes negative when its pid
+// removes keys another pid added; only the sum means anything.
+type hashStripe struct {
+	_     [56]byte
+	count atomic.Int64 // the pid's successful adds minus its successful removes
+	since int          // the pid's successful adds since its last resize check; owner only
+	_     [56]byte
 }
 
 // NewHash returns an empty split-ordered hash set for procs processes
@@ -111,7 +132,7 @@ func NewHash(procs int) *Hash {
 // correct, see grow) are not observed.
 func NewHashObserved(procs int, obs memory.Observer) *Hash {
 	l := newList(procs, obs)
-	s := &Hash{l: l}
+	s := &Hash{l: l, stripes: make([]hashStripe, procs)}
 	// Bucket 0's sentinel anchors the list and exists from birth, so
 	// parent walks always terminate. Constructed single-threaded: the
 	// pool Get and the word stores are unobserved builder accesses.
@@ -176,8 +197,8 @@ func (s *Hash) initBucket(pid int, t *hashTable, b uint64, w *atomic.Uint64, v m
 	return &s.l.pool.At(h).next
 }
 
-// grow doubles the bucket table when the load factor still warrants
-// it. The new table adopts the old shortcut words as they stand; a
+// grow doubles the bucket table when the load factor, taken from the
+// stripe sum, still warrants it. The new table adopts the old shortcut words as they stand; a
 // bucket initialized in the old table after the copy merely loses its
 // shortcut and is re-derived from the list (idempotently — the
 // sentinel itself is in the list, not in the table) on next access.
@@ -189,7 +210,7 @@ func (s *Hash) initBucket(pid int, t *hashTable, b uint64, w *atomic.Uint64, v m
 func (s *Hash) grow() {
 	t := s.table.Load()
 	old := t.mask + 1
-	if old >= hashMaxBuckets || s.count.Load() <= hashMaxLoad*int64(old) {
+	if old >= hashMaxBuckets || int64(s.Size()) <= hashMaxLoad*int64(old) {
 		return
 	}
 	nb := make([]atomic.Uint64, 2*old)
@@ -203,13 +224,18 @@ func (s *Hash) grow() {
 
 // Add inserts k on behalf of pid; it reports whether k was newly
 // inserted. O(1) expected: the walk starts at k's bucket sentinel and
-// crosses only that bucket's keys.
+// crosses only that bucket's keys. Every max(1, buckets/hashCheckDiv)
+// successful adds of pid's own, it checks the load factor (see
+// hashMaxLoad).
 func (s *Hash) Add(pid int, k uint64) bool {
 	sk := regularSkey(k)
 	if !s.l.insert(pid, s.bucket(pid, k), sk) {
 		return false
 	}
-	if s.count.Add(1) > hashMaxLoad*int64(s.table.Load().mask+1) {
+	st := &s.stripes[pid]
+	st.count.Add(1)
+	if st.since++; st.since >= max(1, int(s.table.Load().mask+1)/hashCheckDiv) {
+		st.since = 0
 		s.grow()
 	}
 	return true
@@ -223,7 +249,7 @@ func (s *Hash) Remove(pid int, k uint64) bool {
 	if !s.l.delete(pid, s.bucket(pid, k), regularSkey(k)) {
 		return false
 	}
-	s.count.Add(-1)
+	s.stripes[pid].count.Add(-1)
 	return true
 }
 
@@ -233,10 +259,17 @@ func (s *Hash) Contains(pid int, k uint64) bool {
 	return s.l.search(pid, s.bucket(pid, k), regularSkey(k))
 }
 
-// Size returns the atomic count of present keys. Safe concurrently
-// (unlike Len/Snapshot), momentarily out of sync with in-flight
-// operations by at most one per process.
-func (s *Hash) Size() int { return int(s.count.Load()) }
+// Size returns the number of present keys: the sum of the per-pid
+// stripes. Exact at quiescence; safe concurrently (unlike
+// Len/Snapshot), where it can be off by the updates that overlap the
+// call, since the stripes are read one at a time.
+func (s *Hash) Size() int {
+	var n int64
+	for i := range s.stripes {
+		n += s.stripes[i].count.Load()
+	}
+	return int(n)
+}
 
 // Buckets returns the current table size.
 func (s *Hash) Buckets() int { return int(s.table.Load().mask + 1) }

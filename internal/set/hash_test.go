@@ -1,6 +1,8 @@
 package set
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/memory"
@@ -138,6 +140,58 @@ func TestHashGrowth(t *testing.T) {
 	}
 }
 
+// TestHashResizeCadence pins when the per-pid resize check doubles the
+// table. Below hashCheckDiv buckets every pid checks after every add,
+// so the table doubles at exactly the add whose count first exceeds
+// hashMaxLoad·buckets, whichever pids made the adds. Above it a pid
+// checks after every buckets/hashCheckDiv of its own adds, so each pid
+// can hold fewer than that many unchecked adds: one pid doubles within
+// buckets/hashCheckDiv adds of the crossing, procs pids within procs
+// times that. The two-pid run alternates pids, so at the first
+// doubling neither stripe alone exceeds the threshold.
+func TestHashResizeCadence(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		s := NewHash(procs)
+		doublings := 0
+		for n := 1; n <= 1<<14; n++ {
+			b := s.Buckets()
+			pid := n % procs
+			if !s.Add(pid, uint64(n)) {
+				t.Fatalf("procs %d: Add(%d) = false", procs, n)
+			}
+			cross := hashMaxLoad*b + 1 // the add whose count first exceeds the bound
+			within := 1
+			if b >= hashCheckDiv {
+				within = procs * b / hashCheckDiv
+			}
+			switch grown := s.Buckets(); {
+			case grown == 2*b:
+				if n < cross || n >= cross+within {
+					t.Fatalf("procs %d: %d → %d buckets at add %d, want in [%d, %d)", procs, b, grown, n, cross, cross+within)
+				}
+				if procs == 2 && b == hashInitialBuckets {
+					for p := range s.stripes {
+						if c := s.stripes[p].count.Load(); c > hashMaxLoad*int64(b) {
+							t.Fatalf("pid %d's stripe alone holds %d > %d keys at the first doubling", p, c, hashMaxLoad*b)
+						}
+					}
+				}
+				doublings++
+			case grown != b:
+				t.Fatalf("procs %d: %d → %d buckets at add %d, want one doubling at most", procs, b, grown, n)
+			case n >= cross+within-1:
+				t.Fatalf("procs %d: still %d buckets after add %d, want a doubling by add %d", procs, b, n, cross+within-1)
+			}
+		}
+		if got := s.Size(); got != 1<<14 {
+			t.Fatalf("procs %d: Size() = %d, want %d", procs, got, 1<<14)
+		}
+		if want := 12; doublings != want || s.Resizes() != uint64(want) {
+			t.Fatalf("procs %d: %d doublings (%d resizes), want %d", procs, doublings, s.Resizes(), want)
+		}
+	}
+}
+
 // TestHashRecyclesNodes checks that the hash layer inherits the pool
 // discipline: removed nodes come back through the per-pid free lists.
 func TestHashRecyclesNodes(t *testing.T) {
@@ -185,3 +239,35 @@ func TestHashWalkFlat(t *testing.T) {
 type obsCounter struct{ n uint64 }
 
 func (o *obsCounter) OnAccess(memory.Kind) { o.n++ }
+
+// BenchmarkHashZipfUpdates is objbench's set-write traffic at the
+// algorithm layer: GOMAXPROCS workers with distinct pids on one Hash,
+// a 45/45/10 add/remove/contains mix over Zipf(1.1)-drawn keys in
+// [0, 4096), every even key prefilled. Hot keys and every successful
+// update's bookkeeping are where the workers meet.
+func BenchmarkHashZipfUpdates(b *testing.B) {
+	b.ReportAllocs()
+	const keys = 1 << 12
+	s := NewHash(runtime.GOMAXPROCS(0))
+	for k := uint64(0); k < keys; k += 2 {
+		s.Add(0, k)
+	}
+	z := workload.NewZipf(1.1, keys)
+	var pids atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		pid := int(pids.Add(1) - 1)
+		rng := workload.NewRNG(uint64(pid+1) * 0x9e3779b97f4a7c15)
+		for pb.Next() {
+			k := uint64(z.Next(rng))
+			switch op := rng.Intn(100); {
+			case op < 45:
+				s.Add(pid, k)
+			case op < 90:
+				s.Remove(pid, k)
+			default:
+				s.Contains(pid, k)
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package set
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -85,10 +86,13 @@ func TestListObservedAccessCounts(t *testing.T) {
 // TestNodeLayout pins the set's register footprint: a list node is two
 // words (key and tagged next, four to a cache line) and a bucket
 // shortcut is one word, so a later field cannot quietly regrow them.
-// It also pins Hash's hot-word isolation: count, bumped by every
-// update, starts at least 64 B from table (loaded by every operation)
-// and from the words after it, so no 64-byte line holds both at any
-// allocation offset.
+// It also pins where Hash's written bookkeeping lives: the key count
+// sits in per-pid stripes whose blank pads keep each stripe's words at
+// least 64 B (word start to word start) from the previous and next
+// stripe's words and from any word outside the stripe array. Fields
+// are word-aligned, so two words that far apart never share a 64-byte
+// line at any allocation offset. The offsets are read through reflect
+// because contlint's mixedatomic pass flags unsafe.Offsetof on atomics.
 func TestNodeLayout(t *testing.T) {
 	if got := unsafe.Sizeof(hmNode{}); got != 16 {
 		t.Fatalf("hmNode is %d bytes, want 16", got)
@@ -97,17 +101,39 @@ func TestNodeLayout(t *testing.T) {
 	if got := f.Type.Elem().Size(); got != 8 {
 		t.Fatalf("a bucket word is %d bytes, want 8", got)
 	}
-	off := func(name string) uintptr {
-		f, ok := reflect.TypeFor[Hash]().FieldByName(name)
-		if !ok {
-			t.Fatalf("Hash has no field %s", name)
+
+	var header []string
+	for h, i := reflect.TypeFor[Hash](), 0; i < h.NumField(); i++ {
+		header = append(header, h.Field(i).Name)
+	}
+	if want := []string{"l", "table", "stripes", "resizes"}; !slices.Equal(header, want) {
+		t.Fatalf("Hash fields = %v, want %v (the count lives in the stripes)", header, want)
+	}
+
+	typ := reflect.TypeFor[hashStripe]()
+	var words []string
+	var first, last uintptr // offsets of the first and last stripe words
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" {
+			continue
 		}
-		return f.Offset
+		if words == nil {
+			first = f.Offset
+		}
+		words = append(words, f.Name)
+		last = f.Offset + f.Type.Size() - 8
 	}
-	if d := off("count") - off("table"); d < 64 {
-		t.Fatalf("Hash.count starts %d B after Hash.table, want >= 64", d)
+	if want := []string{"count", "since"}; !slices.Equal(words, want) {
+		t.Fatalf("hashStripe words = %v, want %v", words, want)
 	}
-	if d := off("resizes") - off("count"); d < 64 {
-		t.Fatalf("Hash.resizes starts %d B after Hash.count, want >= 64", d)
+	if d := first + 8; d < 64 {
+		t.Errorf("a stripe's count starts %d B after the word before the stripe, want >= 64", d)
+	}
+	if d := typ.Size() - last; d < 64 {
+		t.Errorf("the next stripe starts %d B after a stripe's last word, want >= 64", d)
+	}
+	if got := len(NewHash(3).stripes); got != 3 {
+		t.Errorf("NewHash(3) has %d stripes, want one per pid", got)
 	}
 }
