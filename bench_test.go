@@ -42,7 +42,7 @@ func BenchmarkE1AccessCount(b *testing.B) {
 				pop = func() (uint64, error) { return s.Pop(0) }
 			case "packed":
 				weak := stack.NewPackedObserved(16, &st)
-				s := stack.NewSensitiveFrom[uint32](weak, lock.NewRoundRobin(lock.NewTAS(), 1), &st)
+				s := stack.NewSensitiveFrom[uint32](weak, 1, lock.NewRoundRobin(lock.NewTAS(), 1), &st)
 				push = func(v uint64) error { return s.Push(0, uint32(v)) }
 				pop = func() (uint64, error) { v, err := s.Pop(0); return uint64(v), err }
 			}

@@ -21,7 +21,7 @@ func main() {
 
 	var st memory.Stats
 	weak := stack.NewAbortableObserved[uint64](k, procs, &st)
-	s := stack.NewSensitiveFrom[uint64](weak, lock.NewFigure3(procs), &st)
+	s := stack.NewSensitiveFrom[uint64](weak, procs, lock.NewFigure3(procs), &st)
 
 	phases := workload.SoloThenStorm(procs, 100000)
 	for pi, ph := range phases {

@@ -58,7 +58,7 @@ type sensQueue[T any] struct{ q *queue.Sensitive[T] }
 func (a sensQueue[T]) put(pid int, v T) error  { return a.q.Enqueue(pid, v) }
 func (a sensQueue[T]) take(pid int) (T, error) { return a.q.Dequeue(pid) }
 func (a sensQueue[T]) snapshot() []T           { return a.q.Snapshot() }
-func (a sensQueue[T]) contended() uint64       { return a.q.Guard().Stats().Slow }
+func (a sensQueue[T]) contended() uint64       { return a.q.Guard().Slow() }
 func (a sensQueue[T]) inner() any              { return a.q }
 
 // combQueue adapts the combining rung; contention is the publication

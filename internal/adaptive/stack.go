@@ -54,7 +54,7 @@ type sensStack[T any] struct{ s *stack.Sensitive[T] }
 func (a sensStack[T]) put(pid int, v T) error  { return a.s.Push(pid, v) }
 func (a sensStack[T]) take(pid int) (T, error) { return a.s.Pop(pid) }
 func (a sensStack[T]) snapshot() []T           { return a.s.Snapshot() }
-func (a sensStack[T]) contended() uint64       { return a.s.Guard().Stats().Slow }
+func (a sensStack[T]) contended() uint64       { return a.s.Guard().Slow() }
 func (a sensStack[T]) inner() any              { return a.s }
 
 // combStack adapts the combining rung; contention is the publication

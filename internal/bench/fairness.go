@@ -38,11 +38,11 @@ func runE4(cfg Config, w io.Writer) error {
 		// RR over TAS, the raw-TAS row's lock, so that the two rows
 		// differ only in the round-robin.
 		{"sensitive RR(TAS) [paper]", func(k, procs int) repro.Ops {
-			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](k, procs), lock.NewRoundRobin(lock.NewTAS(), procs), nil)
+			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](k, procs), procs, lock.NewRoundRobin(lock.NewTAS(), procs), nil)
 			return sched.PushPop(s, s.Push, s.Pop)
 		}},
 		{"sensitive raw TAS (no RR)", func(k, procs int) repro.Ops {
-			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](k, procs), lock.IgnorePid(lock.NewTAS()), nil)
+			s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](k, procs), procs, lock.IgnorePid(lock.NewTAS()), nil)
 			return sched.PushPop(s, s.Push, s.Pop)
 		}},
 		{"lock-based TAS", func(k, _ int) repro.Ops {

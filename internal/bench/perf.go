@@ -183,15 +183,13 @@ func runE6(cfg Config, w io.Writer) error {
 		stats *memory.Stats
 		push  func(pid int, v uint64) error
 		pop   func(pid int) (uint64, error)
-		slow  func() uint64 // slow-path entries so far (sensitive only)
 	}
 	mk := func(name string) cfgRow {
 		var st memory.Stats
 		switch name {
 		case "cont-sensitive":
 			s := stack.NewSensitiveObserved[uint64](1024, cfg.Procs, &st)
-			return cfgRow{name: name, stats: &st, push: s.Push, pop: s.Pop,
-				slow: func() uint64 { return s.Guard().Stats().Slow }}
+			return cfgRow{name: name, stats: &st, push: s.Push, pop: s.Pop}
 		case "non-blocking":
 			weak := stack.NewAbortableObserved[uint64](1024, cfg.Procs, &st)
 			s := stack.NewNonBlockingFrom[uint64](weak, nil)

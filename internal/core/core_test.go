@@ -40,7 +40,7 @@ func (f *flaky) try() (int, bool) {
 }
 
 func TestDoFastPathSolo(t *testing.T) {
-	g := NewGuard(lock.IgnorePid(lock.NewTAS()))
+	g := NewGuard(1, lock.IgnorePid(lock.NewTAS()))
 	c := newWeakCounter()
 	for i := 1; i <= 100; i++ {
 		got := Do(g, 0, func() (uint64, bool) { return c.TryOp(1) })
@@ -55,7 +55,7 @@ func TestDoFastPathSolo(t *testing.T) {
 }
 
 func TestDoSlowPathOnAbort(t *testing.T) {
-	g := NewGuard(lock.IgnorePid(lock.NewTAS()))
+	g := NewGuard(1, lock.IgnorePid(lock.NewTAS()))
 	f := &flaky{remaining: 3}
 	got := Do(g, 0, f.try)
 	if got != 42 {
@@ -75,7 +75,7 @@ func TestDoShortcutCostIsOneContentionRead(t *testing.T) {
 	// The guard itself must add exactly one shared access (the read
 	// of CONTENTION) to a successful contention-free operation.
 	var st memory.Stats
-	g := NewGuardObserved(lock.IgnorePid(lock.NewTAS()), &st)
+	g := NewGuardObserved(1, lock.IgnorePid(lock.NewTAS()), &st)
 	c := newWeakCounter()
 	Do(g, 0, func() (uint64, bool) { return c.TryOp(1) })
 	if got := st.Snapshot(); got.Reads != 1 || got.Writes != 0 || got.CASes != 0 {
@@ -84,7 +84,7 @@ func TestDoShortcutCostIsOneContentionRead(t *testing.T) {
 }
 
 func TestDoNeverLocksWhenUncontended(t *testing.T) {
-	g := NewGuard(lock.IgnorePid(lock.NewTAS()))
+	g := NewGuard(1, lock.IgnorePid(lock.NewTAS()))
 	c := newWeakCounter()
 	for i := 0; i < 1000; i++ {
 		Do(g, 0, func() (uint64, bool) { return c.TryOp(1) })
@@ -96,7 +96,7 @@ func TestDoNeverLocksWhenUncontended(t *testing.T) {
 
 func TestDoConcurrentExactlyOnce(t *testing.T) {
 	const procs, iters = 8, 5000
-	g := NewGuard(lock.NewRoundRobin(lock.NewTAS(), procs))
+	g := NewGuard(procs, lock.NewRoundRobin(lock.NewTAS(), procs))
 	c := newWeakCounter()
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
@@ -119,7 +119,7 @@ func TestDoConcurrentExactlyOnce(t *testing.T) {
 }
 
 func TestGuardResetStats(t *testing.T) {
-	g := NewGuard(lock.IgnorePid(lock.NewTAS()))
+	g := NewGuard(1, lock.IgnorePid(lock.NewTAS()))
 	c := newWeakCounter()
 	Do(g, 0, func() (uint64, bool) { return c.TryOp(1) })
 	g.ResetStats()
@@ -143,7 +143,7 @@ func (c *weakCounter) tryAdd(delta uint64) func() (uint64, error) {
 }
 
 func TestSensitiveDo(t *testing.T) {
-	s := NewGuarded(lock.IgnorePid(lock.NewTicket()), nil)
+	s := NewGuarded(2, lock.IgnorePid(lock.NewTicket()), nil)
 	c := newWeakCounter()
 	if got, err := DoOp(s.Guard(), 0, errBot, c.tryAdd(5)); got != 5 || err != nil {
 		t.Fatalf("DoOp(0,5) = (%d, %v), want (5, nil)", got, err)
@@ -165,7 +165,7 @@ func TestSensitiveDo(t *testing.T) {
 		{"RR(TAS)", lock.NewRoundRobin(lock.NewTAS(), 2), StarvationFree},
 		{"raw TAS", lock.IgnorePid(lock.NewTAS()), NonBlocking},
 	} {
-		if got := NewGuarded(c.lk, nil).Progress(); got != c.want {
+		if got := NewGuarded(2, c.lk, nil).Progress(); got != c.want {
 			t.Errorf("%s: Progress = %v, want %v", c.name, got, c.want)
 		}
 	}
@@ -174,7 +174,7 @@ func TestSensitiveDo(t *testing.T) {
 func TestSensitiveConcurrent(t *testing.T) {
 	const procs, iters = 6, 4000
 	c := newWeakCounter()
-	s := NewGuarded(lock.NewRoundRobin(lock.NewTTAS(), procs), nil)
+	s := NewGuarded(procs, lock.NewRoundRobin(lock.NewTTAS(), procs), nil)
 	var wg sync.WaitGroup
 	for p := 0; p < procs; p++ {
 		wg.Add(1)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"runtime"
 	"sync/atomic"
 
@@ -20,6 +19,9 @@ import (
 // or lock.IgnorePid(starvationFreeLock) for the simplified variant of
 // the §4 Remark.
 //
+// The path counters are exact at quiescence (Stats); Slow is their one
+// read that is safe under load.
+//
 // Every field is read-only after construction, so the words every
 // operation reads never share a line with a word an operation writes:
 // the path counters live in slots, one per pid, in an allocation of
@@ -27,41 +29,41 @@ import (
 type Guard struct {
 	contention *memory.Flag
 	lk         lock.PidLock
-	slots      []guardSlot // len is a power of two
-	mask       int         // len(slots)-1: pid's counters are slots[pid&mask]
+	slots      []guardSlot // pid's counters are slots[pid]
 }
 
-// guardSlot holds one pid's path counters. Its owner writes them on
-// every operation, so the blank pads keep them at least 64 B from any
-// other word — the neighbouring slots', and whatever shares the
-// allocation's first and last lines — at any allocation offset.
+// guardSlot holds one pid's path counters, and only that pid writes
+// them. fast, bumped on every shortcut success, is a plain word: an
+// owner's uncontended atomic add costs four times a plain increment,
+// and no one needs it live. slow and retries, bumped only on the slow
+// path, stay atomic, so Slow can sum them under load. The blank pads
+// keep the counters at least 64 B from any other word — the
+// neighbouring slots', and whatever shares the allocation's first and
+// last lines — at any allocation offset.
 type guardSlot struct {
 	_       [56]byte
-	fast    atomic.Uint64 // operations completed on the shortcut
+	fast    uint64        // operations completed on the shortcut
 	slow    atomic.Uint64 // operations that took the lock
 	retries atomic.Uint64 // weak attempts consumed inside the slow path
 	_       [56]byte
 }
 
-// NewGuard returns a Guard over lk with an uninstrumented CONTENTION
-// register.
-func NewGuard(lk lock.PidLock) *Guard {
-	return NewGuardObserved(lk, nil)
+// NewGuard returns a Guard over lk for n processes (pids in [0, n))
+// with an uninstrumented CONTENTION register.
+func NewGuard(n int, lk lock.PidLock) *Guard {
+	return NewGuardObserved(n, lk, nil)
 }
 
-// NewGuardObserved returns a Guard whose CONTENTION register reports
-// every access to obs, so that experiment E1 can count the shortcut's
-// shared accesses. A nil obs disables instrumentation.
-//
-// The guard keeps one counter slot per process when lk knows its
-// process count (lock.RoundRobin's N), rounded up to a power of two,
-// and one shared slot otherwise (an IgnorePid lock takes any pid).
-func NewGuardObserved(lk lock.PidLock, obs memory.Observer) *Guard {
-	n := 1
-	if l, ok := lk.(interface{ N() int }); ok && l.N() > 1 {
-		n = 1 << bits.Len(uint(l.N()-1))
+// NewGuardObserved returns a Guard for n processes whose CONTENTION
+// register reports every access to obs, so that experiment E1 can
+// count the shortcut's shared accesses. A nil obs disables
+// instrumentation. The guard keeps one counter slot per process, so a
+// pid outside [0, n) panics instead of writing another pid's slot.
+func NewGuardObserved(n int, lk lock.PidLock, obs memory.Observer) *Guard {
+	if n < 1 {
+		panic("core: guard process count must be >= 1")
 	}
-	return &Guard{contention: memory.NewFlagObserved(false, obs), lk: lk, slots: make([]guardSlot, n), mask: n - 1}
+	return &Guard{contention: memory.NewFlagObserved(false, obs), lk: lk, slots: make([]guardSlot, n)}
 }
 
 // GuardStats is a snapshot of a Guard's path counters.
@@ -77,18 +79,31 @@ type GuardStats struct {
 	Retries uint64
 }
 
-// Stats returns the guard's path counters summed over every slot. It
-// is exact at quiescence; under load each counter is a lower bound of
-// its value at return, and Slow never decreases between calls.
+// Stats returns the guard's path counters summed over every slot, at
+// quiescence only: it reads the owner-written Fast words plainly, so
+// it must not run concurrently with an operation. Under load, read
+// Slow instead.
 func (g *Guard) Stats() GuardStats {
 	var st GuardStats
 	for i := range g.slots {
 		s := &g.slots[i]
-		st.Fast += s.fast.Load()
+		st.Fast += s.fast
 		st.Slow += s.slow.Load()
 		st.Retries += s.retries.Load()
 	}
 	return st
+}
+
+// Slow returns the number of operations that entered the slow path,
+// summed over every slot. It is safe under load: each term is a lower
+// bound of its value at return, and Slow never decreases between
+// calls.
+func (g *Guard) Slow() uint64 {
+	var n uint64
+	for i := range g.slots {
+		n += g.slots[i].slow.Load()
+	}
+	return n
 }
 
 // ResetStats zeroes every slot's counters (between quiescent phases
@@ -96,7 +111,7 @@ func (g *Guard) Stats() GuardStats {
 func (g *Guard) ResetStats() {
 	for i := range g.slots {
 		s := &g.slots[i]
-		s.fast.Store(0)
+		s.fast = 0
 		s.slow.Store(0)
 		s.retries.Store(0)
 	}
@@ -119,10 +134,10 @@ func Do[R any](g *Guard, pid int, try func() (R, bool)) R {
 // of one successful weak attempt — six in total for the paper's stack
 // (Theorem 1) — and no lock.
 func DoOp[V any](g *Guard, pid int, bot error, try func() (V, error)) (V, error) {
-	slot := &g.slots[pid&g.mask]
+	slot := &g.slots[pid]
 	if !g.contention.Read() { // line 01
 		if v, err := try(); !bottom(err, bot) { // line 02
-			slot.fast.Add(1)
+			slot.fast++
 			return v, err
 		}
 	}
@@ -166,10 +181,10 @@ func LockProgress(lk lock.PidLock) Progress {
 // Guard, shared by all of the object's strong operations.
 type Guarded struct{ g *Guard }
 
-// NewGuarded returns a Guarded over lk whose CONTENTION register
-// reports to obs (nil for none).
-func NewGuarded(lk lock.PidLock, obs memory.Observer) Guarded {
-	return Guarded{NewGuardObserved(lk, obs)}
+// NewGuarded returns a Guarded over lk for n processes whose
+// CONTENTION register reports to obs (nil for none).
+func NewGuarded(n int, lk lock.PidLock, obs memory.Observer) Guarded {
+	return Guarded{NewGuardObserved(n, lk, obs)}
 }
 
 // Guard exposes the guard's fast/slow-path counters for tests and

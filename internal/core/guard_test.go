@@ -10,7 +10,7 @@ import (
 
 // TestGuardCounterLayout pins where a Guard's written words live. The
 // Guard itself holds only the header every operation reads; the path
-// counters sit in per-pid slots whose blank pads keep them at least
+// counters sit in one slot per pid, whose blank pads keep them at least
 // 64 B (word start to word start) from the previous and next slot's
 // counters and from any word outside the slot array, the header
 // included. Fields are word-aligned, so two words that far apart never
@@ -22,7 +22,7 @@ func TestGuardCounterLayout(t *testing.T) {
 	for g, i := reflect.TypeFor[Guard](), 0; i < g.NumField(); i++ {
 		header = append(header, g.Field(i).Name)
 	}
-	if want := []string{"contention", "lk", "slots", "mask"}; !slices.Equal(header, want) {
+	if want := []string{"contention", "lk", "slots"}; !slices.Equal(header, want) {
 		t.Fatalf("Guard fields = %v, want only the read-only header %v", header, want)
 	}
 
@@ -50,20 +50,30 @@ func TestGuardCounterLayout(t *testing.T) {
 		t.Errorf("the next slot starts %d B after a slot's last counter, want >= 64", d)
 	}
 
-	// One slot per pid of a RoundRobin lock (rounded up to a power of
-	// two, so a mask finds it); one shared slot for an IgnorePid lock.
+	// One slot per pid, whatever the lock: an IgnorePid lock takes any
+	// pid, and a slot only its owner writes needs every pid to have
+	// its own. A pid outside [0, n) must panic, not alias a slot.
 	for _, c := range []struct {
-		lk   lock.PidLock
-		want int
+		lk lock.PidLock
+		n  int
 	}{
 		{lock.IgnorePid(lock.NewTAS()), 1},
+		{lock.IgnorePid(lock.NewTicket()), 4},
 		{lock.NewFigure3(1), 1},
-		{lock.NewFigure3(2), 2},
-		{lock.NewFigure3(3), 4},
+		{lock.NewFigure3(3), 3},
 		{lock.NewFigure3(8), 8},
 	} {
-		if g := NewGuard(c.lk); len(g.slots) != c.want || g.mask != c.want-1 {
-			t.Errorf("%T: %d slots, mask %d; want %d slots", c.lk, len(g.slots), g.mask, c.want)
+		g := NewGuard(c.n, c.lk)
+		if len(g.slots) != c.n {
+			t.Errorf("%T for %d pids: %d slots, want %d", c.lk, c.n, len(g.slots), c.n)
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T for %d pids: pid %d did not panic", c.lk, c.n, c.n)
+				}
+			}()
+			Do(g, c.n, func() (int, bool) { return 0, true })
+		}()
 	}
 }

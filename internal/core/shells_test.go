@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/deque"
+	"repro/internal/lock"
 	"repro/internal/queue"
 	"repro/internal/set"
 	"repro/internal/stack"
@@ -84,11 +85,7 @@ func hammer(procs, m int, op func(pid, i int)) {
 }
 
 // TestSensitiveShellsCountExactly checks the per-pid Guard counters
-// against the operations run: every operation is counted once, on the
-// shortcut or the slow path; every slow operation made at least one
-// attempt under the lock; Slow, the adaptive tier's contended()
-// signal, never decreases while the workers run; and ResetStats zeroes
-// every slot.
+// against the operations run, on each shell; see countsExactly.
 func TestSensitiveShellsCountExactly(t *testing.T) {
 	const procs, m = 4, 2000
 	for _, sh := range shells {
@@ -97,41 +94,71 @@ func TestSensitiveShellsCountExactly(t *testing.T) {
 			if p := s.Progress(); p != core.StarvationFree {
 				t.Errorf("Progress = %v, want starvation-free", p)
 			}
-			g := s.Guard()
-			stop, sampled := make(chan struct{}), make(chan struct{})
-			go func() {
-				defer close(sampled)
-				var prev uint64
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if slow := g.Stats().Slow; slow < prev {
-						t.Errorf("Slow fell from %d to %d under load", prev, slow)
-					} else {
-						prev = slow
-					}
-					runtime.Gosched()
-				}
-			}()
-			hammer(procs, m, op)
-			close(stop)
-			<-sampled
-
-			st := g.Stats()
-			if st.Fast+st.Slow != procs*m {
-				t.Errorf("Fast+Slow = %d+%d, want %d", st.Fast, st.Slow, procs*m)
-			}
-			if st.Retries < st.Slow {
-				t.Errorf("Retries = %d < Slow = %d", st.Retries, st.Slow)
-			}
-			g.ResetStats()
-			if st := g.Stats(); st != (core.GuardStats{}) {
-				t.Errorf("Stats after ResetStats = %+v, want zero", st)
-			}
+			countsExactly(t, s.Guard(), procs, m, op)
 		})
+	}
+}
+
+// TestIgnorePidGuardCountsExactly runs countsExactly over the §4
+// Remark's shell: a starvation-free ticket lock that ignores the pid.
+// Such a lock reports no process count, so the guard's one slot per
+// pid comes from the count the constructor is given; every pid must
+// get its own, since the Fast words are written without a lock.
+func TestIgnorePidGuardCountsExactly(t *testing.T) {
+	const procs, m = 4, 2000
+	s := stack.NewSensitiveFrom[uint64](stack.NewAbortable[uint64](1024, procs), procs, lock.IgnorePid(lock.NewTicket()), nil)
+	countsExactly(t, s.Guard(), procs, m, func(pid, i int) {
+		if i%2 == 0 {
+			_ = s.Push(pid, uint64(i))
+		} else {
+			_, _ = s.Pop(pid)
+		}
+	})
+}
+
+// countsExactly runs procs workers doing m operations each through g
+// and checks its counters: every operation is counted once, on the
+// shortcut or the slow path; every slow operation made at least one
+// attempt under the lock; Slow, the adaptive tier's contended() signal
+// and the one read that is safe under load, never decreases while the
+// workers run; and ResetStats zeroes every slot.
+func countsExactly(t *testing.T, g *core.Guard, procs, m int, op func(pid, i int)) {
+	t.Helper()
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		var prev uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if slow := g.Slow(); slow < prev {
+				t.Errorf("Slow fell from %d to %d under load", prev, slow)
+			} else {
+				prev = slow
+			}
+			runtime.Gosched()
+		}
+	}()
+	hammer(procs, m, op)
+	close(stop)
+	<-sampled
+
+	st := g.Stats()
+	if st.Fast+st.Slow != uint64(procs*m) {
+		t.Errorf("Fast+Slow = %d+%d, want %d", st.Fast, st.Slow, procs*m)
+	}
+	if st.Slow != g.Slow() {
+		t.Errorf("Stats().Slow = %d, Slow() = %d at quiescence", st.Slow, g.Slow())
+	}
+	if st.Retries < st.Slow {
+		t.Errorf("Retries = %d < Slow = %d", st.Retries, st.Slow)
+	}
+	g.ResetStats()
+	if st := g.Stats(); st != (core.GuardStats{}) {
+		t.Errorf("Stats after ResetStats = %+v, want zero", st)
 	}
 }
 

@@ -254,10 +254,10 @@ func TestProgressLabels(t *testing.T) {
 	if NewSensitive(2, 2).Progress() != core.StarvationFree {
 		t.Error("Sensitive label")
 	}
-	if NewSensitiveFrom(NewAbortable(2), lock.IgnorePid(lock.NewTAS())).Progress() != core.NonBlocking {
+	if NewSensitiveFrom(NewAbortable(2), 1, lock.IgnorePid(lock.NewTAS())).Progress() != core.NonBlocking {
 		t.Error("Sensitive(raw TAS) label")
 	}
-	if NewSensitiveFrom(NewAbortable(2), lock.IgnorePid(lock.NewTicket())).Progress() != core.StarvationFree {
+	if NewSensitiveFrom(NewAbortable(2), 1, lock.IgnorePid(lock.NewTicket())).Progress() != core.StarvationFree {
 		t.Error("Sensitive(ticket) label")
 	}
 }

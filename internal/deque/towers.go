@@ -66,13 +66,13 @@ type Sensitive struct {
 // fresh weak deque of capacity k behind the Figure 3 lock
 // (lock.NewFigure3).
 func NewSensitive(k, n int) *Sensitive {
-	return NewSensitiveFrom(NewAbortable(k), lock.NewFigure3(n))
+	return NewSensitiveFrom(NewAbortable(k), n, lock.NewFigure3(n))
 }
 
-// NewSensitiveFrom builds Figure 3 over an existing weak deque and
-// PidLock.
-func NewSensitiveFrom(weak *Abortable, lk lock.PidLock) *Sensitive {
-	return &Sensitive{Guarded: core.NewGuarded(lk, nil), weak: weak}
+// NewSensitiveFrom builds Figure 3 for n processes over an existing
+// weak deque and PidLock.
+func NewSensitiveFrom(weak *Abortable, n int, lk lock.PidLock) *Sensitive {
+	return &Sensitive{Guarded: core.NewGuarded(n, lk, nil), weak: weak}
 }
 
 // PushRight appends v on the right; never aborts.

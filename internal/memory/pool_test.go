@@ -191,6 +191,53 @@ func TestPoolConcurrentDistinctHandles(t *testing.T) {
 	}
 }
 
+// TestPoolCountsEveryGet churns Get/Put on procs pids, each holding a
+// working set that sometimes overflows its local list (spills) and
+// sometimes drains it (refills), and checks the counters at
+// quiescence: every Get is a reuse or a fresh record, so Reuses+Allocs
+// is exactly the number of Gets issued, and Allocs equals ArenaSize.
+// Reuses is a plain word only its owner pid writes, so this fails if
+// two pids ever share a local: as a race under -race, as lost counts
+// or a corrupted free list without it.
+func TestPoolCountsEveryGet(t *testing.T) {
+	const procs, rounds = 4, 300
+	p := NewPool[uint64](procs, nil)
+	var wg sync.WaitGroup
+	for pid := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			held := make([]Handle, 0, 2*poolLocalCap)
+			for i := range rounds {
+				for range 1 + (i*7+pid)%(2*poolLocalCap) {
+					held = append(held, p.Get(pid))
+				}
+				for _, h := range held {
+					p.Put(pid, h)
+				}
+				held = held[:0]
+			}
+		}()
+	}
+	wg.Wait()
+	var gets uint64
+	for pid := range procs {
+		for i := range rounds {
+			gets += uint64(1 + (i*7+pid)%(2*poolLocalCap))
+		}
+	}
+	st := p.Stats()
+	if st.Reuses+st.Allocs != gets {
+		t.Errorf("Reuses+Allocs = %d+%d = %d, want the %d Gets issued", st.Reuses, st.Allocs, st.Reuses+st.Allocs, gets)
+	}
+	if st.Spills == 0 || st.Refills == 0 {
+		t.Errorf("churn never crossed the shared overflow: %+v", st)
+	}
+	if got := uint64(p.ArenaSize()); got != st.Allocs {
+		t.Errorf("ArenaSize = %d, want Allocs = %d", got, st.Allocs)
+	}
+}
+
 func TestPoolTryGetExhaustionIsTyped(t *testing.T) {
 	p := NewPool[uint64](1, nil)
 	p.limit = 3 // shrink the handle horizon so exhaustion is reachable

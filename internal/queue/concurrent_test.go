@@ -118,7 +118,7 @@ func TestSensitiveQueueConserves(t *testing.T) {
 }
 
 func TestSensitiveQueueTicketLockConserves(t *testing.T) {
-	q := NewSensitiveFrom[uint64](NewAbortable[uint64](16), lock.IgnorePid(lock.NewTicket()))
+	q := NewSensitiveFrom[uint64](NewAbortable[uint64](16), 6, lock.IgnorePid(lock.NewTicket()))
 	qconserved(t, 3, 3, stressN(2000), q.Enqueue, q.Dequeue)
 }
 

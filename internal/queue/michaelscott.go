@@ -159,8 +159,13 @@ func (q *MichaelScott[T]) Len() int {
 	return n
 }
 
-// PoolStats exposes the node pool's recycling counters.
+// PoolStats exposes the node pool's recycling counters (quiescent
+// states only).
 func (q *MichaelScott[T]) PoolStats() memory.PoolStats { return q.pool.Stats() }
+
+// PoolArenaSize returns the records the node pool has carved; it is
+// safe under load.
+func (q *MichaelScott[T]) PoolArenaSize() int { return q.pool.ArenaSize() }
 
 // Progress reports NonBlocking (lock-freedom).
 func (q *MichaelScott[T]) Progress() core.Progress { return core.NonBlocking }

@@ -277,10 +277,10 @@ func TestQueueProgressLabels(t *testing.T) {
 		t.Error("LockBased label")
 	}
 	rawTAS := lock.IgnorePid(lock.NewTAS())
-	if NewSensitiveFrom[int](NewAbortable[int](1), rawTAS).Progress() != core.NonBlocking {
+	if NewSensitiveFrom[int](NewAbortable[int](1), 1, rawTAS).Progress() != core.NonBlocking {
 		t.Error("Sensitive(raw TAS) label")
 	}
-	if NewSensitiveFrom[int](NewAbortable[int](1), lock.IgnorePid(lock.NewTicket())).Progress() != core.StarvationFree {
+	if NewSensitiveFrom[int](NewAbortable[int](1), 1, lock.IgnorePid(lock.NewTicket())).Progress() != core.StarvationFree {
 		t.Error("Sensitive(ticket) label")
 	}
 	if NewLockBasedWith[int](1, rawTAS).Progress() != core.NonBlocking {

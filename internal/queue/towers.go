@@ -55,16 +55,17 @@ type Sensitive[T any] struct {
 // (lock.NewFigure3).
 func NewSensitive[T any](k, n int) *Sensitive[T] { return NewSensitiveObserved[T](k, n, nil) }
 
-// NewSensitiveFrom builds Figure 3 over any weak queue and PidLock.
-func NewSensitiveFrom[T any](weak Weak[T], lk lock.PidLock) *Sensitive[T] {
-	return &Sensitive[T]{Guarded: core.NewGuarded(lk, nil), weak: weak}
+// NewSensitiveFrom builds Figure 3 for n processes over any weak queue
+// and PidLock.
+func NewSensitiveFrom[T any](weak Weak[T], n int, lk lock.PidLock) *Sensitive[T] {
+	return &Sensitive[T]{Guarded: core.NewGuarded(n, lk, nil), weak: weak}
 }
 
 // NewSensitiveObserved is NewSensitive with all shared accesses (weak
 // queue and CONTENTION register) reported to obs.
 func NewSensitiveObserved[T any](k, n int, obs memory.Observer) *Sensitive[T] {
 	lk := lock.NewFigure3(n)
-	return &Sensitive[T]{Guarded: core.NewGuarded(lk, obs), weak: NewAbortableObserved[T](k, obs)}
+	return &Sensitive[T]{Guarded: core.NewGuarded(n, lk, obs), weak: NewAbortableObserved[T](k, obs)}
 }
 
 // Enqueue is the strong enqueue: never aborts, returns nil or ErrFull.

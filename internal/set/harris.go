@@ -263,8 +263,13 @@ func (s *Harris) Snapshot() []uint64 {
 	return out
 }
 
-// PoolStats exposes the node pool's recycling counters.
+// PoolStats exposes the node pool's recycling counters (quiescent
+// states only).
 func (s *Harris) PoolStats() memory.PoolStats { return s.l.pool.Stats() }
+
+// PoolArenaSize returns the records the node pool has carved; it is
+// safe under load.
+func (s *Harris) PoolArenaSize() int { return s.l.pool.ArenaSize() }
 
 // Progress reports NonBlocking (lock-freedom).
 func (s *Harris) Progress() core.Progress { return core.NonBlocking }

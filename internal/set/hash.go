@@ -299,8 +299,13 @@ func (s *Hash) Snapshot() []uint64 {
 	return out
 }
 
-// PoolStats exposes the node pool's recycling counters.
+// PoolStats exposes the node pool's recycling counters (quiescent
+// states only).
 func (s *Hash) PoolStats() memory.PoolStats { return s.l.pool.Stats() }
+
+// PoolArenaSize returns the records the node pool has carved; it is
+// safe under load.
+func (s *Hash) PoolArenaSize() int { return s.l.pool.ArenaSize() }
 
 // Progress reports NonBlocking (lock-freedom): the table pointer and
 // shortcut words only ever help, and every list-level retry implies

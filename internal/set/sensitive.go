@@ -25,12 +25,13 @@ type Sensitive struct {
 // deadlock-free TTAS lock (lock.NewFigure3). Callers pass pids in
 // [0, n).
 func NewSensitive(n int) *Sensitive {
-	return NewSensitiveFrom(NewAbortable(), lock.NewFigure3(n))
+	return NewSensitiveFrom(NewAbortable(), n, lock.NewFigure3(n))
 }
 
-// NewSensitiveFrom builds Figure 3 over any weak set and any PidLock.
-func NewSensitiveFrom(weak Weak, lk lock.PidLock) *Sensitive {
-	return &Sensitive{Guarded: core.NewGuarded(lk, nil), weak: weak}
+// NewSensitiveFrom builds Figure 3 for n processes over any weak set
+// and any PidLock.
+func NewSensitiveFrom(weak Weak, n int, lk lock.PidLock) *Sensitive {
+	return &Sensitive{Guarded: core.NewGuarded(n, lk, nil), weak: weak}
 }
 
 // Add inserts k on behalf of pid; it reports whether k was newly

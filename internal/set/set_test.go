@@ -154,7 +154,7 @@ func TestProgressLabels(t *testing.T) {
 	if NewSensitive(2).Progress() != core.StarvationFree {
 		t.Error("Sensitive label")
 	}
-	if NewSensitiveFrom(NewAbortable(), lock.IgnorePid(lock.NewTAS())).Progress() != core.NonBlocking {
+	if NewSensitiveFrom(NewAbortable(), 1, lock.IgnorePid(lock.NewTAS())).Progress() != core.NonBlocking {
 		t.Error("Sensitive(raw TAS) label")
 	}
 }

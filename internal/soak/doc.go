@@ -8,7 +8,7 @@
 // forced adaptive morphs) and a robustness monitor watches the whole
 // time: a per-pid heartbeat watchdog flags operations stalled past a
 // deadline, a periodic leak/conservation audit (the PR 7 bracket,
-// pool PoolStats drift, heap telemetry) runs without stopping
+// pool arena drift, heap telemetry) runs without stopping
 // traffic, and windowed metrics.Histogram deltas turn the run into
 // the provenance-stamped rows experiment E24 emits and cmd/slogate
 // gates. Stopping — by duration or by SIGTERM relayed through

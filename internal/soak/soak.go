@@ -86,7 +86,7 @@ func DefaultFaultPlan() []FaultSpec {
 
 // DefaultBackends is the catalog slice a soak run covers when none is
 // chosen: one lease-takeover combining backend (both crash seams), one
-// pooled backend (PoolStats drift under churn), and one adaptive
+// pooled backend (arena drift under churn), and one adaptive
 // meta-backend (forced morphs land on a real ladder) — the coverage
 // the E24 strict gate requires.
 func DefaultBackends() []string {
@@ -202,8 +202,13 @@ type morpher interface {
 	Rungs() []string
 }
 
-// pooled is the allocation extension the leak audit scrapes.
-type pooled interface{ PoolStats() repro.PoolStats }
+// pooled is the allocation extension the leak audit scrapes. Rows read
+// the arena size, which is safe under load; PoolStats is exact only at
+// quiescence, so only the drain audit reads it.
+type pooled interface {
+	PoolStats() repro.PoolStats
+	PoolArenaSize() int
+}
 
 // capabilityOf walks the adapter layers one Unwrap hop at a time and
 // returns the first layer exposing the extension T. A full
@@ -695,19 +700,10 @@ func (e *engine) collect() []Row {
 }
 
 // liveAudit is the quiescence-free leak check: the conservation
-// bracket's one-sided inequality (with in-flight slack) plus the
-// pool's no-drop invariant.
+// bracket's one-sided inequality (with in-flight slack).
 func (e *engine) liveAudit() error {
 	procs := e.cfg.Workers + len(e.cfg.Faults)
-	if err := e.cons.LiveCheck(procs); err != nil {
-		return err
-	}
-	if e.pool != nil {
-		if st := e.pool.PoolStats(); st.Drops > 0 {
-			return fmt.Errorf("pool dropped %d handles", st.Drops)
-		}
-	}
-	return nil
+	return e.cons.LiveCheck(procs)
 }
 
 // baseRow assembles the shared columns of a window or summary row.
@@ -736,17 +732,22 @@ func (e *engine) baseRow(window int, dur time.Duration, ops, okOps uint64, h *me
 		r.OpsPerSec = float64(ops) / dur.Seconds()
 	}
 	if e.pool != nil {
-		r.PoolAllocs = int64(e.pool.PoolStats().Allocs)
+		r.PoolAllocs = int64(e.pool.PoolArenaSize())
 	}
 	return r
 }
 
 // summaryRow is the drain-time row (Window == -1): whole-run totals
-// and quantiles, and the quiescent conservation audit as the verdict.
+// and quantiles, and the quiescent audit as the verdict: conservation
+// plus the pool's no-drop invariant.
 func (e *engine) summaryRow() Row {
 	r := e.baseRow(-1, time.Since(e.start), e.attempted.Load(), e.okOps.Load(), e.hist)
 	if err := e.cons.Verify(e.drv); err != nil {
 		r.Audit = fmt.Sprintf("FAIL: %v", err)
+	} else if e.pool != nil {
+		if st := e.pool.PoolStats(); st.Drops > 0 {
+			r.Audit = fmt.Sprintf("FAIL: pool dropped %d handles", st.Drops)
+		}
 	}
 	e.logf("[%s] drain: %d ops (%d ok) over %d sessions, %d/%d faults recovered (worst %v), stalls %d, audit %s",
 		e.b.Name, r.Ops, r.OKOps, r.Sessions, r.Recovered, r.Faults,

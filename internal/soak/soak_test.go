@@ -97,7 +97,8 @@ func TestSoakDefaultBackends(t *testing.T) {
 }
 
 // TestSoakPooledBackendTracksPool checks the leak audit actually
-// scrapes PoolStats on a pooled backend instead of reporting -1.
+// scrapes the pool's arena size on a pooled backend instead of
+// reporting -1.
 func TestSoakPooledBackendTracksPool(t *testing.T) {
 	b, ok := catalogByName(t)["stack/treiber"]
 	if !ok {

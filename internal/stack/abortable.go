@@ -187,8 +187,13 @@ func (s *Abortable[T]) Snapshot() []T {
 	return out
 }
 
-// PoolStats exposes the value arena's recycling counters.
+// PoolStats exposes the value arena's recycling counters (quiescent
+// states only).
 func (s *Abortable[T]) PoolStats() memory.PoolStats { return s.vals.Stats() }
+
+// PoolArenaSize returns the records the value arena has carved; it is
+// safe under load.
+func (s *Abortable[T]) PoolArenaSize() int { return s.vals.ArenaSize() }
 
 // Progress classifies the abortable stack. Abortability is strictly
 // stronger than obstruction-freedom (§1.2) — every attempt terminates,

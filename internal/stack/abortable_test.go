@@ -426,10 +426,10 @@ func TestProgressLabels(t *testing.T) {
 	// starvation-free: raw TAS (E6's "no RR" variant) only guarantees
 	// that some operation completes.
 	rawTAS := lock.IgnorePid(lock.NewTAS())
-	if NewSensitiveFrom[int](NewAbortable[int](1, 1), rawTAS, nil).Progress() != core.NonBlocking {
+	if NewSensitiveFrom[int](NewAbortable[int](1, 1), 1, rawTAS, nil).Progress() != core.NonBlocking {
 		t.Error("Sensitive(raw TAS) progress label")
 	}
-	if NewSensitiveFrom[int](NewAbortable[int](1, 1), lock.IgnorePid(lock.NewTicket()), nil).Progress() != core.StarvationFree {
+	if NewSensitiveFrom[int](NewAbortable[int](1, 1), 1, lock.IgnorePid(lock.NewTicket()), nil).Progress() != core.StarvationFree {
 		t.Error("Sensitive(ticket) progress label")
 	}
 	if NewLockBasedWith[int](1, rawTAS).Progress() != core.NonBlocking {

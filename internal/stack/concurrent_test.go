@@ -109,7 +109,7 @@ func TestSensitiveConserves(t *testing.T) {
 func TestSensitiveWithStarvationFreeLockConserves(t *testing.T) {
 	// The §4 Remark variant: a starvation-free lock, no FLAG/TURN.
 	procs, perProc, k := 6, stressN(1500), 32
-	s := NewSensitiveFrom[uint64](NewAbortable[uint64](k, procs), lock.IgnorePid(lock.NewTicket()), nil)
+	s := NewSensitiveFrom[uint64](NewAbortable[uint64](k, procs), procs, lock.IgnorePid(lock.NewTicket()), nil)
 	conserved(t, procs, perProc,
 		s.Push,
 		s.Pop,

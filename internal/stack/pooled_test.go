@@ -297,7 +297,7 @@ func TestTreiberPopReleasesValue(t *testing.T) {
 func TestAbortableConservesPointers(t *testing.T) {
 	procs, perProc, k := 4, stressN(4000), 16
 	weak := NewAbortable[*uint64](k, procs)
-	se := NewSensitiveFrom[*uint64](weak, lock.NewRoundRobin(lock.NewTAS(), procs), nil)
+	se := NewSensitiveFrom[*uint64](weak, procs, lock.NewRoundRobin(lock.NewTAS(), procs), nil)
 	nb := NewNonBlockingFrom[*uint64](weak, nil)
 	push := func(pid int, v uint64) error {
 		if pid%2 == 0 {
@@ -432,5 +432,30 @@ func BenchmarkAbortablePooledSolo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = s.TryPush(0, uint64(i))
 		_, _ = s.TryPop(0)
+	}
+}
+
+// BenchmarkSensitiveStackSolo is objbench's stack-solo at the algorithm
+// layer: pid 0 alone runs a 50/50 push/pop mix on the Figure 3 stack of
+// capacity 1024, prefilled with 512, so every operation completes on
+// the guard's shortcut over one pooled Figure 1 attempt.
+func BenchmarkSensitiveStackSolo(b *testing.B) {
+	b.ReportAllocs()
+	const k = 1024
+	s := NewSensitive[uint64](k, 1)
+	for i := range k / 2 {
+		_ = s.Push(0, uint64(i))
+	}
+	x := uint64(0x9e3779b97f4a7c15) // xorshift64 state
+	b.ResetTimer()
+	for range b.N {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if x&1 == 0 {
+			_ = s.Push(0, x)
+		} else {
+			_, _ = s.Pop(0)
+		}
 	}
 }

@@ -28,16 +28,16 @@ func NewSensitive[T any](k, n int) *Sensitive[T] { return NewSensitiveObserved[T
 // both the weak stack and the CONTENTION register reported to obs —
 // the configuration under which E1 counts Theorem 1's six accesses.
 func NewSensitiveObserved[T any](k, n int, obs memory.Observer) *Sensitive[T] {
-	return NewSensitiveFrom[T](NewAbortableObserved[T](k, n, obs), lock.NewFigure3(n), obs)
+	return NewSensitiveFrom[T](NewAbortableObserved[T](k, n, obs), n, lock.NewFigure3(n), obs)
 }
 
-// NewSensitiveFrom builds Figure 3 over any weak stack and any
-// PidLock, reporting the CONTENTION register's accesses to obs (nil
+// NewSensitiveFrom builds Figure 3 for n processes over any weak stack
+// and any PidLock, reporting the CONTENTION register's accesses to obs (nil
 // for none); an instrumented weak stack lets E1 count a backend end to
 // end. Use lock.IgnorePid(starvationFreeLock) for the simplified
 // variant of the paper's §4 Remark.
-func NewSensitiveFrom[T any](weak Weak[T], lk lock.PidLock, obs memory.Observer) *Sensitive[T] {
-	return &Sensitive[T]{Guarded: core.NewGuarded(lk, obs), weak: weak}
+func NewSensitiveFrom[T any](weak Weak[T], n int, lk lock.PidLock, obs memory.Observer) *Sensitive[T] {
+	return &Sensitive[T]{Guarded: core.NewGuarded(n, lk, obs), weak: weak}
 }
 
 // Push is strong_push(v): it always takes effect (or reports a full

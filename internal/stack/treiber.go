@@ -128,8 +128,12 @@ func (s *Treiber[T]) Len() int {
 }
 
 // PoolStats exposes the node pool's recycling counters (E17's
-// forced-reuse table).
+// forced-reuse table; quiescent states only).
 func (s *Treiber[T]) PoolStats() memory.PoolStats { return s.pool.Stats() }
+
+// PoolArenaSize returns the records the node pool has carved; it is
+// safe under load.
+func (s *Treiber[T]) PoolArenaSize() int { return s.pool.ArenaSize() }
 
 // Progress reports NonBlocking (the retry loop is lock-free).
 func (s *Treiber[T]) Progress() core.Progress { return core.NonBlocking }

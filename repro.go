@@ -76,6 +76,8 @@
 package repro
 
 import (
+	"fmt"
+
 	"repro/internal/adaptive"
 	"repro/internal/combine"
 	"repro/internal/core"
@@ -420,8 +422,16 @@ func AdaptiveStatsOf(x any) (AdaptiveStats, bool) {
 
 // NewGuard returns the Figure 3 protocol state over the given lock;
 // combine with Do to make any abortable operation contention-sensitive
-// and starvation-free.
-func NewGuard(lk PidLock) *Guard { return core.NewGuard(lk) }
+// and starvation-free. The guard serves the lock's pids, so lk must
+// report its process count, as NewStarvationFreeLock's locks do;
+// NewGuard panics on a lock that reports none.
+func NewGuard(lk PidLock) *Guard {
+	l, ok := lk.(interface{ N() int })
+	if !ok {
+		panic(fmt.Sprintf("repro: NewGuard needs a lock that reports its process count (an N() int method); %T has none", lk))
+	}
+	return core.NewGuard(l.N(), lk)
+}
 
 // Do runs one strong operation of an abortable object under g: the
 // lock-free shortcut when uncontended, the serialized slow path

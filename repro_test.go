@@ -128,6 +128,24 @@ func TestPublicGuardComposition(t *testing.T) {
 	}
 }
 
+// countlessLock is a PidLock that does not report its process count.
+type countlessLock struct{ sync.Mutex }
+
+func (l *countlessLock) Acquire(int) { l.Lock() }
+func (l *countlessLock) Release(int) { l.Unlock() }
+
+// TestNewGuardNeedsProcessCount pins that NewGuard sizes the guard's
+// per-pid counter slots from the lock's N() and refuses a lock that
+// reports none, instead of letting every pid share one slot.
+func TestNewGuardNeedsProcessCount(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "process count") {
+			t.Fatalf("NewGuard over a lock without N() = panic %v, want one naming the process count", r)
+		}
+	}()
+	repro.NewGuard(&countlessLock{})
+}
+
 func TestPublicNonBlocking(t *testing.T) {
 	s := repro.NewNonBlockingStack[int](4, 1)
 	if err := s.Push(0, 7); err != nil {
